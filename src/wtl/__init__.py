@@ -14,10 +14,9 @@ from .wts import (
     random_wts, serialize_wts,
 )
 from .formulas import (
-    And, AtLeast, AtMost, Atom, Bottom, Formula, FormulaError, Not,
-    SyntacticMeasures, Top, box, conjoin, diamond, iff, implies, lor,
-    modal_depth, model_check, parse_formula, print_formula, random_formula,
-    sat_set, syntactic_measures,
+    And, AtLeast, AtMost, Atom, Bottom, Formula, FormulaError, Not, Top, box,
+    conjoin, diamond, iff, implies, lor, modal_depth, model_check,
+    parse_formula, print_formula, random_formula, sat_set,
 )
 from .bisimulation import (
     Partition, are_bisimilar, distinguishing_formula, generalized_bisimilarity,

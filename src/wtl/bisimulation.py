@@ -8,10 +8,13 @@ Two flavours are computed as greatest fixpoints:
 * exact bisimilarity ("weighted"): the classical zig-zag matching of
   individual transition weights into blocks.
 
-Exact bisimilarity refines bound bisimilarity.  Refinement is global: at
-every round each block is split by the states' signatures toward all
-current blocks, until nothing splits.  Blocks are enumerated in a canonical
-order (sorted by least member) so runs are deterministic.
+Exact bisimilarity refines bound bisimilarity.  One refinement loop serves
+both flavours; only the signature of a state differs.  Refinement is
+global: starting from the partition by labels, each round scans every
+out-edge of every state once, which gives each state its signature toward
+all current blocks, and splits every block by signature, until a round
+splits nothing.  Blocks are enumerated in a canonical order (sorted by
+least member) so runs are deterministic.
 """
 
 from __future__ import annotations
@@ -19,12 +22,15 @@ from __future__ import annotations
 from typing import Optional
 
 from .formulas import AtLeast, AtMost, Atom, Formula, Not, conjoin
-from .wts import NEG_INF, Wts
+from .wts import NEG_INF, POS_INF, Wts
 
 __all__ = [
     "Partition", "generalized_bisimilarity", "weighted_bisimilarity",
     "are_bisimilar", "quotient_model", "distinguishing_formula",
 ]
+
+# Bounds toward a block a state does not reach: those of an empty image.
+_UNREACHED = (NEG_INF, POS_INF)
 
 
 class Partition:
@@ -76,7 +82,7 @@ def _split_by(m: Wts, partition: Partition, signature) -> Partition:
     for block in partition.blocks:
         groups: dict = {}
         for s in sorted(block):
-            groups.setdefault(signature(s), []).append(s)
+            groups.setdefault(signature(m, partition, s), []).append(s)
         new_blocks.extend(groups.values())
     return Partition(new_blocks)
 
@@ -88,23 +94,27 @@ def _label_partition(m: Wts) -> Partition:
     return Partition(groups.values())
 
 
-def _bound_signature(m: Wts, partition: Partition):
-    def signature(s: str):
-        return tuple(
-            (m.theta_min(s, block), m.theta_max(s, block))
-            for block in partition.blocks
-        )
-
-    return signature
+def _bound_signature(m: Wts, partition: Partition, s: str):
+    """Min and max weight toward every block `s` reaches."""
+    return frozenset(m.bounds_by_block(s, partition._index).items())
 
 
-def _refinement_history(m: Wts) -> list[Partition]:
-    """All rounds of bound-bisimilarity refinement, coarsest first."""
+def _exact_signature(m: Wts, partition: Partition, s: str):
+    """Every (weight, block) pair of a transition from `s`."""
+    return frozenset((w, partition._index[dst]) for w, dst in m._out[s])
+
+
+def _refinement_history(m: Wts, signature) -> list[Partition]:
+    """All rounds of refinement by `signature`, coarsest first.
+
+    A round only splits blocks, so an unchanged block count means nothing
+    split and the last partition is the fixpoint.
+    """
     history = [_label_partition(m)]
     while True:
         current = history[-1]
-        refined = _split_by(m, current, _bound_signature(m, current))
-        if refined == current:
+        refined = _split_by(m, current, signature)
+        if len(refined.blocks) == len(current.blocks):
             return history
         history.append(refined)
 
@@ -112,20 +122,12 @@ def _refinement_history(m: Wts) -> list[Partition]:
 def generalized_bisimilarity(m: Wts) -> Partition:
     """Coarsest partition with equal labels and equal min/max weight
     toward every block."""
-    return _refinement_history(m)[-1]
+    return _refinement_history(m, _bound_signature)[-1]
 
 
 def weighted_bisimilarity(m: Wts) -> Partition:
     """Coarsest partition under exact zig-zag matching of weights."""
-    partition = _label_partition(m)
-    while True:
-        def signature(s, p=partition):
-            return frozenset((w, p._index[dst]) for w, dst in m._out[s])
-
-        refined = _split_by(m, partition, signature)
-        if refined == partition:
-            return partition
-        partition = refined
+    return _refinement_history(m, _exact_signature)[-1]
 
 
 def are_bisimilar(m: Wts, s: str, t: str, flavor: str = "generalized") -> bool:
@@ -141,14 +143,10 @@ def are_bisimilar(m: Wts, s: str, t: str, flavor: str = "generalized") -> bool:
 def _is_bound_bisimulation(m: Wts, p: Partition) -> bool:
     for block in p.blocks:
         rep = min(block)
-        if any(m.labels[s] != m.labels[rep] for s in block):
-            return False
-        for target in p.blocks:
-            lo = m.theta_min(rep, target)
-            hi = m.theta_max(rep, target)
-            for s in block:
-                if m.theta_min(s, target) != lo or m.theta_max(s, target) != hi:
-                    return False
+        bounds = m.bounds_by_block(rep, p._index)
+        for s in block:
+            if m.labels[s] != m.labels[rep] or m.bounds_by_block(s, p._index) != bounds:
+                return False
     return True
 
 
@@ -163,20 +161,14 @@ def quotient_model(m: Wts, p: Partition) -> Wts:
         raise ValueError("partition does not cover the model's states")
     if not _is_bound_bisimulation(m, p):
         raise ValueError("partition is not a bound bisimulation for this model")
-    reps = {block: min(block) for block in p.blocks}
-    states = sorted(reps.values())
-    labels = {reps[block]: m.labels[reps[block]] for block in p.blocks}
+    reps = [min(block) for block in p.blocks]
+    labels = {rep: m.labels[rep] for rep in reps}
     transitions = []
-    for block in p.blocks:
-        rep = reps[block]
-        for target in p.blocks:
-            lo = m.theta_min(rep, target)
-            if lo == NEG_INF:
-                continue
-            hi = m.theta_max(rep, target)
+    for rep in reps:
+        for target, (lo, hi) in m.bounds_by_block(rep, p._index).items():
             transitions.append((rep, lo, reps[target]))
             transitions.append((rep, hi, reps[target]))
-    return Wts(states, labels, transitions)
+    return Wts(reps, labels, transitions)
 
 
 class _DistinguisherBuilder:
@@ -237,12 +229,16 @@ class _DistinguisherBuilder:
     def _bound_splitter(self, k: int, u: str, v: str) -> Formula:
         """A formula true at `u`, false at `v`, for states first separated
         at round k >= 1: compare bounds toward some round k-1 block."""
-        m = self.m
-        for target in self.history[k - 1].blocks:
-            lo_u, hi_u = m.theta_min(u, target), m.theta_max(u, target)
-            lo_v, hi_v = m.theta_min(v, target), m.theta_max(v, target)
+        previous = self.history[k - 1]
+        bounds_u = self.m.bounds_by_block(u, previous._index)
+        bounds_v = self.m.bounds_by_block(v, previous._index)
+        # Canonical block order; blocks neither state reaches never differ.
+        for i in sorted(bounds_u.keys() | bounds_v.keys()):
+            lo_u, hi_u = bounds_u.get(i, _UNREACHED)
+            lo_v, hi_v = bounds_v.get(i, _UNREACHED)
             if (lo_u, hi_u) == (lo_v, hi_v):
                 continue
+            target = previous.blocks[i]
             chi = self.characterize(k - 1, target)
             if (lo_u == NEG_INF) != (lo_v == NEG_INF):
                 probe = AtLeast(0, chi)
@@ -264,7 +260,7 @@ def distinguishing_formula(m: Wts, s: str, t: str) -> Optional[Formula]:
     m._require_state(t)
     if s == t:
         return None
-    history = _refinement_history(m)
+    history = _refinement_history(m, _bound_signature)
     if history[-1].same_block(s, t):
         return None
     builder = _DistinguisherBuilder(m, history)

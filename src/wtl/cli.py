@@ -143,6 +143,10 @@ def run(argv: list[str], stdin: bytes = b"") -> tuple[int, str, str]:
         return code, out, ""
     except (_UsageError, ModelError, FormulaError, ValueError, KeyError) as e:
         return EXIT_ERROR, "", json.dumps({"error": str(e)}) + "\n"
+    except RecursionError:
+        # Parser, printer and engines recurse on the formula's nesting.
+        error = "formula nested too deeply for this interpreter's recursion limit"
+        return EXIT_ERROR, "", json.dumps({"error": error}) + "\n"
 
 
 def _dispatch(args, stdin: bytes, emit) -> tuple[int, str]:

@@ -10,20 +10,18 @@ are desugared by the parser; every engine consumes core AST only.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .wts import Wts, as_weight, format_rational
+from .wts import NEG_INF, POS_INF, Wts, as_weight, format_rational, read_rational
 
 __all__ = [
     "Formula", "Atom", "Top", "Bottom", "Not", "And", "AtLeast", "AtMost",
     "lor", "implies", "iff", "diamond", "box", "conjoin",
     "FormulaError", "parse_formula", "print_formula",
-    "sat_set", "model_check", "modal_depth",
-    "SyntacticMeasures", "syntactic_measures", "random_formula",
+    "sat_set", "model_check", "modal_depth", "random_formula",
 ]
 
 
@@ -141,34 +139,13 @@ def _tokenize(text: str):
             tokens.append((c, c, i))
             i += 1
             continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "/":
-                k = j + 1
-                while k < n and text[k].isdigit():
-                    k += 1
-                if k == j + 1:
-                    raise FormulaError(f"position {j}: missing denominator")
-                den = int(text[j + 1:k])
-                if den == 0:
-                    raise FormulaError(f"position {j}: zero denominator")
-                tokens.append(("rat", Fraction(int(text[i:j]), den), i))
-                i = k
-            elif j < n and text[j] == ".":
-                k = j + 1
-                while k < n and text[k].isdigit():
-                    k += 1
-                if k == j + 1:
-                    raise FormulaError(f"position {j}: missing decimal digits")
-                dec = text[j + 1:k]
-                value = Fraction(int(text[i:j])) + Fraction(int(dec), 10 ** len(dec))
-                tokens.append(("rat", value, i))
-                i = k
-            else:
-                tokens.append(("rat", Fraction(int(text[i:j])), i))
-                i = j
+        if c.isdecimal():
+            try:
+                value, end = read_rational(text, i)
+            except ValueError as e:
+                raise FormulaError(f"position {i}: {e}") from None
+            tokens.append(("rat", value, i))
+            i = end
             continue
         if c.isalpha() or c == "_":
             j = i
@@ -325,15 +302,23 @@ def _eval(m: Wts, f: Formula, cache: dict) -> frozenset[str]:
     elif isinstance(f, And):
         result = _eval(m, f.left, cache) & _eval(m, f.right, cache)
     elif isinstance(f, AtLeast):
-        targets = _eval(m, f.operand, cache)
-        result = frozenset(s for s in m.states if m.theta_min(s, targets) >= f.bound)
+        bounds = _bounds_into(m, _eval(m, f.operand, cache))
+        result = frozenset(s for s, (lo, _) in bounds if lo >= f.bound)
     elif isinstance(f, AtMost):
-        targets = _eval(m, f.operand, cache)
-        result = frozenset(s for s in m.states if m.theta_max(s, targets) <= f.bound)
+        bounds = _bounds_into(m, _eval(m, f.operand, cache))
+        result = frozenset(s for s, (_, hi) in bounds if hi <= f.bound)
     else:
         raise TypeError(f"not a formula: {f!r}")
     cache[f] = result
     return result
+
+
+def _bounds_into(m: Wts, targets: frozenset[str]):
+    """(s, (theta_min, theta_max) of s toward `targets`) for every state,
+    from one scan of each state's out-edges."""
+    inside = {s: s in targets for s in m.states}
+    for s in m.states:
+        yield s, m.bounds_by_block(s, inside).get(True, (NEG_INF, POS_INF))
 
 
 def model_check(m: Wts, s: str, f: Formula) -> bool:
@@ -352,47 +337,6 @@ def modal_depth(f: Formula) -> int:
     if isinstance(f, (AtLeast, AtMost)):
         return 1 + modal_depth(f.operand)
     raise TypeError(f"not a formula: {f!r}")
-
-
-@dataclass(frozen=True)
-class SyntacticMeasures:
-    """Modality indices, atoms, their least common denominator, and the
-    induced finite grid of rationals between the least and greatest index
-    (0 always included when any index occurs)."""
-
-    indices: frozenset[Fraction]
-    atoms: frozenset[str]
-    granularity: int
-    grid: frozenset[Fraction]
-
-
-def syntactic_measures(f: Formula) -> SyntacticMeasures:
-    indices: set[Fraction] = set()
-    atoms: set[str] = set()
-    _collect(f, indices, atoms)
-    if not indices:
-        return SyntacticMeasures(frozenset(), frozenset(atoms), 1, frozenset())
-    gran = math.lcm(*(q.denominator for q in indices))
-    lo, hi = min(indices), max(indices)
-    grid = {
-        Fraction(j, gran)
-        for j in range(math.ceil(lo * gran), math.floor(hi * gran) + 1)
-    }
-    grid.add(Fraction(0))
-    return SyntacticMeasures(frozenset(indices), frozenset(atoms), gran, frozenset(grid))
-
-
-def _collect(f: Formula, indices: set, atoms: set) -> None:
-    if isinstance(f, Atom):
-        atoms.add(f.name)
-    elif isinstance(f, Not):
-        _collect(f.operand, indices, atoms)
-    elif isinstance(f, And):
-        _collect(f.left, indices, atoms)
-        _collect(f.right, indices, atoms)
-    elif isinstance(f, (AtLeast, AtMost)):
-        indices.add(f.bound)
-        _collect(f.operand, indices, atoms)
 
 
 def random_formula(

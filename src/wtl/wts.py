@@ -4,6 +4,9 @@ A model is a finite set of labelled states plus transitions carrying
 weights.  The central queries are the image set of a state toward a set
 of target states (the weights of all transitions from the state into the
 set) and its minimum/maximum, extended with -inf/+inf on empty images.
+The engines ask for a state's minimum and maximum toward every block of a
+partition at once (`Wts.bounds_by_block`), which costs one scan of the
+state's out-edges.
 All arithmetic is exact (`fractions.Fraction`); weights are kept in
 canonical reduced form so equality is structural.
 """
@@ -16,7 +19,7 @@ import re
 from fractions import Fraction
 from math import inf
 from types import MappingProxyType
-from typing import Iterable, Mapping, Union
+from typing import Hashable, Iterable, Mapping, Union
 
 Weight = Fraction
 
@@ -27,7 +30,7 @@ NEG_INF: float = -inf
 POS_INF: float = inf
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_RATIONAL_RE = re.compile(r"(-?)(\d+)(?:/(\d+)|\.(\d+))?\Z")
+_RATIONAL_RE = re.compile(r"(\d+)(?:/(\d*)|\.(\d*))?")
 
 
 class ModelError(ValueError):
@@ -38,21 +41,44 @@ class UnknownStateError(ModelError):
     """A query referenced a state id that is not in the model."""
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "N", "N/D" or "N.M" into an exact non-negative rational."""
-    m = _RATIONAL_RE.match(text.strip())
+def read_rational(text: str, pos: int = 0) -> tuple[Fraction, int]:
+    """Read the unsigned rational "N", "N/D" or "N.M" at `text[pos]`.
+
+    Returns its exact value and the index just past it.  Raises ValueError
+    when no digit starts at `pos`, when the digits after "/" or "." are
+    missing, or on a zero denominator; each caller reports it in its own
+    terms.  The one reader behind model weights and formula bounds.
+    """
+    m = _RATIONAL_RE.match(text, pos)
     if m is None:
-        raise ModelError(f"malformed rational {text!r}")
-    sign, whole, den, dec = m.groups()
+        raise ValueError("expected digits")
+    whole, den, dec = m.groups()
     if den is not None:
+        if not den:
+            raise ValueError("missing denominator")
         if int(den) == 0:
-            raise ModelError(f"zero denominator in {text!r}")
+            raise ValueError("zero denominator")
         value = Fraction(int(whole), int(den))
     elif dec is not None:
+        if not dec:
+            raise ValueError("missing decimal digits")
         value = Fraction(int(whole)) + Fraction(int(dec), 10 ** len(dec))
     else:
         value = Fraction(int(whole))
-    if sign == "-" and value != 0:
+    return value, m.end()
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse "N", "N/D" or "N.M" into an exact non-negative rational."""
+    body = text.strip()
+    start = 1 if body.startswith("-") else 0
+    try:
+        value, end = read_rational(body, start)
+    except ValueError as e:
+        raise ModelError(f"malformed rational {text!r}: {e}") from None
+    if end != len(body):
+        raise ModelError(f"malformed rational {text!r}")
+    if start and value != 0:
         raise ModelError(f"negative weight {text!r}")
     return value
 
@@ -156,6 +182,30 @@ class Wts:
         """Greatest weight from `s` into the target set; +inf on an empty image."""
         image = self.image_set(s, targets)
         return max(image) if image else POS_INF
+
+    def bounds_by_block(
+        self, s: str, block_of: Mapping[str, Hashable]
+    ) -> dict[Hashable, tuple[Fraction, Fraction]]:
+        """Least and greatest weight from `s` into each block it reaches.
+
+        `block_of` maps every state to its block.  One pass over the
+        out-edges of `s` gives, for each block some transition enters,
+        what theta_min and theta_max would give toward that block's states.
+        Blocks `s` does not reach are absent: toward them the bounds are
+        (-inf, +inf), as on an empty image.  `s` must be a state of the
+        model; unlike the single queries above, nothing is validated.
+        """
+        bounds: dict = {}
+        for w, dst in self._out[s]:
+            block = block_of[dst]
+            hit = bounds.get(block)
+            if hit is None:
+                bounds[block] = (w, w)
+            elif w < hit[0]:
+                bounds[block] = (w, hit[1])
+            elif w > hit[1]:
+                bounds[block] = (hit[0], w)
+        return bounds
 
     def __eq__(self, other):
         if not isinstance(other, Wts):

@@ -146,6 +146,10 @@ def test_usage_errors_are_json(tmp_path):
     assert code == 2 and "error" in json.loads(err)
     code, _, err = run(["mc", "--model", path, "--state", "ghost", "--formula", "p"])
     assert code == 2
+    for argv in (["fmt", "--formula", "!" * 1200 + "p"],
+                 ["sat", "--formula", " & ".join(f"p{i}" for i in range(1000))]):
+        code, out, err = run(argv)
+        assert code == 2 and out == "" and "error" in json.loads(err)
 
 
 def test_exit_code_matches_body(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from wtl import (
     And, AtLeast, AtMost, Atom, Bottom, FormulaError, Not, Top, Wts, box,
     diamond, iff, implies, lor, modal_depth, model_check, parse_formula,
-    print_formula, random_formula, random_wts, sat_set, syntactic_measures,
+    print_formula, random_formula, random_wts, sat_set,
 )
 
 POOL = [F(0), F(1, 2), F(1), F(2), F(3)]
@@ -41,7 +41,8 @@ def test_atoms_named_L_or_M_stay_atoms():
 
 
 def test_parse_errors_have_positions():
-    for text in ["p &", "L[] p", "L[-1] p", "(p", "p q", "L[1/0] p"]:
+    for text in ["p &", "L[] p", "L[-1] p", "(p", "p q", "L[1/0] p", "L[1/] p",
+                 "L[1.] p"]:
         with pytest.raises(FormulaError, match="position"):
             parse_formula(text)
 
@@ -100,6 +101,18 @@ def test_diamond_is_nonempty_image():
             assert model_check(m, s, diamond(f)) == bool(m.image_set(s, targets))
 
 
+def test_bound_modalities_match_theta_definition():
+    for seed in range(30):
+        m = random_wts(seed + 300, 6, 4, POOL, ["p", "q"])
+        phi = random_formula(seed + 400, ["p", "q"], 1, POOL)
+        targets = sat_set(m, phi)
+        for r in POOL:
+            assert sat_set(m, AtLeast(r, phi)) == {
+                s for s in m.states if m.theta_min(s, targets) >= r}, (seed, r)
+            assert sat_set(m, AtMost(r, phi)) == {
+                s for s in m.states if m.theta_max(s, targets) <= r}, (seed, r)
+
+
 def test_complement_and_intersection_on_random_models():
     for seed in range(30):
         m = random_wts(seed + 200, 5, 3, POOL, ["p1", "p2"])
@@ -141,29 +154,6 @@ def test_modal_depth():
     for seed in range(50):
         f = random_formula(seed + 500, ["p"], 3, POOL)
         assert modal_depth(Not(f)) == modal_depth(f)
-
-
-def test_syntactic_measures_integer_grid():
-    f = parse_formula("L[2] p1 & M[5] L[1] p1")
-    sm = syntactic_measures(f)
-    assert sm.indices == {F(1), F(2), F(5)}
-    assert sm.atoms == {"p1"}
-    assert sm.granularity == 1
-    assert sm.grid == {F(0), F(1), F(2), F(3), F(4), F(5)}
-
-
-def test_syntactic_measures_no_modalities():
-    sm = syntactic_measures(Atom("p"))
-    assert sm.indices == frozenset()
-    assert sm.grid == frozenset()
-    assert sm.granularity == 1
-
-
-def test_syntactic_measures_fractional_grid():
-    f = And(AtLeast(F(1, 2), Atom("p")), AtMost(F(3, 4), Atom("p")))
-    sm = syntactic_measures(f)
-    assert sm.granularity == 4
-    assert sm.grid == {F(0), F(1, 2), F(3, 4)}
 
 
 def test_random_formula_deterministic_and_bounded():
