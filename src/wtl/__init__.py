@@ -28,7 +28,7 @@ from .axioms import (
 )
 from .tableau import (
     ExtractionGapWarning, Interval, Sat, Tableau, TableauNode, Unsat, Verdict,
-    WitnessSubtree, build_tableau, entails, extract_model, find_witness,
+    build_tableau, entails, extract_model, find_witness,
     is_satisfiable, is_valid, minimal_representatives, mod_children,
     node_consistent, tableau_to_json,
 )

@@ -1,21 +1,26 @@
 """Tableau-based satisfiability decision procedure with model extraction.
 
-A tableau for a formula is a tree of nodes carrying a formula set and two
-weight intervals: one constraining the minimum and one the maximum weight
-of incoming transitions.  Boolean rules split conjunctions and negated
-conjunctions and drop double negations; once only literals and modal
-formulas remain, the modal rule fires, producing one child per minimal
-operand of the positive modal formulas, with intervals accumulated from
-all modal formulas whose operand is entailed.  The tableau is successful
-when a witness subtree exists whose terminal nodes are all consistent;
-from such a subtree a finite model is extracted and re-checked against
-the input formula.
+A tableau node carries a formula set and two weight intervals: one
+constraining the minimum and one the maximum weight of incoming
+transitions.  Boolean rules split conjunctions and negated conjunctions
+and drop double negations; once only literals and modal formulas remain,
+the modal rule fires, producing one child per minimal operand of the
+positive modal formulas, with intervals accumulated from all modal
+formulas whose operand is entailed.
 
-Semantic entailment between operands is decided by a recursive tableau on
+`is_satisfiable` runs one depth-first search that builds nodes only as
+it reaches them: it keeps the first good branch of a negated conjunction,
+computes a modal node's children only once the node is consistent, and
+memoizes node verdicts for the query.  The witness is a pruned tree, each
+node keeping only its chosen children; a finite model extracted from it
+is re-checked against the input formula.  `build_tableau` builds the
+whole tree for dumps, and `find_witness` prunes it by the same rule.
+
+Semantic entailment between operands is decided by the same search on
 the conjunction of one operand with the negation of the other; the modal
 rule strictly lowers modal depth, so the recursion terminates.  Verdicts
-do not depend on the order in which rules are applied, and `build_tableau`
-accepts an RNG to exercise exactly that.
+do not depend on the order in which rules are applied; `build_tableau`
+and `is_satisfiable` accept an RNG to exercise exactly that.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .formulas import (
     And, AtLeast, AtMost, Atom, Bottom, Formula, Not, Top,
@@ -33,7 +38,7 @@ from .formulas import (
 from .wts import ExtendedBound, NEG_INF, POS_INF, Wts, format_bound
 
 __all__ = [
-    "Interval", "TableauNode", "Tableau", "WitnessSubtree", "Sat", "Unsat",
+    "Interval", "TableauNode", "Tableau", "Sat", "Unsat",
     "Verdict", "ExtractionGapWarning", "entails", "minimal_representatives",
     "mod_children", "build_tableau", "node_consistent", "find_witness",
     "extract_model", "is_satisfiable", "is_valid", "tableau_to_json",
@@ -43,6 +48,7 @@ RULE_AND = "and"
 RULE_NEG_AND = "neg-and"
 RULE_NEG_NEG = "neg-neg"
 RULE_MOD = "mod"
+_RULE_PRIORITY = (RULE_AND, RULE_NEG_NEG, RULE_NEG_AND)
 
 
 @dataclass(frozen=True)
@@ -126,10 +132,6 @@ class TableauNode:
 class Tableau:
     root: TableauNode
 
-    @property
-    def formula(self) -> Formula:
-        return self.root.gamma[0]
-
 
 def _is_positive_modal(f: Formula) -> bool:
     return isinstance(f, (AtLeast, AtMost))
@@ -137,12 +139,6 @@ def _is_positive_modal(f: Formula) -> bool:
 
 def _is_negative_modal(f: Formula) -> bool:
     return isinstance(f, Not) and isinstance(f.operand, (AtLeast, AtMost))
-
-
-def _is_irreducible_plain(f: Formula) -> bool:
-    return isinstance(f, (Atom, Top, Bottom)) or (
-        isinstance(f, Not) and isinstance(f.operand, (Atom, Top, Bottom))
-    )
 
 
 def _boolean_rule_for(f: Formula) -> Optional[str]:
@@ -157,21 +153,25 @@ def _boolean_rule_for(f: Formula) -> Optional[str]:
 
 
 # Entailment is a property of the formula pair alone, so the memo is
-# shared process-wide; concurrent duplicate computation is harmless.
+# shared process-wide; concurrent duplicate computation is harmless.  It
+# is emptied when it reaches ENTAILMENT_CACHE_LIMIT entries, which bounds
+# its memory at the cost of recomputing later queries.
+ENTAILMENT_CACHE_LIMIT = 65536
 _entailment_cache: dict[tuple[Formula, Formula], bool] = {}
 
 
 def entails(phi: Formula, psi: Formula) -> bool:
     """Semantic entailment: the conjunction of `phi` with the negation of
-    `psi` has no model.  Decided by a recursive tableau and memoized on
+    `psi` has no model.  Decided by the witness search and memoized on
     the structural pair."""
     if phi == psi:
         return True
     key = (phi, psi)
     hit = _entailment_cache.get(key)
     if hit is None:
-        tableau = build_tableau(And(phi, Not(psi)))
-        hit = find_witness(tableau) is None
+        hit = _search((And(phi, Not(psi)),), point_zero(), point_zero(), None, {}) is None
+        if len(_entailment_cache) >= ENTAILMENT_CACHE_LIMIT:
+            _entailment_cache.clear()
         _entailment_cache[key] = hit
     return hit
 
@@ -191,9 +191,11 @@ def minimal_representatives(operands) -> list[Formula]:
     ]
 
 
-def _mod_child_specs(gamma) -> list[tuple[Formula, Interval, Interval]]:
+def _mod_child_specs(gamma) -> Iterator[tuple[Formula, Interval, Interval]]:
     """The modal rule: one (operand, min-interval, max-interval) triple per
-    minimal representative of the positive modal operands."""
+    minimal representative of the positive modal operands, yielded one at
+    a time so that a search stopping at a bad child asks no entailment
+    queries for the rest."""
     positives = []
     negatives = []
     for f in gamma:
@@ -201,17 +203,16 @@ def _mod_child_specs(gamma) -> list[tuple[Formula, Interval, Interval]]:
             positives.append(f)
         elif _is_negative_modal(f):
             negatives.append(f.operand)
-        elif not _is_irreducible_plain(f):
+        elif _boolean_rule_for(f) is not None:
             raise ValueError(f"a boolean rule still applies to {print_formula(f)!r}")
     if not positives and not negatives:
-        return []
+        return
     node_md = max(modal_depth(f) for f in itertools.chain(positives, negatives))
     operands = [f.operand for f in positives]
     # recursion guard: entailment queries stay strictly below this node's depth
     assert all(modal_depth(op) < node_md for op in operands)
     assert all(modal_depth(g.operand) < node_md for g in negatives)
 
-    specs = []
     for psi in minimal_representatives(operands):
         lower_pos = [f.bound for f in positives
                      if isinstance(f, AtLeast) and entails(psi, f.operand)]
@@ -229,8 +230,7 @@ def _mod_child_specs(gamma) -> list[tuple[Formula, Interval, Interval]]:
             max(upper_neg) if upper_neg else Fraction(0), not upper_neg,
             min(upper_pos) if upper_pos else POS_INF, bool(upper_pos),
         )
-        specs.append((psi, min_itv, max_itv))
-    return specs
+        yield psi, min_itv, max_itv
 
 
 def mod_children(node: TableauNode, rng=None) -> list[TableauNode]:
@@ -244,7 +244,10 @@ def mod_children(node: TableauNode, rng=None) -> list[TableauNode]:
     ]
 
 
-def _pick_boolean(gamma, rng) -> Optional[tuple[int, str]]:
+def _boolean_step(gamma, rng) -> Optional[tuple[str, list[tuple]]]:
+    """The Boolean rule applied at a deduplicated formula set and its
+    children's formula sets, or None when none applies.  Without an RNG
+    the leftmost formula of the first rule in `_RULE_PRIORITY` is reduced."""
     candidates = []
     for i, f in enumerate(gamma):
         rule = _boolean_rule_for(f)
@@ -253,73 +256,50 @@ def _pick_boolean(gamma, rng) -> Optional[tuple[int, str]]:
     if not candidates:
         return None
     if rng is not None:
-        return candidates[rng.randrange(len(candidates))]
-    for wanted in (RULE_AND, RULE_NEG_NEG, RULE_NEG_AND):
-        for i, rule in candidates:
-            if rule == wanted:
-                return i, rule
-    raise AssertionError("unreachable")
+        index, rule = candidates[rng.randrange(len(candidates))]
+    else:
+        index, rule = min(candidates, key=lambda c: _RULE_PRIORITY.index(c[1]))
+    f = gamma[index]
+    if rule == RULE_AND:
+        parts = [(f.left, f.right)]
+    elif rule == RULE_NEG_NEG:
+        parts = [(f.operand.operand,)]
+    else:
+        parts = [(Not(f.operand.left),), (Not(f.operand.right),)]
+        if rng is not None and rng.random() < 0.5:
+            parts.reverse()
+    return rule, [_dedup(gamma[:index] + part + gamma[index + 1:]) for part in parts]
 
 
-def _replace_at(gamma, index, replacements) -> tuple:
-    out = []
-    for i, f in enumerate(gamma):
-        if i == index:
-            out.extend(replacements)
-        else:
-            out.append(f)
-    return _dedup(out)
+def _has_modal(gamma) -> bool:
+    return any(_is_positive_modal(f) or _is_negative_modal(f) for f in gamma)
 
 
 def _expand(gamma, min_itv: Interval, max_itv: Interval, rng) -> TableauNode:
-    gamma = _dedup(gamma)
-    pick = _pick_boolean(gamma, rng)
-    if pick is not None:
-        index, rule = pick
-        f = gamma[index]
-        if rule == RULE_AND:
-            child = _expand(_replace_at(gamma, index, (f.left, f.right)),
-                            min_itv, max_itv, rng)
-            children = (child,)
-        elif rule == RULE_NEG_NEG:
-            child = _expand(_replace_at(gamma, index, (f.operand.operand,)),
-                            min_itv, max_itv, rng)
-            children = (child,)
-        else:
-            inner = f.operand
-            first = _expand(_replace_at(gamma, index, (Not(inner.left),)),
-                            min_itv, max_itv, rng)
-            second = _expand(_replace_at(gamma, index, (Not(inner.right),)),
-                             min_itv, max_itv, rng)
-            children = (first, second)
-            if rng is not None and rng.random() < 0.5:
-                children = (second, first)
-        return TableauNode(gamma, min_itv, max_itv, rule, children)
-    if any(_is_positive_modal(f) or _is_negative_modal(f) for f in gamma):
-        children = tuple(
-            _expand((psi,), child_min, child_max, rng)
-            for psi, child_min, child_max in _mod_child_specs(gamma)
-        )
-        return TableauNode(gamma, min_itv, max_itv, RULE_MOD, children)
-    return TableauNode(gamma, min_itv, max_itv, None, ())
+    step = _boolean_step(gamma, rng)
+    children = []
+    if step is not None:
+        rule, child_sets = step
+        for child_gamma in child_sets:
+            children.append(_expand(child_gamma, min_itv, max_itv, rng))
+    else:
+        rule = RULE_MOD if _has_modal(gamma) else None
+        for psi, child_min, child_max in _mod_child_specs(gamma):
+            children.append(_expand((psi,), child_min, child_max, rng))
+    return TableauNode(gamma, min_itv, max_itv, rule, children)
 
 
 def build_tableau(phi: Formula, rng=None) -> Tableau:
     """Exhaustively apply the rules starting from <{phi}, [0,0], [0,0]>.
-
-    With an RNG, the choice of reducible formula and the order of
-    negated-conjunction branches are randomized; the verdict is the same
-    either way.
-    """
+    With an RNG, the reducible formula and the order of negated-conjunction
+    branches are random; the verdict is the same either way."""
     return Tableau(_expand((phi,), point_zero(), point_zero(), rng))
 
 
-def node_consistent(node: TableauNode) -> bool:
-    """No clashing literals or falsum, both intervals non-empty, and the
-    least possible minimum weight not above the greatest possible maximum."""
+def _consistent(gamma, min_itv: Interval, max_itv: Interval) -> bool:
     pos = set()
     neg = set()
-    for f in node.gamma:
+    for f in gamma:
         if isinstance(f, Bottom):
             return False
         if isinstance(f, Atom):
@@ -331,59 +311,78 @@ def node_consistent(node: TableauNode) -> bool:
                 neg.add(f.operand.name)
     if pos & neg:
         return False
-    if not node.min_interval.is_consistent or not node.max_interval.is_consistent:
+    if not min_itv.is_consistent or not max_itv.is_consistent:
         return False
-    a, d = node.min_interval.lower, node.max_interval.upper
-    return a < d or (
-        a == d and node.min_interval.lower_closed and node.max_interval.upper_closed
-    )
+    a, d = min_itv.lower, max_itv.upper
+    return a < d or (a == d and min_itv.lower_closed and max_itv.upper_closed)
 
 
-class WitnessSubtree:
-    """The subtree certifying success: every included terminal node is
-    consistent, modal nodes keep all their children, and branching nodes
-    keep their leftmost good child."""
-
-    def __init__(self, root: TableauNode, chosen: dict):
-        self.root = root
-        self._chosen = chosen
-
-    def included_children(self, node: TableauNode) -> tuple[TableauNode, ...]:
-        return self._chosen[id(node)]
+def node_consistent(node: TableauNode) -> bool:
+    """No clashing literals or falsum, both intervals non-empty, and the
+    least possible minimum weight not above the greatest possible maximum."""
+    return _consistent(node.gamma, node.min_interval, node.max_interval)
 
 
-def _good(node: TableauNode, chosen: dict) -> bool:
-    kind = node.kind
-    if kind == "leaf":
+def _search(gamma, min_itv: Interval, max_itv: Interval, rng, memo: dict
+            ) -> Optional[TableauNode]:
+    """The pruned witness tree of the node <gamma, min_itv, max_itv>
+    (`gamma` deduplicated), or None when the node is not good: an interior
+    node keeps its first good child, a terminal node must be consistent and
+    keep all its children.  `memo` maps each node reached in this query,
+    as (gamma, min_itv, max_itv), to its answer.
+    """
+    key = (gamma, min_itv, max_itv)
+    if key in memo:
+        return memo[key]
+    witness = None
+    step = _boolean_step(gamma, rng)
+    if step is not None:
+        rule, child_sets = step
+        for child_gamma in child_sets:
+            child = _search(child_gamma, min_itv, max_itv, rng, memo)
+            if child is not None:
+                witness = TableauNode(gamma, min_itv, max_itv, rule, (child,))
+                break
+    elif _consistent(gamma, min_itv, max_itv):
+        children = []
+        for psi, child_min, child_max in _mod_child_specs(gamma):
+            child = _search((psi,), child_min, child_max, rng, memo)
+            if child is None:
+                break
+            children.append(child)
+        else:
+            rule = RULE_MOD if _has_modal(gamma) else None
+            witness = TableauNode(gamma, min_itv, max_itv, rule, children)
+    memo[key] = witness
+    return witness
+
+
+def _prune(node: TableauNode) -> Optional[TableauNode]:
+    if node.is_terminal:
         if not node_consistent(node):
-            return False
-        chosen[id(node)] = ()
-        return True
-    if kind == "modal":
-        if not node_consistent(node):
-            return False
-        if not all(_good(child, chosen) for child in node.children):
-            return False
-        chosen[id(node)] = node.children
-        return True
-    if node.rule == RULE_NEG_AND:
+            return None
+        children = []
         for child in node.children:
-            if _good(child, chosen):
-                chosen[id(node)] = (child,)
-                return True
-        return False
-    child = node.children[0]
-    if _good(child, chosen):
-        chosen[id(node)] = (child,)
-        return True
-    return False
+            kept = _prune(child)
+            if kept is None:
+                return None
+            children.append(kept)
+    else:
+        for child in node.children:
+            kept = _prune(child)
+            if kept is not None:
+                children = (kept,)
+                break
+        else:
+            return None
+    return TableauNode(node.gamma, node.min_interval, node.max_interval,
+                       node.rule, children)
 
 
-def find_witness(tableau: Tableau) -> Optional[WitnessSubtree]:
-    chosen: dict = {}
-    if _good(tableau.root, chosen):
-        return WitnessSubtree(tableau.root, chosen)
-    return None
+def find_witness(tableau: Tableau) -> Optional[TableauNode]:
+    """Prune a built tableau to its witness by the search's rule (leftmost
+    good child, all children of a consistent terminal node), or None."""
+    return _prune(tableau.root)
 
 
 class ExtractionGapWarning(UserWarning):
@@ -398,8 +397,8 @@ class ExtractionGapWarning(UserWarning):
         self.state = state
 
 
-def extract_model(witness: WitnessSubtree) -> tuple[Wts, str, bool]:
-    """Walk the witness subtree, turning modal nodes into transitions.
+def extract_model(witness: TableauNode) -> tuple[Wts, str, bool]:
+    """Walk a witness tree, turning modal nodes into transitions.
 
     Each modal child contributes a fresh state reached by the least weight
     its min-interval allows and by a weight inside its max-interval (the
@@ -412,17 +411,17 @@ def extract_model(witness: WitnessSubtree) -> tuple[Wts, str, bool]:
     root_state = f"s{next(counter)}"
     labels: dict[str, set] = {root_state: set()}
     transitions = []
-    stack = [(root_state, witness.root)]
+    stack = [(root_state, witness)]
     while stack:
         state, node = stack.pop()
         if not node.is_terminal:
-            stack.append((state, witness.included_children(node)[0]))
+            stack.append((state, node.children[0]))
             continue
         labels[state].update(
             f.name for f in node.gamma if isinstance(f, Atom)
         )
         if node.kind == "modal":
-            for child in witness.included_children(node):
+            for child in node.children:
                 a = child.min_interval.lower
                 assert isinstance(a, Fraction) and child.min_interval.lower_closed
                 c = child.max_interval.lower
@@ -438,10 +437,10 @@ def extract_model(witness: WitnessSubtree) -> tuple[Wts, str, bool]:
                 transitions.append((state, y, fresh))
                 stack.append((fresh, child))
     model = Wts(labels.keys(), labels, transitions)
-    verified = all(model_check(model, root_state, f) for f in witness.root.gamma)
+    verified = all(model_check(model, root_state, f) for f in witness.gamma)
     if not verified:
         warnings.warn(
-            ExtractionGapWarning(witness.root.gamma[0], model, root_state),
+            ExtractionGapWarning(witness.gamma[0], model, root_state),
             stacklevel=2,
         )
     return model, root_state, verified
@@ -463,9 +462,9 @@ Verdict = Union[Sat, Unsat]
 
 
 def is_satisfiable(phi: Formula, rng=None) -> Verdict:
-    """Build one tableau and search one witness; on success the verdict
-    carries the extracted model and its verification outcome."""
-    witness = find_witness(build_tableau(phi, rng))
+    """Search one witness depth-first; on success the verdict carries the
+    extracted model and its verification outcome."""
+    witness = _search((phi,), point_zero(), point_zero(), rng, {})
     if witness is None:
         return Unsat()
     model, state, verified = extract_model(witness)

@@ -63,6 +63,27 @@ def test_sat_emit_model_and_dump_tableau(tmp_path):
     assert dump["min_interval"]["lower"] == "0"
 
 
+def test_sat_builds_the_full_tableau_only_for_the_dump(tmp_path, monkeypatch):
+    import wtl.cli
+    import wtl.tableau
+
+    built = []
+    build = wtl.tableau.build_tableau
+
+    def counting_build(*args, **kwargs):
+        built.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(wtl.cli, "build_tableau", counting_build)
+    monkeypatch.setattr(wtl.tableau, "build_tableau", counting_build)
+    formula = "L[2] p1 & M[5] L[1] p1"
+    assert invoke(["sat", "--formula", formula])[0] == 0
+    assert built == []
+    dump_out = tmp_path / "tableau.json"
+    assert invoke(["sat", "--formula", formula, "--dump-tableau", str(dump_out)])[0] == 0
+    assert len(built) == 1 and dump_out.exists()
+
+
 def test_valid_command():
     assert invoke(["valid", "--formula", "!L[0] false"])[0] == 0
     assert invoke(["valid", "--formula", "p"])[0] == 1

@@ -4,12 +4,14 @@ from fractions import Fraction as F
 
 import pytest
 
+import wtl.tableau
 from wtl import (
     And, AtLeast, AtMost, Atom, Bottom, ExtractionGapWarning, Interval, Not,
-    POS_INF, Sat, TableauNode, Top, Unsat, build_tableau, entails,
-    find_witness, is_satisfiable, is_valid,
+    POS_INF, Sat, TableauNode, Top, Unsat, build_tableau, conjoin, entails,
+    extract_model, find_witness, is_satisfiable, is_valid, lor,
     minimal_representatives, mod_children, model_check, node_consistent,
-    parse_formula, print_formula, random_formula, tableau_to_json,
+    parse_formula, print_formula, random_formula, serialize_wts,
+    tableau_to_json,
 )
 from oracles import bounded_model_search
 
@@ -20,6 +22,13 @@ def sat_verdict(phi, rng=None):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ExtractionGapWarning)
         return is_satisfiable(phi, rng)
+
+
+def disjunction_family(k):
+    """k disjunctions over distinct atoms plus L[1] q: the full tableau has
+    2^k branches, and the leftmost one is good."""
+    parts = [lor(Atom(f"x{j}"), Atom(f"y{j}")) for j in range(k)]
+    return conjoin(parts + [AtLeast(1, Atom("q"))])
 
 
 # ---------------------------------------------------------------- intervals
@@ -214,15 +223,84 @@ def test_find_witness_trivial():
     t = build_tableau(P1)
     witness = find_witness(t)
     assert witness is not None
-    assert witness.root is t.root
+    assert witness.gamma == t.root.gamma and witness.children == ()
     assert find_witness(build_tableau(And(P1, Not(P1)))) is None
 
 
 def test_witness_takes_leftmost_branch():
     phi = parse_formula("!(!p1 & !p2)")  # p1 | p2
     witness = find_witness(build_tableau(phi))
-    (child,) = witness.included_children(witness.root)
+    (child,) = witness.children
     assert child.gamma == (Not(Not(P1)),)
+
+
+def test_search_agrees_with_the_built_tableau():
+    formulas = [
+        random_formula(seed + 10000, ["p1", "p2", "p3"], 2, [F(0), F(1, 2), F(1), F(2)])
+        for seed in range(200)
+    ] + [disjunction_family(k) for k in range(6, 15)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExtractionGapWarning)
+        for phi in formulas:
+            lazy = is_satisfiable(phi)
+            witness = find_witness(build_tableau(phi))
+            assert isinstance(lazy, Sat) == (witness is not None), print_formula(phi)
+            if witness is not None:
+                model, state, verified = extract_model(witness)
+                assert (lazy.state, lazy.verified) == (state, verified)
+                assert serialize_wts(lazy.model) == serialize_wts(model)
+
+
+def test_search_never_builds_the_full_tableau(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the full tableau was built")
+
+    searched = []
+    search = wtl.tableau._search
+
+    def counting_search(*args):
+        searched.append(args[0])
+        return search(*args)
+
+    monkeypatch.setattr(wtl.tableau, "build_tableau", refuse)
+    monkeypatch.setattr(wtl.tableau, "_expand", refuse)
+    monkeypatch.setattr(wtl.tableau, "_search", counting_search)
+    monkeypatch.setattr(wtl.tableau, "_entailment_cache", {})
+    verdict = is_satisfiable(disjunction_family(14))
+    assert isinstance(verdict, Sat) and verdict.verified is True
+    # 44 nodes on one path (14 conjunction splits, 14 disjunction branches,
+    # 14 double negations, the modal node and its child), not 2^14 branches
+    assert len(searched) < 100
+    assert entails(And(P1, P2), P1) and not entails(P1, AtLeast(1, P1))
+    assert is_valid(parse_formula("L[3] p -> !M[2] p"))
+
+
+def test_entailment_cache_is_bounded(monkeypatch):
+    formulas = [
+        random_formula(seed + 11000, ["p1", "p2"], 2, [F(0), F(1), F(2)])
+        for seed in range(60)
+    ]
+    pairs = list(zip(formulas, formulas[1:]))
+    sizes = []
+
+    def answers():
+        out = []
+        for phi, psi in pairs:
+            verdict = sat_verdict(phi)
+            out.append((entails(phi, psi), isinstance(verdict, Sat)
+                        and serialize_wts(verdict.model)))
+            sizes.append(len(wtl.tableau._entailment_cache))
+        return out
+
+    monkeypatch.setattr(wtl.tableau, "_entailment_cache", {})
+    unbounded = answers()
+    limit = 8
+    assert max(sizes) > limit  # the sample outgrows the small limit
+    sizes.clear()
+    monkeypatch.setattr(wtl.tableau, "_entailment_cache", {})
+    monkeypatch.setattr(wtl.tableau, "ENTAILMENT_CACHE_LIMIT", limit)
+    assert answers() == unbounded
+    assert max(sizes) <= limit
 
 
 # -------------------------------------------------------------- extraction
