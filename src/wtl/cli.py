@@ -17,8 +17,8 @@ from typing import Optional
 from . import __version__
 from .axioms import SCHEMAS, run_suite
 from .bisimulation import (
-    distinguishing_formula, generalized_bisimilarity, quotient_model,
-    weighted_bisimilarity,
+    are_bisimilar, distinguishing_formula, generalized_bisimilarity,
+    quotient_model, weighted_bisimilarity,
 )
 from .formulas import FormulaError, model_check, parse_formula, print_formula
 from .tableau import Sat, build_tableau, is_satisfiable, is_valid, tableau_to_json
@@ -96,6 +96,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# Built once: parse_args leaves the parser unchanged, so every call can share it.
+_PARSER = _build_parser()
+
+
 def _read_source(path: str, stdin: bytes) -> bytes:
     if path == "-":
         return stdin
@@ -111,21 +115,23 @@ def _load_model(path: str, stdin: bytes):
 
 
 def _load_formula(args, stdin: bytes):
-    if getattr(args, "formula", None) is not None:
+    if args.formula is not None:
         return parse_formula(args.formula)
     return parse_formula(_read_source(args.formula_file, stdin).decode("utf-8"))
 
 
-def _require_state(model, name):
-    if name not in model.states:
-        raise _UsageError(f"state {name!r} not in the model")
+def _write(path: str, data: bytes) -> None:
+    try:
+        with open(path, "wb") as handle:
+            handle.write(data)
+    except OSError as e:
+        raise _UsageError(f"cannot write {path!r}: {e.strerror}") from None
 
 
 def run(argv: list[str], stdin: bytes = b"") -> tuple[int, str, str]:
     """Dispatch one invocation; returns (exit code, stdout, stderr)."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except _UsageError as e:
         return EXIT_ERROR, "", json.dumps({"error": str(e)}) + "\n"
     if args.version:
@@ -152,25 +158,21 @@ def run(argv: list[str], stdin: bytes = b"") -> tuple[int, str, str]:
 def _dispatch(args, stdin: bytes, emit) -> tuple[int, str]:
     if args.command == "mc":
         model = _load_model(args.model, stdin)
-        _require_state(model, args.state)
         holds = model_check(model, args.state, _load_formula(args, stdin))
         return (EXIT_YES if holds else EXIT_NO), emit({"holds": holds})
 
     if args.command == "sat":
         phi = _load_formula(args, stdin)
         if args.dump_tableau:
-            tableau = build_tableau(phi)
-            with open(args.dump_tableau, "w", encoding="utf-8") as handle:
-                json.dump(tableau_to_json(tableau), handle, indent=2)
-                handle.write("\n")
+            dump = json.dumps(tableau_to_json(build_tableau(phi)), indent=2) + "\n"
+            _write(args.dump_tableau, dump.encode("utf-8"))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             verdict = is_satisfiable(phi)
         if not isinstance(verdict, Sat):
             return EXIT_NO, emit({"satisfiable": False})
         if args.emit_model:
-            with open(args.emit_model, "wb") as handle:
-                handle.write(serialize_wts(verdict.model))
+            _write(args.emit_model, serialize_wts(verdict.model))
         body = {
             "satisfiable": True,
             "verified": verdict.verified,
@@ -186,26 +188,21 @@ def _dispatch(args, stdin: bytes, emit) -> tuple[int, str]:
         model = _load_model(args.model, stdin)
         if len(args.state) not in (0, 2):
             raise _UsageError("--state must be given exactly zero or two times")
+        if args.state:
+            flavor = "weighted" if args.weighted else "generalized"
+            same = are_bisimilar(model, *args.state, flavor)
+            return (EXIT_YES if same else EXIT_NO), emit({"bisimilar": same})
         partition = (
             weighted_bisimilarity(model) if args.weighted
             else generalized_bisimilarity(model)
         )
-        if not args.state:
-            return EXIT_YES, emit({"blocks": partition.as_lists()})
-        a, b = args.state
-        _require_state(model, a)
-        _require_state(model, b)
-        same = partition.same_block(a, b)
-        return (EXIT_YES if same else EXIT_NO), emit({"bisimilar": same})
+        return EXIT_YES, emit({"blocks": partition.as_lists()})
 
     if args.command == "distinguish":
         model = _load_model(args.model, stdin)
         if len(args.state) != 2:
             raise _UsageError("--state must be given exactly twice")
-        a, b = args.state
-        _require_state(model, a)
-        _require_state(model, b)
-        formula = distinguishing_formula(model, a, b)
+        formula = distinguishing_formula(model, *args.state)
         if formula is None:
             return EXIT_NO, emit({"distinguishable": False, "bisimilar": True})
         return EXIT_YES, emit(
@@ -219,8 +216,7 @@ def _dispatch(args, stdin: bytes, emit) -> tuple[int, str]:
         data = serialize_wts(quotient)
         body = {"blocks": partition.as_lists()}
         if args.output:
-            with open(args.output, "wb") as handle:
-                handle.write(data)
+            _write(args.output, data)
             body["written"] = args.output
         else:
             body["model"] = json.loads(data)
@@ -237,12 +233,8 @@ def _dispatch(args, stdin: bytes, emit) -> tuple[int, str]:
 
     if args.command == "fmt":
         if args.model is not None:
-            model = _load_model(args.model, stdin)
-            return EXIT_YES, serialize_wts(model).decode("utf-8")
-        if args.formula is not None:
-            return EXIT_YES, print_formula(parse_formula(args.formula)) + "\n"
-        text = _read_source(args.formula_file, stdin).decode("utf-8")
-        return EXIT_YES, print_formula(parse_formula(text)) + "\n"
+            return EXIT_YES, serialize_wts(_load_model(args.model, stdin)).decode("utf-8")
+        return EXIT_YES, print_formula(_load_formula(args, stdin)) + "\n"
 
     raise _UsageError(f"unknown command {args.command!r}")
 

@@ -99,7 +99,9 @@ def format_bound(b: ExtendedBound) -> str:
 
 
 def as_weight(value) -> Fraction:
-    """Coerce to an exact non-negative rational weight."""
+    """Coerce to an exact non-negative weight; text goes through parse_rational."""
+    if isinstance(value, str):
+        return parse_rational(value)
     if isinstance(value, float):
         raise ModelError(f"weights must be exact rationals, got float {value!r}")
     w = Fraction(value)
@@ -140,15 +142,15 @@ class Wts:
                 raise ModelError(f"labels given for unknown state {s!r}")
         label_map = {}
         for s in state_set:
-            props = frozenset(labels.get(s, ()))
+            props = labels.get(s, ())
             for p in props:
                 _check_ident(p, "proposition")
-            label_map[s] = props
+            label_map[s] = frozenset(props)
         triples = set()
         for src, w, dst in transitions:
-            if src not in state_set:
+            if not isinstance(src, str) or src not in state_set:
                 raise ModelError(f"transition from unknown state {src!r}")
-            if dst not in state_set:
+            if not isinstance(dst, str) or dst not in state_set:
                 raise ModelError(f"transition to unknown state {dst!r}")
             triples.add((src, as_weight(w), dst))
         self.states: frozenset[str] = state_set
@@ -239,8 +241,9 @@ def parse_wts(data: Union[bytes, str]) -> Wts:
     """Parse the JSON model format.
 
     Raises ModelError with line/column on malformed JSON and with the
-    offending element on semantic problems (negative weight, dangling
-    state reference, duplicate state id, unknown keys).
+    offending element on problems of shape (a wrong type, a missing or
+    unknown key, a duplicate state id).  `Wts` checks the rest once:
+    identifiers, weights and dangling state references.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -263,10 +266,9 @@ def parse_wts(data: Union[bytes, str]) -> Wts:
         if not isinstance(entry, dict):
             raise ModelError(f"state entry must be an object, got {entry!r}")
         _reject_unknown_keys(entry, {"id", "labels"}, "state entry")
-        if "id" not in entry:
-            raise ModelError(f'state entry without "id": {entry!r}')
-        sid = entry["id"]
-        _check_ident(sid, "state id")
+        sid = entry.get("id")
+        if not isinstance(sid, str):
+            raise ModelError(f'state entry needs a string "id": {entry!r}')
         if sid in seen:
             raise ModelError(f"duplicate state id {sid!r}")
         seen.add(sid)
@@ -285,7 +287,7 @@ def parse_wts(data: Union[bytes, str]) -> Wts:
                 raise ModelError(f'transition without "{key}": {entry!r}')
         if not isinstance(entry["weight"], str):
             raise ModelError(f"weight must be a string, got {entry['weight']!r}")
-        triples.append((entry["from"], parse_rational(entry["weight"]), entry["to"]))
+        triples.append((entry["from"], entry["weight"], entry["to"]))
 
     return Wts(seen, labels, triples)
 

@@ -1,7 +1,9 @@
 import json
+import random
 
+from wtl.axioms import SCHEMAS
 from wtl.cli import run
-from wtl import parse_wts, serialize_wts
+from wtl import parse_wts, print_formula, random_formula, serialize_wts
 
 from conftest import make_coarse_pair_model, make_vacuum_model
 
@@ -171,6 +173,31 @@ def test_usage_errors_are_json(tmp_path):
                  ["sat", "--formula", " & ".join(f"p{i}" for i in range(1000))]):
         code, out, err = run(argv)
         assert code == 2 and out == "" and "error" in json.loads(err)
+    missing = tmp_path / "missing"
+    unlabelled = tmp_path / "bad_label.json"
+    unlabelled.write_bytes(b'{"states":[{"id":"a","labels":[1]}],"transitions":[]}')
+    unreachable = tmp_path / "bad_endpoint.json"
+    unreachable.write_bytes(
+        b'{"states":[{"id":"a"}],"transitions":[{"from":"a","weight":"1","to":{}}]}')
+    for argv in (["sat", "--formula", "p", "--emit-model", str(missing / "x.json")],
+                 ["sat", "--formula", "p", "--dump-tableau", str(missing / "t.json")],
+                 ["quotient", "--model", path, "-o", str(missing / "q.json")],
+                 ["fmt", "--model", str(unlabelled)],
+                 ["fmt", "--model", str(unreachable)]):
+        code, out, err = run(argv)
+        assert code == 2 and out == "" and "error" in json.loads(err), argv
+
+
+def test_parser_defaults_do_not_leak_between_calls(tmp_path):
+    path = write_model(tmp_path, make_coarse_pair_model())
+    assert invoke(["bisim", "--model", path, "--state", "s", "--state", "t"])[0] == 0
+    code, body, _ = invoke(["bisim", "--model", path])
+    assert code == 0 and body == {"blocks": [["s", "t"], ["sp", "tp"]]}
+    code, body, _ = invoke(["axioms", "--seed", "5", "--trials", "5", "--schema", "A1"])
+    assert code == 0 and [e["schema"] for e in body["schemas"]] == ["A1"]
+    code, body, _ = invoke(["axioms", "--seed", "5", "--trials", "5"])
+    assert code == 0
+    assert {e["schema"] for e in body["schemas"]} == set(SCHEMAS)
 
 
 def test_exit_code_matches_body(tmp_path):
@@ -204,3 +231,106 @@ def test_version_and_pretty():
     assert code == 0 and out.startswith("wtl ")
     code, out, _ = run(["--pretty", "valid", "--formula", "true"])
     assert code == 0 and out.startswith("{\n")
+
+
+_BAD_VALUES = (
+    None, 0, 7, [], ["p"], [1], {}, {"id": "s1"}, "", "bad id", "9x", "-3/2",
+    "1e3", "1/0", "1" + "0" * 400 + "/7", "9" * 5000,
+)
+_FORMULA_TOKENS = (
+    "p", "q", "waiting", "x_1", "é", "true", "false", "!", "&", "|", "->",
+    "<->", "<>", "[]", "(", ")", "[", "]", "L[", "M[", "1", "1/2", "0.5",
+    "1/", "1.", "1/0", "-1", "%", " ",
+)
+
+
+def _mutated_model(rng, doc) -> bytes:
+    """`doc` with one value, chosen over the whole tree, replaced by a bad one."""
+    doc = json.loads(json.dumps(doc))
+    slots = []
+
+    def collect(node):
+        for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+            slots.append((node, key))
+            if isinstance(value, (dict, list)):
+                collect(value)
+
+    collect(doc)
+    node, key = rng.choice(slots)
+    node[key] = rng.choice(_BAD_VALUES)
+    text = json.dumps(doc).encode("utf-8")
+    return text[: rng.randrange(len(text))] if rng.random() < 0.1 else text
+
+
+def _fuzz_formula(rng) -> str:
+    if rng.random() < 0.5:
+        return print_formula(random_formula(rng.randrange(10**6), ["p", "waiting"], 2,
+                                            [0, "1/2", 1, 2, 10]))
+    return "".join(rng.choice(_FORMULA_TOKENS) for _ in range(rng.randint(0, 12)))
+
+
+def test_cli_contract_holds_on_fuzzed_input(tmp_path):
+    """Seeded fuzz of `run`: mutated models, formula text drawn from the
+    token alphabet and argv for every input-taking command, output flags
+    included.  `run` never raises, exits 0 to 3, writes one JSON `error`
+    object to stderr exactly on exit 2, and writes nothing to stdout then.
+
+    `axioms --trials` sizes are left out: the suite's time is linear in the
+    trial count, which is work the user asks for, not input to guard.  So
+    is `-h`: argparse prints the help itself and exits.
+    """
+    rng = random.Random(4)
+    docs = [json.loads(serialize_wts(make_vacuum_model())),
+            json.loads(serialize_wts(make_coarse_pair_model()))]
+    bad_states = ["ghost", "", "bad id", "-"]
+    outputs = [str(tmp_path / "out.json"), str(tmp_path / "missing" / "out.json"),
+               str(tmp_path)]
+    for case in range(500):
+        doc = rng.choice(docs)
+        model = _mutated_model(rng, doc) if rng.random() < 0.4 else json.dumps(doc).encode()
+        states = [entry["id"] for entry in doc["states"]] * 4 + bad_states
+        formula = _fuzz_formula(rng)
+        stdin = model
+        command = rng.choice(["mc", "sat", "valid", "bisim", "distinguish", "quotient", "fmt"])
+        argv = [command]
+        if command in ("mc", "bisim", "distinguish", "quotient"):
+            argv += ["--model", "-"]
+        if command in ("mc", "sat", "valid"):
+            if rng.random() < 0.8:
+                argv.append("--formula=" + formula)
+            else:
+                argv += ["--formula-file", "-"]
+                stdin = formula.encode("utf-8") if rng.random() < 0.9 else b"\xff(p"
+        if command == "mc":
+            argv += ["--state", rng.choice(states)]
+        if command == "sat":
+            for flag in ("--emit-model", "--dump-tableau"):
+                if rng.random() < 0.4:
+                    argv += [flag, rng.choice(outputs)]
+        if command in ("bisim", "distinguish"):
+            for _ in range(rng.choice([0, 1, 2, 2, 2, 3])):
+                argv += ["--state", rng.choice(states)]
+            if command == "bisim" and rng.random() < 0.5:
+                argv.append("--weighted")
+        if command == "quotient" and rng.random() < 0.6:
+            argv += ["-o", rng.choice(outputs)]
+        if command == "fmt":
+            argv += rng.choice([["--model", "-"], ["--formula=" + formula],
+                                ["--formula-file", "-"]])
+            if argv[-2:] == ["--formula-file", "-"]:
+                stdin = formula.encode("utf-8")
+        if rng.random() < 0.05:
+            del argv[rng.randrange(len(argv))]
+        if rng.random() < 0.05:
+            argv.insert(rng.randrange(len(argv) + 1), rng.choice(["--model", "--bogus", "-o"]))
+
+        code, out, err = run(argv, stdin)
+        assert code in (0, 1, 2, 3), (case, argv)
+        if code == 2:
+            assert out == "", (case, argv)
+            assert err.endswith("\n") and err.count("\n") == 1, (case, argv)
+            assert list(json.loads(err)) == ["error"], (case, argv)
+        else:
+            assert err == "", (case, argv)
+            if argv[0] != "fmt":
+                json.loads(out)

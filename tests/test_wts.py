@@ -65,6 +65,19 @@ def test_parse_rational_formats():
         parse_rational("1e3")
 
 
+def test_wts_reads_weight_text_with_the_model_file_grammar():
+    from wtl import Atom, AtLeast
+
+    assert Wts(["a"], {}, [("a", "3/2", "a")]) == Wts(["a"], {}, [("a", F(3, 2), "a")])
+    for text in ("1e3", " 1_0 "):
+        with pytest.raises(ModelError):
+            parse_rational(text)
+        with pytest.raises(ModelError):
+            Wts(["a"], {}, [("a", text, "a")])
+    with pytest.raises(ModelError):
+        AtLeast("1e2", Atom("p"))
+
+
 def test_format_rational():
     assert format_rational(F(3)) == "3"
     assert format_rational(F(7, 2)) == "7/2"
