@@ -34,9 +34,18 @@ class _UsageError(Exception):
     pass
 
 
+class _HelpRequested(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+    def print_help(self, file=None):
+        # -h/--help on any parser: hand the text back to `run` instead of
+        # printing it and exiting the process.
+        raise _HelpRequested(self.format_help())
 
 
 def _build_parser() -> _Parser:
@@ -134,6 +143,8 @@ def run(argv: list[str], stdin: bytes = b"") -> tuple[int, str, str]:
         args = _PARSER.parse_args(argv)
     except _UsageError as e:
         return EXIT_ERROR, "", json.dumps({"error": str(e)}) + "\n"
+    except _HelpRequested as e:
+        return EXIT_YES, e.args[0], ""
     if args.version:
         return EXIT_YES, f"wtl {__version__}\n", ""
     if args.command is None:

@@ -11,11 +11,12 @@ are desugared by the parser; every engine consumes core AST only.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .wts import NEG_INF, POS_INF, Wts, as_weight, format_rational, read_rational
+from .wts import IDENT_RE, Wts, as_weight, format_rational, read_rational
 
 __all__ = [
     "Formula", "Atom", "Top", "Bottom", "Not", "And", "AtLeast", "AtMost",
@@ -25,38 +26,64 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Formula:
-    pass
+    """Base of the core constructors: frozen, slotted dataclasses compared
+    by structure.
+
+    A node's hash is the stock frozen-dataclass hash, `hash` of the tuple
+    of its fields, computed on the first lookup and kept in the `_hash`
+    slot; otherwise every dict or set probe of the model checker's and the
+    tableau's caches would walk the whole subtree.  The slot is no field,
+    so equality, `repr` and pickled state leave it out.
+    """
+
+    __slots__ = ("_hash",)
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """Make `cls` a frozen, slotted dataclass that hashes itself once."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    stock = cls.__hash__
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            value = stock(self)
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_node
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Bottom(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class AtLeast(Formula):
     """Every transition into the operand's states costs at least `bound`,
     and there is at least one such transition."""
@@ -68,7 +95,7 @@ class AtLeast(Formula):
         object.__setattr__(self, "bound", as_weight(self.bound))
 
 
-@dataclass(frozen=True)
+@_node
 class AtMost(Formula):
     """Every transition into the operand's states costs at most `bound`,
     and there is at least one such transition."""
@@ -147,12 +174,10 @@ def _tokenize(text: str):
             tokens.append(("rat", value, i))
             i = end
             continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], i))
-            i = j
+        ident = IDENT_RE.match(text, i)
+        if ident is not None:
+            tokens.append(("ident", ident.group(), i))
+            i = ident.end()
             continue
         raise FormulaError(f"position {i}: unexpected character {c!r}")
     tokens.append(("end", None, n))
@@ -302,23 +327,34 @@ def _eval(m: Wts, f: Formula, cache: dict) -> frozenset[str]:
     elif isinstance(f, And):
         result = _eval(m, f.left, cache) & _eval(m, f.right, cache)
     elif isinstance(f, AtLeast):
-        bounds = _bounds_into(m, _eval(m, f.operand, cache))
-        result = frozenset(s for s, (lo, _) in bounds if lo >= f.bound)
+        weights, into = m.ranked_in_edges()
+        result = _reaching_within(into, _eval(m, f.operand, cache),
+                                  bisect_left(weights, f.bound), len(weights))
     elif isinstance(f, AtMost):
-        bounds = _bounds_into(m, _eval(m, f.operand, cache))
-        result = frozenset(s for s, (_, hi) in bounds if hi <= f.bound)
+        weights, into = m.ranked_in_edges()
+        result = _reaching_within(into, _eval(m, f.operand, cache),
+                                  0, bisect_right(weights, f.bound))
     else:
         raise TypeError(f"not a formula: {f!r}")
     cache[f] = result
     return result
 
 
-def _bounds_into(m: Wts, targets: frozenset[str]):
-    """(s, (theta_min, theta_max) of s toward `targets`) for every state,
-    from one scan of each state's out-edges."""
-    inside = {s: s in targets for s in m.states}
-    for s in m.states:
-        yield s, m.bounds_by_block(s, inside).get(True, (NEG_INF, POS_INF))
+def _reaching_within(into, targets: frozenset[str], lo: int, hi: int) -> frozenset[str]:
+    """States with a transition into `targets` whose every such transition
+    has a weight rank in [lo, hi), from one pass over the targets' in-edges.
+
+    `into` is `Wts.ranked_in_edges()[1]`.  For `L[r]` the ranks below
+    `bisect_left(weights, r)` are the weights under r; for `M[r]` those
+    from `bisect_right(weights, r)` on are the weights over r.
+    """
+    reach, spoilt = set(), set()
+    for t in targets:
+        for rank, src in into[t]:
+            reach.add(src)
+            if not lo <= rank < hi:
+                spoilt.add(src)
+    return frozenset(reach - spoilt)
 
 
 def model_check(m: Wts, s: str, f: Formula) -> bool:

@@ -4,9 +4,12 @@ A model is a finite set of labelled states plus transitions carrying
 weights.  The central queries are the image set of a state toward a set
 of target states (the weights of all transitions from the state into the
 set) and its minimum/maximum, extended with -inf/+inf on empty images.
-The engines ask for a state's minimum and maximum toward every block of a
-partition at once (`Wts.bounds_by_block`), which costs one scan of the
-state's out-edges.
+The partition refinements ask for a state's minimum and maximum toward
+every block of a partition at once (`Wts.bounds_by_block`), which costs
+one scan of the state's out-edges.  The model checker's modalities walk
+backward instead, over the in-edges of the target set
+(`Wts.ranked_in_edges`), where each weight is stood for by its rank among
+the model's distinct weights, so bounds compare as ints.
 All arithmetic is exact (`fractions.Fraction`); weights are kept in
 canonical reduced form so equality is structural.
 """
@@ -29,7 +32,8 @@ ExtendedBound = Union[Fraction, float]
 NEG_INF: float = -inf
 POS_INF: float = inf
 
-IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# Identifiers (state ids, propositions) are ASCII, in model files and formulas.
+IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _RATIONAL_RE = re.compile(r"(\d+)(?:/(\d*)|\.(\d*))?")
 
 
@@ -111,7 +115,7 @@ def as_weight(value) -> Fraction:
 
 
 def _check_ident(name: str, what: str) -> str:
-    if not isinstance(name, str) or IDENT_RE.match(name) is None:
+    if not isinstance(name, str) or IDENT_RE.fullmatch(name) is None:
         raise ModelError(f"bad {what} {name!r}: expected [A-Za-z_][A-Za-z0-9_]*")
     return name
 
@@ -124,7 +128,7 @@ class Wts:
     (source, weight, target) triples collapse.
     """
 
-    __slots__ = ("states", "labels", "transitions", "_out", "_hash")
+    __slots__ = ("states", "labels", "transitions", "_out", "_hash", "_in")
 
     def __init__(
         self,
@@ -161,6 +165,7 @@ class Wts:
             out[src].append((w, dst))
         self._out = {s: tuple(es) for s, es in out.items()}
         self._hash = None
+        self._in = None
 
     def _require_state(self, s: str) -> None:
         if s not in self.states:
@@ -208,6 +213,27 @@ class Wts:
             elif w > hit[1]:
                 bounds[block] = (hit[0], w)
         return bounds
+
+    def ranked_in_edges(
+        self,
+    ) -> tuple[tuple[Fraction, ...], Mapping[str, tuple[tuple[int, str], ...]]]:
+        """The model's distinct weights, ascending, and every state's in-edges.
+
+        The second part maps each state `t` to a `(rank, source)` pair per
+        transition `source -w-> t`, where `rank` is the index of `w` in the
+        first part, so `rank < i` exactly when `w < weights[i]`.  Built on
+        the first call and kept, as the hash is: a model that is never
+        model-checked never pays for it.
+        """
+        if self._in is None:
+            weights = tuple(sorted({w for _, w, _ in self.transitions}))
+            rank = {w: i for i, w in enumerate(weights)}
+            into: dict[str, list] = {s: [] for s in self.states}
+            for src, w, dst in self.transitions:
+                into[dst].append((rank[w], src))
+            frozen = {s: tuple(es) for s, es in into.items()}
+            self._in = (weights, MappingProxyType(frozen))
+        return self._in
 
     def __eq__(self, other):
         if not isinstance(other, Wts):

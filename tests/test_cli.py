@@ -226,6 +226,16 @@ def test_formula_file_and_stdin(tmp_path):
     assert code == 0 and body["satisfiable"]
 
 
+def test_help_is_returned_not_printed(capsys):
+    code, out, err = run(["--help"])
+    assert code == 0 and out.startswith("usage: wtl") and err == ""
+    assert "{mc,sat,valid" in out
+    code, out, err = run(["sat", "-h"])
+    assert code == 0 and out.startswith("usage: wtl sat") and err == ""
+    assert "--emit-model" in out
+    assert capsys.readouterr() == ("", "")
+
+
 def test_version_and_pretty():
     code, out, _ = run(["--version"])
     assert code == 0 and out.startswith("wtl ")
@@ -276,8 +286,8 @@ def test_cli_contract_holds_on_fuzzed_input(tmp_path):
     object to stderr exactly on exit 2, and writes nothing to stdout then.
 
     `axioms --trials` sizes are left out: the suite's time is linear in the
-    trial count, which is work the user asks for, not input to guard.  So
-    is `-h`: argparse prints the help itself and exits.
+    trial count, which is work the user asks for, not input to guard.  A
+    `-h` that takes effect exits 0 with the help text, not JSON, on stdout.
     """
     rng = random.Random(4)
     docs = [json.loads(serialize_wts(make_vacuum_model())),
@@ -322,7 +332,7 @@ def test_cli_contract_holds_on_fuzzed_input(tmp_path):
         if rng.random() < 0.05:
             del argv[rng.randrange(len(argv))]
         if rng.random() < 0.05:
-            argv.insert(rng.randrange(len(argv) + 1), rng.choice(["--model", "--bogus", "-o"]))
+            argv.insert(rng.randrange(len(argv) + 1), rng.choice(["--model", "--bogus", "-o", "-h"]))
 
         code, out, err = run(argv, stdin)
         assert code in (0, 1, 2, 3), (case, argv)
@@ -332,5 +342,7 @@ def test_cli_contract_holds_on_fuzzed_input(tmp_path):
             assert list(json.loads(err)) == ["error"], (case, argv)
         else:
             assert err == "", (case, argv)
-            if argv[0] != "fmt":
+            if "-h" in argv and code == 0:
+                assert out.startswith("usage: wtl"), (case, argv)
+            elif argv[0] != "fmt":
                 json.loads(out)

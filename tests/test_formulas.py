@@ -1,4 +1,6 @@
+import pickle
 from fractions import Fraction as F
+from math import inf
 
 import pytest
 
@@ -9,6 +11,8 @@ from wtl import (
 )
 
 POOL = [F(0), F(1, 2), F(1), F(2), F(3)]
+# Below, between and above POOL's weights, so every bisect edge case is hit.
+OFF_POOL = [F(1, 3), F(5, 2), F(7)]
 
 
 def test_parse_modalities():
@@ -42,7 +46,7 @@ def test_atoms_named_L_or_M_stay_atoms():
 
 def test_parse_errors_have_positions():
     for text in ["p &", "L[] p", "L[-1] p", "(p", "p q", "L[1/0] p", "L[1/] p",
-                 "L[1.] p"]:
+                 "L[1.] p", "é", "p²"]:
         with pytest.raises(FormulaError, match="position"):
             parse_formula(text)
 
@@ -101,16 +105,98 @@ def test_diamond_is_nonempty_image():
             assert model_check(m, s, diamond(f)) == bool(m.image_set(s, targets))
 
 
+def _theta_sat(m, f, targets):
+    """`f`'s states by the definition: theta_min/theta_max toward `targets`."""
+    if isinstance(f, AtLeast):
+        return {s for s in m.states if m.theta_min(s, targets) >= f.bound}
+    return {s for s in m.states if m.theta_max(s, targets) <= f.bound}
+
+
 def test_bound_modalities_match_theta_definition():
-    for seed in range(30):
-        m = random_wts(seed + 300, 6, 4, POOL, ["p", "q"])
-        phi = random_formula(seed + 400, ["p", "q"], 1, POOL)
-        targets = sat_set(m, phi)
-        for r in POOL:
-            assert sat_set(m, AtLeast(r, phi)) == {
-                s for s in m.states if m.theta_min(s, targets) >= r}, (seed, r)
-            assert sat_set(m, AtMost(r, phi)) == {
-                s for s in m.states if m.theta_max(s, targets) <= r}, (seed, r)
+    sink = Wts(["a", "b", "c"], {"b": ["p"]}, [("a", 1, "b"), ("a", 3, "c")])
+    models = [random_wts(seed + 300, 6, 4, POOL, ["p", "q"]) for seed in range(30)]
+    for i, m in enumerate(models + [sink]):
+        # Bottom: an empty target set; Top: every state a target.
+        for phi in (random_formula(i + 400, ["p", "q"], 1, POOL), Bottom(), Top()):
+            targets = sat_set(m, phi)
+            for r in POOL + OFF_POOL:
+                for f in (AtLeast(r, phi), AtMost(r, phi)):
+                    assert sat_set(m, f) == _theta_sat(m, f, targets), (i, f)
+    # b and c have no out-edges, so no modality holds there.
+    assert sat_set(sink, AtLeast(0, Top())) == {"a"}
+    assert sat_set(sink, AtMost(7, Top())) == {"a"}
+    assert sat_set(sink, AtLeast(0, Bottom())) == frozenset()
+
+
+def test_bound_modalities_read_weights_by_value():
+    # "1/2" in one model and "0.5" in the other are the same weight.
+    halves = Wts(["a", "b"], {"b": ["p"]}, [("a", "1/2", "b"), ("a", "2", "b")])
+    points = Wts(["a", "b"], {"b": ["p"]}, [("a", "0.5", "b"), ("a", "2", "b")])
+    assert halves == points
+    for r in POOL + OFF_POOL:
+        for f in (AtLeast(r, Atom("p")), AtMost(r, Atom("p"))):
+            assert sat_set(halves, f) == sat_set(points, f) == _theta_sat(
+                halves, f, {"b"}), f
+
+
+def test_each_model_answers_for_itself():
+    cheap = Wts(["a", "b"], {"b": ["p"]}, [("a", 1, "b"), ("b", 3, "a")])
+    dear = Wts(["a", "b"], {"b": ["p"]}, [("a", 3, "b"), ("b", 1, "b")])
+    lo, hi = AtLeast(2, Atom("p")), AtMost(2, Atom("p"))
+    # One model asked for two formulas, then the other for the same two.
+    assert sat_set(cheap, lo) == frozenset() and sat_set(cheap, hi) == {"a"}
+    assert sat_set(dear, lo) == {"a"} and sat_set(dear, hi) == {"b"}
+    assert sat_set(cheap, lo) == frozenset() and sat_set(cheap, hi) == {"a"}
+    assert cheap.ranked_in_edges()[0] == (F(1), F(3))
+    assert sorted(dear.ranked_in_edges()[1]["b"]) == [(0, "b"), (1, "a")]
+
+
+def _forward_sat(m, f, cache):
+    """Reference model checker: each modality scans every state's out-edges
+    with `bounds_by_block` toward the operand's states."""
+    if f not in cache:
+        if isinstance(f, Atom):
+            result = {s for s in m.states if f.name in m.labels[s]}
+        elif isinstance(f, Top):
+            result = set(m.states)
+        elif isinstance(f, Bottom):
+            result = set()
+        elif isinstance(f, Not):
+            result = set(m.states) - _forward_sat(m, f.operand, cache)
+        elif isinstance(f, And):
+            result = _forward_sat(m, f.left, cache) & _forward_sat(m, f.right, cache)
+        else:
+            targets = _forward_sat(m, f.operand, cache)
+            inside = {s: s in targets for s in m.states}
+            result = set()
+            for s in m.states:
+                lo, hi = m.bounds_by_block(s, inside).get(True, (-inf, inf))
+                if (lo >= f.bound) if isinstance(f, AtLeast) else (hi <= f.bound):
+                    result.add(s)
+        cache[f] = result
+    return cache[f]
+
+
+def test_backward_evaluation_matches_forward_scan_on_large_models():
+    weights = POOL + OFF_POOL
+    for seed in range(8):
+        m = random_wts(seed + 700, 1000, 5, weights, ["p", "q", "r"])
+        drawn = (random_formula(seed * 100 + k, ["p", "q", "r"], 3, weights + [F(3, 4)])
+                 for k in range(40))
+        modal = [f for f in drawn if modal_depth(f) > 0][:12]
+        cache = {}
+        for f in modal:
+            assert sat_set(m, f) == _forward_sat(m, f, cache), (seed, f)
+
+
+def test_formula_hash_is_the_dataclass_hash_and_stays_out_of_state():
+    f = parse_formula("L[1/2] (p & M[2] !q)")
+    assert hash(f) == hash((f.bound, f.operand))
+    assert hash(Top()) == hash(()) and hash(Atom("p")) == hash(("p",))
+    assert repr(f).startswith("AtLeast(bound=Fraction(1, 2), operand=And(")
+    copy = pickle.loads(pickle.dumps(f))
+    assert copy == f and hash(copy) == hash(f)
+    assert f.__getstate__() == [F(1, 2), f.operand]
 
 
 def test_complement_and_intersection_on_random_models():
