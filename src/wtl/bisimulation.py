@@ -15,6 +15,12 @@ out-edge of every state once, which gives each state its signature toward
 all current blocks, and splits every block by signature, until a round
 splits nothing.  Blocks are enumerated in a canonical order (sorted by
 least member) so runs are deterministic.
+
+A distinguishing formula is built from the rounds of bound refinement:
+one memoized separator per state pair, which probes a block toward which
+the two states' bounds differ and excludes only the blocks that would
+spoil the probe (after Cleaveland, CAV 1990).  Its modal depth is the
+round that splits the pair.
 """
 
 from __future__ import annotations
@@ -171,85 +177,77 @@ def quotient_model(m: Wts, p: Partition) -> Wts:
     return Wts(reps, labels, transitions)
 
 
-class _DistinguisherBuilder:
-    """Builds formulas separating non-bisimilar states, level by level
-    along the refinement history.
+class _Separator:
+    """Formulas separating non-bisimilar states, one per state pair.
 
-    A level-j block characterization is true exactly on that block of
-    round j; it is a conjunction of block-pair separators from earlier
-    rounds, so the recursion is well founded.  Memo tables are per call.
+    `separate(u, v)` has modal depth k, the first refinement round that
+    splits u and v; it is true on u's round-k block and false on v's.  At
+    k = 0 it is a label literal.  At k >= 1 it probes the first block B of
+    round k-1 toward which the bounds of u and v differ, with an operand
+    that conjoins `separate(min B, min C)` over the blocks C that would
+    spoil the probe:
+
+    * one state reaches B, the other not: `L[0]`, and C ranges over every
+      block the other state reaches;
+    * least weights differ: `L[q]` with q between them, and C ranges over
+      the blocks the state with the higher least weight reaches with a
+      least weight below q;
+    * greatest weights differ: `M[q]` likewise, over the blocks the state
+      with the lower greatest weight reaches with a greatest weight
+      above q.
+
+    The operand is true on B and has modal depth below k, so it is
+    constant on every round k-1 block.  Its truth on the blocks left out
+    therefore does not matter: the probe reads only bounds toward round
+    k-1 blocks, which are equal across a round-k block, so the separator
+    holds on whole round-k blocks.  The memo lives for one call.
     """
 
     def __init__(self, m: Wts, history: list[Partition]):
         self.m = m
         self.history = history
-        self._chi: dict = {}
-        self._sep: dict = {}
+        self._memo: dict = {}
 
-    def first_separating_round(self, s: str, t: str) -> Optional[int]:
-        for k, p in enumerate(self.history):
-            if not p.same_block(s, t):
-                return k
-        return None
-
-    def characterize(self, level: int, block: frozenset[str]) -> Formula:
-        key = (level, block)
-        hit = self._chi.get(key)
+    def separate(self, u: str, v: str) -> Formula:
+        hit = self._memo.get((u, v))
         if hit is None:
-            others = [b for b in self.history[level].blocks if b != block]
-            hit = conjoin(self.separate(level, block, other) for other in others)
-            self._chi[key] = hit
+            hit = self._memo[u, v] = self._build(u, v)
         return hit
 
-    def separate(self, level: int, block: frozenset[str], other: frozenset[str]) -> Formula:
-        """A formula true on all of `block` and false on all of `other`
-        (both blocks of round `level`)."""
-        key = (level, block, other)
-        hit = self._sep.get(key)
-        if hit is None:
-            hit = self._separate(block, other)
-            self._sep[key] = hit
-        return hit
-
-    def _separate(self, block: frozenset[str], other: frozenset[str]) -> Formula:
-        u, v = min(block), min(other)
-        k = self.first_separating_round(u, v)
+    def _build(self, u: str, v: str) -> Formula:
+        m = self.m
+        k = next(k for k, p in enumerate(self.history) if not p.same_block(u, v))
         if k == 0:
-            return self._label_literal(u, v)
-        # Signatures toward round k-1 blocks are constant on round k
-        # blocks, so a pointwise separator for u, v covers whole blocks.
-        return self._bound_splitter(k, u, v)
-
-    def _label_literal(self, u: str, v: str) -> Formula:
-        only_u = self.m.labels[u] - self.m.labels[v]
-        if only_u:
-            return Atom(min(only_u))
-        return Not(Atom(min(self.m.labels[v] - self.m.labels[u])))
-
-    def _bound_splitter(self, k: int, u: str, v: str) -> Formula:
-        """A formula true at `u`, false at `v`, for states first separated
-        at round k >= 1: compare bounds toward some round k-1 block."""
+            only_u = m.labels[u] - m.labels[v]
+            if only_u:
+                return Atom(min(only_u))
+            return Not(Atom(min(m.labels[v] - m.labels[u])))
         previous = self.history[k - 1]
-        bounds_u = self.m.bounds_by_block(u, previous._index)
-        bounds_v = self.m.bounds_by_block(v, previous._index)
+        bounds = {u: m.bounds_by_block(u, previous._index),
+                  v: m.bounds_by_block(v, previous._index)}
         # Canonical block order; blocks neither state reaches never differ.
-        for i in sorted(bounds_u.keys() | bounds_v.keys()):
-            lo_u, hi_u = bounds_u.get(i, _UNREACHED)
-            lo_v, hi_v = bounds_v.get(i, _UNREACHED)
+        for i in sorted(bounds[u].keys() | bounds[v].keys()):
+            lo_u, hi_u = bounds[u].get(i, _UNREACHED)
+            lo_v, hi_v = bounds[v].get(i, _UNREACHED)
             if (lo_u, hi_u) == (lo_v, hi_v):
                 continue
-            target = previous.blocks[i]
-            chi = self.characterize(k - 1, target)
             if (lo_u == NEG_INF) != (lo_v == NEG_INF):
-                probe = AtLeast(0, chi)
-                return probe if lo_u != NEG_INF else Not(probe)
-            if lo_u != lo_v:
-                q = (lo_u + lo_v) / 2
-                probe = AtLeast(q, chi)
-                return probe if lo_u > lo_v else Not(probe)
-            q = (hi_u + hi_v) / 2
-            probe = AtMost(q, chi)
-            return probe if hi_u < hi_v else Not(probe)
+                # The operand must be false everywhere the other state goes.
+                holder = u if lo_u != NEG_INF else v
+                spoilers = bounds[v if holder == u else u].keys()
+                modality, q = AtLeast, 0
+            elif lo_u != lo_v:
+                modality, q = AtLeast, (lo_u + lo_v) / 2
+                holder = u if lo_u > lo_v else v
+                spoilers = [j for j, (lo, _) in bounds[holder].items() if lo < q]
+            else:
+                modality, q = AtMost, (hi_u + hi_v) / 2
+                holder = u if hi_u < hi_v else v
+                spoilers = [j for j, (_, hi) in bounds[holder].items() if hi > q]
+            b = min(previous.blocks[i])
+            f = modality(q, conjoin(self.separate(b, min(previous.blocks[j]))
+                                    for j in sorted(spoilers)))
+            return f if holder == u else Not(f)
         raise AssertionError("separated states must differ toward some block")
 
 
@@ -263,8 +261,4 @@ def distinguishing_formula(m: Wts, s: str, t: str) -> Optional[Formula]:
     history = _refinement_history(m, _bound_signature)
     if history[-1].same_block(s, t):
         return None
-    builder = _DistinguisherBuilder(m, history)
-    k = builder.first_separating_round(s, t)
-    if k == 0:
-        return builder._label_literal(s, t)
-    return builder._bound_splitter(k, s, t)
+    return _Separator(m, history).separate(s, t)

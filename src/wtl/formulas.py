@@ -166,7 +166,7 @@ def _tokenize(text: str):
             tokens.append((c, c, i))
             i += 1
             continue
-        if c.isdecimal():
+        if "0" <= c <= "9":
             try:
                 value, end = read_rational(text, i)
             except ValueError as e:

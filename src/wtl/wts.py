@@ -34,7 +34,8 @@ POS_INF: float = inf
 
 # Identifiers (state ids, propositions) are ASCII, in model files and formulas.
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_RATIONAL_RE = re.compile(r"(\d+)(?:/(\d*)|\.(\d*))?")
+# ASCII digits only: `\d` would also take "٣" for 3.
+_RATIONAL_RE = re.compile(r"([0-9]+)(?:/([0-9]*)|\.([0-9]*))?")
 
 
 class ModelError(ValueError):

@@ -4,8 +4,8 @@ import pytest
 
 from wtl import (
     Partition, Wts, are_bisimilar, distinguishing_formula,
-    generalized_bisimilarity, model_check, quotient_model, random_formula,
-    random_wts, sat_set, weighted_bisimilarity,
+    generalized_bisimilarity, modal_depth, model_check, print_formula,
+    quotient_model, random_formula, random_wts, sat_set, weighted_bisimilarity,
 )
 from oracles import is_bound_bisimulation, is_exact_bisimulation, naive_coarsest
 
@@ -164,6 +164,20 @@ def test_distinguishing_weight_gap():
     assert model_check(m, "a", f) != model_check(m, "b", f)
 
 
+def test_distinguishing_upper_bound_gap():
+    # equal least weights 1 toward the p-states, greatest 2 vs 3; the
+    # q-states reached at 5 must be kept out of the M probe's operand
+    m = Wts(
+        ["a", "b", "u", "v", "x", "y"],
+        {"u": ["p"], "v": ["p"], "x": ["q"], "y": ["q"]},
+        [("a", 1, "u"), ("a", 2, "u"), ("b", 1, "v"), ("b", 3, "v"),
+         ("a", 5, "x"), ("b", 5, "y")],
+    )
+    f = distinguishing_formula(m, "a", "b")
+    assert f is not None
+    assert model_check(m, "a", f) != model_check(m, "b", f)
+
+
 def test_distinguishing_empty_image_side():
     m = Wts(["a", "b", "u"], {"u": ["p"]}, [("a", 1, "u")])
     f = distinguishing_formula(m, "a", "b")
@@ -180,12 +194,41 @@ def test_distinguishing_needs_unlabelled_split():
     assert model_check(m, "a", f) != model_check(m, "b", f)
 
 
+def _chain(n):
+    """c0 -> ... -> c(n-1), weight 1, p on the last state."""
+    states = [f"c{i}" for i in range(n)]
+    edges = [(states[i], 1, states[i + 1]) for i in range(n - 1)]
+    return Wts(states, {states[-1]: ["p"]}, edges)
+
+
+def _ring(n):
+    """r0 <-> r1 <-> ... <-> r(n-1) <-> r0, weight 1, p on r0."""
+    states = [f"r{i}" for i in range(n)]
+    edges = []
+    for i in range(n):
+        edges += [(states[i], 1, states[(i + 1) % n]), (states[(i + 1) % n], 1, states[i])]
+    return Wts(states, {"r0": ["p"]}, edges)
+
+
+@pytest.mark.parametrize("n", [8, 12, 16, 20])
+def test_distinguishing_formulas_stay_small_on_chains_and_rings(n):
+    # Printed size linear in n, at the modal depth of the splitting round.
+    for m, a, b, depth in [(_chain(n), "c0", "c1", n - 2),
+                           (_ring(n), f"r{n // 2 - 1}", f"r{n // 2}", n // 2 - 1)]:
+        d = distinguishing_formula(m, a, b)
+        assert model_check(m, a, d) != model_check(m, b, d)
+        assert modal_depth(d) == depth
+        assert len(print_formula(d)) <= 15 * n
+
+
 def test_hennessy_milner_desk_check_small():
     from itertools import combinations
+    from wtl.bisimulation import _bound_signature, _refinement_history
 
     for i in range(6):
         m = random_wts(31000 + i, 6, 3, POOL, ["p1", "p2"])
-        partition = generalized_bisimilarity(m)
+        history = _refinement_history(m, _bound_signature)
+        partition = history[-1]
         cache: dict = {}
         satsets = [
             sat_set(m, random_formula(91000 + 997 * i + j, ["p1", "p2"], 2, POOL), cache)
@@ -198,3 +241,5 @@ def test_hennessy_milner_desk_check_small():
                 d = distinguishing_formula(m, a, b)
                 assert d is not None
                 assert model_check(m, a, d) != model_check(m, b, d), (i, a, b)
+                first = next(k for k, p in enumerate(history) if not p.same_block(a, b))
+                assert modal_depth(d) == first, (i, a, b)

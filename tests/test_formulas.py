@@ -46,7 +46,7 @@ def test_atoms_named_L_or_M_stay_atoms():
 
 def test_parse_errors_have_positions():
     for text in ["p &", "L[] p", "L[-1] p", "(p", "p q", "L[1/0] p", "L[1/] p",
-                 "L[1.] p", "é", "p²"]:
+                 "L[1.] p", "é", "p²", "L[٣] p", "L[1/٢] p"]:
         with pytest.raises(FormulaError, match="position"):
             parse_formula(text)
 

@@ -69,7 +69,7 @@ def test_wts_reads_weight_text_with_the_model_file_grammar():
     from wtl import Atom, AtLeast
 
     assert Wts(["a"], {}, [("a", "3/2", "a")]) == Wts(["a"], {}, [("a", F(3, 2), "a")])
-    for text in ("1e3", " 1_0 "):
+    for text in ("1e3", " 1_0 ", "٣/٢", "1.٥"):
         with pytest.raises(ModelError):
             parse_rational(text)
         with pytest.raises(ModelError):
