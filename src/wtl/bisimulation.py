@@ -13,8 +13,10 @@ both flavours; only the signature of a state differs.  Refinement is
 global: starting from the partition by labels, each round scans every
 out-edge of every state once, which gives each state its signature toward
 all current blocks, and splits every block by signature, until a round
-splits nothing.  Blocks are enumerated in a canonical order (sorted by
-least member) so runs are deterministic.
+splits nothing.  Signatures hold weight ranks (`Wts.weights`), not
+rationals, so they hash and compare as ints; the quotient and the
+distinguishing formulas map ranks back to weights.  Blocks are enumerated
+in a canonical order (sorted by least member) so runs are deterministic.
 
 A distinguishing formula is built from the rounds of bound refinement:
 one memoized separator per state pair, which probes a block toward which
@@ -101,13 +103,13 @@ def _label_partition(m: Wts) -> Partition:
 
 
 def _bound_signature(m: Wts, partition: Partition, s: str):
-    """Min and max weight toward every block `s` reaches."""
+    """Min and max weight rank toward every block `s` reaches."""
     return frozenset(m.bounds_by_block(s, partition._index).items())
 
 
 def _exact_signature(m: Wts, partition: Partition, s: str):
-    """Every (weight, block) pair of a transition from `s`."""
-    return frozenset((w, partition._index[dst]) for w, dst in m._out[s])
+    """Every (weight rank, block) pair of a transition from `s`."""
+    return frozenset((r, partition._index[dst]) for r, dst in m._out[s])
 
 
 def _refinement_history(m: Wts, signature) -> list[Partition]:
@@ -169,11 +171,12 @@ def quotient_model(m: Wts, p: Partition) -> Wts:
         raise ValueError("partition is not a bound bisimulation for this model")
     reps = [min(block) for block in p.blocks]
     labels = {rep: m.labels[rep] for rep in reps}
+    weights = m.weights
     transitions = []
     for rep in reps:
         for target, (lo, hi) in m.bounds_by_block(rep, p._index).items():
-            transitions.append((rep, lo, reps[target]))
-            transitions.append((rep, hi, reps[target]))
+            transitions.append((rep, weights[lo], reps[target]))
+            transitions.append((rep, weights[hi], reps[target]))
     return Wts(reps, labels, transitions)
 
 
@@ -196,6 +199,8 @@ class _Separator:
       with the lower greatest weight reaches with a greatest weight
       above q.
 
+    Bounds are compared as ranks; q and the spoiler tests use the weights
+    themselves, since a midpoint of ranks need not lie between the values.
     The operand is true on B and has modal depth below k, so it is
     constant on every round k-1 block.  Its truth on the blocks left out
     therefore does not matter: the probe reads only bounds toward round
@@ -216,6 +221,7 @@ class _Separator:
 
     def _build(self, u: str, v: str) -> Formula:
         m = self.m
+        weights = m.weights
         k = next(k for k, p in enumerate(self.history) if not p.same_block(u, v))
         if k == 0:
             only_u = m.labels[u] - m.labels[v]
@@ -237,13 +243,15 @@ class _Separator:
                 spoilers = bounds[v if holder == u else u].keys()
                 modality, q = AtLeast, 0
             elif lo_u != lo_v:
-                modality, q = AtLeast, (lo_u + lo_v) / 2
+                modality, q = AtLeast, (weights[lo_u] + weights[lo_v]) / 2
                 holder = u if lo_u > lo_v else v
-                spoilers = [j for j, (lo, _) in bounds[holder].items() if lo < q]
+                spoilers = [j for j, (lo, _) in bounds[holder].items()
+                            if weights[lo] < q]
             else:
-                modality, q = AtMost, (hi_u + hi_v) / 2
+                modality, q = AtMost, (weights[hi_u] + weights[hi_v]) / 2
                 holder = u if hi_u < hi_v else v
-                spoilers = [j for j, (_, hi) in bounds[holder].items() if hi > q]
+                spoilers = [j for j, (_, hi) in bounds[holder].items()
+                            if weights[hi] > q]
             b = min(previous.blocks[i])
             f = modality(q, conjoin(self.separate(b, min(previous.blocks[j]))
                                     for j in sorted(spoilers)))

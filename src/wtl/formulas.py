@@ -317,7 +317,7 @@ def _eval(m: Wts, f: Formula, cache: dict) -> frozenset[str]:
     if hit is not None:
         return hit
     if isinstance(f, Atom):
-        result = frozenset(s for s in m.states if f.name in m.labels[s])
+        result = m.states_labelled(f.name)
     elif isinstance(f, Top):
         result = m.states
     elif isinstance(f, Bottom):

@@ -4,12 +4,19 @@ A model is a finite set of labelled states plus transitions carrying
 weights.  The central queries are the image set of a state toward a set
 of target states (the weights of all transitions from the state into the
 set) and its minimum/maximum, extended with -inf/+inf on empty images.
-The partition refinements ask for a state's minimum and maximum toward
-every block of a partition at once (`Wts.bounds_by_block`), which costs
-one scan of the state's out-edges.  The model checker's modalities walk
-backward instead, over the in-edges of the target set
-(`Wts.ranked_in_edges`), where each weight is stood for by its rank among
-the model's distinct weights, so bounds compare as ints.
+
+Each model keeps one ascending table of its distinct weights,
+`Wts.weights`, built once when the model is made; every transition is
+stored as a `(rank, neighbour)` pair, where the rank is the weight's index
+in that table.  Within one model ranks order exactly as the weights do, so
+the engines compare ints: the partition refinements ask for a state's
+least and greatest rank toward every block of a partition at once
+(`Wts.bounds_by_block`, one scan of the state's out-edges), and the model
+checker's modalities walk backward over the in-edges of the target set
+(`Wts.ranked_in_edges`).  Ranks from two models do not compare; a caller
+that builds a new model or a formula bound maps them back through
+`weights`.  The `(source, weight, target)` triples, `Wts.transitions`,
+are derived from the ranks on request.
 All arithmetic is exact (`fractions.Fraction`); weights are kept in
 canonical reduced form so equality is structural.
 """
@@ -104,13 +111,17 @@ def format_bound(b: ExtendedBound) -> str:
 
 
 def as_weight(value) -> Fraction:
-    """Coerce to an exact non-negative weight; text goes through parse_rational."""
+    """Coerce to an exact non-negative weight; text goes through parse_rational.
+
+    A `Fraction` is returned as it is (it is immutable), so the models and
+    formulas built from one pool of weights share its objects.
+    """
     if isinstance(value, str):
         return parse_rational(value)
     if isinstance(value, float):
         raise ModelError(f"weights must be exact rationals, got float {value!r}")
-    w = Fraction(value)
-    if w < 0:
+    w = value if type(value) is Fraction else Fraction(value)
+    if w.numerator < 0:
         raise ModelError(f"negative weight {value!r}")
     return w
 
@@ -125,11 +136,15 @@ class Wts:
     """A finite weighted transition system.
 
     Immutable after construction; every query is pure, so instances can be
-    shared freely between threads.  Transitions are a set: duplicate
-    (source, weight, target) triples collapse.
+    shared freely between threads.  `weights` holds the model's distinct
+    weights in ascending order, and `_out[s]` the out-edges of `s` as
+    `(rank, target)` pairs sorted by rank, then target.  Transitions are a
+    set: duplicate (source, weight, target) triples collapse, however the
+    weight is written ("1/2", "2/4", "0.5" and `Fraction(1, 2)` are one
+    weight).  Each distinct weight text is parsed once per model.
     """
 
-    __slots__ = ("states", "labels", "transitions", "_out", "_hash", "_in")
+    __slots__ = ("states", "labels", "weights", "_out", "_hash", "_in", "_holding")
 
     def __init__(
         self,
@@ -151,22 +166,46 @@ class Wts:
             for p in props:
                 _check_ident(p, "proposition")
             label_map[s] = frozenset(props)
-        triples = set()
+        # Each weight gets the id of its value: text is parsed once per
+        # distinct string, anything else goes through as_weight every time,
+        # so a float is refused even after the text of the same value.
+        ids: dict[Fraction, int] = {}
+        text_ids: dict[str, int] = {}
+        pending: dict[str, list] = {s: [] for s in state_set}
         for src, w, dst in transitions:
             if not isinstance(src, str) or src not in state_set:
                 raise ModelError(f"transition from unknown state {src!r}")
             if not isinstance(dst, str) or dst not in state_set:
                 raise ModelError(f"transition to unknown state {dst!r}")
-            triples.add((src, as_weight(w), dst))
+            if isinstance(w, str):
+                i = text_ids.get(w)
+                if i is None:
+                    i = text_ids[w] = ids.setdefault(parse_rational(w), len(ids))
+            else:
+                i = ids.setdefault(as_weight(w), len(ids))
+            pending[src].append((i, dst))
+        weights = tuple(sorted(ids))
+        rank = [0] * len(weights)
+        for r, w in enumerate(weights):
+            rank[ids[w]] = r
         self.states: frozenset[str] = state_set
         self.labels: Mapping[str, frozenset[str]] = MappingProxyType(label_map)
-        self.transitions: frozenset[tuple[str, Fraction, str]] = frozenset(triples)
-        out: dict[str, list] = {s: [] for s in state_set}
-        for src, w, dst in self.transitions:
-            out[src].append((w, dst))
-        self._out = {s: tuple(es) for s, es in out.items()}
+        self.weights: tuple[Fraction, ...] = weights
+        self._out: dict[str, tuple[tuple[int, str], ...]] = {
+            s: tuple(sorted({(rank[i], dst) for i, dst in es}))
+            for s, es in pending.items()
+        }
         self._hash = None
         self._in = None
+        self._holding = None
+
+    @property
+    def transitions(self) -> frozenset[tuple[str, Fraction, str]]:
+        """Every (source, weight, target) triple, built from the ranks."""
+        w = self.weights
+        return frozenset(
+            (src, w[r], dst) for src, es in self._out.items() for r, dst in es
+        )
 
     def _require_state(self, s: str) -> None:
         if s not in self.states:
@@ -179,7 +218,8 @@ class Wts:
         unknown = targets - self.states
         if unknown:
             raise UnknownStateError(f"unknown target state(s) {sorted(unknown)!r}")
-        return frozenset(w for w, dst in self._out[s] if dst in targets)
+        ranks = {r for r, dst in self._out[s] if dst in targets}
+        return frozenset(self.weights[r] for r in ranks)
 
     def theta_min(self, s: str, targets: Iterable[str]) -> ExtendedBound:
         """Least weight from `s` into the target set; -inf on an empty image."""
@@ -193,26 +233,27 @@ class Wts:
 
     def bounds_by_block(
         self, s: str, block_of: Mapping[str, Hashable]
-    ) -> dict[Hashable, tuple[Fraction, Fraction]]:
-        """Least and greatest weight from `s` into each block it reaches.
+    ) -> dict[Hashable, tuple[int, int]]:
+        """Least and greatest weight rank from `s` into each block it reaches.
 
         `block_of` maps every state to its block.  One pass over the
         out-edges of `s` gives, for each block some transition enters,
-        what theta_min and theta_max would give toward that block's states.
-        Blocks `s` does not reach are absent: toward them the bounds are
-        (-inf, +inf), as on an empty image.  `s` must be a state of the
-        model; unlike the single queries above, nothing is validated.
+        the ranks in `weights` of what theta_min and theta_max would give
+        toward that block's states; `weights[lo]` and `weights[hi]` are
+        the values.  Blocks `s` does not reach are absent: toward them the
+        bounds are (-inf, +inf), as on an empty image.  `s` must be a
+        state of the model; unlike the single queries above, nothing is
+        validated.
         """
         bounds: dict = {}
-        for w, dst in self._out[s]:
+        for r, dst in self._out[s]:
             block = block_of[dst]
             hit = bounds.get(block)
             if hit is None:
-                bounds[block] = (w, w)
-            elif w < hit[0]:
-                bounds[block] = (w, hit[1])
-            elif w > hit[1]:
-                bounds[block] = (hit[0], w)
+                bounds[block] = (r, r)
+            elif r > hit[1]:
+                # Out-edges come in ascending rank: the least never moves.
+                bounds[block] = (hit[0], r)
         return bounds
 
     def ranked_in_edges(
@@ -221,20 +262,30 @@ class Wts:
         """The model's distinct weights, ascending, and every state's in-edges.
 
         The second part maps each state `t` to a `(rank, source)` pair per
-        transition `source -w-> t`, where `rank` is the index of `w` in the
-        first part, so `rank < i` exactly when `w < weights[i]`.  Built on
+        transition `source -w-> t`, where `rank` is the index of `w` in
+        `weights`, so `rank < i` exactly when `w < weights[i]`.  Built on
         the first call and kept, as the hash is: a model that is never
         model-checked never pays for it.
         """
         if self._in is None:
-            weights = tuple(sorted({w for _, w, _ in self.transitions}))
-            rank = {w: i for i, w in enumerate(weights)}
             into: dict[str, list] = {s: [] for s in self.states}
-            for src, w, dst in self.transitions:
-                into[dst].append((rank[w], src))
+            for src, es in self._out.items():
+                for r, dst in es:
+                    into[dst].append((r, src))
             frozen = {s: tuple(es) for s, es in into.items()}
-            self._in = (weights, MappingProxyType(frozen))
+            self._in = (self.weights, MappingProxyType(frozen))
         return self._in
+
+    def states_labelled(self, p: str) -> frozenset[str]:
+        """The states whose labels hold `p`; empty for a proposition no
+        state carries.  The index is built on the first call and kept."""
+        if self._holding is None:
+            holding: dict[str, set] = {}
+            for s, props in self.labels.items():
+                for q in props:
+                    holding.setdefault(q, set()).add(s)
+            self._holding = {q: frozenset(ss) for q, ss in holding.items()}
+        return self._holding.get(p, frozenset())
 
     def __eq__(self, other):
         if not isinstance(other, Wts):
@@ -242,23 +293,29 @@ class Wts:
         return (
             self.states == other.states
             and self.labels == other.labels
-            and self.transitions == other.transitions
+            and self.weights == other.weights
+            and self._out == other._out
         )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(
-                (self.states, tuple(sorted(self.labels.items())), self.transitions)
-            )
+            self._hash = hash((
+                self.states, tuple(sorted(self.labels.items())),
+                self.weights, frozenset(self._out.items()),
+            ))
         return self._hash
 
     def __repr__(self):
-        return (
-            f"Wts({len(self.states)} states, {len(self.transitions)} transitions)"
-        )
+        count = sum(len(es) for es in self._out.values())
+        return f"Wts({len(self.states)} states, {count} transitions)"
 
 
-def _reject_unknown_keys(obj: dict, allowed: set, where: str) -> None:
+_MODEL_KEYS = frozenset({"states", "transitions"})
+_STATE_KEYS = frozenset({"id", "labels"})
+_TRANSITION_KEYS = frozenset({"from", "weight", "to"})
+
+
+def _reject_unknown_keys(obj: dict, allowed: frozenset, where: str) -> None:
     extra = set(obj) - allowed
     if extra:
         raise ModelError(f"unknown key(s) {sorted(extra)!r} in {where}")
@@ -280,7 +337,7 @@ def parse_wts(data: Union[bytes, str]) -> Wts:
         raise ModelError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
     if not isinstance(doc, dict):
         raise ModelError("top level must be a JSON object")
-    _reject_unknown_keys(doc, {"states", "transitions"}, "model")
+    _reject_unknown_keys(doc, _MODEL_KEYS, "model")
     if "states" not in doc or "transitions" not in doc:
         raise ModelError('model needs both "states" and "transitions"')
     for key in ("states", "transitions"):
@@ -292,7 +349,8 @@ def parse_wts(data: Union[bytes, str]) -> Wts:
     for entry in doc["states"]:
         if not isinstance(entry, dict):
             raise ModelError(f"state entry must be an object, got {entry!r}")
-        _reject_unknown_keys(entry, {"id", "labels"}, "state entry")
+        if not entry.keys() <= _STATE_KEYS:
+            _reject_unknown_keys(entry, _STATE_KEYS, "state entry")
         sid = entry.get("id")
         if not isinstance(sid, str):
             raise ModelError(f'state entry needs a string "id": {entry!r}')
@@ -308,28 +366,32 @@ def parse_wts(data: Union[bytes, str]) -> Wts:
     for entry in doc["transitions"]:
         if not isinstance(entry, dict):
             raise ModelError(f"transition entry must be an object, got {entry!r}")
-        _reject_unknown_keys(entry, {"from", "weight", "to"}, "transition entry")
-        for key in ("from", "weight", "to"):
-            if key not in entry:
-                raise ModelError(f'transition without "{key}": {entry!r}')
-        if not isinstance(entry["weight"], str):
-            raise ModelError(f"weight must be a string, got {entry['weight']!r}")
-        triples.append((entry["from"], entry["weight"], entry["to"]))
+        if entry.keys() != _TRANSITION_KEYS:
+            _reject_unknown_keys(entry, _TRANSITION_KEYS, "transition entry")
+            key = next(k for k in ("from", "weight", "to") if k not in entry)
+            raise ModelError(f'transition without "{key}": {entry!r}')
+        weight = entry["weight"]
+        if not isinstance(weight, str):
+            raise ModelError(f"weight must be a string, got {weight!r}")
+        triples.append((entry["from"], weight, entry["to"]))
 
     return Wts(seen, labels, triples)
 
 
 def serialize_wts(m: Wts) -> bytes:
-    """Deterministic JSON for a model; inverse of parse_wts."""
+    """Deterministic JSON for a model; inverse of parse_wts.
+
+    Transitions are sorted by source, weight and target; the out-edges are
+    kept in rank order, which is weight order, and each distinct weight is
+    formatted once.
+    """
+    texts = [format_rational(w) for w in m.weights]
+    states = sorted(m.states)
     doc = {
-        "states": [
-            {"id": s, "labels": sorted(m.labels[s])} for s in sorted(m.states)
-        ],
+        "states": [{"id": s, "labels": sorted(m.labels[s])} for s in states],
         "transitions": [
-            {"from": src, "weight": format_rational(w), "to": dst}
-            for src, w, dst in sorted(
-                m.transitions, key=lambda t: (t[0], t[1], t[2])
-            )
+            {"from": src, "weight": texts[r], "to": dst}
+            for src in states for r, dst in m._out[src]
         ],
     }
     return (json.dumps(doc, indent=2) + "\n").encode("utf-8")

@@ -51,9 +51,10 @@ def is_exact_bisimulation(m: Wts, blocks) -> bool:
             return False
         for s in block:
             for t in block:
-                for w, dst in m._out[s]:
+                # Ranks of one model's weights: equal ranks, equal weights.
+                for rank, dst in m._out[s]:
                     if not any(
-                        w2 == w and index[d2] == index[dst] for w2, d2 in m._out[t]
+                        r2 == rank and index[d2] == index[dst] for r2, d2 in m._out[t]
                     ):
                         return False
     return True

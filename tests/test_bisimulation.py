@@ -178,6 +178,31 @@ def test_distinguishing_upper_bound_gap():
     assert model_check(m, "a", f) != model_check(m, "b", f)
 
 
+def test_rank_bounds_map_back_to_weights():
+    # weights 1/3 < 5 < 7 rank 0, 1, 2; a and c reach the p-block with
+    # least 5 and greatest 7, b only at 7 and a q-state at 1/3.  The value
+    # midpoint of 5 and 7 is 6, the rank midpoint 3/2, below both.
+    m = Wts(
+        ["a", "b", "c", "x", "x2", "y"],
+        {"x": ["p"], "x2": ["p"], "y": ["q"]},
+        [("a", 5, "x"), ("a", 7, "x"), ("b", 7, "x"), ("b", F(1, 3), "y"),
+         ("c", 5, "x"), ("c", 7, "x2")],
+    )
+    assert m.weights == (F(1, 3), F(5), F(7))
+    p = generalized_bisimilarity(m)
+    assert p.as_lists() == [["a", "c"], ["b"], ["x", "x2"], ["y"]]
+    q = quotient_model(m, p)
+    assert q.transitions == {
+        ("a", F(5), "x"), ("a", F(7), "x"), ("b", F(7), "x"), ("b", F(1, 3), "y"),
+    }
+    f = distinguishing_formula(m, "c", "b")
+    assert print_formula(f) == "!L[6] p"
+    assert model_check(m, "c", f) and not model_check(m, "b", f)
+    g = distinguishing_formula(m, "b", "a")
+    assert print_formula(g) == "L[6] p"
+    assert model_check(m, "b", g) and not model_check(m, "a", g)
+
+
 def test_distinguishing_empty_image_side():
     m = Wts(["a", "b", "u"], {"u": ["p"]}, [("a", 1, "u")])
     f = distinguishing_formula(m, "a", "b")

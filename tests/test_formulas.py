@@ -153,7 +153,8 @@ def test_each_model_answers_for_itself():
 
 def _forward_sat(m, f, cache):
     """Reference model checker: each modality scans every state's out-edges
-    with `bounds_by_block` toward the operand's states."""
+    with `bounds_by_block` toward the operand's states, and reads the
+    ranks it returns back as weights."""
     if f not in cache:
         if isinstance(f, Atom):
             result = {s for s in m.states if f.name in m.labels[s]}
@@ -170,7 +171,8 @@ def _forward_sat(m, f, cache):
             inside = {s: s in targets for s in m.states}
             result = set()
             for s in m.states:
-                lo, hi = m.bounds_by_block(s, inside).get(True, (-inf, inf))
+                ranks = m.bounds_by_block(s, inside).get(True)
+                lo, hi = (m.weights[ranks[0]], m.weights[ranks[1]]) if ranks else (-inf, inf)
                 if (lo >= f.bound) if isinstance(f, AtLeast) else (hi <= f.bound):
                     result.add(s)
         cache[f] = result

@@ -44,6 +44,8 @@ def test_construction_invariants():
     with pytest.raises(ModelError):
         Wts(["a"], {}, [("a", -1, "a")])
     with pytest.raises(ModelError):
+        Wts(["a"], {}, [("a", F(-1, 2), "a")])
+    with pytest.raises(ModelError):
         Wts(["a"], {"ghost": ["p"]}, [])
     with pytest.raises(ModelError):
         Wts(["bad id"], {}, [])
@@ -76,6 +78,27 @@ def test_wts_reads_weight_text_with_the_model_file_grammar():
             Wts(["a"], {}, [("a", text, "a")])
     with pytest.raises(ModelError):
         AtLeast("1e2", Atom("p"))
+
+
+def test_weights_are_equal_by_value_whatever_their_spelling_or_type():
+    halves = ["1/2", "2/4", "0.5", F(1, 2)]
+    models = [Wts(["a", "b"], {"b": ["p"]}, [("a", w, "b"), ("b", "3", "a")])
+              for w in halves]
+    models.append(Wts(["a", "b"], {"b": ["p"]},
+                      [("a", w, "b") for w in halves + halves[::-1]]
+                      + [("b", 3, "a"), ("b", "3.0", "a")]))
+    first = models[0]
+    for m in models:
+        assert m == first and hash(m) == hash(first)
+        assert m.weights == (F(1, 2), F(3))
+        assert serialize_wts(m) == serialize_wts(first)
+        assert m.transitions == {("a", F(1, 2), "b"), ("b", F(3), "a")}
+        assert all(type(w) is F for _, w, _ in m.transitions)
+    assert first.states_labelled("p") == {"b"}
+    assert first.states_labelled("q") == frozenset()
+    # A float is refused even after the text of the same value was read.
+    with pytest.raises(ModelError):
+        Wts(["a", "b"], {}, [("a", "1", "b"), ("a", 1.0, "b")])
 
 
 def test_format_rational():
@@ -120,6 +143,10 @@ def test_parse_wts_errors():
         parse_wts(b'{"states":[{"id":"a","extra":1}],"transitions":[]}')
     with pytest.raises(ModelError, match="unknown key"):
         parse_wts(b'{"states":[{"id":"a"}],"transitions":[],"comment":"hi"}')
+    with pytest.raises(ModelError, match=r"unknown key\(s\) \['x'\] in transition entry"):
+        parse_wts(b'{"states":[{"id":"a"}],"transitions":[{"from":"a","weight":"1","x":0}]}')
+    with pytest.raises(ModelError, match='transition without "to"'):
+        parse_wts(b'{"states":[{"id":"a"}],"transitions":[{"from":"a","weight":"1"}]}')
 
 
 def test_round_trip_vacuum(vacuum):
