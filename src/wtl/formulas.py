@@ -6,6 +6,13 @@ holds at a state when the cheapest transition into the states satisfying
 `f` costs at least `r`; `AtMost(r, f)` holds when the most expensive such
 transition costs at most `r`.  Surface forms (`|`, `->`, `<->`, `<>`, `[]`)
 are desugared by the parser; every engine consumes core AST only.
+
+Two evaluators share these semantics.  `sat_set` is global: it computes
+the states satisfying each subformula bottom-up, a whole set at a time,
+and evaluates a modality backward over the in-edges of the operand's
+states.  `model_check` is local: it walks forward from its one state over
+the out-edges and looks only at the states within the formula's modal
+depth of it.
 """
 
 from __future__ import annotations
@@ -31,17 +38,27 @@ class Formula:
     by structure.
 
     A node's hash is the stock frozen-dataclass hash, `hash` of the tuple
-    of its fields, computed on the first lookup and kept in the `_hash`
-    slot; otherwise every dict or set probe of the model checker's and the
-    tableau's caches would walk the whole subtree.  The slot is no field,
-    so equality, `repr` and pickled state leave it out.
+    of its fields, computed when the node is made and kept in the `_hash`
+    slot.  Children are made first, so that hash reads each child's slot
+    and goes one level deep, however deep the formula; and no dict or set
+    probe of the model checker's and the tableau's caches walks a subtree.
+    The slot is no field, so equality, `repr` and pickled state leave it
+    out; a node read back from a pickle computes it on its first lookup.
     """
 
     __slots__ = ("_hash",)
 
 
 def _node(cls):
-    """Make `cls` a frozen, slotted dataclass that hashes itself once."""
+    """Make `cls` a frozen, slotted dataclass that hashes itself when made."""
+    own_post_init = cls.__dict__.get("__post_init__")
+
+    def __post_init__(self):
+        if own_post_init is not None:
+            own_post_init(self)
+        object.__setattr__(self, "_hash", stock(self))
+
+    cls.__post_init__ = __post_init__
     cls = dataclass(frozen=True, slots=True)(cls)
     stock = cls.__hash__
 
@@ -302,10 +319,13 @@ def print_formula(f: Formula) -> str:
 
 
 def sat_set(m: Wts, f: Formula, _cache: Optional[dict] = None) -> frozenset[str]:
-    """States of `m` satisfying `f`, computed bottom-up.
+    """States of `m` satisfying `f`, computed bottom-up, a set at a time.
 
-    Atoms absent from the model's labels are false everywhere.  A shared
-    cache dict may be passed to reuse work across related formulas.
+    Each modality is evaluated backward, over the in-edges of its
+    operand's states (`Wts.ranked_in_edges`), so the whole model is
+    evaluated; to ask about one state, `model_check` is local.  Atoms
+    absent from the model's labels are false everywhere.  A shared cache
+    dict may be passed to reuse work across related formulas.
     """
     if _cache is None:
         _cache = {}
@@ -358,9 +378,57 @@ def _reaching_within(into, targets: frozenset[str], lo: int, hi: int) -> frozens
 
 
 def model_check(m: Wts, s: str, f: Formula) -> bool:
-    """Does state `s` of `m` satisfy `f`?"""
+    """Does state `s` of `m` satisfy `f`?
+
+    Local and top-down: the walk starts at `s` and follows the ranked
+    out-edges, so it looks only at the states within `f`'s modal depth of
+    `s` and builds none of the model's indexes.  Each answer is kept per
+    (subformula, state) for the call, so a formula that shares subformulas
+    costs at most one evaluation of each node at each state:
+    O(|subformulas| * |edges|) in the worst case, as `sat_set`.
+    """
     m._require_state(s)
-    return s in sat_set(m, f)
+    return _holds(m, s, f, {})
+
+
+def _holds(m: Wts, s: str, f: Formula, memo: dict) -> bool:
+    """`model_check`'s walker; `memo` maps (subformula, state) to its answer.
+
+    `L[r] g` scans the out-edges of `s` in ascending rank and stops at the
+    first whose target satisfies `g`: that edge carries the least weight
+    into `g`, so the formula holds iff it is at least r.  `M[r] g` scans in
+    descending rank, for the greatest.  With no edge into `g` both are
+    false, as on an empty image.
+    """
+    if isinstance(f, Atom):
+        return f.name in m.labels[s]
+    if isinstance(f, Top):
+        return True
+    if isinstance(f, Bottom):
+        return False
+    key = (f, s)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    result = False
+    if isinstance(f, Not):
+        result = not _holds(m, s, f.operand, memo)
+    elif isinstance(f, And):
+        result = _holds(m, s, f.left, memo) and _holds(m, s, f.right, memo)
+    elif isinstance(f, AtLeast):
+        for rank, t in m._out[s]:
+            if _holds(m, t, f.operand, memo):
+                result = m.weights[rank] >= f.bound
+                break
+    elif isinstance(f, AtMost):
+        for rank, t in reversed(m._out[s]):
+            if _holds(m, t, f.operand, memo):
+                result = m.weights[rank] <= f.bound
+                break
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    memo[key] = result
+    return result
 
 
 def modal_depth(f: Formula) -> int:

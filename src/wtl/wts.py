@@ -11,9 +11,10 @@ stored as a `(rank, neighbour)` pair, where the rank is the weight's index
 in that table.  Within one model ranks order exactly as the weights do, so
 the engines compare ints: the partition refinements ask for a state's
 least and greatest rank toward every block of a partition at once
-(`Wts.bounds_by_block`, one scan of the state's out-edges), and the model
-checker's modalities walk backward over the in-edges of the target set
-(`Wts.ranked_in_edges`).  Ranks from two models do not compare; a caller
+(`Wts.bounds_by_block`, one scan of the state's out-edges), `sat_set`'s
+modalities walk backward over the in-edges of the target set
+(`Wts.ranked_in_edges`), and `model_check` walks forward over one state's
+out-edges in rank order.  Ranks from two models do not compare; a caller
 that builds a new model or a formula bound maps them back through
 `weights`.  The `(source, weight, target)` triples, `Wts.transitions`,
 are derived from the ranks on request.
@@ -264,8 +265,8 @@ class Wts:
         The second part maps each state `t` to a `(rank, source)` pair per
         transition `source -w-> t`, where `rank` is the index of `w` in
         `weights`, so `rank < i` exactly when `w < weights[i]`.  Built on
-        the first call and kept, as the hash is: a model that is never
-        model-checked never pays for it.
+        the first call and kept, as the hash is: a model whose sat sets are
+        never asked for never pays for it.
         """
         if self._in is None:
             into: dict[str, list] = {s: [] for s in self.states}
@@ -383,18 +384,37 @@ def serialize_wts(m: Wts) -> bytes:
 
     Transitions are sorted by source, weight and target; the out-edges are
     kept in rank order, which is weight order, and each distinct weight is
-    formatted once.
+    formatted once.  The bytes are those of `json.dumps(doc, indent=2)`
+    plus a newline, written directly: ids, propositions and weight texts
+    are ASCII identifiers and rationals, so nothing needs escaping, and
+    the standard encoder is pure Python once `indent` is set.
     """
     texts = [format_rational(w) for w in m.weights]
     states = sorted(m.states)
-    doc = {
-        "states": [{"id": s, "labels": sorted(m.labels[s])} for s in states],
-        "transitions": [
-            {"from": src, "weight": texts[r], "to": dst}
-            for src in states for r, dst in m._out[src]
-        ],
-    }
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    entries = [
+        f'    {{\n      "id": "{s}",\n      "labels": '
+        + _json_list([f'        "{p}"' for p in sorted(m.labels[s])], "      ")
+        + "\n    }"
+        for s in states
+    ]
+    edges = [
+        f'    {{\n      "from": "{src}",\n      "weight": "{texts[r]}",'
+        f'\n      "to": "{dst}"\n    }}'
+        for src in states for r, dst in m._out[src]
+    ]
+    text = (
+        '{\n  "states": ' + _json_list(entries, "  ")
+        + ',\n  "transitions": ' + _json_list(edges, "  ") + "\n}\n"
+    )
+    return text.encode("ascii")
+
+
+def _json_list(items: list[str], pad: str) -> str:
+    """A JSON list laid out as `json.dumps(..., indent=2)` does, from items
+    already laid out one level deeper than `pad`."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + pad + "]"
 
 
 def random_wts(

@@ -3,7 +3,7 @@ import random
 
 from wtl.axioms import SCHEMAS
 from wtl.cli import run
-from wtl import parse_wts, print_formula, random_formula, serialize_wts
+from wtl import Wts, parse_wts, print_formula, random_formula, serialize_wts
 
 from conftest import make_coarse_pair_model, make_vacuum_model
 
@@ -34,6 +34,13 @@ def test_mc_positive_answer(tmp_path):
                             "--formula", "M[2] charging"])
     assert code == 0
     assert body == {"holds": True}
+
+
+def test_mc_answers_a_formula_nested_400_deep(tmp_path):
+    path = write_model(tmp_path, Wts(["a"], {"a": ["p"]}, [("a", 0, "a")]))
+    code, body, err = invoke(["mc", "--model", path, "--state", "a",
+                              "--formula", "L[0] " * 400 + "p"])
+    assert (code, body, err) == (0, {"holds": True}, "")
 
 
 def test_sat_unsat_exit_codes(tmp_path):

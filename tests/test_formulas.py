@@ -1,4 +1,6 @@
 import pickle
+import signal
+import time
 from fractions import Fraction as F
 from math import inf
 
@@ -210,6 +212,114 @@ def test_complement_and_intersection_on_random_models():
         assert sat_set(m, And(phi, psi)) == sat_set(m, phi) & sat_set(m, psi)
         for s in m.states:
             assert model_check(m, s, phi) == (s in sat_set(m, phi))
+
+
+def test_local_model_check_agrees_with_sat_set_on_every_state():
+    weights = POOL + OFF_POOL
+    for seed in range(300):
+        m = random_wts(seed + 900, 6, 4, POOL, ["p", "q"])
+        f = random_formula(seed + 1900, ["p", "q"], 3, weights)
+        expected = sat_set(m, f)
+        for s in m.states:
+            assert model_check(m, s, f) == (s in expected), (seed, s, f)
+    for seed in range(2):
+        m = random_wts(seed + 2900, 1000, 4, weights, ["p", "q", "r"])
+        drawn = (random_formula(seed * 100 + k + 3900, ["p", "q", "r"], 3, weights)
+                 for k in range(60))
+        for f in [f for f in drawn if modal_depth(f) == 3][:4]:
+            expected = sat_set(m, f)
+            for s in m.states:
+                assert model_check(m, s, f) == (s in expected), (seed, s, f)
+
+
+def test_local_model_check_picks_the_extreme_edge_into_the_operand():
+    p = Atom("p")
+    # The least out-edge of a goes to b, which is no p-state.
+    cheap_miss = Wts(["a", "b", "c"], {"c": ["p"]}, [("a", 1, "b"), ("a", 3, "c")])
+    assert model_check(cheap_miss, "a", AtLeast(2, p))
+    assert not model_check(cheap_miss, "a", AtMost(2, p))
+    # The greatest out-edge of a goes to b, which is no p-state.
+    dear_miss = Wts(["a", "b", "c"], {"c": ["p"]}, [("a", 3, "b"), ("a", 1, "c")])
+    assert model_check(dear_miss, "a", AtMost(2, p))
+    assert not model_check(dear_miss, "a", AtLeast(2, p))
+    # Two p-edges: L reads the least, M the greatest.
+    spread = Wts(["a", "b", "c"], {"b": ["p"], "c": ["p"]},
+                 [("a", 1, "b"), ("a", 3, "c")])
+    assert not model_check(spread, "a", AtMost(2, p))
+    assert not model_check(spread, "a", AtLeast(2, p))
+    assert model_check(spread, "a", AtMost(3, p)) and model_check(spread, "a", AtLeast(1, p))
+    # One target reached at two weights.
+    twice = Wts(["a", "b"], {"b": ["p"]}, [("a", 1, "b"), ("a", 4, "b")])
+    assert model_check(twice, "a", AtLeast(1, p)) and not model_check(twice, "a", AtLeast(2, p))
+    assert model_check(twice, "a", AtMost(4, p)) and not model_check(twice, "a", AtMost(3, p))
+    # No out-edges: every modality is false, its negation true.
+    for f in (AtLeast(0, Top()), AtMost(100, Top()), AtLeast(0, p)):
+        assert not model_check(twice, "b", f) and model_check(twice, "b", Not(f))
+    # A self-loop is its own successor, at every level.
+    loop = Wts(["a"], {"a": ["p"]}, [("a", 2, "a")])
+    assert model_check(loop, "a", AtLeast(2, AtLeast(2, p)))
+    assert model_check(loop, "a", AtMost(2, AtLeast(2, p)))
+    assert not model_check(loop, "a", AtMost(1, p))
+    assert not model_check(loop, "a", AtLeast(3, AtMost(2, p)))
+
+
+def test_local_model_check_evaluates_each_shared_subformula_once_per_state():
+    m = Wts(["a", "b"], {"a": ["p"], "b": ["p"]},
+            [("a", 0, "a"), ("a", 1, "b"), ("b", 2, "a"), ("b", 3, "b")])
+    f = Atom("p")
+    for _ in range(40):
+        f = And(AtLeast(0, f), AtMost(3, f))  # a 2^40-node tree, 81 distinct nodes
+
+    def hang(signum, frame):
+        raise TimeoutError("model_check walked the tree, not the DAG")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        start = time.perf_counter()
+        assert model_check(m, "a", f) and model_check(m, "b", f)
+        assert time.perf_counter() - start < 1
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class _ReadLabels(dict):
+    """A state -> labels map that records the states whose labels were read."""
+
+    def __init__(self, labels):
+        super().__init__(labels)
+        self.read = set()
+
+    def __getitem__(self, s):
+        self.read.add(s)
+        return super().__getitem__(s)
+
+
+def test_local_model_check_stays_within_the_modal_depth_and_builds_no_index():
+    weights = POOL + OFF_POOL
+    m = random_wts(4900, 1000, 4, weights, ["p", "q", "r"])
+    drawn = (random_formula(k + 5900, ["p", "q", "r"], 3, weights) for k in range(200))
+    formulas = [f for f in drawn if modal_depth(f) > 0][:20]
+    labels = m.labels
+    for k, f in enumerate(formulas):
+        s = sorted(m.states)[k * 37]
+        near, frontier = {s}, {s}
+        for _ in range(modal_depth(f)):
+            frontier = {t for u in frontier for _, t in m._out[u]}
+            near |= frontier
+        m.labels = _ReadLabels(labels)
+        model_check(m, s, f)
+        assert m.labels.read <= near, f
+    assert m._in is None and m._holding is None
+
+
+def test_local_model_check_answers_deep_chains():
+    loop = Wts(["a"], {"a": ["p"]}, [("a", 0, "a")])
+    for depth in (400, 900):
+        f = parse_formula("L[0] " * depth + "p")
+        assert model_check(loop, "a", f)
+        assert not model_check(loop, "a", parse_formula("L[1] " * depth + "p"))
 
 
 def test_bound_pair_can_fail_both_ways():

@@ -1,3 +1,5 @@
+import json
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -165,6 +167,33 @@ def test_round_trip_random_models():
     for seed in range(100):
         m = random_wts(seed, 5, 3, POOL, ["p1", "p2", "p3"])
         assert parse_wts(serialize_wts(m)) == m
+
+
+def test_serialized_bytes_are_those_of_the_standard_encoder():
+    def encoded(m):
+        doc = {
+            "states": [{"id": s, "labels": sorted(m.labels[s])} for s in sorted(m.states)],
+            "transitions": [
+                {"from": src, "weight": format_rational(w), "to": dst}
+                for src, w, dst in sorted(m.transitions)
+            ],
+        }
+        return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+
+    weights = POOL + [F(7, 3), F(10), F(5, 2)]
+    for seed in range(300):
+        rng = random.Random(seed)
+        props = rng.choice([[], ["p"], ["p", "q", "r"]])
+        m = random_wts(seed, rng.randint(1, 12), rng.randint(0, 4), weights, props)
+        assert serialize_wts(m) == encoded(m), seed
+    fixed = [
+        Wts(["only"], {}, []),
+        Wts(["b", "a"], {"a": ["q", "p"]}, []),
+        Wts(["a", "b"], {}, [("a", "1/2", "b"), ("b", 3, "b")]),
+        Wts(["a", "b", "c"], {"c": ["z"]}, [("a", 1, "c"), ("a", 1, "b"), ("c", 0, "a")]),
+    ]
+    for m in fixed:
+        assert serialize_wts(m) == encoded(m), m
 
 
 def test_random_wts_deterministic():
