@@ -1,11 +1,20 @@
 """Executable soundness suite for the bound-logic proof system.
 
-Every schema of the system is instantiated with random formulas, indices
-and models, and checked to hold at all states.  Inference rules are
-checked as validity preservation on a single model: whenever the premise
-holds everywhere, the conclusion must too.  A deliberately unsound
-control schema is included; the suite is expected to find countermodels
-for it and none for the rest.
+Every schema of the system is checked against random formulas, indices
+and models, to hold at all states.  Inference rules are checked as
+validity preservation on a single model: whenever the premise holds
+everywhere, the conclusion must too.  A deliberately unsound control
+schema is included; the suite is expected to find countermodels for it
+and none for the rest.
+
+Each schema is written once, as a term over an `Algebra` of the core
+constructors.  Applied to `FORMULAS` it builds the instance formula
+(`instantiate`, `premise_of`); applied to `StateSets(m)`, with the sat
+sets of its formula slots, it computes the instance's sat set directly.
+The two agree because `sat_set` is the fold of a formula into that same
+set algebra.  So `run_suite` takes the sat sets of its two random
+formulas once per trial and builds an instance formula only to report a
+violation.
 """
 
 from __future__ import annotations
@@ -16,8 +25,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .formulas import (
-    And, AtLeast, AtMost, Bottom, Formula, Not,
-    iff, implies, lor, print_formula, random_formula, sat_set,
+    FORMULAS, Formula, StateSets, print_formula, random_formula, sat_set,
 )
 from .wts import Wts, as_weight, random_wts, serialize_wts
 
@@ -40,7 +48,11 @@ class SideConditionError(ValueError):
 class Schema:
     """One schema: how many formula/index slots it takes, its side
     condition, whether it is a rule (premise-guarded), and whether it is
-    expected to be sound."""
+    expected to be sound.
+
+    `conclusion` and `premise` are terms over an `Algebra`: each takes the
+    algebra, then the formula slots, then (the conclusion only) the index
+    slots."""
 
     name: str
     formula_slots: int
@@ -52,67 +64,74 @@ class Schema:
 
 
 _TABLE = [
-    Schema("A1", 0, 0, conclusion=lambda: Not(AtLeast(0, Bottom()))),
+    Schema("A1", 0, 0, conclusion=lambda A: A.Not(A.AtLeast(0, A.Bottom()))),
     Schema("A2", 1, 2, positive_q=True,
-           conclusion=lambda p, r, q: implies(AtLeast(r + q, p), AtLeast(r, p))),
+           conclusion=lambda A, p, r, q: A.implies(
+               A.AtLeast(r + q, p), A.AtLeast(r, p))),
     Schema("A2'", 1, 2, positive_q=True,
-           conclusion=lambda p, r, q: implies(AtMost(r, p), AtMost(r + q, p))),
+           conclusion=lambda A, p, r, q: A.implies(
+               A.AtMost(r, p), A.AtMost(r + q, p))),
     Schema("A3", 2, 2,
-           conclusion=lambda p, s, r, q: implies(
-               And(AtLeast(r, p), AtLeast(q, s)), AtLeast(min(r, q), lor(p, s)))),
+           conclusion=lambda A, p, s, r, q: A.implies(
+               A.And(A.AtLeast(r, p), A.AtLeast(q, s)),
+               A.AtLeast(min(r, q), A.lor(p, s)))),
     Schema("A3'", 2, 2,
-           conclusion=lambda p, s, r, q: implies(
-               And(AtMost(r, p), AtMost(q, s)), AtMost(max(r, q), lor(p, s)))),
+           conclusion=lambda A, p, s, r, q: A.implies(
+               A.And(A.AtMost(r, p), A.AtMost(q, s)),
+               A.AtMost(max(r, q), A.lor(p, s)))),
     Schema("A4", 2, 1,
-           conclusion=lambda p, s, r: implies(
-               AtLeast(r, lor(p, s)), lor(AtLeast(r, p), AtLeast(r, s)))),
+           conclusion=lambda A, p, s, r: A.implies(
+               A.AtLeast(r, A.lor(p, s)), A.lor(A.AtLeast(r, p), A.AtLeast(r, s)))),
     Schema("A5", 2, 1,
-           conclusion=lambda p, s, r: implies(
-               Not(AtLeast(0, s)), implies(AtLeast(r, p), AtLeast(r, lor(p, s))))),
+           conclusion=lambda A, p, s, r: A.implies(
+               A.Not(A.AtLeast(0, s)),
+               A.implies(A.AtLeast(r, p), A.AtLeast(r, A.lor(p, s))))),
     Schema("A5'", 2, 1,
-           conclusion=lambda p, s, r: implies(
-               Not(AtLeast(0, s)), implies(AtMost(r, p), AtMost(r, lor(p, s))))),
+           conclusion=lambda A, p, s, r: A.implies(
+               A.Not(A.AtLeast(0, s)),
+               A.implies(A.AtMost(r, p), A.AtMost(r, A.lor(p, s))))),
     Schema("A6", 1, 2, positive_q=True,
-           conclusion=lambda p, r, q: implies(AtLeast(r + q, p), Not(AtMost(r, p)))),
+           conclusion=lambda A, p, r, q: A.implies(
+               A.AtLeast(r + q, p), A.Not(A.AtMost(r, p)))),
     Schema("A7", 1, 1,
-           conclusion=lambda p, r: implies(AtMost(r, p), AtLeast(0, p))),
+           conclusion=lambda A, p, r: A.implies(A.AtMost(r, p), A.AtLeast(0, p))),
     Schema("T1", 2, 2,
-           conclusion=lambda p, s, r, q: implies(
-               And(And(AtLeast(r, p), AtLeast(q, s)), AtLeast(0, And(p, s))),
-               AtLeast(max(r, q), And(p, s)))),
+           conclusion=lambda A, p, s, r, q: A.implies(
+               A.And(A.And(A.AtLeast(r, p), A.AtLeast(q, s)), A.AtLeast(0, A.And(p, s))),
+               A.AtLeast(max(r, q), A.And(p, s)))),
     Schema("T1'", 2, 2,
-           conclusion=lambda p, s, r, q: implies(
-               And(And(AtMost(r, p), AtMost(q, s)), AtLeast(0, And(p, s))),
-               AtMost(min(r, q), And(p, s)))),
+           conclusion=lambda A, p, s, r, q: A.implies(
+               A.And(A.And(A.AtMost(r, p), A.AtMost(q, s)), A.AtLeast(0, A.And(p, s))),
+               A.AtMost(min(r, q), A.And(p, s)))),
     Schema("T2", 2, 1,
-           premise=lambda p, s: iff(p, s),
-           conclusion=lambda p, s, r: iff(AtLeast(r, p), AtLeast(r, s))),
+           premise=lambda A, p, s: A.iff(p, s),
+           conclusion=lambda A, p, s, r: A.iff(A.AtLeast(r, p), A.AtLeast(r, s))),
     Schema("T2'", 2, 1,
-           premise=lambda p, s: iff(p, s),
-           conclusion=lambda p, s, r: iff(AtMost(r, p), AtMost(r, s))),
-    Schema("T3", 0, 1, conclusion=lambda r: Not(AtLeast(r, Bottom()))),
+           premise=lambda A, p, s: A.iff(p, s),
+           conclusion=lambda A, p, s, r: A.iff(A.AtMost(r, p), A.AtMost(r, s))),
+    Schema("T3", 0, 1, conclusion=lambda A, r: A.Not(A.AtLeast(r, A.Bottom()))),
     Schema("T4", 1, 1,
-           premise=lambda p: implies(p, Bottom()),
-           conclusion=lambda p, r: Not(AtLeast(r, p))),
+           premise=lambda A, p: A.implies(p, A.Bottom()),
+           conclusion=lambda A, p, r: A.Not(A.AtLeast(r, p))),
     Schema("T5", 2, 1,
-           conclusion=lambda p, s, r: implies(
-               AtMost(r, lor(p, s)), lor(AtMost(r, p), AtMost(r, s)))),
+           conclusion=lambda A, p, s, r: A.implies(
+               A.AtMost(r, A.lor(p, s)), A.lor(A.AtMost(r, p), A.AtMost(r, s)))),
     Schema("R1", 2, 1,
-           premise=lambda p, s: implies(p, s),
-           conclusion=lambda p, s, r: implies(
-               And(AtLeast(r, s), AtLeast(0, p)), AtLeast(r, p))),
+           premise=lambda A, p, s: A.implies(p, s),
+           conclusion=lambda A, p, s, r: A.implies(
+               A.And(A.AtLeast(r, s), A.AtLeast(0, p)), A.AtLeast(r, p))),
     Schema("R1'", 2, 1,
-           premise=lambda p, s: implies(p, s),
-           conclusion=lambda p, s, r: implies(
-               And(AtMost(r, s), AtLeast(0, p)), AtMost(r, p))),
+           premise=lambda A, p, s: A.implies(p, s),
+           conclusion=lambda A, p, s, r: A.implies(
+               A.And(A.AtMost(r, s), A.AtLeast(0, p)), A.AtMost(r, p))),
     Schema("R2", 2, 0,
-           premise=lambda p, s: implies(p, s),
-           conclusion=lambda p, s: implies(AtLeast(0, p), AtLeast(0, s))),
+           premise=lambda A, p, s: A.implies(p, s),
+           conclusion=lambda A, p, s: A.implies(A.AtLeast(0, p), A.AtLeast(0, s))),
     # Negative control: bound modalities do not distribute over
     # conjunction without a reachability guard.
     Schema("neg-control", 2, 1, sound=False,
-           conclusion=lambda p, s, r: implies(
-               And(AtLeast(r, p), AtLeast(r, s)), AtLeast(r, And(p, s)))),
+           conclusion=lambda A, p, s, r: A.implies(
+               A.And(A.AtLeast(r, p), A.AtLeast(r, s)), A.AtLeast(r, A.And(p, s)))),
 ]
 
 SCHEMAS: dict[str, Schema] = {sch.name: sch for sch in _TABLE}
@@ -149,14 +168,15 @@ def instantiate(
     r=None,
     q=None,
 ) -> Formula:
-    """The schema's closed formula with slots substituted (core AST).
+    """The schema's closed formula with slots substituted (core AST): its
+    conclusion applied to the formula algebra `FORMULAS`.
 
     For rule schemas this is the conclusion; the guarding premise is
     available via premise_of.
     """
     if isinstance(schema, str):
         schema = SCHEMAS[schema]
-    return schema.conclusion(*_slot_args(schema, phi, psi, r, q))
+    return schema.conclusion(FORMULAS, *_slot_args(schema, phi, psi, r, q))
 
 
 def premise_of(
@@ -174,7 +194,7 @@ def premise_of(
         args.append(phi)
     if schema.formula_slots >= 2:
         args.append(psi)
-    return schema.premise(*args)
+    return schema.premise(FORMULAS, *args)
 
 
 def holds_everywhere(m: Wts, f: Formula, _cache: Optional[dict] = None) -> bool:
@@ -240,15 +260,24 @@ def run_suite(
     """Check every schema against `trials` random (model, instance) draws.
 
     Deterministic in `seed`.  Each trial draws one model and one pair of
-    formulas of modal depth at most two, instantiates every schema with
-    them, and records any state where the instance fails, with full
-    reproduction data.
+    formulas of modal depth at most two, takes their sat sets once, and
+    applies every schema to the model's set algebra with them.  Where an
+    instance fails, the first failure of each schema is recorded with the
+    instance formula and full reproduction data.  Unknown schema names, or
+    an index pool with no positive weight (the q > 0 schemas draw from
+    it), are a `ValueError` before any draw.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if schemas:
+        unknown = [n for n in schemas if n not in SCHEMAS]
+        if unknown:
+            raise ValueError(f"unknown schema(s) {unknown!r}")
     selected = [SCHEMAS[n] for n in schemas] if schemas else list(SCHEMAS.values())
     pool = sorted(as_weight(w) for w in index_pool)
     positive_pool = [w for w in pool if w > 0]
+    if not positive_pool:
+        raise ValueError("index pool needs a positive weight for the q > 0 schemas")
     rng = random.Random(seed)
     report = SuiteReport(seed=seed, trials=trials)
     for sch in selected:
@@ -266,25 +295,27 @@ def run_suite(
         q = pool[rng.randrange(len(pool))]
         q_pos = positive_pool[rng.randrange(len(positive_pool))]
         cache: dict = {}
+        sets = StateSets(model)
+        phi_set, psi_set = sat_set(model, phi, cache), sat_set(model, psi, cache)
         for sch in selected:
             rep = report.schemas[sch.name]
             q_used = q_pos if sch.positive_q else q
-            instance = instantiate(sch, phi, psi, r, q_used)
-            premise = premise_of(sch, phi, psi)
-            if premise is not None:
-                if not holds_everywhere(model, premise, cache):
+            args = _slot_args(sch, phi_set, psi_set, r, q_used)
+            if sch.premise is not None:
+                if sch.premise(sets, *args[:sch.formula_slots]) != model.states:
                     continue
                 rep.applicable += 1
             rep.checked += 1
-            if not holds_everywhere(model, instance, cache):
+            holding = sch.conclusion(sets, *args)
+            if holding != model.states:
                 rep.violations += 1
                 if rep.first_violation is None:
-                    bad = sorted(model.states - sat_set(model, instance, cache))
+                    instance = instantiate(sch, phi, psi, r, q_used)
                     rep.first_violation = {
                         "trial": trial,
                         "trial_seed": trial_seed,
                         "instance": print_formula(instance),
-                        "failing_states": bad,
+                        "failing_states": sorted(model.states - holding),
                         "model": serialize_wts(model).decode("utf-8"),
                     }
     return report

@@ -214,12 +214,35 @@ class _Separator:
         self._memo: dict = {}
 
     def separate(self, u: str, v: str) -> Formula:
-        hit = self._memo.get((u, v))
-        if hit is None:
-            hit = self._memo[u, v] = self._build(u, v)
-        return hit
+        """The separator of (u, v), built bottom-up from an explicit work
+        stack: a pair is built once the separators its probe conjoins are,
+        so a chain of n refinement rounds costs no Python recursion."""
+        memo, plans = self._memo, {}
+        stack = [(u, v)]
+        while stack:
+            pair = stack[-1]
+            if pair in memo:
+                stack.pop()
+                continue
+            plan = plans.get(pair)
+            if plan is None:
+                plan = plans[pair] = self._plan(*pair)
+            if isinstance(plan, Formula):
+                memo[pair] = plan
+                continue
+            modality, q, negate, operands = plan
+            missing = [c for c in operands if c not in memo]
+            if missing:
+                stack.extend(missing)
+                continue
+            f = modality(q, conjoin(memo[c] for c in operands))
+            memo[pair] = Not(f) if negate else f
+        return memo[u, v]
 
-    def _build(self, u: str, v: str) -> Formula:
+    def _plan(self, u: str, v: str):
+        """The label literal separating u and v, or their probe: the
+        modality, its bound, whether the probe holds at v rather than u, and
+        the state pairs whose separators its operand conjoins."""
         m = self.m
         weights = m.weights
         k = next(k for k, p in enumerate(self.history) if not p.same_block(u, v))
@@ -253,9 +276,8 @@ class _Separator:
                 spoilers = [j for j, (_, hi) in bounds[holder].items()
                             if weights[hi] > q]
             b = min(previous.blocks[i])
-            f = modality(q, conjoin(self.separate(b, min(previous.blocks[j]))
-                                    for j in sorted(spoilers)))
-            return f if holder == u else Not(f)
+            operands = [(b, min(previous.blocks[j])) for j in sorted(spoilers)]
+            return modality, q, holder != u, operands
         raise AssertionError("separated states must differ toward some block")
 
 

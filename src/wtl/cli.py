@@ -15,7 +15,7 @@ import warnings
 from typing import Optional
 
 from . import __version__
-from .axioms import SCHEMAS, run_suite
+from .axioms import run_suite
 from .bisimulation import (
     are_bisimilar, distinguishing_formula, generalized_bisimilarity,
     quotient_model, weighted_bisimilarity,
@@ -234,10 +234,6 @@ def _dispatch(args, stdin: bytes, emit) -> tuple[int, str]:
         return EXIT_YES, emit(body)
 
     if args.command == "axioms":
-        if args.schema:
-            unknown = [n for n in args.schema if n not in SCHEMAS]
-            if unknown:
-                raise _UsageError(f"unknown schema(s) {unknown!r}")
         report = run_suite(args.seed, args.trials, schemas=args.schema)
         code = EXIT_YES if report.unexpected_violations == 0 else EXIT_NO
         return code, emit(report.as_dict())

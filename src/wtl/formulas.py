@@ -7,12 +7,19 @@ holds at a state when the cheapest transition into the states satisfying
 transition costs at most `r`.  Surface forms (`|`, `->`, `<->`, `<>`, `[]`)
 are desugared by the parser; every engine consumes core AST only.
 
-Two evaluators share these semantics.  `sat_set` is global: it computes
-the states satisfying each subformula bottom-up, a whole set at a time,
-and evaluates a modality backward over the in-edges of the operand's
-states.  `model_check` is local: it walks forward from its one state over
-the out-edges and looks only at the states within the formula's modal
-depth of it.
+The constructors are also the operations of an `Algebra` (tagless
+style), with the derived connectives desugared once in the base class.
+Its two carriers are the formulas themselves (`FORMULAS`) and the sets of
+a model's states (`StateSets(m)`), which is the one definition of the set
+semantics: the sat set of each constructor from the sat sets of its
+operands, a modality evaluated backward over the in-edges of its
+operand's states.
+
+Two evaluators share these semantics.  `sat_set` is global: it folds a
+formula into `StateSets(m)`, bottom-up, a whole set at a time.
+`model_check` is local: it walks forward from its one state over the
+out-edges and looks only at the states within the formula's modal depth
+of it.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ __all__ = [
     "Formula", "Atom", "Top", "Bottom", "Not", "And", "AtLeast", "AtMost",
     "lor", "implies", "iff", "diamond", "box", "conjoin",
     "FormulaError", "parse_formula", "print_formula",
+    "Algebra", "FORMULAS", "StateSets",
     "sat_set", "model_check", "modal_depth", "random_formula",
 ]
 
@@ -124,18 +132,44 @@ class AtMost(Formula):
         object.__setattr__(self, "bound", as_weight(self.bound))
 
 
+class Algebra:
+    """The core constructors as operations on some carrier, in the tagless
+    style of Carette, Kiselyov & Shan (JFP 2009).
+
+    A subclass gives `Atom(name)`, `Top()`, `Bottom()`, `Not(a)`,
+    `And(a, b)`, `AtLeast(r, a)` and `AtMost(r, a)`.  The derived
+    connectives are desugared here, once, into `Not` and `And`, so a term
+    written against an algebra, such as an axiom schema, means the same in
+    every carrier: in `FORMULAS` it builds the core formula, and in
+    `StateSets(m)` it computes that formula's sat set in `m`.
+    """
+
+    __slots__ = ()
+
+    def lor(self, a, b):
+        return self.Not(self.And(self.Not(a), self.Not(b)))
+
+    def implies(self, a, b):
+        return self.Not(self.And(a, self.Not(b)))
+
+    def iff(self, a, b):
+        return self.And(self.implies(a, b), self.implies(b, a))
+
+
+class _Syntax(Algebra):
+    """The formula algebra: each operation is the core constructor."""
+
+    __slots__ = ()
+    Atom, Top, Bottom, Not, And, AtLeast, AtMost = (
+        Atom, Top, Bottom, Not, And, AtLeast, AtMost)
+
+
+FORMULAS = _Syntax()
+
 # Derived connectives, desugared to core on construction.
-
-def lor(a: Formula, b: Formula) -> Formula:
-    return Not(And(Not(a), Not(b)))
-
-
-def implies(a: Formula, b: Formula) -> Formula:
-    return Not(And(a, Not(b)))
-
-
-def iff(a: Formula, b: Formula) -> Formula:
-    return And(implies(a, b), implies(b, a))
+lor = FORMULAS.lor
+implies = FORMULAS.implies
+iff = FORMULAS.iff
 
 
 def diamond(f: Formula) -> Formula:
@@ -318,46 +352,44 @@ def print_formula(f: Formula) -> str:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def sat_set(m: Wts, f: Formula, _cache: Optional[dict] = None) -> frozenset[str]:
-    """States of `m` satisfying `f`, computed bottom-up, a set at a time.
+class StateSets(Algebra):
+    """The set algebra of the model `m`: each core constructor as an
+    operation on sets of `m`'s states, the sets where its formulas hold.
 
-    Each modality is evaluated backward, over the in-edges of its
-    operand's states (`Wts.ranked_in_edges`), so the whole model is
-    evaluated; to ask about one state, `model_check` is local.  Atoms
-    absent from the model's labels are false everywhere.  A shared cache
-    dict may be passed to reuse work across related formulas.
+    This is the one definition of the bound logic's set semantics.
+    `sat_set` folds a formula into it, and the soundness suite applies its
+    schemas to it directly.  A modality is evaluated backward, over the
+    in-edges of its operand's states (`Wts.ranked_in_edges`), and its
+    bound `r` is a weight, as a formula's bound is.
     """
-    if _cache is None:
-        _cache = {}
-    return _eval(m, f, _cache)
 
+    __slots__ = ("m",)
 
-def _eval(m: Wts, f: Formula, cache: dict) -> frozenset[str]:
-    hit = cache.get(f)
-    if hit is not None:
-        return hit
-    if isinstance(f, Atom):
-        result = m.states_labelled(f.name)
-    elif isinstance(f, Top):
-        result = m.states
-    elif isinstance(f, Bottom):
-        result = frozenset()
-    elif isinstance(f, Not):
-        result = m.states - _eval(m, f.operand, cache)
-    elif isinstance(f, And):
-        result = _eval(m, f.left, cache) & _eval(m, f.right, cache)
-    elif isinstance(f, AtLeast):
-        weights, into = m.ranked_in_edges()
-        result = _reaching_within(into, _eval(m, f.operand, cache),
-                                  bisect_left(weights, f.bound), len(weights))
-    elif isinstance(f, AtMost):
-        weights, into = m.ranked_in_edges()
-        result = _reaching_within(into, _eval(m, f.operand, cache),
-                                  0, bisect_right(weights, f.bound))
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    cache[f] = result
-    return result
+    def __init__(self, m: Wts):
+        self.m = m
+
+    def Atom(self, name: str) -> frozenset[str]:
+        return self.m.states_labelled(name)
+
+    def Top(self) -> frozenset[str]:
+        return self.m.states
+
+    def Bottom(self) -> frozenset[str]:
+        return frozenset()
+
+    def Not(self, a: frozenset[str]) -> frozenset[str]:
+        return self.m.states - a
+
+    def And(self, a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
+        return a & b
+
+    def AtLeast(self, r: Fraction, a: frozenset[str]) -> frozenset[str]:
+        weights, into = self.m.ranked_in_edges()
+        return _reaching_within(into, a, bisect_left(weights, r), len(weights))
+
+    def AtMost(self, r: Fraction, a: frozenset[str]) -> frozenset[str]:
+        weights, into = self.m.ranked_in_edges()
+        return _reaching_within(into, a, 0, bisect_right(weights, r))
 
 
 def _reaching_within(into, targets: frozenset[str], lo: int, hi: int) -> frozenset[str]:
@@ -375,6 +407,44 @@ def _reaching_within(into, targets: frozenset[str], lo: int, hi: int) -> frozens
             if not lo <= rank < hi:
                 spoilt.add(src)
     return frozenset(reach - spoilt)
+
+
+def sat_set(m: Wts, f: Formula, _cache: Optional[dict] = None) -> frozenset[str]:
+    """States of `m` satisfying `f`, computed bottom-up, a set at a time.
+
+    The fold of `f` into `StateSets(m)`, so the whole model is evaluated;
+    to ask about one state, `model_check` is local.  Atoms absent from the
+    model's labels are false everywhere.  A shared cache dict may be
+    passed to reuse work across related formulas.
+    """
+    if _cache is None:
+        _cache = {}
+    return _eval(StateSets(m), f, _cache)
+
+
+def _eval(sets: StateSets, f: Formula, cache: dict) -> frozenset[str]:
+    """The fold of `f` into `sets`, memoized per subformula in `cache`."""
+    hit = cache.get(f)
+    if hit is not None:
+        return hit
+    if isinstance(f, Atom):
+        result = sets.Atom(f.name)
+    elif isinstance(f, Top):
+        result = sets.Top()
+    elif isinstance(f, Bottom):
+        result = sets.Bottom()
+    elif isinstance(f, Not):
+        result = sets.Not(_eval(sets, f.operand, cache))
+    elif isinstance(f, And):
+        result = sets.And(_eval(sets, f.left, cache), _eval(sets, f.right, cache))
+    elif isinstance(f, AtLeast):
+        result = sets.AtLeast(f.bound, _eval(sets, f.operand, cache))
+    elif isinstance(f, AtMost):
+        result = sets.AtMost(f.bound, _eval(sets, f.operand, cache))
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    cache[f] = result
+    return result
 
 
 def model_check(m: Wts, s: str, f: Formula) -> bool:

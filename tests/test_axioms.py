@@ -1,11 +1,15 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from wtl import (
-    And, AtLeast, AtMost, Atom, Bottom, Not, SCHEMAS, SideConditionError, Wts,
-    holds_everywhere, implies, instantiate, lor, premise_of, run_suite,
+    And, AtLeast, AtMost, Atom, Bottom, DEFAULT_INDEX_POOL, Not, SCHEMAS,
+    SchemaReport, SideConditionError, SuiteReport, Wts, holds_everywhere,
+    implies, instantiate, lor, premise_of, print_formula, random_formula,
+    random_wts, run_suite, sat_set, serialize_wts,
 )
+from wtl.formulas import StateSets
 
 P, Q = Atom("p"), Atom("q")
 
@@ -101,3 +105,102 @@ def test_broken_scheme_has_explicit_countermodel():
     assert not holds_everywhere(m, bad)
     guarded = instantiate("T1", P, Q, r=F(2), q=F(2))
     assert holds_everywhere(m, guarded)
+
+
+# Model weights, and bounds that mostly fall between them or beyond them.
+_MODEL_WEIGHTS = (F(1, 2), F(1), F(3))
+_BOUNDS = (F(0), F(1, 3), F(1, 2), F(1), F(2), F(5, 2), F(3), F(4))
+
+
+def test_schemas_give_the_sat_sets_of_their_instances():
+    # Each schema applied to the set algebra, with the sat sets of its
+    # formula slots, must give the sat set of the formula `instantiate`
+    # builds, and its premise that of `premise_of`.  The schemas' own
+    # bounds (r + q, min, max, 0) are mostly absent from the weight table.
+    rng = random.Random(4242)
+    verdicts = {"conclusion": set(), "premise": set()}
+    for i in range(200):
+        m = random_wts(8100 + i, 5, 3, _MODEL_WEIGHTS, ["p1", "p2"])
+        phi = random_formula(9100 + i, ["p1", "p2"], 2, _BOUNDS)
+        psi = random_formula(9600 + i, ["p1", "p2"], 2, _BOUNDS)
+        sets = StateSets(m)
+        slots = [sat_set(m, phi), sat_set(m, psi)]
+        for sch in SCHEMAS.values():
+            r = rng.choice(_BOUNDS)
+            q = rng.choice(_BOUNDS[1:] if sch.positive_q else _BOUNDS)
+            formula_slots = slots[:sch.formula_slots]
+            holding = sch.conclusion(sets, *formula_slots, *[r, q][:sch.index_slots])
+            instance = instantiate(sch, phi, psi, r, q)
+            assert holding == sat_set(m, instance), (i, sch.name)
+            verdict = holding == m.states
+            assert verdict == holds_everywhere(m, instance), (i, sch.name)
+            verdicts["conclusion"].add(verdict)
+            if sch.premise is not None:
+                holding = sch.premise(sets, *formula_slots)
+                premise = premise_of(sch, phi, psi)
+                assert holding == sat_set(m, premise), (i, sch.name)
+                verdict = holding == m.states
+                assert verdict == holds_everywhere(m, premise), (i, sch.name)
+                verdicts["premise"].add(verdict)
+    assert verdicts == {"conclusion": {True, False}, "premise": {True, False}}
+
+
+def _reference_suite(seed, trials, schemas=None):
+    """`run_suite`'s draws, with every instance and premise built as a
+    formula and checked by `holds_everywhere`."""
+    atoms = ("p1", "p2", "p3")
+    selected = [SCHEMAS[n] for n in schemas] if schemas else list(SCHEMAS.values())
+    pool = sorted(DEFAULT_INDEX_POOL)
+    positive_pool = [w for w in pool if w > 0]
+    rng = random.Random(seed)
+    report = SuiteReport(seed=seed, trials=trials)
+    for sch in selected:
+        report.schemas[sch.name] = SchemaReport(name=sch.name, sound=sch.sound)
+    for trial in range(trials):
+        trial_seed = rng.getrandbits(32)
+        model = random_wts(trial_seed, 4, 3, pool, atoms)
+        phi = random_formula(trial_seed + 1, atoms, 2, pool)
+        psi = random_formula(trial_seed + 2, atoms, 2, pool)
+        r = pool[rng.randrange(len(pool))]
+        q = pool[rng.randrange(len(pool))]
+        q_pos = positive_pool[rng.randrange(len(positive_pool))]
+        for sch in selected:
+            rep = report.schemas[sch.name]
+            q_used = q_pos if sch.positive_q else q
+            instance = instantiate(sch, phi, psi, r, q_used)
+            premise = premise_of(sch, phi, psi)
+            if premise is not None:
+                if not holds_everywhere(model, premise):
+                    continue
+                rep.applicable += 1
+            rep.checked += 1
+            if not holds_everywhere(model, instance):
+                rep.violations += 1
+                if rep.first_violation is None:
+                    rep.first_violation = {
+                        "trial": trial,
+                        "trial_seed": trial_seed,
+                        "instance": print_formula(instance),
+                        "failing_states": sorted(model.states - sat_set(model, instance)),
+                        "model": serialize_wts(model).decode("utf-8"),
+                    }
+    return report
+
+
+@pytest.mark.parametrize("seed, schemas", [
+    (3, None), (11, None), (32, None),
+    (5, ["neg-control", "T2", "T4", "A6", "A3'"]),
+])
+def test_suite_report_equals_the_one_built_from_instance_formulas(seed, schemas):
+    expected = _reference_suite(seed, 80, schemas).as_dict()
+    assert run_suite(seed, 80, schemas).as_dict() == expected
+    control = next(e for e in expected["schemas"] if e["schema"] == "neg-control")
+    assert "first_violation" in control
+
+
+def test_suite_rejects_unknown_schemas_and_pools_without_a_positive_index():
+    with pytest.raises(ValueError, match=r"unknown schema\(s\) \['nope', 'zz'\]"):
+        run_suite(1, 5, schemas=["nope", "A1", "zz"])
+    for pool in ([0], [], [F(0), 0]):
+        with pytest.raises(ValueError, match="positive"):
+            run_suite(1, 5, index_pool=pool)

@@ -3,7 +3,10 @@ import random
 
 from wtl.axioms import SCHEMAS
 from wtl.cli import run
-from wtl import Wts, parse_wts, print_formula, random_formula, serialize_wts
+from wtl import (
+    Wts, modal_depth, model_check, parse_formula, parse_wts, print_formula,
+    random_formula, serialize_wts,
+)
 
 from conftest import make_coarse_pair_model, make_vacuum_model
 
@@ -41,6 +44,21 @@ def test_mc_answers_a_formula_nested_400_deep(tmp_path):
     code, body, err = invoke(["mc", "--model", path, "--state", "a",
                               "--formula", "L[0] " * 400 + "p"])
     assert (code, body, err) == (0, {"holds": True}, "")
+
+
+def test_distinguish_answers_a_400_state_chain(tmp_path):
+    # One refinement round per state: the separator is 398 modalities deep.
+    states = [f"c{i}" for i in range(400)]
+    chain = Wts(states, {states[-1]: ["p"]},
+                [(states[i], 1, states[i + 1]) for i in range(399)])
+    path = write_model(tmp_path, chain)
+    code, body, err = invoke(["distinguish", "--model", path,
+                              "--state", "c0", "--state", "c1"])
+    assert (code, err) == (0, "")
+    assert body["distinguishable"] is True
+    formula = parse_formula(body["formula"])
+    assert modal_depth(formula) == 398
+    assert model_check(chain, "c0", formula) != model_check(chain, "c1", formula)
 
 
 def test_sat_unsat_exit_codes(tmp_path):
@@ -138,6 +156,10 @@ def test_axioms_command():
     assert code == 0
     assert {entry["schema"] for entry in body["schemas"]} == {"A6", "A7"}
     assert body["unexpected_violations"] == 0
+    code, out, err = run(["axioms", "--seed", "5", "--trials", "40",
+                          "--schema", "nope", "--schema", "A6"])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "unknown schema(s) ['nope']"}
 
 
 def test_fmt_formula_idempotent():
