@@ -15,6 +15,14 @@ The two agree because `sat_set` is the fold of a formula into that same
 set algebra.  So `run_suite` takes the sat sets of its two random
 formulas once per trial and builds an instance formula only to report a
 violation.
+
+The suite compares ints, not `Fraction`s.  It scales its sorted index
+pool once by the lcm of the pool's denominators.  The bounds a schema
+computes from its indices (`r + q`, `min`, `max`, `0`) are then ints, and
+each trial's model gets a `StateSets` whose key table is its weights in
+the same scale.  The pool and the atoms are normalized once per suite,
+and every draw goes to the private drawers behind `random_wts` and
+`random_formula`, so the draws are those of the public functions.
 """
 
 from __future__ import annotations
@@ -22,12 +30,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional
 
 from .formulas import (
-    FORMULAS, Formula, StateSets, print_formula, random_formula, sat_set,
+    FORMULAS, Formula, StateSets, _draw_formula, print_formula, sat_set,
 )
-from .wts import Wts, as_weight, random_wts, serialize_wts
+from .wts import Wts, _draw_wts, as_weight, serialize_wts
 
 __all__ = [
     "Schema", "SCHEMAS", "SideConditionError", "instantiate", "premise_of",
@@ -263,9 +272,18 @@ def run_suite(
     formulas of modal depth at most two, takes their sat sets once, and
     applies every schema to the model's set algebra with them.  Where an
     instance fails, the first failure of each schema is recorded with the
-    instance formula and full reproduction data.  Unknown schema names, or
-    an index pool with no positive weight (the q > 0 schemas draw from
-    it), are a `ValueError` before any draw.
+    instance formula and full reproduction data.  A schema named twice is
+    checked once.  Unknown schema names, or an index pool with no positive
+    weight (the q > 0 schemas draw from it), are a `ValueError` before any
+    draw.
+
+    The schemas run on ints.  The sorted pool is scaled once by the lcm of
+    its denominators, so each index is an int key and `r + q`, `min`,
+    `max` and `0` are exact int arithmetic; each model's weights, all
+    drawn from the pool, become keys in the same scale, which is the key
+    table of its `StateSets`.  Scaling by a positive number keeps every
+    comparison of a bound with a weight, so the sets are those of the
+    instance formulas.  The `Fraction` indices build the violation report.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -273,11 +291,19 @@ def run_suite(
         unknown = [n for n in schemas if n not in SCHEMAS]
         if unknown:
             raise ValueError(f"unknown schema(s) {unknown!r}")
-    selected = [SCHEMAS[n] for n in schemas] if schemas else list(SCHEMAS.values())
+    names = dict.fromkeys(schemas) if schemas else SCHEMAS
+    selected = [SCHEMAS[n] for n in names]
     pool = sorted(as_weight(w) for w in index_pool)
-    positive_pool = [w for w in pool if w > 0]
-    if not positive_pool:
+    positive = [i for i, w in enumerate(pool) if w > 0]
+    if not positive:
         raise ValueError("index pool needs a positive weight for the q > 0 schemas")
+    scale = lcm(*(w.denominator for w in pool))
+
+    def key(w: Fraction) -> int:
+        return w.numerator * (scale // w.denominator)
+
+    keys = [key(w) for w in pool]
+    atoms = sorted(_SUITE_ATOMS)
     rng = random.Random(seed)
     report = SuiteReport(seed=seed, trials=trials)
     for sch in selected:
@@ -285,32 +311,31 @@ def run_suite(
 
     for trial in range(trials):
         trial_seed = rng.getrandbits(32)
-        model = random_wts(
-            trial_seed, max_states=4, max_out_degree=3,
-            weight_pool=pool, prop_pool=_SUITE_ATOMS,
-        )
-        phi = random_formula(trial_seed + 1, _SUITE_ATOMS, 2, pool)
-        psi = random_formula(trial_seed + 2, _SUITE_ATOMS, 2, pool)
-        r = pool[rng.randrange(len(pool))]
-        q = pool[rng.randrange(len(pool))]
-        q_pos = positive_pool[rng.randrange(len(positive_pool))]
+        model = _draw_wts(trial_seed, 4, 3, pool, atoms)
+        phi = _draw_formula(trial_seed + 1, atoms, 2, pool)
+        psi = _draw_formula(trial_seed + 2, atoms, 2, pool)
+        # Positions in the pool: `keys[i]` for the sets, `pool[i]` to report.
+        ri = rng.randrange(len(pool))
+        qi = rng.randrange(len(pool))
+        qi_pos = positive[rng.randrange(len(positive))]
         cache: dict = {}
-        sets = StateSets(model)
-        phi_set, psi_set = sat_set(model, phi, cache), sat_set(model, psi, cache)
+        slots = (sat_set(model, phi, cache), sat_set(model, psi, cache))
+        sets = StateSets(model, _keys=tuple(key(w) for w in model.weights))
         for sch in selected:
             rep = report.schemas[sch.name]
-            q_used = q_pos if sch.positive_q else q
-            args = _slot_args(sch, phi_set, psi_set, r, q_used)
+            qi_used = qi_pos if sch.positive_q else qi
+            formula_args = slots[:sch.formula_slots]
             if sch.premise is not None:
-                if sch.premise(sets, *args[:sch.formula_slots]) != model.states:
+                if sch.premise(sets, *formula_args) != model.states:
                     continue
                 rep.applicable += 1
             rep.checked += 1
-            holding = sch.conclusion(sets, *args)
+            holding = sch.conclusion(
+                sets, *formula_args, *(keys[ri], keys[qi_used])[:sch.index_slots])
             if holding != model.states:
                 rep.violations += 1
                 if rep.first_violation is None:
-                    instance = instantiate(sch, phi, psi, r, q_used)
+                    instance = instantiate(sch, phi, psi, pool[ri], pool[qi_used])
                     rep.first_violation = {
                         "trial": trial,
                         "trial_seed": trial_seed,

@@ -359,14 +359,20 @@ class StateSets(Algebra):
     This is the one definition of the bound logic's set semantics.
     `sat_set` folds a formula into it, and the soundness suite applies its
     schemas to it directly.  A modality is evaluated backward, over the
-    in-edges of its operand's states (`Wts.ranked_in_edges`), and its
-    bound `r` is a weight, as a formula's bound is.
+    in-edges of its operand's states (`Wts.ranked_in_edges`), with one
+    `bisect` of its bound `r` over a table of keys for `m.weights`.  By
+    default that table is `m.weights` itself, so `r` is a weight, as a
+    formula's bound is.  `_keys` may give any other ascending table that
+    orders as `m.weights` does, one key per weight; `r` is then a key in
+    that table's scale.  The soundness suite passes the weights times the
+    lcm of its index pool's denominators, so its bounds are ints.
     """
 
-    __slots__ = ("m",)
+    __slots__ = ("m", "_keys")
 
-    def __init__(self, m: Wts):
+    def __init__(self, m: Wts, _keys: Optional[tuple] = None):
         self.m = m
+        self._keys = m.weights if _keys is None else _keys
 
     def Atom(self, name: str) -> frozenset[str]:
         return self.m.states_labelled(name)
@@ -383,13 +389,14 @@ class StateSets(Algebra):
     def And(self, a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
         return a & b
 
-    def AtLeast(self, r: Fraction, a: frozenset[str]) -> frozenset[str]:
-        weights, into = self.m.ranked_in_edges()
-        return _reaching_within(into, a, bisect_left(weights, r), len(weights))
+    def AtLeast(self, r, a: frozenset[str]) -> frozenset[str]:
+        keys = self._keys
+        into = self.m.ranked_in_edges()[1]
+        return _reaching_within(into, a, bisect_left(keys, r), len(keys))
 
-    def AtMost(self, r: Fraction, a: frozenset[str]) -> frozenset[str]:
-        weights, into = self.m.ranked_in_edges()
-        return _reaching_within(into, a, 0, bisect_right(weights, r))
+    def AtMost(self, r, a: frozenset[str]) -> frozenset[str]:
+        into = self.m.ranked_in_edges()[1]
+        return _reaching_within(into, a, 0, bisect_right(self._keys, r))
 
 
 def _reaching_within(into, targets: frozenset[str], lo: int, hi: int) -> frozenset[str]:
@@ -397,8 +404,8 @@ def _reaching_within(into, targets: frozenset[str], lo: int, hi: int) -> frozens
     has a weight rank in [lo, hi), from one pass over the targets' in-edges.
 
     `into` is `Wts.ranked_in_edges()[1]`.  For `L[r]` the ranks below
-    `bisect_left(weights, r)` are the weights under r; for `M[r]` those
-    from `bisect_right(weights, r)` on are the weights over r.
+    `bisect_left(keys, r)` are the weights under r; for `M[r]` those from
+    `bisect_right(keys, r)` on are the weights over r (`StateSets`).
     """
     reach, spoilt = set(), set()
     for t in targets:
@@ -413,7 +420,9 @@ def sat_set(m: Wts, f: Formula, _cache: Optional[dict] = None) -> frozenset[str]
     """States of `m` satisfying `f`, computed bottom-up, a set at a time.
 
     The fold of `f` into `StateSets(m)`, so the whole model is evaluated;
-    to ask about one state, `model_check` is local.  Atoms absent from the
+    to ask about one state, `model_check` is local.  That algebra's key
+    table is the default one, `m.weights`, so each modality's bound is
+    compared with the weights as it is.  Atoms absent from the
     model's labels are false everywhere.  A shared cache dict may be
     passed to reuse work across related formulas.
     """
@@ -520,9 +529,15 @@ def random_formula(
     index_pool: Iterable,
 ) -> Formula:
     """Seed-deterministic random core formula with modal depth <= max_md."""
+    return _draw_formula(
+        seed, sorted(atoms), max_md, sorted(as_weight(w) for w in index_pool))
+
+
+def _draw_formula(seed: int, names: list[str], max_md: int, pool: list) -> Formula:
+    """`random_formula`'s draw, from atom names and bounds already sorted
+    (and the bounds coerced), so a caller that draws many formulas from
+    one pool normalizes it once."""
     rng = random.Random(seed)
-    names = sorted(atoms)
-    pool = sorted(as_weight(w) for w in index_pool)
     return _grow(rng, names, max_md, pool, budget=rng.randint(3, 10))
 
 

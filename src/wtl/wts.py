@@ -153,6 +153,8 @@ class Wts:
         labels: Mapping[str, Iterable[str]],
         transitions: Iterable[tuple],
     ):
+        if isinstance(states, str):
+            raise ModelError(f"states must be a collection of ids, got {states!r}")
         state_set = frozenset(states)
         if not state_set:
             raise ModelError("a model needs at least one state")
@@ -164,6 +166,8 @@ class Wts:
         label_map = {}
         for s in state_set:
             props = labels.get(s, ())
+            if isinstance(props, str):
+                raise ModelError(f"labels of {s!r} must be a collection, got {props!r}")
             for p in props:
                 _check_ident(p, "proposition")
             label_map[s] = frozenset(props)
@@ -427,9 +431,19 @@ def random_wts(
     """Seed-deterministic random model for property tests."""
     if max_states < 1:
         raise ValueError("max_states must be at least 1")
+    return _draw_wts(
+        seed, max_states, max_out_degree,
+        sorted(as_weight(w) for w in weight_pool), sorted(prop_pool),
+    )
+
+
+def _draw_wts(
+    seed: int, max_states: int, max_out_degree: int, weights: list, props: list,
+) -> Wts:
+    """`random_wts`'s draw, from weights and propositions already sorted
+    (and the weights coerced), so a caller that draws many models from one
+    pool normalizes it once."""
     rng = random.Random(seed)
-    weights = sorted(as_weight(w) for w in weight_pool)
-    props = sorted(prop_pool)
     n = rng.randint(1, max_states)
     states = [f"s{i}" for i in range(1, n + 1)]
     labels = {

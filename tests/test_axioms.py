@@ -145,12 +145,37 @@ def test_schemas_give_the_sat_sets_of_their_instances():
     assert verdicts == {"conclusion": {True, False}, "premise": {True, False}}
 
 
-def _reference_suite(seed, trials, schemas=None):
+def test_integer_keys_give_the_sets_of_the_fraction_bounds():
+    # The soundness suite's key table: the weights scaled by the lcm of
+    # the denominators, with every bound scaled alike.  Over the bounds
+    # between, on and beyond the weights, both algebras give the same set
+    # for every target set of every model.
+    scale = 6
+    assert all((b * scale).denominator == 1 for b in _MODEL_WEIGHTS + _BOUNDS)
+    seen = set()
+    for i in range(60):
+        m = random_wts(8700 + i, 5, 3, _MODEL_WEIGHTS, ["p1"])
+        by_weight = StateSets(m)
+        by_key = StateSets(m, _keys=tuple(int(w * scale) for w in m.weights))
+        states = sorted(m.states)
+        for bits in range(2 ** len(states)):
+            targets = frozenset(s for k, s in enumerate(states) if bits >> k & 1)
+            for b in _BOUNDS:
+                key = int(b * scale)
+                at_least = by_key.AtLeast(key, targets)
+                at_most = by_key.AtMost(key, targets)
+                assert at_least == by_weight.AtLeast(b, targets), (i, bits, b)
+                assert at_most == by_weight.AtMost(b, targets), (i, bits, b)
+                seen.add((bool(at_least), bool(at_most)))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def _reference_suite(seed, trials, schemas=None, index_pool=DEFAULT_INDEX_POOL):
     """`run_suite`'s draws, with every instance and premise built as a
     formula and checked by `holds_everywhere`."""
     atoms = ("p1", "p2", "p3")
     selected = [SCHEMAS[n] for n in schemas] if schemas else list(SCHEMAS.values())
-    pool = sorted(DEFAULT_INDEX_POOL)
+    pool = sorted(index_pool)
     positive_pool = [w for w in pool if w > 0]
     rng = random.Random(seed)
     report = SuiteReport(seed=seed, trials=trials)
@@ -187,13 +212,22 @@ def _reference_suite(seed, trials, schemas=None):
     return report
 
 
-@pytest.mark.parametrize("seed, schemas", [
-    (3, None), (11, None), (32, None),
-    (5, ["neg-control", "T2", "T4", "A6", "A3'"]),
+# The suite scales its pool by the lcm of the denominators: 2 for the
+# default pool, 42 for this one.
+_THIRDS_AND_SEVENTHS = (F(1, 3), F(1, 2), F(5, 7), F(2))
+
+
+@pytest.mark.parametrize("seed, schemas, index_pool", [
+    pytest.param(3, None, DEFAULT_INDEX_POOL, id="3-None"),
+    pytest.param(11, None, DEFAULT_INDEX_POOL, id="11-None"),
+    pytest.param(32, None, DEFAULT_INDEX_POOL, id="32-None"),
+    pytest.param(5, ["neg-control", "T2", "T4", "A6", "A3'"], DEFAULT_INDEX_POOL,
+                 id="5-schemas3"),
+    pytest.param(16, None, _THIRDS_AND_SEVENTHS, id="16-None-lcm42"),
 ])
-def test_suite_report_equals_the_one_built_from_instance_formulas(seed, schemas):
-    expected = _reference_suite(seed, 80, schemas).as_dict()
-    assert run_suite(seed, 80, schemas).as_dict() == expected
+def test_suite_report_equals_the_one_built_from_instance_formulas(seed, schemas, index_pool):
+    expected = _reference_suite(seed, 80, schemas, index_pool).as_dict()
+    assert run_suite(seed, 80, schemas, index_pool).as_dict() == expected
     control = next(e for e in expected["schemas"] if e["schema"] == "neg-control")
     assert "first_violation" in control
 
@@ -204,3 +238,11 @@ def test_suite_rejects_unknown_schemas_and_pools_without_a_positive_index():
     for pool in ([0], [], [F(0), 0]):
         with pytest.raises(ValueError, match="positive"):
             run_suite(1, 5, index_pool=pool)
+
+
+def test_suite_checks_a_schema_named_twice_once():
+    once = run_suite(1, 3, schemas=["A1"]).as_dict()
+    assert run_suite(1, 3, schemas=["A1", "A1"]).as_dict() == once
+    assert [entry["checked"] for entry in once["schemas"]] == [3]
+    assert (run_suite(8, 30, schemas=["T2", "A6", "T2", "A6"]).as_dict()
+            == run_suite(8, 30, schemas=["T2", "A6"]).as_dict())

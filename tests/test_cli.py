@@ -162,6 +162,15 @@ def test_axioms_command():
     assert json.loads(err) == {"error": "unknown schema(s) ['nope']"}
 
 
+def test_axioms_counts_a_schema_named_twice_once():
+    once = invoke(["axioms", "--seed", "1", "--trials", "3", "--schema", "A1"])
+    twice = invoke(["axioms", "--seed", "1", "--trials", "3",
+                    "--schema", "A1", "--schema", "A1"])
+    assert once[0] == twice[0] == 0
+    assert twice == once
+    assert [entry["checked"] for entry in twice[1]["schemas"]] == [3]
+
+
 def test_fmt_formula_idempotent():
     code, out, _ = run(["fmt", "--formula", "p->q | r"])
     assert code == 0

@@ -56,6 +56,21 @@ def test_construction_invariants():
     assert len(m.transitions) == 1
 
 
+def test_bare_strings_are_not_collections():
+    # A str iterates over its characters, which would make "ab" two
+    # states and "pq" two propositions.
+    with pytest.raises(ModelError, match="states"):
+        Wts("ab", {}, [("a", "1", "b")])
+    with pytest.raises(ModelError, match="states"):
+        Wts("s", {}, [])
+    with pytest.raises(ModelError, match="labels of 's'"):
+        Wts(["s"], {"s": "pq"}, [])
+    with pytest.raises(ModelError, match="labels of 's'"):
+        Wts(["s"], {"s": ""}, [])
+    m = Wts(("a", "b"), {"a": ("p", "q"), "b": frozenset()}, [("a", "1", "b")])
+    assert m.labels["a"] == {"p", "q"} and m.labels["b"] == frozenset()
+
+
 def test_parse_rational_formats():
     assert parse_rational("3") == F(3)
     assert parse_rational("7/2") == F(7, 2)
