@@ -13,7 +13,9 @@ both flavours; only the signature of a state differs.  Refinement is
 global: starting from the partition by labels, each round scans every
 out-edge of every state once, which gives each state its signature toward
 all current blocks, and splits every block by signature, until a round
-splits nothing.  Signatures hold weight ranks (`Wts.weights`), not
+splits nothing.  The loop keeps only the current round, so the partition
+callers hold one partition at a time; `distinguishing_formula` alone keeps
+every round.  Signatures hold weight ranks (`Wts.weights`), not
 rationals, so they hash and compare as ints; the quotient and the
 distinguishing formulas map ranks back to weights.  Blocks are enumerated
 in a canonical order (sorted by least member) so runs are deterministic.
@@ -112,30 +114,42 @@ def _exact_signature(m: Wts, partition: Partition, s: str):
     return frozenset((r, partition._index[dst]) for r, dst in m._out[s])
 
 
-def _refinement_history(m: Wts, signature) -> list[Partition]:
-    """All rounds of refinement by `signature`, coarsest first.
+def _rounds(m: Wts, signature):
+    """The rounds of refinement by `signature`, coarsest first: the
+    partition by labels, then each round's split of the one before, and
+    last the fixpoint.
 
     A round only splits blocks, so an unchanged block count means nothing
-    split and the last partition is the fixpoint.
+    split.  Only the current round is kept, so a caller that wants the
+    fixpoint holds O(states) however many rounds there are; one that wants
+    every round (the separators) keeps them itself.
     """
-    history = [_label_partition(m)]
+    current = _label_partition(m)
     while True:
-        current = history[-1]
+        yield current
         refined = _split_by(m, current, signature)
         if len(refined.blocks) == len(current.blocks):
-            return history
-        history.append(refined)
+            return
+        current = refined
+
+
+def _coarsest(m: Wts, signature) -> Partition:
+    """The last of `_rounds`: the coarsest partition stable under
+    `signature`."""
+    for partition in _rounds(m, signature):
+        pass
+    return partition
 
 
 def generalized_bisimilarity(m: Wts) -> Partition:
     """Coarsest partition with equal labels and equal min/max weight
     toward every block."""
-    return _refinement_history(m, _bound_signature)[-1]
+    return _coarsest(m, _bound_signature)
 
 
 def weighted_bisimilarity(m: Wts) -> Partition:
     """Coarsest partition under exact zig-zag matching of weights."""
-    return _refinement_history(m, _exact_signature)[-1]
+    return _coarsest(m, _exact_signature)
 
 
 def are_bisimilar(m: Wts, s: str, t: str, flavor: str = "generalized") -> bool:
@@ -288,7 +302,7 @@ def distinguishing_formula(m: Wts, s: str, t: str) -> Optional[Formula]:
     m._require_state(t)
     if s == t:
         return None
-    history = _refinement_history(m, _bound_signature)
+    history = list(_rounds(m, _bound_signature))
     if history[-1].same_block(s, t):
         return None
     return _Separator(m, history).separate(s, t)

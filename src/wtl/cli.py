@@ -126,7 +126,7 @@ def _load_model(path: str, stdin: bytes):
 def _load_formula(args, stdin: bytes):
     if args.formula is not None:
         return parse_formula(args.formula)
-    return parse_formula(_read_source(args.formula_file, stdin).decode("utf-8"))
+    return parse_formula(_read_source(args.formula_file, stdin))
 
 
 def _write(path: str, data: bytes) -> None:

@@ -7,6 +7,14 @@ holds at a state when the cheapest transition into the states satisfying
 transition costs at most `r`.  Surface forms (`|`, `->`, `<->`, `<>`, `[]`)
 are desugared by the parser; every engine consumes core AST only.
 
+The parser reads a formula in two passes.  The scanner is one compiled
+pattern run by `findall`: after whitespace (`str.isspace`), each match is
+an operator, a rational's text, an identifier or a stray character, so
+the character loop runs in C; it reads every rational (`read_rational`)
+before parsing starts, so the first lexical error in input order wins.
+The recursive-descent parser then reads the token columns by index.  An
+error names the token's position and quotes it as the input has it.
+
 The constructors are also the operations of an `Algebra` (tagless
 style), with the derived connectives desugared once in the base class.
 Its two carriers are the formulas themselves (`FORMULAS`) and the sets of
@@ -25,12 +33,15 @@ of it.
 from __future__ import annotations
 
 import random
+import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .wts import IDENT_RE, Wts, as_weight, format_rational, read_rational
+from .wts import (
+    IDENT_RE, Wts, as_weight, decode_utf8, format_rational, read_rational,
+)
 
 __all__ = [
     "Formula", "Atom", "Top", "Bottom", "Not", "And", "AtLeast", "AtMost",
@@ -45,67 +56,102 @@ class Formula:
     """Base of the core constructors: frozen, slotted dataclasses compared
     by structure.
 
-    A node's hash is the stock frozen-dataclass hash, `hash` of the tuple
-    of its fields, computed when the node is made and kept in the `_hash`
-    slot.  Children are made first, so that hash reads each child's slot
-    and goes one level deep, however deep the formula; and no dict or set
-    probe of the model checker's and the tableau's caches walks a subtree.
-    The slot is no field, so equality, `repr` and pickled state leave it
-    out; a node read back from a pickle computes it on its first lookup.
+    A node's hash is `hash` of the tuple of its fields, the stock hash of a
+    frozen dataclass, computed by the node's `__init__` and kept in the
+    `_hash` slot.  Children are made first, so that hash reads each
+    child's slot and goes one level deep, however deep the formula; and no
+    dict or set probe of the model checker's and the tableau's caches
+    walks a subtree.  The slot is no field, so equality, `repr` and
+    pickled state leave it out; a node read back from a pickle is made
+    again by its `__init__`.
     """
 
     __slots__ = ("_hash",)
 
 
+_set_hash = Formula._hash.__set__
+
+
 def _node(cls):
-    """Make `cls` a frozen, slotted dataclass that hashes itself when made."""
-    own_post_init = cls.__dict__.get("__post_init__")
+    """Make `cls` a frozen, slotted dataclass that keeps the `__init__`
+    written in its body.
 
-    def __post_init__(self):
-        if own_post_init is not None:
-            own_post_init(self)
-        object.__setattr__(self, "_hash", stock(self))
-
-    cls.__post_init__ = __post_init__
-    cls = dataclass(frozen=True, slots=True)(cls)
-    stock = cls.__hash__
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            value = stock(self)
-            object.__setattr__(self, "_hash", value)
-            return value
-
-    cls.__hash__ = __hash__
+    That `__init__` is the one call that makes a node: it stores the
+    fields through `cls._setters`, the setters of their slots in field
+    order, and then the hash.  A frozen dataclass refuses `setattr`, and
+    `object.__setattr__` would check the class's `__setattr__` on every
+    field; the parser, the tableau, the separators and the soundness suite
+    make nodes by the thousand.
+    """
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    cls._setters = tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+    cls.__hash__ = _stored_hash
+    cls.__setstate__ = _init_from_state
     return cls
+
+
+def _stored_hash(self) -> int:
+    return self._hash
+
+
+def _init_from_state(self, state) -> None:
+    self.__init__(*state)
 
 
 @_node
 class Atom(Formula):
     name: str
 
+    def __init__(self, name: str):
+        (set_name,) = self._setters
+        set_name(self, name)
+        _set_hash(self, hash((name,)))
+
+
+_EMPTY_HASH = hash(())
+
 
 @_node
 class Top(Formula):
-    pass
+    def __init__(self):
+        _set_hash(self, _EMPTY_HASH)
 
 
 @_node
 class Bottom(Formula):
-    pass
+    def __init__(self):
+        _set_hash(self, _EMPTY_HASH)
 
 
 @_node
 class Not(Formula):
     operand: Formula
 
+    def __init__(self, operand: Formula):
+        (set_operand,) = self._setters
+        set_operand(self, operand)
+        _set_hash(self, hash((operand,)))
+
 
 @_node
 class And(Formula):
     left: Formula
     right: Formula
+
+    def __init__(self, left: Formula, right: Formula):
+        set_left, set_right = self._setters
+        set_left(self, left)
+        set_right(self, right)
+        _set_hash(self, hash((left, right)))
+
+
+def _init_modality(self, bound, operand: Formula) -> None:
+    """The `__init__` of both modalities: the bound is coerced to a weight."""
+    bound = as_weight(bound)
+    set_bound, set_operand = self._setters
+    set_bound(self, bound)
+    set_operand(self, operand)
+    _set_hash(self, hash((bound, operand)))
 
 
 @_node
@@ -116,8 +162,7 @@ class AtLeast(Formula):
     bound: Fraction
     operand: Formula
 
-    def __post_init__(self):
-        object.__setattr__(self, "bound", as_weight(self.bound))
+    __init__ = _init_modality
 
 
 @_node
@@ -128,8 +173,7 @@ class AtMost(Formula):
     bound: Fraction
     operand: Formula
 
-    def __post_init__(self):
-        object.__setattr__(self, "bound", as_weight(self.bound))
+    __init__ = _init_modality
 
 
 class Algebra:
@@ -192,144 +236,151 @@ class FormulaError(ValueError):
     """Formula text violates the grammar."""
 
 
-_TWO_CHAR = ("<->", "->", "<>", "[]")
-_SINGLE = "()[]!&|"
+# One match per token, after any whitespace (`\s` is the set of
+# `str.isspace`): an operator, an identifier (`IDENT_RE`), the text of an
+# unsigned rational (what `read_rational` reads), or any other character,
+# which is an error.  The longest operator wins: `[]` over `[`.
+_TOKEN_RE = re.compile(
+    r"\s*(?:([()!&|\]]|\[\]?|<->|->|<>)"
+    rf"|({IDENT_RE.pattern})"
+    r"|([0-9]+(?:/[0-9]*|\.[0-9]*)?)"
+    r"|(\S))"
+)
 
 
 def _tokenize(text: str):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        matched = False
-        for op in _TWO_CHAR:
-            if text.startswith(op, i):
-                tokens.append((op, op, i))
-                i += len(op)
-                matched = True
-                break
-        if matched:
-            continue
-        if c in _SINGLE:
-            tokens.append((c, c, i))
-            i += 1
-            continue
-        if "0" <= c <= "9":
+    """The tokens of `text` as three columns: operators (the text, "" for
+    other tokens, and a last "end"), names ("" for other tokens) and the
+    rationals by token index.
+
+    The whole text is read before the parser starts, so the first lexical
+    error in input order wins.  Positions are found again only for an
+    error (`_token_at`)."""
+    found = _TOKEN_RE.findall(text)
+    found.append(("end", "", "", ""))
+    ops, names, numbers, bad = zip(*found)
+    stop = len(found) - 1
+    if any(bad):
+        stop = next(k for k, c in enumerate(bad) if c)
+    bounds = {}
+    for k, number in enumerate(numbers[:stop]):
+        if number:
             try:
-                value, end = read_rational(text, i)
+                bounds[k] = read_rational(number)[0]
             except ValueError as e:
-                raise FormulaError(f"position {i}: {e}") from None
-            tokens.append(("rat", value, i))
-            i = end
-            continue
-        ident = IDENT_RE.match(text, i)
-        if ident is not None:
-            tokens.append(("ident", ident.group(), i))
-            i = ident.end()
-            continue
-        raise FormulaError(f"position {i}: unexpected character {c!r}")
-    tokens.append(("end", None, n))
-    return tokens
+                raise _error(text, k, str(e)) from None
+    if bad[stop]:
+        raise _error(text, stop, f"unexpected character {bad[stop]!r}")
+    return ops, names, bounds
+
+
+def _token_at(text: str, k: int):
+    """The position and the text of token `k`; past the last token, the
+    end of the input and None."""
+    for j, match in enumerate(_TOKEN_RE.finditer(text)):
+        if j == k:
+            return match.start(match.lastindex), match.group(match.lastindex)
+    return len(text), None
+
+
+def _error(text: str, k: int, message: str) -> FormulaError:
+    return FormulaError(f"position {_token_at(text, k)[0]}: {message}")
 
 
 class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
+    """Recursive descent over `_tokenize`'s columns, read by index: `i` is
+    the next token.  Errors quote the token as the input has it."""
 
-    def peek(self):
-        return self.tokens[self.pos]
+    __slots__ = ("text", "ops", "names", "bounds", "i")
 
-    def take(self, kind):
-        tok = self.tokens[self.pos]
-        if tok[0] != kind:
-            raise FormulaError(
-                f"position {tok[2]}: expected {kind!r}, got {self._show(tok)}"
-            )
-        self.pos += 1
-        return tok
+    def __init__(self, text: str):
+        self.text = text
+        self.ops, self.names, self.bounds = _tokenize(text)
+        self.i = 0
 
-    @staticmethod
-    def _show(tok) -> str:
-        return "end of input" if tok[0] == "end" else repr(tok[1])
+    def fail(self, k: int, message: str) -> FormulaError:
+        """`message`, then token `k`."""
+        token = _token_at(self.text, k)[1]
+        shown = "end of input" if token is None else repr(token)
+        return _error(self.text, k, f"{message} {shown}")
 
     def formula(self) -> Formula:
         left = self.disj()
-        kind = self.peek()[0]
-        if kind == "->":
-            self.take("->")
+        op = self.ops[self.i]
+        if op == "->":
+            self.i += 1
             return implies(left, self.formula())
-        if kind == "<->":
-            self.take("<->")
+        if op == "<->":
+            self.i += 1
             return iff(left, self.formula())
         return left
 
     def disj(self) -> Formula:
         f = self.conj()
-        while self.peek()[0] == "|":
-            self.take("|")
+        while self.ops[self.i] == "|":
+            self.i += 1
             f = lor(f, self.conj())
         return f
 
     def conj(self) -> Formula:
         f = self.prefix()
-        while self.peek()[0] == "&":
-            self.take("&")
+        while self.ops[self.i] == "&":
+            self.i += 1
             f = And(f, self.prefix())
         return f
 
     def prefix(self) -> Formula:
-        kind, value, pos = self.peek()
-        if kind == "!":
-            self.take("!")
-            return Not(self.prefix())
-        if kind == "<>":
-            self.take("<>")
-            return diamond(self.prefix())
-        if kind == "[]":
-            self.take("[]")
-            return box(self.prefix())
-        if kind == "(":
-            self.take("(")
-            f = self.formula()
-            self.take(")")
-            return f
-        if kind == "ident":
-            if value in ("L", "M") and self.peek_is_bracket():
-                self.take("ident")
-                self.take("[")
-                bound = self.take("rat")[1]
-                self.take("]")
+        ops, i = self.ops, self.i
+        op = ops[i]
+        if not op:
+            name = self.names[i]
+            if not name:
+                raise self.fail(i, "unexpected")
+            if name in ("L", "M") and ops[i + 1] == "[":
+                bound = self.bounds.get(i + 2)
+                if bound is None:
+                    raise self.fail(i + 2, "expected a number, got")
+                if ops[i + 3] != "]":
+                    raise self.fail(i + 3, "expected ']', got")
+                self.i = i + 4
                 operand = self.prefix()
-                return AtLeast(bound, operand) if value == "L" else AtMost(bound, operand)
-            if value == "true":
-                self.take("ident")
+                return AtLeast(bound, operand) if name == "L" else AtMost(bound, operand)
+            self.i = i + 1
+            if name == "true":
                 return Top()
-            if value == "false":
-                self.take("ident")
+            if name == "false":
                 return Bottom()
-            self.take("ident")
-            return Atom(value)
-        raise FormulaError(
-            f"position {pos}: unexpected {self._show(self.peek())}"
-        )
-
-    def peek_is_bracket(self) -> bool:
-        return self.tokens[self.pos + 1][0] == "["
+            return Atom(name)
+        if op == "!":
+            self.i = i + 1
+            return Not(self.prefix())
+        if op == "(":
+            self.i = i + 1
+            f = self.formula()
+            if ops[self.i] != ")":
+                raise self.fail(self.i, "expected ')', got")
+            self.i += 1
+            return f
+        if op == "<>":
+            self.i = i + 1
+            return diamond(self.prefix())
+        if op == "[]":
+            self.i = i + 1
+            return box(self.prefix())
+        raise self.fail(i, "unexpected")
 
 
 def parse_formula(text: Union[bytes, str]) -> Formula:
-    """Parse formula text into core AST (derived forms desugared)."""
+    """Parse formula text into core AST (derived forms desugared).
+
+    Bytes are read as UTF-8; bytes that are not raise `FormulaError` with
+    the offset of the first bad byte."""
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    parser = _Parser(_tokenize(text))
+        text = decode_utf8(text, FormulaError)
+    parser = _Parser(text)
     f = parser.formula()
-    end = parser.peek()
-    if end[0] != "end":
-        raise FormulaError(f"position {end[2]}: trailing input {parser._show(end)}")
+    if parser.ops[parser.i] != "end":
+        raise parser.fail(parser.i, "trailing input")
     return f
 
 

@@ -81,6 +81,15 @@ def read_rational(text: str, pos: int = 0) -> tuple[Fraction, int]:
     return value, m.end()
 
 
+def decode_utf8(data: bytes, error: type) -> str:
+    """`data` read as UTF-8, or `error` at the offset of the first byte
+    that is not (the one decoder behind model and formula bytes)."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise error(f"byte {e.start}: not UTF-8 ({e.reason})") from None
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "N", "N/D" or "N.M" into an exact non-negative rational."""
     body = text.strip()
@@ -329,13 +338,14 @@ def _reject_unknown_keys(obj: dict, allowed: frozenset, where: str) -> None:
 def parse_wts(data: Union[bytes, str]) -> Wts:
     """Parse the JSON model format.
 
-    Raises ModelError with line/column on malformed JSON and with the
+    Raises ModelError with the offset of the first bad byte on bytes that
+    are not UTF-8, with line/column on malformed JSON, and with the
     offending element on problems of shape (a wrong type, a missing or
     unknown key, a duplicate state id).  `Wts` checks the rest once:
     identifiers, weights and dangling state references.
     """
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        data = decode_utf8(data, ModelError)
     try:
         doc = json.loads(data)
     except json.JSONDecodeError as e:

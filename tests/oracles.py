@@ -5,14 +5,27 @@ found by enumerating all equivalence relations and checking the defining
 clauses verbatim, and satisfiability of shallow formulas is decided by
 exhausting all two-state models over a finite weight grid.  Only the AST
 and model data types are shared with the package under test.
+
+`reference_parse_formula` is the formula front end as it was before the
+scanner became one compiled pattern: a character loop with `startswith`
+probes and a parser that peeks and takes one token at a time.  It is kept
+verbatim (bar its name) as the reference for the current parser.  Its
+error messages show a rational token as a `Fraction` repr and a missing
+bound as `expected 'rat'`; the current parser quotes the input instead.
 """
 
 import math
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
+from typing import Union
+
 from wtl import Partition, Wts
-from wtl.formulas import And, AtLeast, Atom, Bottom, Formula, Not, Top
+from wtl.formulas import (
+    And, AtLeast, AtMost, Atom, Bottom, Formula, FormulaError, Not, Top, box,
+    diamond, iff, implies, lor,
+)
+from wtl.wts import IDENT_RE, read_rational
 
 
 def all_partitions(items):
@@ -171,3 +184,146 @@ def bounded_model_search(f: Formula, atoms) -> Wts | None:
                         transitions += [("u0", edge1[0], "u1"), ("u0", edge1[1], "u1")]
                     return Wts(["u0", "u1"], {"u0": lab0, "u1": lab1}, transitions)
     return None
+
+
+# --- the reference formula parser ---------------------------------------
+
+_TWO_CHAR = ("<->", "->", "<>", "[]")
+_SINGLE = "()[]!&|"
+
+
+def _tokenize(text: str):
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        matched = False
+        for op in _TWO_CHAR:
+            if text.startswith(op, i):
+                tokens.append((op, op, i))
+                i += len(op)
+                matched = True
+                break
+        if matched:
+            continue
+        if c in _SINGLE:
+            tokens.append((c, c, i))
+            i += 1
+            continue
+        if "0" <= c <= "9":
+            try:
+                value, end = read_rational(text, i)
+            except ValueError as e:
+                raise FormulaError(f"position {i}: {e}") from None
+            tokens.append(("rat", value, i))
+            i = end
+            continue
+        ident = IDENT_RE.match(text, i)
+        if ident is not None:
+            tokens.append(("ident", ident.group(), i))
+            i = ident.end()
+            continue
+        raise FormulaError(f"position {i}: unexpected character {c!r}")
+    tokens.append(("end", None, n))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def take(self, kind):
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            raise FormulaError(
+                f"position {tok[2]}: expected {kind!r}, got {self._show(tok)}"
+            )
+        self.pos += 1
+        return tok
+
+    @staticmethod
+    def _show(tok) -> str:
+        return "end of input" if tok[0] == "end" else repr(tok[1])
+
+    def formula(self) -> Formula:
+        left = self.disj()
+        kind = self.peek()[0]
+        if kind == "->":
+            self.take("->")
+            return implies(left, self.formula())
+        if kind == "<->":
+            self.take("<->")
+            return iff(left, self.formula())
+        return left
+
+    def disj(self) -> Formula:
+        f = self.conj()
+        while self.peek()[0] == "|":
+            self.take("|")
+            f = lor(f, self.conj())
+        return f
+
+    def conj(self) -> Formula:
+        f = self.prefix()
+        while self.peek()[0] == "&":
+            self.take("&")
+            f = And(f, self.prefix())
+        return f
+
+    def prefix(self) -> Formula:
+        kind, value, pos = self.peek()
+        if kind == "!":
+            self.take("!")
+            return Not(self.prefix())
+        if kind == "<>":
+            self.take("<>")
+            return diamond(self.prefix())
+        if kind == "[]":
+            self.take("[]")
+            return box(self.prefix())
+        if kind == "(":
+            self.take("(")
+            f = self.formula()
+            self.take(")")
+            return f
+        if kind == "ident":
+            if value in ("L", "M") and self.peek_is_bracket():
+                self.take("ident")
+                self.take("[")
+                bound = self.take("rat")[1]
+                self.take("]")
+                operand = self.prefix()
+                return AtLeast(bound, operand) if value == "L" else AtMost(bound, operand)
+            if value == "true":
+                self.take("ident")
+                return Top()
+            if value == "false":
+                self.take("ident")
+                return Bottom()
+            self.take("ident")
+            return Atom(value)
+        raise FormulaError(
+            f"position {pos}: unexpected {self._show(self.peek())}"
+        )
+
+    def peek_is_bracket(self) -> bool:
+        return self.tokens[self.pos + 1][0] == "["
+
+
+def reference_parse_formula(text: Union[bytes, str]) -> Formula:
+    """Parse formula text into core AST (derived forms desugared)."""
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    parser = _Parser(_tokenize(text))
+    f = parser.formula()
+    end = parser.peek()
+    if end[0] != "end":
+        raise FormulaError(f"position {end[2]}: trailing input {parser._show(end)}")
+    return f

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -246,13 +247,29 @@ def test_distinguishing_formulas_stay_small_on_chains_and_rings(n):
         assert len(print_formula(d)) <= 15 * n
 
 
+def test_partition_callers_keep_one_round_at_a_time():
+    # A chain splits one state off per round, so keeping every round's
+    # partition would hold O(n^2): 13.5 MB at n = 300.  `are_bisimilar`
+    # and the CLI's quotient call these two.
+    m = _chain(300)
+    for call in (generalized_bisimilarity, weighted_bisimilarity):
+        tracemalloc.start()
+        try:
+            call(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, peak
+    assert len(generalized_bisimilarity(m).blocks) == 300
+
+
 def test_hennessy_milner_desk_check_small():
     from itertools import combinations
-    from wtl.bisimulation import _bound_signature, _refinement_history
+    from wtl.bisimulation import _bound_signature, _rounds
 
     for i in range(6):
         m = random_wts(31000 + i, 6, 3, POOL, ["p1", "p2"])
-        history = _refinement_history(m, _bound_signature)
+        history = list(_rounds(m, _bound_signature))
         partition = history[-1]
         cache: dict = {}
         satsets = [

@@ -226,6 +226,15 @@ def test_usage_errors_are_json(tmp_path):
         assert code == 2 and out == "" and "error" in json.loads(err), argv
 
 
+def test_bytes_that_are_not_utf8_name_their_offset():
+    for argv, stdin in ((["sat", "--formula-file", "-"], b"p & \xff"),
+                        (["fmt", "--model", "-"], b"\xff{}")):
+        code, out, err = run(argv, stdin)
+        assert code == 2 and out == ""
+        offset = stdin.index(0xff)
+        assert json.loads(err) == {"error": f"byte {offset}: not UTF-8 (invalid start byte)"}
+
+
 def test_parser_defaults_do_not_leak_between_calls(tmp_path):
     path = write_model(tmp_path, make_coarse_pair_model())
     assert invoke(["bisim", "--model", path, "--state", "s", "--state", "t"])[0] == 0

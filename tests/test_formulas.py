@@ -1,4 +1,6 @@
 import pickle
+import random
+import re
 import signal
 import time
 from fractions import Fraction as F
@@ -11,6 +13,9 @@ from wtl import (
     diamond, iff, implies, lor, modal_depth, model_check, parse_formula,
     print_formula, random_formula, random_wts, sat_set,
 )
+from wtl.formulas import Formula
+
+from oracles import reference_parse_formula
 
 POOL = [F(0), F(1, 2), F(1), F(2), F(3)]
 # Below, between and above POOL's weights, so every bisect edge case is hit.
@@ -51,6 +56,104 @@ def test_parse_errors_have_positions():
                  "L[1.] p", "é", "p²", "L[٣] p", "L[1/٢] p"]:
         with pytest.raises(FormulaError, match="position"):
             parse_formula(text)
+    # Errors quote the input's own text, rationals included.
+    for text, message in [
+        ("p & 0.5", "position 4: unexpected '0.5'"),
+        ("p 0.5", "position 2: trailing input '0.5'"),
+        ("L[2 3/4] p", "position 4: expected ']', got '3/4'"),
+        ("(p 2.50", "position 3: expected ')', got '2.50'"),
+        ("L[p] q", "position 2: expected a number, got 'p'"),
+        ("M[", "position 2: expected a number, got end of input"),
+        ("L[] p", "position 1: trailing input '[]'"),
+        ("p &\u00a0", "position 4: unexpected end of input"),
+        ("q é 1/0", "position 2: unexpected character 'é'"),
+        ("L[1/0] é", "position 2: zero denominator"),
+        ("L[٣] p", "position 2: unexpected character '٣'"),
+    ]:
+        with pytest.raises(FormulaError) as caught:
+            parse_formula(text)
+        assert str(caught.value) == message, text
+
+
+def test_parse_formula_names_the_first_byte_that_is_not_utf8():
+    with pytest.raises(FormulaError, match=r"^byte 0: not UTF-8 \(invalid start byte\)$"):
+        parse_formula(b"\xff(p")
+    with pytest.raises(FormulaError, match=r"^byte 4: not UTF-8"):
+        parse_formula("p & é".encode("utf-8")[:-1])
+    assert parse_formula("p & L[1/2] q".encode("utf-8")) == parse_formula("p & L[1/2] q")
+
+
+# Pieces of formula text, valid and not: every token, rationals cut short
+# or with a zero denominator, the spaces `str.isspace` knows beyond ASCII,
+# and digits and letters outside ASCII.
+_PIECES = [
+    "p", "q", "x1", "_a", "L", "M", "true", "false", "Lp",
+    "0", "1", "2", "12", "0.5", "7/2", "3/", "1/0", "2.", "1/00", "0/3",
+    "L[", "M[", "L[1]", "M[1/2]", "[", "]", "[]", "(", ")", "!", "&", "|",
+    "->", "<->", "<>", "<", "-", ">", "/", ".", " ", "  ", "\t", "\n",
+    "\u00a0", "\u2003", "٣", "²", "é", "\u0301",
+]
+
+
+class _Hashed:
+    """Stands in for a child whose hash is `value`."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
+
+
+def _tuple_hash(f) -> int:
+    """The stock frozen-dataclass hash of `f`, recomputed through the tree:
+    the hash of the tuple of its fields, where a child hashes as its own
+    tuple does."""
+    return hash(tuple(
+        _Hashed(_tuple_hash(v)) if isinstance(v, Formula) else v
+        for v in (getattr(f, name) for name in f.__dataclass_fields__)
+    ))
+
+
+def _reference_message(text: str, message: str) -> str:
+    """The reference parser's message as the current parser words it: a
+    rational token is quoted as the input has it, and a missing bound is
+    `expected a number`."""
+    message = message.replace("expected 'rat'", "expected a number")
+    rational = re.search(r"Fraction\(\d+, \d+\)$", message)
+    if rational:
+        pos = int(re.match(r"position (\d+):", message).group(1))
+        number = re.compile(r"[0-9]+(?:/[0-9]*|\.[0-9]*)?").match(text, pos).group()
+        message = message[:rational.start()] + repr(number)
+    return message
+
+
+def test_parser_agrees_with_the_reference_parser():
+    rng = random.Random(20261018)
+    parsed = failed = 0
+    for case in range(24000):
+        if case % 3 == 0:
+            # A printed formula with a few pieces put in, so that most of
+            # these parse, or fail deep inside.
+            text = print_formula(random_formula(case, ["p", "q"], 3, POOL))
+            for _ in range(rng.choice([0, 0, 1, 2])):
+                at = rng.randrange(len(text) + 1)
+                text = text[:at] + rng.choice(_PIECES) + text[at:]
+        else:
+            text = "".join(rng.choice(_PIECES) for _ in range(rng.randrange(13)))
+        try:
+            expected = reference_parse_formula(text)
+        except FormulaError as e:
+            with pytest.raises(FormulaError) as caught:
+                parse_formula(text)
+            assert str(caught.value) == _reference_message(text, str(e)), text
+            failed += 1
+        else:
+            f = parse_formula(text)
+            assert f == expected, text
+            assert hash(f) == hash(expected) == _tuple_hash(f), text
+            parsed += 1
+    assert parsed > 5000 and failed > 5000
 
 
 def test_print_round_trip_fixed():

@@ -166,6 +166,14 @@ def test_parse_wts_errors():
         parse_wts(b'{"states":[{"id":"a"}],"transitions":[{"from":"a","weight":"1"}]}')
 
 
+def test_parse_wts_names_the_first_byte_that_is_not_utf8():
+    with pytest.raises(ModelError, match=r"^byte 0: not UTF-8 \(invalid start byte\)$"):
+        parse_wts(b"\xff{}")
+    cut = b'{"states":[{"id":"\xc3"}],"transitions":[]}'
+    with pytest.raises(ModelError, match=rf"^byte {cut.index(0xc3)}: not UTF-8"):
+        parse_wts(cut)
+
+
 def test_round_trip_vacuum(vacuum):
     data = serialize_wts(vacuum)
     assert parse_wts(data) == vacuum
