@@ -1,8 +1,10 @@
 """Deciding formulas and extracting finite witness models with the tableau.
 
-A successful tableau certifies satisfiability; walking its witness
-subtree yields a concrete finite model which is then re-checked.  An
-inconsistent weight interval on every branch certifies unsatisfiability.
+The tableau search records the tree it explores.  An open root certifies
+satisfiability; walking its open path yields a concrete finite model
+which is then re-checked.  A closed root, with an inconsistent weight
+interval or a literal clash ending every branch tried, certifies
+unsatisfiability.
 """
 
 import json
@@ -27,9 +29,16 @@ def main():
     print("Demanding a lower bound of 4 while forbidding 3 is contradictory:")
     print(f"  satisfiable? {isinstance(is_satisfiable(psi), Sat)}")
     tableau = tableau_to_json(build_tableau(psi))
-    modal = tableau["children"][0]["children"][0]["children"][0]
+    stack = [tableau]
+    while stack:
+        node = stack.pop()
+        if node["kind"] == "modal":
+            modal = node
+        stack.extend(node["children"])
     intervals = [json.dumps(c["min_interval"]) for c in modal["children"]]
-    print(f"  child intervals at the modal node: {intervals}\n")
+    print(f"  child intervals at the modal node: {intervals}")
+    print("  (the search stops at the first closed child, so the p2 child"
+          " is never built)\n")
 
     print("Validity is unsatisfiability of the negation:")
     for text in ["!L[0] false", "L[3] p -> !M[2] p", "M[1] p -> L[0] p", "p"]:

@@ -28,9 +28,8 @@ from .axioms import (
 )
 from .tableau import (
     ExtractionGapWarning, Interval, Sat, Tableau, TableauNode, Unsat, Verdict,
-    build_tableau, entails, extract_model, find_witness,
-    is_satisfiable, is_valid, minimal_representatives, mod_children,
-    node_consistent, tableau_to_json,
+    build_tableau, entails, extract_model, find_witness, is_satisfiable,
+    is_valid, minimal_representatives, node_consistent, tableau_to_json,
 )
 
 __version__ = "0.1.0"

@@ -109,9 +109,9 @@ def _build_parser() -> _Parser:
 _PARSER = _build_parser()
 
 
-def _read_source(path: str, stdin: bytes) -> bytes:
+def _read_source(path: str, stdin: Optional[bytes]) -> bytes:
     if path == "-":
-        return stdin
+        return sys.stdin.buffer.read() if stdin is None else stdin
     try:
         with open(path, "rb") as handle:
             return handle.read()
@@ -119,11 +119,11 @@ def _read_source(path: str, stdin: bytes) -> bytes:
         raise _UsageError(f"cannot read {path!r}: {e.strerror}") from None
 
 
-def _load_model(path: str, stdin: bytes):
+def _load_model(path: str, stdin: Optional[bytes]):
     return parse_wts(_read_source(path, stdin))
 
 
-def _load_formula(args, stdin: bytes):
+def _load_formula(args, stdin: Optional[bytes]):
     if args.formula is not None:
         return parse_formula(args.formula)
     return parse_formula(_read_source(args.formula_file, stdin))
@@ -137,8 +137,11 @@ def _write(path: str, data: bytes) -> None:
         raise _UsageError(f"cannot write {path!r}: {e.strerror}") from None
 
 
-def run(argv: list[str], stdin: bytes = b"") -> tuple[int, str, str]:
-    """Dispatch one invocation; returns (exit code, stdout, stderr)."""
+def run(argv: list[str], stdin: Optional[bytes] = b"") -> tuple[int, str, str]:
+    """Dispatch one invocation; returns (exit code, stdout, stderr).
+
+    A path of '-' reads `stdin`; when `stdin` is None it reads the
+    process's standard input instead, at the point the path is met."""
     try:
         args = _PARSER.parse_args(argv)
     except _UsageError as e:
@@ -161,12 +164,12 @@ def run(argv: list[str], stdin: bytes = b"") -> tuple[int, str, str]:
     except (_UsageError, ModelError, FormulaError, ValueError, KeyError) as e:
         return EXIT_ERROR, "", json.dumps({"error": str(e)}) + "\n"
     except RecursionError:
-        # Parser, printer and engines recurse on the formula's nesting.
+        # The parser and the engines recurse on the formula's nesting.
         error = "formula nested too deeply for this interpreter's recursion limit"
         return EXIT_ERROR, "", json.dumps({"error": error}) + "\n"
 
 
-def _dispatch(args, stdin: bytes, emit) -> tuple[int, str]:
+def _dispatch(args, stdin: Optional[bytes], emit) -> tuple[int, str]:
     if args.command == "mc":
         model = _load_model(args.model, stdin)
         holds = model_check(model, args.state, _load_formula(args, stdin))
@@ -248,8 +251,7 @@ def _dispatch(args, stdin: bytes, emit) -> tuple[int, str]:
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    stdin = sys.stdin.buffer.read() if "-" in argv else b""
-    code, out, err = run(argv, stdin)
+    code, out, err = run(argv, None)
     if out:
         sys.stdout.write(out)
     if err:

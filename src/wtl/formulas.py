@@ -385,22 +385,37 @@ def parse_formula(text: Union[bytes, str]) -> Formula:
 
 
 def print_formula(f: Formula) -> str:
-    """Deterministic, fully parenthesized text; parse_formula inverse."""
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Top):
-        return "true"
-    if isinstance(f, Bottom):
-        return "false"
-    if isinstance(f, Not):
-        return "!" + print_formula(f.operand)
-    if isinstance(f, And):
-        return f"({print_formula(f.left)} & {print_formula(f.right)})"
-    if isinstance(f, AtLeast):
-        return f"L[{format_rational(f.bound)}] {print_formula(f.operand)}"
-    if isinstance(f, AtMost):
-        return f"M[{format_rational(f.bound)}] {print_formula(f.operand)}"
-    raise TypeError(f"not a formula: {f!r}")
+    """Deterministic, fully parenthesized text; parse_formula inverse.
+
+    Iterative: a stack holds the pending text and subformulas, so any
+    depth of nesting prints."""
+    parts = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if type(g) is str:
+            parts.append(g)
+        elif isinstance(g, Atom):
+            parts.append(g.name)
+        elif isinstance(g, Not):
+            parts.append("!")
+            stack.append(g.operand)
+        elif isinstance(g, And):
+            parts.append("(")
+            stack += (")", g.right, " & ", g.left)
+        elif isinstance(g, AtLeast):
+            parts.append(f"L[{format_rational(g.bound)}] ")
+            stack.append(g.operand)
+        elif isinstance(g, AtMost):
+            parts.append(f"M[{format_rational(g.bound)}] ")
+            stack.append(g.operand)
+        elif isinstance(g, Top):
+            parts.append("true")
+        elif isinstance(g, Bottom):
+            parts.append("false")
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+    return "".join(parts)
 
 
 class StateSets(Algebra):

@@ -8,13 +8,16 @@ the modal rule fires, producing one child per minimal operand of the
 positive modal formulas, with intervals accumulated from all modal
 formulas whose operand is entailed.
 
-`is_satisfiable` runs one depth-first search that builds nodes only as
-it reaches them: it keeps the first good branch of a negated conjunction,
-computes a modal node's children only once the node is consistent, and
-memoizes node verdicts for the query.  The witness is a pruned tree, each
-node keeping only its chosen children; a finite model extracted from it
-is re-checked against the input formula.  `build_tableau` builds the
-whole tree for dumps, and `find_witness` prunes it by the same rule.
+One depth-first search, `_search`, applies the rules, and it builds
+nodes only as it reaches them.  An interior node tries its rule's
+alternatives in order and stops at the first open one; a terminal node
+gets its modal children only once it is consistent, and they stop at the
+first closed one.  Every node reached records the children tried and a
+`closed` flag, and the search memoizes these nodes for the query.  So the
+recorded tree is the one explored: an open node's path runs through the
+last child of each interior node, and the finite model extracted from it
+is re-checked against the input formula.  `build_tableau` returns that
+tree for dumps, and `find_witness` is its root when the root is open.
 
 Semantic entailment between operands is decided by the same search on
 the conjunction of one operand with the negation of the other; the modal
@@ -40,7 +43,7 @@ from .wts import ExtendedBound, NEG_INF, POS_INF, Wts, format_bound
 __all__ = [
     "Interval", "TableauNode", "Tableau", "Sat", "Unsat",
     "Verdict", "ExtractionGapWarning", "entails", "minimal_representatives",
-    "mod_children", "build_tableau", "node_consistent", "find_witness",
+    "build_tableau", "node_consistent", "find_witness",
     "extract_model", "is_satisfiable", "is_valid", "tableau_to_json",
 ]
 
@@ -92,10 +95,12 @@ def _dedup(formulas) -> tuple:
 
 
 class TableauNode:
-    """One tableau node: an insertion-ordered formula set, the two weight
-    intervals, the rule applied at it (if any) and its children."""
+    """One tableau node: an insertion-ordered formula set (a tuple without
+    repeats; the search's sets are deduplicated when made), the two weight
+    intervals, the rule applied at it (if any), the children the search
+    tried and whether the node is closed (has no model)."""
 
-    __slots__ = ("gamma", "min_interval", "max_interval", "rule", "children")
+    __slots__ = ("gamma", "min_interval", "max_interval", "rule", "children", "closed")
 
     def __init__(
         self,
@@ -104,12 +109,14 @@ class TableauNode:
         max_interval: Optional[Interval] = None,
         rule: Optional[str] = None,
         children: tuple = (),
+        closed: bool = False,
     ):
-        self.gamma: tuple[Formula, ...] = _dedup(gamma)
+        self.gamma: tuple[Formula, ...] = tuple(gamma)
         self.min_interval = point_zero() if min_interval is None else min_interval
         self.max_interval = point_zero() if max_interval is None else max_interval
         self.rule = rule
         self.children: tuple[TableauNode, ...] = tuple(children)
+        self.closed = closed
 
     @property
     def kind(self) -> str:
@@ -169,7 +176,7 @@ def entails(phi: Formula, psi: Formula) -> bool:
     key = (phi, psi)
     hit = _entailment_cache.get(key)
     if hit is None:
-        hit = _search((And(phi, Not(psi)),), point_zero(), point_zero(), None, {}) is None
+        hit = _search((And(phi, Not(psi)),), point_zero(), point_zero(), None, {}).closed
         if len(_entailment_cache) >= ENTAILMENT_CACHE_LIMIT:
             _entailment_cache.clear()
         _entailment_cache[key] = hit
@@ -203,8 +210,6 @@ def _mod_child_specs(gamma) -> Iterator[tuple[Formula, Interval, Interval]]:
             positives.append(f)
         elif _is_negative_modal(f):
             negatives.append(f.operand)
-        elif _boolean_rule_for(f) is not None:
-            raise ValueError(f"a boolean rule still applies to {print_formula(f)!r}")
     if not positives and not negatives:
         return
     node_md = max(modal_depth(f) for f in itertools.chain(positives, negatives))
@@ -231,17 +236,6 @@ def _mod_child_specs(gamma) -> Iterator[tuple[Formula, Interval, Interval]]:
             min(upper_pos) if upper_pos else POS_INF, bool(upper_pos),
         )
         yield psi, min_itv, max_itv
-
-
-def mod_children(node: TableauNode, rng=None) -> list[TableauNode]:
-    """Children produced by the modal rule at `node` (fully expanded).
-
-    Raises ValueError when a boolean rule still applies to the node.
-    """
-    return [
-        _expand((psi,), min_itv, max_itv, rng)
-        for psi, min_itv, max_itv in _mod_child_specs(node.gamma)
-    ]
 
 
 def _boolean_step(gamma, rng) -> Optional[tuple[str, list[tuple]]]:
@@ -275,27 +269,6 @@ def _has_modal(gamma) -> bool:
     return any(_is_positive_modal(f) or _is_negative_modal(f) for f in gamma)
 
 
-def _expand(gamma, min_itv: Interval, max_itv: Interval, rng) -> TableauNode:
-    step = _boolean_step(gamma, rng)
-    children = []
-    if step is not None:
-        rule, child_sets = step
-        for child_gamma in child_sets:
-            children.append(_expand(child_gamma, min_itv, max_itv, rng))
-    else:
-        rule = RULE_MOD if _has_modal(gamma) else None
-        for psi, child_min, child_max in _mod_child_specs(gamma):
-            children.append(_expand((psi,), child_min, child_max, rng))
-    return TableauNode(gamma, min_itv, max_itv, rule, children)
-
-
-def build_tableau(phi: Formula, rng=None) -> Tableau:
-    """Exhaustively apply the rules starting from <{phi}, [0,0], [0,0]>.
-    With an RNG, the reducible formula and the order of negated-conjunction
-    branches are random; the verdict is the same either way."""
-    return Tableau(_expand((phi,), point_zero(), point_zero(), rng))
-
-
 def _consistent(gamma, min_itv: Interval, max_itv: Interval) -> bool:
     pos = set()
     neg = set()
@@ -324,65 +297,49 @@ def node_consistent(node: TableauNode) -> bool:
 
 
 def _search(gamma, min_itv: Interval, max_itv: Interval, rng, memo: dict
-            ) -> Optional[TableauNode]:
-    """The pruned witness tree of the node <gamma, min_itv, max_itv>
-    (`gamma` deduplicated), or None when the node is not good: an interior
-    node keeps its first good child, a terminal node must be consistent and
-    keep all its children.  `memo` maps each node reached in this query,
-    as (gamma, min_itv, max_itv), to its answer.
+            ) -> TableauNode:
+    """The node <gamma, min_itv, max_itv> (`gamma` deduplicated) as the
+    search explored it.  An interior node tries its rule's alternatives in
+    order and is open at the first open one; a terminal node is open when
+    it is consistent and every modal child is open, and the children stop
+    at the first closed one.  `memo` maps each node reached in this query,
+    as (gamma, min_itv, max_itv), to its explored node.
     """
     key = (gamma, min_itv, max_itv)
     if key in memo:
         return memo[key]
-    witness = None
+    children = []
     step = _boolean_step(gamma, rng)
     if step is not None:
         rule, child_sets = step
         for child_gamma in child_sets:
-            child = _search(child_gamma, min_itv, max_itv, rng, memo)
-            if child is not None:
-                witness = TableauNode(gamma, min_itv, max_itv, rule, (child,))
+            children.append(_search(child_gamma, min_itv, max_itv, rng, memo))
+            if not children[-1].closed:
                 break
-    elif _consistent(gamma, min_itv, max_itv):
-        children = []
-        for psi, child_min, child_max in _mod_child_specs(gamma):
-            child = _search((psi,), child_min, child_max, rng, memo)
-            if child is None:
-                break
-            children.append(child)
-        else:
-            rule = RULE_MOD if _has_modal(gamma) else None
-            witness = TableauNode(gamma, min_itv, max_itv, rule, children)
-    memo[key] = witness
-    return witness
-
-
-def _prune(node: TableauNode) -> Optional[TableauNode]:
-    if node.is_terminal:
-        if not node_consistent(node):
-            return None
-        children = []
-        for child in node.children:
-            kept = _prune(child)
-            if kept is None:
-                return None
-            children.append(kept)
+        closed = children[-1].closed
     else:
-        for child in node.children:
-            kept = _prune(child)
-            if kept is not None:
-                children = (kept,)
-                break
-        else:
-            return None
-    return TableauNode(node.gamma, node.min_interval, node.max_interval,
-                       node.rule, children)
+        rule = RULE_MOD if _has_modal(gamma) else None
+        closed = not _consistent(gamma, min_itv, max_itv)
+        if not closed:
+            for psi, child_min, child_max in _mod_child_specs(gamma):
+                children.append(_search((psi,), child_min, child_max, rng, memo))
+                if children[-1].closed:
+                    closed = True
+                    break
+    node = memo[key] = TableauNode(gamma, min_itv, max_itv, rule, children, closed)
+    return node
+
+
+def build_tableau(phi: Formula, rng=None) -> Tableau:
+    """The tree the search explores from <{phi}, [0,0], [0,0]>.  With an
+    RNG, the reducible formula and the order of negated-conjunction
+    branches are random; the verdict is the same either way."""
+    return Tableau(_search((phi,), point_zero(), point_zero(), rng, {}))
 
 
 def find_witness(tableau: Tableau) -> Optional[TableauNode]:
-    """Prune a built tableau to its witness by the search's rule (leftmost
-    good child, all children of a consistent terminal node), or None."""
-    return _prune(tableau.root)
+    """The root of an open tableau, or None when it is closed."""
+    return None if tableau.root.closed else tableau.root
 
 
 class ExtractionGapWarning(UserWarning):
@@ -398,7 +355,8 @@ class ExtractionGapWarning(UserWarning):
 
 
 def extract_model(witness: TableauNode) -> tuple[Wts, str, bool]:
-    """Walk a witness tree, turning modal nodes into transitions.
+    """Walk an open explored tree, turning modal nodes into transitions.
+    An interior node's open child is its last one.
 
     Each modal child contributes a fresh state reached by the least weight
     its min-interval allows and by a weight inside its max-interval (the
@@ -415,7 +373,7 @@ def extract_model(witness: TableauNode) -> tuple[Wts, str, bool]:
     while stack:
         state, node = stack.pop()
         if not node.is_terminal:
-            stack.append((state, node.children[0]))
+            stack.append((state, node.children[-1]))
             continue
         labels[state].update(
             f.name for f in node.gamma if isinstance(f, Atom)
@@ -462,12 +420,12 @@ Verdict = Union[Sat, Unsat]
 
 
 def is_satisfiable(phi: Formula, rng=None) -> Verdict:
-    """Search one witness depth-first; on success the verdict carries the
-    extracted model and its verification outcome."""
-    witness = _search((phi,), point_zero(), point_zero(), rng, {})
-    if witness is None:
+    """Search the tableau depth-first; when the root is open the verdict
+    carries the extracted model and its verification outcome."""
+    root = _search((phi,), point_zero(), point_zero(), rng, {})
+    if root.closed:
         return Unsat()
-    model, state, verified = extract_model(witness)
+    model, state, verified = extract_model(root)
     return Sat(model, state, verified)
 
 
@@ -492,11 +450,13 @@ def _node_json(node: TableauNode) -> dict:
         "max_interval": _interval_json(node.max_interval),
         "kind": node.kind,
         "rule": node.rule,
+        "closed": node.closed,
         "children": [_node_json(child) for child in node.children],
     }
 
 
 def tableau_to_json(tableau: Tableau) -> dict:
     """JSON tree with printed formula sets, interval endpoints as strings
-    ("-inf", "17/3", "inf") with open/closed flags, node kind and rule."""
+    ("-inf", "17/3", "inf") with open/closed flags, node kind, rule, the
+    closed flag and the children the search tried."""
     return _node_json(tableau.root)

@@ -12,6 +12,9 @@ probes and a parser that peeks and takes one token at a time.  It is kept
 verbatim (bar its name) as the reference for the current parser.  Its
 error messages show a rational token as a `Fraction` repr and a missing
 bound as `expected 'rat'`; the current parser quotes the input instead.
+
+`reference_print_formula` is the recursive printer, one call per level,
+kept verbatim (bar its name) as the reference for the iterative one.
 """
 
 import math
@@ -25,7 +28,7 @@ from wtl.formulas import (
     And, AtLeast, AtMost, Atom, Bottom, Formula, FormulaError, Not, Top, box,
     diamond, iff, implies, lor,
 )
-from wtl.wts import IDENT_RE, read_rational
+from wtl.wts import IDENT_RE, format_rational, read_rational
 
 
 def all_partitions(items):
@@ -327,3 +330,22 @@ def reference_parse_formula(text: Union[bytes, str]) -> Formula:
     if end[0] != "end":
         raise FormulaError(f"position {end[2]}: trailing input {parser._show(end)}")
     return f
+
+
+def reference_print_formula(f: Formula) -> str:
+    """Deterministic, fully parenthesized text; parse_formula inverse."""
+    if isinstance(f, Atom):
+        return f.name
+    if isinstance(f, Top):
+        return "true"
+    if isinstance(f, Bottom):
+        return "false"
+    if isinstance(f, Not):
+        return "!" + reference_print_formula(f.operand)
+    if isinstance(f, And):
+        return f"({reference_print_formula(f.left)} & {reference_print_formula(f.right)})"
+    if isinstance(f, AtLeast):
+        return f"L[{format_rational(f.bound)}] {reference_print_formula(f.operand)}"
+    if isinstance(f, AtMost):
+        return f"M[{format_rational(f.bound)}] {reference_print_formula(f.operand)}"
+    raise TypeError(f"not a formula: {f!r}")

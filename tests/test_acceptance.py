@@ -12,9 +12,9 @@ from itertools import combinations
 
 from wtl import (
     And, AtLeast, AtMost, Atom, ExtractionGapWarning, Interval, Not, POS_INF,
-    Sat, TableauNode, Unsat, distinguishing_formula, generalized_bisimilarity,
-    is_satisfiable, mod_children, model_check, parse_formula, parse_wts,
-    print_formula, random_formula, random_wts, run_suite, sat_set,
+    Sat, Unsat, build_tableau, conjoin, distinguishing_formula,
+    generalized_bisimilarity, is_satisfiable, model_check, parse_formula,
+    parse_wts, print_formula, random_formula, random_wts, run_suite, sat_set,
     serialize_wts, tableau_to_json, weighted_bisimilarity,
 )
 from wtl.cli import run as cli_run
@@ -70,11 +70,14 @@ def test_criterion_03_two_bisimilarity_flavours():
 
 def test_criterion_04_modal_rule_children_exact():
     p1, p2, p3 = Atom("p1"), Atom("p2"), Atom("p3")
-    node = TableauNode(
-        (p1, p2, AtLeast(2, p1), AtLeast(4, And(p1, p2)), AtLeast(0, p3),
-         Not(AtLeast(5, p2)), Not(AtMost(6, p3)))
-    )
-    children = mod_children(node)
+    gamma = (p1, p2, AtLeast(2, p1), AtLeast(4, And(p1, p2)), AtLeast(0, p3),
+             Not(AtLeast(5, p2)), Not(AtMost(6, p3)))
+    # the search splits the conjunction, then fires the modal rule once
+    node = build_tableau(conjoin(gamma)).root
+    while node.kind != "modal":
+        (node,) = node.children
+    assert node.gamma == gamma and not node.closed
+    children = node.children
     assert len(children) == 2
     first, second = children
     assert first.gamma == (And(p1, p2),)
@@ -98,8 +101,6 @@ def test_criterion_05_satisfiable_with_verified_extraction():
 def test_criterion_06_unsat_with_inconsistent_interval():
     phi = parse_formula("p1 & L[4] p1 & !L[3] p1 & L[2] p2")
     assert isinstance(quiet_sat(phi), Unsat)
-    from wtl import build_tableau
-
     dump = tableau_to_json(build_tableau(phi))
 
     def all_nodes(node):
@@ -108,7 +109,8 @@ def test_criterion_06_unsat_with_inconsistent_interval():
             yield from all_nodes(child)
 
     bad = {"lower": "4", "lower_closed": True, "upper": "3", "upper_closed": False}
-    assert any(node["min_interval"] == bad for node in all_nodes(dump))
+    assert any(node["min_interval"] == bad and node["closed"] for node in all_nodes(dump))
+    assert dump["closed"] is True
     report(6, "conflicting thresholds give Unsat via the empty interval [4,3)")
 
 

@@ -273,6 +273,51 @@ def test_formula_file_and_stdin(tmp_path):
     assert code == 0 and body["satisfiable"]
 
 
+def test_main_reads_stdin_where_a_path_is_dash(monkeypatch, capsys, tmp_path):
+    import io
+    import sys
+
+    from wtl.cli import main
+
+    def feed(data):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+
+    for argv in (["fmt", "--formula-file=-"], ["fmt", "--formula-f=-"],
+                 ["fmt", "--formula-file", "-"]):
+        feed(b"L[2] p")
+        assert main(argv) == 0, argv
+        assert capsys.readouterr() == ("L[2] p\n", "")
+    model = write_model(tmp_path, make_vacuum_model())
+    feed(b"M[2] charging")
+    assert main(["mc", "--model", model, "--state", "s1", "--formula-file=-"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"holds": True}
+    feed(serialize_wts(make_vacuum_model()))
+    assert main(["mc", "--model=-", "--state", "s1", "--formula", "M[2] charging"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"holds": True}
+
+
+def test_sat_dumps_the_explored_tableau(tmp_path):
+    import time
+
+    parts = [f"(x{j} | y{j})" for j in range(12)]
+    formula = " & ".join(parts + ["L[1] q"])
+    dump_out = tmp_path / "tableau.json"
+    start = time.perf_counter()
+    code, body, _ = invoke(["sat", "--formula", formula, "--dump-tableau", str(dump_out)])
+    elapsed = time.perf_counter() - start
+    assert code == 0 and body["verified"] is True
+    dump = json.loads(dump_out.read_text())
+    nodes, stack = 0, [dump]
+    while stack:
+        node = stack.pop()
+        nodes += 1
+        stack.extend(node["children"])
+        assert node["closed"] is False
+    # the exhaustive tableau has 20,489 nodes; the search explores one path
+    assert nodes < 100
+    assert elapsed < 2.0
+
+
 def test_help_is_returned_not_printed(capsys):
     code, out, err = run(["--help"])
     assert code == 0 and out.startswith("usage: wtl") and err == ""

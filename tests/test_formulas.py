@@ -15,7 +15,7 @@ from wtl import (
 )
 from wtl.formulas import Formula
 
-from oracles import reference_parse_formula
+from oracles import reference_parse_formula, reference_print_formula
 
 POOL = [F(0), F(1, 2), F(1), F(2), F(3)]
 # Below, between and above POOL's weights, so every bisect edge case is hit.
@@ -174,6 +174,28 @@ def test_print_round_trip_random():
     for seed in range(200):
         f = random_formula(seed, ["p1", "p2", "p3"], 3, POOL)
         assert parse_formula(print_formula(f)) == f
+
+
+def test_printer_agrees_with_the_reference_printer():
+    pools = [POOL, OFF_POOL + [F(10, 3), F(123456789, 1000)]]
+    for seed in range(2400):
+        f = random_formula(seed + 30000, ["p", "q", "r2"], 1 + seed % 4, pools[seed % 2])
+        assert print_formula(f) == reference_print_formula(f)
+    for f in (Top(), Bottom(), Not(Top()), And(Bottom(), Not(Not(Atom("x"))))):
+        assert print_formula(f) == reference_print_formula(f)
+
+
+def test_printer_prints_any_depth():
+    depth = 5000
+    f = Atom("p")
+    for _ in range(depth):
+        f = AtLeast(0, Not(f))
+    assert print_formula(f) == "L[0] !" * depth + "p"
+    wide = Atom("p0")
+    for j in range(1, depth):
+        wide = And(wide, Atom(f"p{j}"))
+    text = print_formula(wide)
+    assert text == "(" * (depth - 1) + "p0" + "".join(f" & p{j})" for j in range(1, depth))
 
 
 def test_sat_set_boolean_clauses(vacuum):

@@ -9,9 +9,8 @@ from wtl import (
     And, AtLeast, AtMost, Atom, Bottom, ExtractionGapWarning, Interval, Not,
     POS_INF, Sat, TableauNode, Top, Unsat, build_tableau, conjoin, entails,
     extract_model, find_witness, is_satisfiable, is_valid, lor,
-    minimal_representatives, mod_children, model_check, node_consistent,
-    parse_formula, print_formula, random_formula, serialize_wts,
-    tableau_to_json,
+    minimal_representatives, model_check, node_consistent, parse_formula,
+    print_formula, random_formula, serialize_wts, tableau_to_json,
 )
 from oracles import bounded_model_search
 
@@ -29,6 +28,24 @@ def disjunction_family(k):
     2^k branches, and the leftmost one is good."""
     parts = [lor(Atom(f"x{j}"), Atom(f"y{j}")) for j in range(k)]
     return conjoin(parts + [AtLeast(1, Atom("q"))])
+
+
+def explored_nodes(node):
+    """Every node of an explored tree, a node reached twice counted twice."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.children)
+
+
+def modal_node(gamma):
+    """The one modal node the search reaches from the conjunction of
+    `gamma`, whose Boolean rules only split conjunctions."""
+    (node,) = [n for n in explored_nodes(build_tableau(conjoin(gamma)).root)
+               if n.kind == "modal"]
+    assert node.gamma == tuple(gamma)
+    return node
 
 
 # ---------------------------------------------------------------- intervals
@@ -96,22 +113,24 @@ def test_minimal_representatives_equivalence_keeps_first():
 # ------------------------------------------------------------- modal rule
 
 def test_mod_children_two_minimal_operands():
-    node = TableauNode(
+    node = modal_node(
         (P1, P2, AtLeast(2, P1), AtLeast(4, And(P1, P2)), AtLeast(0, P3),
          Not(AtLeast(5, P2)), Not(AtMost(6, P3)))
     )
-    first, second = mod_children(node)
+    first, second = node.children
     assert first.gamma == (And(P1, P2),)
     assert first.min_interval == Interval(F(4), True, F(5), False)
     assert first.max_interval == Interval(F(0), True, POS_INF, False)
     assert second.gamma == (P3,)
     assert second.min_interval == Interval(F(0), True, POS_INF, False)
     assert second.max_interval == Interval(F(6), False, POS_INF, False)
+    assert not node.closed and not first.closed and not second.closed
 
 
 def test_mod_children_literals_only():
-    node = TableauNode((P1, Not(P2)))
-    assert mod_children(node) == []
+    node = build_tableau(conjoin([P1, Not(P2)])).root.children[-1]
+    assert node.gamma == (P1, Not(P2))
+    assert node.children == ()
     assert node.kind == "leaf"
 
 
@@ -126,18 +145,20 @@ def test_mod_children_negatives_only():
     assert not verdict.model.transitions
 
 
-def test_mod_children_rejects_reducible_gamma():
-    node = TableauNode((And(P1, P2), AtLeast(1, P1)))
-    with pytest.raises(ValueError):
-        mod_children(node)
-
-
 def test_mod_children_merges_duplicate_operands():
-    node = TableauNode((AtLeast(2, P1), AtMost(5, P1)))
-    (child,) = mod_children(node)
+    node = modal_node((AtLeast(2, P1), AtMost(5, P1)))
+    (child,) = node.children
     assert child.gamma == (P1,)
     assert child.min_interval == Interval(F(2), True, POS_INF, False)
     assert child.max_interval == Interval(F(0), True, F(5), True)
+
+
+def test_modal_children_stop_at_the_first_closed_one():
+    node = modal_node((P1, AtLeast(4, P1), Not(AtLeast(3, P1)), AtLeast(2, P2)))
+    (child,) = node.children
+    assert child.gamma == (P1,)
+    assert child.min_interval == Interval(F(4), True, F(3), False)
+    assert child.closed and node.closed and child.children == ()
 
 
 # ------------------------------------------------------------ construction
@@ -234,43 +255,63 @@ def test_witness_takes_leftmost_branch():
     assert child.gamma == (Not(Not(P1)),)
 
 
+def _alternatives(node):
+    return 2 if node.rule == "neg-and" else 1
+
+
+def _check_explored_tree(root):
+    for node in explored_nodes(root):
+        last = node.children[-1] if node.children else None
+        if not node.is_terminal:
+            assert all(child.closed for child in node.children[:-1])
+            if node.closed:
+                assert len(node.children) == _alternatives(node) and last.closed
+            else:
+                assert not last.closed
+        elif node.closed:
+            assert not node_consistent(node) or last.closed
+        elif node.kind == "modal":
+            assert node_consistent(node)
+            assert not any(child.closed for child in node.children)
+        else:
+            assert node_consistent(node) and node.children == ()
+
+
 def test_search_agrees_with_the_built_tableau():
     formulas = [
         random_formula(seed + 10000, ["p1", "p2", "p3"], 2, [F(0), F(1, 2), F(1), F(2)])
         for seed in range(200)
     ] + [disjunction_family(k) for k in range(6, 15)]
+    closed = opened = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ExtractionGapWarning)
-        for phi in formulas:
-            lazy = is_satisfiable(phi)
-            witness = find_witness(build_tableau(phi))
-            assert isinstance(lazy, Sat) == (witness is not None), print_formula(phi)
-            if witness is not None:
+        for i, phi in enumerate(formulas):
+            for rng_seed in (None, 3 * i, 3 * i + 1, 3 * i + 2):
+                rng = None if rng_seed is None else random.Random(rng_seed)
+                tableau = build_tableau(phi, rng)
+                _check_explored_tree(tableau.root)
+                rng = None if rng_seed is None else random.Random(rng_seed)
+                lazy = is_satisfiable(phi, rng)
+                witness = find_witness(tableau)
+                assert isinstance(lazy, Unsat) == (witness is None), print_formula(phi)
+                if witness is None:
+                    closed += 1
+                    continue
+                opened += 1
                 model, state, verified = extract_model(witness)
                 assert (lazy.state, lazy.verified) == (state, verified)
                 assert serialize_wts(lazy.model) == serialize_wts(model)
+    assert closed > 100 and opened > 100
 
 
-def test_search_never_builds_the_full_tableau(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the full tableau was built")
-
-    searched = []
-    search = wtl.tableau._search
-
-    def counting_search(*args):
-        searched.append(args[0])
-        return search(*args)
-
-    monkeypatch.setattr(wtl.tableau, "build_tableau", refuse)
-    monkeypatch.setattr(wtl.tableau, "_expand", refuse)
-    monkeypatch.setattr(wtl.tableau, "_search", counting_search)
-    monkeypatch.setattr(wtl.tableau, "_entailment_cache", {})
-    verdict = is_satisfiable(disjunction_family(14))
-    assert isinstance(verdict, Sat) and verdict.verified is True
+def test_search_never_builds_the_full_tableau():
+    tableau = build_tableau(disjunction_family(14))
+    assert find_witness(tableau) is tableau.root
     # 44 nodes on one path (14 conjunction splits, 14 disjunction branches,
     # 14 double negations, the modal node and its child), not 2^14 branches
-    assert len(searched) < 100
+    assert len(list(explored_nodes(tableau.root))) < 100
+    verdict = is_satisfiable(disjunction_family(14))
+    assert isinstance(verdict, Sat) and verdict.verified is True
     assert entails(And(P1, P2), P1) and not entails(P1, AtLeast(1, P1))
     assert is_valid(parse_formula("L[3] p -> !M[2] p"))
 
@@ -311,6 +352,18 @@ def test_satisfiable_nested_bounds_with_verified_witness():
     assert isinstance(verdict, Sat)
     assert verdict.verified is True
     assert model_check(verdict.model, verdict.state, phi)
+
+
+def test_extraction_follows_the_open_last_child():
+    # the first branch of the disjunction clashes with !p1; the second is open
+    phi = parse_formula("(p1 | p2) & !p1 & L[1] q")
+    witness = find_witness(build_tableau(phi))
+    (branch,) = [n for n in explored_nodes(witness) if n.rule == "neg-and"]
+    first, second = branch.children
+    assert first.closed and not second.closed
+    model, state, verified = extract_model(witness)
+    assert verified and model.labels[state] == {"p2"}
+    assert model_check(model, state, phi)
 
 
 def test_extract_single_state(vacuum):
