@@ -21,7 +21,9 @@ from .bisimulation import (
     quotient_model, weighted_bisimilarity,
 )
 from .formulas import FormulaError, model_check, parse_formula, print_formula
-from .tableau import Sat, build_tableau, is_satisfiable, is_valid, tableau_to_json
+from .tableau import (
+    Sat, _verdict_of, build_tableau, is_satisfiable, is_valid, tableau_to_json,
+)
 from .wts import ModelError, parse_wts, serialize_wts
 
 EXIT_YES = 0
@@ -177,12 +179,15 @@ def _dispatch(args, stdin: Optional[bytes], emit) -> tuple[int, str]:
 
     if args.command == "sat":
         phi = _load_formula(args, stdin)
+        tableau = None
         if args.dump_tableau:
-            dump = json.dumps(tableau_to_json(build_tableau(phi)), indent=2) + "\n"
+            tableau = build_tableau(phi)
+            dump = json.dumps(tableau_to_json(tableau), indent=2) + "\n"
             _write(args.dump_tableau, dump.encode("utf-8"))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            verdict = is_satisfiable(phi)
+            # a dumped tree already holds the verdict: the search runs once
+            verdict = is_satisfiable(phi) if tableau is None else _verdict_of(tableau.root)
         if not isinstance(verdict, Sat):
             return EXIT_NO, emit({"satisfiable": False})
         if args.emit_model:
@@ -195,7 +200,12 @@ def _dispatch(args, stdin: Optional[bytes], emit) -> tuple[int, str]:
         return (EXIT_YES if verdict.verified else EXIT_GAP), emit(body)
 
     if args.command == "valid":
-        answer = is_valid(_load_formula(args, stdin))
+        phi = _load_formula(args, stdin)
+        with warnings.catch_warnings():
+            # the answer stands when the negation's model fails verification,
+            # and stderr carries JSON only
+            warnings.simplefilter("ignore")
+            answer = is_valid(phi)
         return (EXIT_YES if answer else EXIT_NO), emit({"valid": answer})
 
     if args.command == "bisim":

@@ -8,6 +8,13 @@ the modal rule fires, producing one child per minimal operand of the
 positive modal formulas, with intervals accumulated from all modal
 formulas whose operand is entailed.
 
+The two rules that do not branch (splitting a conjunction, dropping a
+double negation) saturate a formula set in one pass, `_saturate`: a node
+they apply to gets one child with every conjunction split and every
+double negation dropped, and each branch of a negated conjunction is
+saturated when it is made.  So such a node occurs only where a query
+starts (the root, a modal child, an entailment query).
+
 One depth-first search, `_search`, applies the rules, and it builds
 nodes only as it reaches them.  An interior node tries its rule's
 alternatives in order and stops at the first open one; a terminal node
@@ -23,7 +30,8 @@ Semantic entailment between operands is decided by the same search on
 the conjunction of one operand with the negation of the other; the modal
 rule strictly lowers modal depth, so the recursion terminates.  Verdicts
 do not depend on the order in which rules are applied; `build_tableau`
-and `is_satisfiable` accept an RNG to exercise exactly that.
+and `is_satisfiable` accept an RNG to exercise exactly that: it picks
+the negated conjunction to branch on and the order of its branches.
 """
 
 from __future__ import annotations
@@ -51,7 +59,6 @@ RULE_AND = "and"
 RULE_NEG_AND = "neg-and"
 RULE_NEG_NEG = "neg-neg"
 RULE_MOD = "mod"
-_RULE_PRIORITY = (RULE_AND, RULE_NEG_NEG, RULE_NEG_AND)
 
 
 @dataclass(frozen=True)
@@ -73,6 +80,13 @@ class Interval:
             raise ValueError("interval cannot be closed at -inf")
         if self.upper == POS_INF and self.upper_closed:
             raise ValueError("interval cannot be closed at +inf")
+        # Stored once, as formula nodes do: every memo probe hashes two
+        # intervals, and a Fraction's hash is a modular inverse.
+        object.__setattr__(self, "_hash", hash(
+            (self.lower, self.lower_closed, self.upper, self.upper_closed)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def is_consistent(self) -> bool:
@@ -88,10 +102,6 @@ class Interval:
 
 def point_zero() -> Interval:
     return Interval(Fraction(0), True, Fraction(0), True)
-
-
-def _dedup(formulas) -> tuple:
-    return tuple(dict.fromkeys(formulas))
 
 
 class TableauNode:
@@ -146,17 +156,6 @@ def _is_positive_modal(f: Formula) -> bool:
 
 def _is_negative_modal(f: Formula) -> bool:
     return isinstance(f, Not) and isinstance(f.operand, (AtLeast, AtMost))
-
-
-def _boolean_rule_for(f: Formula) -> Optional[str]:
-    if isinstance(f, And):
-        return RULE_AND
-    if isinstance(f, Not):
-        if isinstance(f.operand, Not):
-            return RULE_NEG_NEG
-        if isinstance(f.operand, And):
-            return RULE_NEG_AND
-    return None
 
 
 # Entailment is a property of the formula pair alone, so the memo is
@@ -238,31 +237,62 @@ def _mod_child_specs(gamma) -> Iterator[tuple[Formula, Interval, Interval]]:
         yield psi, min_itv, max_itv
 
 
+def _saturate(gamma) -> tuple:
+    """`gamma` with the non-branching rules applied to the bottom: every
+    conjunction split into its operands in place and every double
+    negation dropped, then deduplicated keeping first occurrences.  This
+    is the set, in the same order, that applying the leftmost `and`, else
+    the leftmost `neg-neg`, one step at a time reaches."""
+    out = {}
+    pending = []
+    for f in gamma:
+        while True:
+            if isinstance(f, And):
+                pending.append(f.right)
+                f = f.left
+            elif isinstance(f, Not) and isinstance(f.operand, Not):
+                f = f.operand.operand
+            else:
+                out[f] = None
+                if not pending:
+                    break
+                f = pending.pop()
+    return tuple(out)
+
+
 def _boolean_step(gamma, rng) -> Optional[tuple[str, list[tuple]]]:
-    """The Boolean rule applied at a deduplicated formula set and its
-    children's formula sets, or None when none applies.  Without an RNG
-    the leftmost formula of the first rule in `_RULE_PRIORITY` is reduced."""
-    candidates = []
+    """The Boolean rule applied at a formula set and its children's
+    formula sets, or None when none applies.
+
+    When `gamma` holds a conjunction or a double negation, its one child
+    is `_saturate(gamma)`, and the rule is `and` if it holds a
+    conjunction, else `neg-neg`.  Otherwise the leftmost negated
+    conjunction branches (with an RNG, a random one, in random branch
+    order), and each branch is saturated when it is made."""
+    alpha = None
+    negated_ands = []
     for i, f in enumerate(gamma):
-        rule = _boolean_rule_for(f)
-        if rule is not None:
-            candidates.append((i, rule))
-    if not candidates:
+        if isinstance(f, And):
+            return RULE_AND, [_saturate(gamma)]
+        if isinstance(f, Not):
+            if isinstance(f.operand, Not):
+                alpha = RULE_NEG_NEG
+            elif isinstance(f.operand, And):
+                negated_ands.append(i)
+    if alpha is not None:
+        return alpha, [_saturate(gamma)]
+    if not negated_ands:
         return None
-    if rng is not None:
-        index, rule = candidates[rng.randrange(len(candidates))]
+    if rng is None:
+        index = negated_ands[0]
     else:
-        index, rule = min(candidates, key=lambda c: _RULE_PRIORITY.index(c[1]))
-    f = gamma[index]
-    if rule == RULE_AND:
-        parts = [(f.left, f.right)]
-    elif rule == RULE_NEG_NEG:
-        parts = [(f.operand.operand,)]
-    else:
-        parts = [(Not(f.operand.left),), (Not(f.operand.right),)]
-        if rng is not None and rng.random() < 0.5:
-            parts.reverse()
-    return rule, [_dedup(gamma[:index] + part + gamma[index + 1:]) for part in parts]
+        index = negated_ands[rng.randrange(len(negated_ands))]
+    f = gamma[index].operand
+    parts = [Not(f.left), Not(f.right)]
+    if rng is not None and rng.random() < 0.5:
+        parts.reverse()
+    before, after = gamma[:index], gamma[index + 1:]
+    return RULE_NEG_AND, [_saturate(before + (part,) + after) for part in parts]
 
 
 def _has_modal(gamma) -> bool:
@@ -304,35 +334,51 @@ def _search(gamma, min_itv: Interval, max_itv: Interval, rng, memo: dict
     it is consistent and every modal child is open, and the children stop
     at the first closed one.  `memo` maps each node reached in this query,
     as (gamma, min_itv, max_itv), to its explored node.
+
+    Only negated-conjunction branches and modal children recurse.  A set
+    the non-branching rules apply to (only ever where a query starts) has
+    one child, its saturation, which is explored in the same frame.
     """
-    key = (gamma, min_itv, max_itv)
-    if key in memo:
-        return memo[key]
-    children = []
+    start = (gamma, min_itv, max_itv)
+    node = memo.get(start)
+    if node is not None:
+        return node
+    key = start
+    alpha = None
     step = _boolean_step(gamma, rng)
-    if step is not None:
-        rule, child_sets = step
-        for child_gamma in child_sets:
-            children.append(_search(child_gamma, min_itv, max_itv, rng, memo))
-            if not children[-1].closed:
-                break
-        closed = children[-1].closed
-    else:
-        rule = RULE_MOD if _has_modal(gamma) else None
-        closed = not _consistent(gamma, min_itv, max_itv)
-        if not closed:
-            for psi, child_min, child_max in _mod_child_specs(gamma):
-                children.append(_search((psi,), child_min, child_max, rng, memo))
-                if children[-1].closed:
-                    closed = True
+    if step is not None and step[0] != RULE_NEG_AND:
+        alpha, (gamma,) = step
+        key = (gamma, min_itv, max_itv)
+        node = memo.get(key)
+        step = _boolean_step(gamma, rng) if node is None else None
+    if node is None:
+        children = []
+        if step is not None:
+            rule, child_sets = step
+            for child_gamma in child_sets:
+                children.append(_search(child_gamma, min_itv, max_itv, rng, memo))
+                if not children[-1].closed:
                     break
-    node = memo[key] = TableauNode(gamma, min_itv, max_itv, rule, children, closed)
+            closed = children[-1].closed
+        else:
+            rule = RULE_MOD if _has_modal(gamma) else None
+            closed = not _consistent(gamma, min_itv, max_itv)
+            if not closed:
+                for psi, child_min, child_max in _mod_child_specs(gamma):
+                    children.append(_search((psi,), child_min, child_max, rng, memo))
+                    if children[-1].closed:
+                        closed = True
+                        break
+        node = memo[key] = TableauNode(gamma, min_itv, max_itv, rule, children, closed)
+    if alpha is not None:
+        node = memo[start] = TableauNode(
+            start[0], min_itv, max_itv, alpha, (node,), node.closed)
     return node
 
 
 def build_tableau(phi: Formula, rng=None) -> Tableau:
     """The tree the search explores from <{phi}, [0,0], [0,0]>.  With an
-    RNG, the reducible formula and the order of negated-conjunction
+    RNG, the negated conjunction branched on and the order of its
     branches are random; the verdict is the same either way."""
     return Tableau(_search((phi,), point_zero(), point_zero(), rng, {}))
 
@@ -422,7 +468,12 @@ Verdict = Union[Sat, Unsat]
 def is_satisfiable(phi: Formula, rng=None) -> Verdict:
     """Search the tableau depth-first; when the root is open the verdict
     carries the extracted model and its verification outcome."""
-    root = _search((phi,), point_zero(), point_zero(), rng, {})
+    return _verdict_of(_search((phi,), point_zero(), point_zero(), rng, {}))
+
+
+def _verdict_of(root: TableauNode) -> Verdict:
+    """The verdict an explored tree's root gives, the model extracted
+    from it when it is open."""
     if root.closed:
         return Unsat()
     model, state, verified = extract_model(root)

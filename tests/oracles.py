@@ -15,6 +15,11 @@ bound as `expected 'rat'`; the current parser quotes the input instead.
 
 `reference_print_formula` is the recursive printer, one call per level,
 kept verbatim (bar its name) as the reference for the iterative one.
+
+`reference_saturate` applies the tableau's non-branching Boolean rules
+one formula at a time, as the search did before it saturated a set in
+one pass: the leftmost conjunction is split, else the leftmost double
+negation dropped, and the set is deduplicated after each step.
 """
 
 import math
@@ -349,3 +354,24 @@ def reference_print_formula(f: Formula) -> str:
     if isinstance(f, AtMost):
         return f"M[{format_rational(f.bound)}] {reference_print_formula(f.operand)}"
     raise TypeError(f"not a formula: {f!r}")
+
+
+def reference_saturate(gamma) -> tuple:
+    """The formula set the `and` and `neg-neg` rules reach from `gamma`,
+    applied one formula per step, leftmost `and` first."""
+    gamma = tuple(dict.fromkeys(gamma))
+    while True:
+        step = None
+        for i, f in enumerate(gamma):
+            if isinstance(f, And):
+                step = (i, (f.left, f.right))
+                break
+        if step is None:
+            for i, f in enumerate(gamma):
+                if isinstance(f, Not) and isinstance(f.operand, Not):
+                    step = (i, (f.operand.operand,))
+                    break
+        if step is None:
+            return gamma
+        i, part = step
+        gamma = tuple(dict.fromkeys(gamma[:i] + part + gamma[i + 1:]))

@@ -111,9 +111,73 @@ def test_sat_builds_the_full_tableau_only_for_the_dump(tmp_path, monkeypatch):
     assert len(built) == 1 and dump_out.exists()
 
 
+def test_sat_with_a_dump_searches_once(tmp_path, monkeypatch):
+    import wtl.tableau
+
+    search = wtl.tableau._search
+    for i, (formula, expected_code) in enumerate([
+        ("L[2] p1 & M[5] L[1] p1", 0),
+        ("L[2] !p1 & M[1] !p2", 3),
+        ("p1 & L[4] p1 & !L[3] p1 & L[2] p2", 1),
+    ]):
+        phi = parse_formula(formula)
+        roots = []
+
+        def counting(gamma, *rest):
+            if gamma == (phi,):
+                roots.append(gamma)
+            return search(gamma, *rest)
+
+        monkeypatch.setattr(wtl.tableau, "_search", counting)
+        dump_out, dumped_model = tmp_path / f"t{i}.json", tmp_path / f"dumped{i}.wts.json"
+        dumped = run(["sat", "--formula", formula, "--emit-model", str(dumped_model),
+                      "--dump-tableau", str(dump_out)])
+        assert len(roots) == 1, formula
+        monkeypatch.setattr(wtl.tableau, "_search", search)
+        plain_model = tmp_path / f"plain{i}.wts.json"
+        plain = run(["sat", "--formula", formula, "--emit-model", str(plain_model)])
+        assert dumped == plain and dumped[0] == expected_code
+        assert dumped_model.exists() == plain_model.exists() == (expected_code != 1)
+        if expected_code != 1:
+            assert dumped_model.read_bytes() == plain_model.read_bytes()
+        tree = wtl.tableau.tableau_to_json(wtl.tableau.build_tableau(phi))
+        assert dump_out.read_text() == json.dumps(tree, indent=2) + "\n"
+
+
+def test_sat_on_a_wide_flat_conjunction(tmp_path):
+    formula = " & ".join(f"a{j}" for j in range(800))
+    dump_out = tmp_path / "t.json"
+    code, body, _ = invoke(["sat", "--formula", formula, "--dump-tableau", str(dump_out)])
+    assert code == 0 and body["verified"] is True
+    dump = json.loads(dump_out.read_text())
+    # the conjunctions split in one step: the root and one leaf of 800 atoms
+    (leaf,) = dump["children"]
+    assert dump["rule"] == "and" and leaf["children"] == []
+    assert len(leaf["gamma"]) == 800
+
+
 def test_valid_command():
     assert invoke(["valid", "--formula", "!L[0] false"])[0] == 0
     assert invoke(["valid", "--formula", "p"])[0] == 1
+
+
+def test_valid_writes_no_python_warning(monkeypatch, capsys):
+    import sys
+    import warnings
+
+    from wtl.cli import main
+
+    # The negated A4 instance's extracted model fails verification; the
+    # interpreter's default hook would print that warning on stderr.
+    def show(message, category, filename, lineno, file=None, line=None):
+        sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+    formula = "!(L[2] !(!p1 & !p2) & !!(!L[2] p1 & !L[2] p2))"
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        monkeypatch.setattr(warnings, "showwarning", show)
+        assert main(["valid", "--formula", formula]) == 1
+    assert capsys.readouterr() == ('{"valid":false}\n', "")
 
 
 def test_bisim_pair_and_partition(tmp_path):

@@ -12,7 +12,7 @@ from wtl import (
     minimal_representatives, model_check, node_consistent, parse_formula,
     print_formula, random_formula, serialize_wts, tableau_to_json,
 )
-from oracles import bounded_model_search
+from oracles import bounded_model_search, reference_saturate
 
 P1, P2, P3 = Atom("p1"), Atom("p2"), Atom("p3")
 
@@ -252,7 +252,8 @@ def test_witness_takes_leftmost_branch():
     phi = parse_formula("!(!p1 & !p2)")  # p1 | p2
     witness = find_witness(build_tableau(phi))
     (child,) = witness.children
-    assert child.gamma == (Not(Not(P1)),)
+    # the branch's double negation is saturated when the branch is made
+    assert child.gamma == (P1,)
 
 
 def _alternatives(node):
@@ -262,6 +263,11 @@ def _alternatives(node):
 def _check_explored_tree(root):
     for node in explored_nodes(root):
         last = node.children[-1] if node.children else None
+        if node.rule in ("and", "neg-neg"):
+            assert last.gamma == reference_saturate(node.gamma)
+        if node.rule != "mod":
+            # non-branching steps occur only where a query starts
+            assert all(child.rule not in ("and", "neg-neg") for child in node.children)
         if not node.is_terminal:
             assert all(child.closed for child in node.children[:-1])
             if node.closed:
@@ -307,13 +313,70 @@ def test_search_agrees_with_the_built_tableau():
 def test_search_never_builds_the_full_tableau():
     tableau = build_tableau(disjunction_family(14))
     assert find_witness(tableau) is tableau.root
-    # 44 nodes on one path (14 conjunction splits, 14 disjunction branches,
-    # 14 double negations, the modal node and its child), not 2^14 branches
+    # 17 nodes on one path (the root's conjunctions split in one step, 14
+    # disjunction branches, the modal node and its child), not 2^14 branches
     assert len(list(explored_nodes(tableau.root))) < 100
     verdict = is_satisfiable(disjunction_family(14))
     assert isinstance(verdict, Sat) and verdict.verified is True
     assert entails(And(P1, P2), P1) and not entails(P1, AtLeast(1, P1))
     assert is_valid(parse_formula("L[3] p -> !M[2] p"))
+
+
+def _shared_formula_sets(seed, count):
+    """Formula sets drawn from a pool that grows by conjunctions, double
+    and single negations and negated conjunctions of its own entries, so
+    formulas and sets share subformulas and repeat one another."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        pool = [P1, P2, P3, Not(P1), AtLeast(1, P2), AtMost(2, Not(P3)), Top()]
+        for _ in range(rng.randint(1, 14)):
+            a, b = rng.choice(pool), rng.choice(pool)
+            pool.append(rng.choice(
+                [And(a, b), And(a, b), Not(Not(a)), Not(a), Not(And(a, b))]))
+        yield tuple(rng.choice(pool) for _ in range(rng.randint(1, 7)))
+
+
+def test_saturation_agrees_with_the_one_step_rules():
+    sets = list(_shared_formula_sets(12000, 2000))
+    sets += [
+        tuple(random_formula(seed * 5 + k, ["p1", "p2"], 2, [F(0), F(1)])
+              for k in range(1 + seed % 4))
+        for seed in range(12000, 12600)
+    ]
+    def double_negation(f):
+        return isinstance(f, Not) and isinstance(f.operand, Not)
+
+    for gamma in sets:
+        saturated = wtl.tableau._saturate(gamma)
+        assert saturated == reference_saturate(gamma), [print_formula(f) for f in gamma]
+        assert not any(isinstance(f, And) or double_negation(f) for f in saturated)
+    # the sample exercises both rules at the top of a set
+    assert sum(any(isinstance(f, And) for f in gamma) for gamma in sets) > 500
+    assert sum(any(map(double_negation, gamma)) for gamma in sets) > 500
+
+
+def test_non_branching_steps_take_one_node_and_no_recursion(monkeypatch):
+    calls = []
+    search = wtl.tableau._search
+
+    def counting(*args):
+        calls.append(args[0])
+        return search(*args)
+
+    monkeypatch.setattr(wtl.tableau, "_search", counting)
+    atoms = [Atom(f"a{j}") for j in range(800)]
+    tableau = build_tableau(conjoin(atoms))
+    nodes = list(explored_nodes(tableau.root))
+    assert [n.rule for n in nodes] == ["and", None]
+    assert nodes[1].gamma == tuple(atoms) and not tableau.root.closed
+    assert len(calls) == 1
+    calls.clear()
+    nodes = list(explored_nodes(build_tableau(disjunction_family(14)).root))
+    assert len(nodes) <= 17  # 44 when each step was its own node
+    # a frame per negated-conjunction branch and per modal child only
+    assert len(calls) == sum(n.rule not in ("and", "neg-neg") for n in nodes)
+    assert [n.rule for n in nodes].count("and") == 1
+    assert "neg-neg" not in [n.rule for n in nodes]
 
 
 def test_entailment_cache_is_bounded(monkeypatch):
