@@ -8,12 +8,15 @@ transition costs at most `r`.  Surface forms (`|`, `->`, `<->`, `<>`, `[]`)
 are desugared by the parser; every engine consumes core AST only.
 
 The parser reads a formula in two passes.  The scanner is one compiled
-pattern run by `findall`: after whitespace (`str.isspace`), each match is
-an operator, a rational's text, an identifier or a stray character, so
-the character loop runs in C; it reads every rational (`read_rational`)
-before parsing starts, so the first lexical error in input order wins.
-The recursive-descent parser then reads the token columns by index.  An
-error names the token's position and quotes it as the input has it.
+pattern with one group, run by `findall`, so the character loop runs in
+C and gives one flat list of token texts: after whitespace
+(`str.isspace`), each is an operator, a rational's text, an identifier
+or a stray character.  One pass over that list, before parsing starts,
+finds the first lexical error in input order and reads every rational
+(`read_rational`) through a process-wide memo of at most
+`BOUND_MEMO_SIZE` texts.  The recursive-descent parser then compares the
+token texts, read by index.  An error names the token's position and
+quotes it as the input has it.
 
 The constructors are also the operations of an `Algebra` (tagless
 style), with the derived connectives desugared once in the base class.
@@ -32,6 +35,7 @@ of it.
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 from bisect import bisect_left, bisect_right
@@ -237,41 +241,56 @@ class FormulaError(ValueError):
 
 
 # One match per token, after any whitespace (`\s` is the set of
-# `str.isspace`): an operator, an identifier (`IDENT_RE`), the text of an
-# unsigned rational (what `read_rational` reads), or any other character,
-# which is an error.  The longest operator wins: `[]` over `[`.
+# `str.isspace`), and one group, so `findall` gives the token texts: an
+# operator, an identifier (`IDENT_RE`), the text of an unsigned rational
+# (what `read_rational` reads), or any other character, which is an
+# error.  The longest operator wins: `[]` over `[`.  Every token is at
+# least one character long, so "" marks the end.
 _TOKEN_RE = re.compile(
-    r"\s*(?:([()!&|\]]|\[\]?|<->|->|<>)"
-    rf"|({IDENT_RE.pattern})"
-    r"|([0-9]+(?:/[0-9]*|\.[0-9]*)?)"
-    r"|(\S))"
+    r"\s*([()!&|\]]|\[\]?|<->|->|<>"
+    rf"|{IDENT_RE.pattern}"
+    r"|[0-9]+(?:/[0-9]*|\.[0-9]*)?"
+    r"|\S)"
 )
+_OPERATORS = frozenset(["(", ")", "!", "&", "|", "]", "[", "[]", "<->", "->", "<>"])
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ_abcdefghijklmnopqrstuvwxyz")
+_DIGITS = frozenset("0123456789")
+
+# The bound memo holds at most this many rational texts (least recently
+# used first out).  It is shared process-wide: a text's value depends on
+# the text alone.  A text that does not read is not kept.
+BOUND_MEMO_SIZE = 256
+
+
+@functools.lru_cache(maxsize=BOUND_MEMO_SIZE)
+def _read_bound(text: str) -> Fraction:
+    return read_rational(text)[0]
 
 
 def _tokenize(text: str):
-    """The tokens of `text` as three columns: operators (the text, "" for
-    other tokens, and a last "end"), names ("" for other tokens) and the
+    """The token texts of `text`, then "", and the values of its
     rationals by token index.
 
-    The whole text is read before the parser starts, so the first lexical
-    error in input order wins.  Positions are found again only for an
+    One pass reads the whole text before the parser starts, so the first
+    lexical error in input order wins: a stray character, or a rational
+    `read_rational` refuses.  Positions are found again only for an
     error (`_token_at`)."""
-    found = _TOKEN_RE.findall(text)
-    found.append(("end", "", "", ""))
-    ops, names, numbers, bad = zip(*found)
-    stop = len(found) - 1
-    if any(bad):
-        stop = next(k for k, c in enumerate(bad) if c)
+    tokens = _TOKEN_RE.findall(text)
     bounds = {}
-    for k, number in enumerate(numbers[:stop]):
-        if number:
-            try:
-                bounds[k] = read_rational(number)[0]
-            except ValueError as e:
-                raise _error(text, k, str(e)) from None
-    if bad[stop]:
-        raise _error(text, stop, f"unexpected character {bad[stop]!r}")
-    return ops, names, bounds
+    for k, token in enumerate(tokens):
+        if token in _OPERATORS:
+            continue
+        first = token[0]
+        if first in _NAME_START:
+            continue
+        if first not in _DIGITS:
+            raise _error(text, k, f"unexpected character {token!r}")
+        try:
+            bounds[k] = _read_bound(token)
+        except ValueError as e:
+            raise _error(text, k, str(e)) from None
+    tokens.append("")
+    return tokens, bounds
 
 
 def _token_at(text: str, k: int):
@@ -279,7 +298,7 @@ def _token_at(text: str, k: int):
     end of the input and None."""
     for j, match in enumerate(_TOKEN_RE.finditer(text)):
         if j == k:
-            return match.start(match.lastindex), match.group(match.lastindex)
+            return match.start(1), match.group(1)
     return len(text), None
 
 
@@ -288,14 +307,16 @@ def _error(text: str, k: int, message: str) -> FormulaError:
 
 
 class _Parser:
-    """Recursive descent over `_tokenize`'s columns, read by index: `i` is
-    the next token.  Errors quote the token as the input has it."""
+    """Recursive descent over `_tokenize`'s token texts, read by index:
+    `i` is the next token.  A token is a name when its first character
+    starts an identifier; "" is the end.  Errors quote the token as the
+    input has it."""
 
-    __slots__ = ("text", "ops", "names", "bounds", "i")
+    __slots__ = ("text", "tokens", "bounds", "i")
 
     def __init__(self, text: str):
         self.text = text
-        self.ops, self.names, self.bounds = _tokenize(text)
+        self.tokens, self.bounds = _tokenize(text)
         self.i = 0
 
     def fail(self, k: int, message: str) -> FormulaError:
@@ -306,65 +327,62 @@ class _Parser:
 
     def formula(self) -> Formula:
         left = self.disj()
-        op = self.ops[self.i]
-        if op == "->":
+        token = self.tokens[self.i]
+        if token == "->":
             self.i += 1
             return implies(left, self.formula())
-        if op == "<->":
+        if token == "<->":
             self.i += 1
             return iff(left, self.formula())
         return left
 
     def disj(self) -> Formula:
         f = self.conj()
-        while self.ops[self.i] == "|":
+        while self.tokens[self.i] == "|":
             self.i += 1
             f = lor(f, self.conj())
         return f
 
     def conj(self) -> Formula:
         f = self.prefix()
-        while self.ops[self.i] == "&":
+        while self.tokens[self.i] == "&":
             self.i += 1
             f = And(f, self.prefix())
         return f
 
     def prefix(self) -> Formula:
-        ops, i = self.ops, self.i
-        op = ops[i]
-        if not op:
-            name = self.names[i]
-            if not name:
-                raise self.fail(i, "unexpected")
-            if name in ("L", "M") and ops[i + 1] == "[":
+        tokens, i = self.tokens, self.i
+        token = tokens[i]
+        if token[:1] in _NAME_START:
+            if (token == "L" or token == "M") and tokens[i + 1] == "[":
                 bound = self.bounds.get(i + 2)
                 if bound is None:
                     raise self.fail(i + 2, "expected a number, got")
-                if ops[i + 3] != "]":
+                if tokens[i + 3] != "]":
                     raise self.fail(i + 3, "expected ']', got")
                 self.i = i + 4
                 operand = self.prefix()
-                return AtLeast(bound, operand) if name == "L" else AtMost(bound, operand)
+                return AtLeast(bound, operand) if token == "L" else AtMost(bound, operand)
             self.i = i + 1
-            if name == "true":
+            if token == "true":
                 return Top()
-            if name == "false":
+            if token == "false":
                 return Bottom()
-            return Atom(name)
-        if op == "!":
+            return Atom(token)
+        if token == "!":
             self.i = i + 1
             return Not(self.prefix())
-        if op == "(":
+        if token == "(":
             self.i = i + 1
             f = self.formula()
-            if ops[self.i] != ")":
+            if tokens[self.i] != ")":
                 raise self.fail(self.i, "expected ')', got")
             self.i += 1
             return f
-        if op == "<>":
+        if token == "<>":
             self.i = i + 1
             return diamond(self.prefix())
-        if op == "[]":
+        if token == "[]":
             self.i = i + 1
             return box(self.prefix())
         raise self.fail(i, "unexpected")
@@ -379,7 +397,7 @@ def parse_formula(text: Union[bytes, str]) -> Formula:
         text = decode_utf8(text, FormulaError)
     parser = _Parser(text)
     f = parser.formula()
-    if parser.ops[parser.i] != "end":
+    if parser.tokens[parser.i]:
         raise parser.fail(parser.i, "trailing input")
     return f
 

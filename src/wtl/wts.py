@@ -44,6 +44,10 @@ POS_INF: float = inf
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # ASCII digits only: `\d` would also take "٣" for 3.
 _RATIONAL_RE = re.compile(r"([0-9]+)(?:/([0-9]*)|\.([0-9]*))?")
+# The most digits a rational's text may hold, all its digit runs together:
+# the interpreter's default limit on converting between int and text.  So
+# the numerator and the denominator of every value read convert to text.
+MAX_RATIONAL_DIGITS = 4300
 
 
 class ModelError(ValueError):
@@ -59,13 +63,16 @@ def read_rational(text: str, pos: int = 0) -> tuple[Fraction, int]:
 
     Returns its exact value and the index just past it.  Raises ValueError
     when no digit starts at `pos`, when the digits after "/" or "." are
-    missing, or on a zero denominator; each caller reports it in its own
-    terms.  The one reader behind model weights and formula bounds.
+    missing, when there are more than MAX_RATIONAL_DIGITS digits, or on a
+    zero denominator; each caller reports it in its own terms.  The one
+    reader behind model weights and formula bounds.
     """
     m = _RATIONAL_RE.match(text, pos)
     if m is None:
         raise ValueError("expected digits")
     whole, den, dec = m.groups()
+    if len(whole) + len(den or dec or "") > MAX_RATIONAL_DIGITS:
+        raise ValueError(f"more than {MAX_RATIONAL_DIGITS} digits in a rational")
     if den is not None:
         if not den:
             raise ValueError("missing denominator")
@@ -88,6 +95,14 @@ def decode_utf8(data: bytes, error: type) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError as e:
         raise error(f"byte {e.start}: not UTF-8 ({e.reason})") from None
+
+
+def _read_json_int(text: str) -> int:
+    """A JSON integer of a model file, refused over the digit limit of
+    weights, so the interpreter's own limit is never the one met."""
+    if len(text) - text.startswith("-") > MAX_RATIONAL_DIGITS:
+        raise ModelError(f"more than {MAX_RATIONAL_DIGITS} digits in a JSON number")
+    return int(text)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -347,7 +362,7 @@ def parse_wts(data: Union[bytes, str]) -> Wts:
     if isinstance(data, bytes):
         data = decode_utf8(data, ModelError)
     try:
-        doc = json.loads(data)
+        doc = json.loads(data, parse_int=_read_json_int)
     except json.JSONDecodeError as e:
         raise ModelError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
     if not isinstance(doc, dict):

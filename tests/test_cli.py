@@ -299,6 +299,20 @@ def test_bytes_that_are_not_utf8_name_their_offset():
         assert json.loads(err) == {"error": f"byte {offset}: not UTF-8 (invalid start byte)"}
 
 
+def test_rationals_over_the_digit_limit_give_one_json_error():
+    ones = "1" * 5000
+    weight = '{"states":[{"id":"a"}],"transitions":[{"from":"a","weight":%s,"to":"a"}]}'
+    for argv, stdin in ((["fmt", "--formula", f"L[{ones}] p"], b""),
+                        (["sat", "--formula", f"M[1/{ones}] p"], b""),
+                        (["fmt", "--model", "-"], (weight % f'"{ones}"').encode()),
+                        (["fmt", "--model", "-"], (weight % ones).encode())):
+        code, out, err = run(argv, stdin)
+        assert code == 2 and out == "", argv
+        assert err.endswith("\n") and err.count("\n") == 1, argv
+        assert "more than 4300 digits" in json.loads(err)["error"], argv
+        assert "set_int_max_str_digits" not in err, argv
+
+
 def test_parser_defaults_do_not_leak_between_calls(tmp_path):
     path = write_model(tmp_path, make_coarse_pair_model())
     assert invoke(["bisim", "--model", path, "--state", "s", "--state", "t"])[0] == 0

@@ -13,7 +13,9 @@ from wtl import (
     diamond, iff, implies, lor, modal_depth, model_check, parse_formula,
     print_formula, random_formula, random_wts, sat_set,
 )
+from wtl import formulas
 from wtl.formulas import Formula
+from wtl.wts import MAX_RATIONAL_DIGITS
 
 from oracles import reference_parse_formula, reference_print_formula
 
@@ -49,6 +51,44 @@ def test_parse_precedence_and_associativity():
 
 def test_atoms_named_L_or_M_stay_atoms():
     assert parse_formula("L & M") == And(Atom("L"), Atom("M"))
+    # "" ends the token list, so no name, "end" included, stops the parse.
+    assert parse_formula("end & L & M") == And(And(Atom("end"), Atom("L")), Atom("M"))
+    assert parse_formula("true_ | L") == lor(Atom("true_"), Atom("L"))
+
+
+def test_bound_memo_stays_within_its_stated_size():
+    info = formulas._read_bound.cache_info()
+    assert info.maxsize == formulas.BOUND_MEMO_SIZE
+    for k in range(5000):
+        assert parse_formula(f"L[{k}/7] p") == AtLeast(F(k, 7), Atom("p"))
+    assert formulas._read_bound.cache_info().currsize <= formulas.BOUND_MEMO_SIZE
+    # A text read from the memo has the value of a fresh read.
+    assert parse_formula("M[4999/7] q") == AtMost(F(4999, 7), Atom("q"))
+
+
+def test_bound_errors_are_never_memoized():
+    for _ in range(3):
+        before = formulas._read_bound.cache_info()
+        with pytest.raises(FormulaError) as caught:
+            parse_formula("L[1/0] p")
+        assert str(caught.value) == "position 2: zero denominator"
+        after = formulas._read_bound.cache_info()
+        # Read again every time, and not kept.
+        assert after.misses == before.misses + 1
+        assert after.currsize == before.currsize
+
+
+def test_rationals_over_the_digit_limit_are_refused_with_a_stated_message():
+    limit = MAX_RATIONAL_DIGITS
+    assert print_formula(parse_formula(f"L[{'1' * limit}] p")) == f"L[{'1' * limit}] p"
+    # Every value within the limit prints, decimals included.
+    tiny = parse_formula(f"L[0.{'0' * (limit - 2)}1] p")
+    assert print_formula(tiny) == f"L[1/1{'0' * (limit - 1)}] p"
+    for bound in ("1" * (limit + 1), "1" * 5000, f"1/{'3' * limit}",
+                  f"{'1' * 3000}.{'1' * 3000}"):
+        with pytest.raises(FormulaError) as caught:
+            parse_formula(f"L[{bound}] p")
+        assert str(caught.value) == f"position 2: more than {limit} digits in a rational"
 
 
 def test_parse_errors_have_positions():

@@ -8,6 +8,7 @@ from wtl import (
     ModelError, NEG_INF, POS_INF, UnknownStateError, Wts, format_rational,
     parse_rational, parse_wts, random_wts, serialize_wts,
 )
+from wtl.wts import MAX_RATIONAL_DIGITS
 
 POOL = [F(0), F(1, 2), F(1), F(2), F(3)]
 
@@ -164,6 +165,25 @@ def test_parse_wts_errors():
         parse_wts(b'{"states":[{"id":"a"}],"transitions":[{"from":"a","weight":"1","x":0}]}')
     with pytest.raises(ModelError, match='transition without "to"'):
         parse_wts(b'{"states":[{"id":"a"}],"transitions":[{"from":"a","weight":"1"}]}')
+
+
+def test_parse_wts_refuses_numbers_over_the_digit_limit():
+    def model(weight: str) -> bytes:
+        return ('{"states":[{"id":"a"}],"transitions":'
+                f'[{{"from":"a","weight":{weight},"to":"a"}}]}}').encode()
+
+    limit = MAX_RATIONAL_DIGITS
+    assert parse_wts(model(f'"{"9" * limit}"')).weights == (F(int("9" * limit)),)
+    for weight, message in [
+        (f'"{"9" * (limit + 1)}"', "more than 4300 digits in a rational"),
+        (f'"1/{"3" * limit}"', "more than 4300 digits in a rational"),
+        ("9" * 5000, "more than 4300 digits in a JSON number"),
+        ("-" + "9" * 5000, "more than 4300 digits in a JSON number"),
+    ]:
+        with pytest.raises(ModelError) as caught:
+            parse_wts(model(weight))
+        assert str(caught.value).endswith(message)
+        assert "set_int_max_str_digits" not in str(caught.value)
 
 
 def test_parse_wts_names_the_first_byte_that_is_not_utf8():
