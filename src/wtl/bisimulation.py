@@ -13,12 +13,14 @@ both flavours; only the signature of a state differs.  Refinement is
 global: starting from the partition by labels, each round scans every
 out-edge of every state once, which gives each state its signature toward
 all current blocks, and splits every block by signature, until a round
-splits nothing.  The loop keeps only the current round, so the partition
-callers hold one partition at a time; `distinguishing_formula` alone keeps
-every round.  Signatures hold weight ranks (`Wts.weights`), not
-rationals, so they hash and compare as ints; the quotient and the
-distinguishing formulas map ranks back to weights.  Blocks are enumerated
-in a canonical order (sorted by least member) so runs are deterministic.
+splits nothing.  A round is plain data: its blocks as sorted lists in a
+canonical order (by least member, so runs are deterministic) and a dict
+from each state to its block's number.  The loop keeps only the current
+round, and the partition callers get one `Partition`, built from the
+last; `distinguishing_formula` alone keeps every round.  Signatures hold
+block numbers and weight ranks (`Wts.weights`), not rationals, so they
+hash and compare as ints; the quotient and the distinguishing formulas
+map ranks back to weights.
 
 A distinguishing formula is built from the rounds of bound refinement:
 one memoized separator per state pair, which probes a block toward which
@@ -87,31 +89,14 @@ class Partition:
         return f"Partition({self.as_lists()!r})"
 
 
-def _split_by(m: Wts, partition: Partition, signature) -> Partition:
-    new_blocks = []
-    for block in partition.blocks:
-        groups: dict = {}
-        for s in sorted(block):
-            groups.setdefault(signature(m, partition, s), []).append(s)
-        new_blocks.extend(groups.values())
-    return Partition(new_blocks)
-
-
-def _label_partition(m: Wts) -> Partition:
-    groups: dict = {}
-    for s in sorted(m.states):
-        groups.setdefault(m.labels[s], []).append(s)
-    return Partition(groups.values())
-
-
-def _bound_signature(m: Wts, partition: Partition, s: str):
+def _bound_signature(m: Wts, block_of: dict, s: str):
     """Min and max weight rank toward every block `s` reaches."""
-    return frozenset(m.bounds_by_block(s, partition._index).items())
+    return frozenset(m.bounds_by_block(s, block_of).items())
 
 
-def _exact_signature(m: Wts, partition: Partition, s: str):
+def _exact_signature(m: Wts, block_of: dict, s: str):
     """Every (weight rank, block) pair of a transition from `s`."""
-    return frozenset((r, partition._index[dst]) for r, dst in m._out[s])
+    return frozenset((r, block_of[dst]) for r, dst in m._out[s])
 
 
 def _rounds(m: Wts, signature):
@@ -119,26 +104,37 @@ def _rounds(m: Wts, signature):
     partition by labels, then each round's split of the one before, and
     last the fixpoint.
 
-    A round only splits blocks, so an unchanged block count means nothing
-    split.  Only the current round is kept, so a caller that wants the
-    fixpoint holds O(states) however many rounds there are; one that wants
-    every round (the separators) keeps them itself.
+    A round is its blocks, each a sorted list, in canonical order, and a
+    dict from each state to its block's number.  A round only splits
+    blocks, so an unchanged block count means nothing split.  Only the
+    current round is kept, so a caller that wants the fixpoint holds
+    O(states) however many rounds there are; one that wants every round
+    (the separators) keeps them itself.
     """
-    current = _label_partition(m)
+    groups: dict = {}
+    for s in sorted(m.states):
+        groups.setdefault(m.labels[s], []).append(s)
+    blocks = list(groups.values())
     while True:
-        yield current
-        refined = _split_by(m, current, signature)
-        if len(refined.blocks) == len(current.blocks):
+        block_of = {s: i for i, block in enumerate(blocks) for s in block}
+        yield blocks, block_of
+        split = []
+        for block in blocks:
+            groups = {}
+            for s in block:
+                groups.setdefault(signature(m, block_of, s), []).append(s)
+            split.extend(groups.values())
+        if len(split) == len(blocks):
             return
-        current = refined
+        blocks = sorted(split, key=lambda block: block[0])
 
 
 def _coarsest(m: Wts, signature) -> Partition:
     """The last of `_rounds`: the coarsest partition stable under
     `signature`."""
-    for partition in _rounds(m, signature):
+    for blocks, _ in _rounds(m, signature):
         pass
-    return partition
+    return Partition(blocks)
 
 
 def generalized_bisimilarity(m: Wts) -> Partition:
@@ -162,33 +158,27 @@ def are_bisimilar(m: Wts, s: str, t: str, flavor: str = "generalized") -> bool:
     raise ValueError(f"unknown flavor {flavor!r}")
 
 
-def _is_bound_bisimulation(m: Wts, p: Partition) -> bool:
-    for block in p.blocks:
-        rep = min(block)
-        bounds = m.bounds_by_block(rep, p._index)
-        for s in block:
-            if m.labels[s] != m.labels[rep] or m.bounds_by_block(s, p._index) != bounds:
-                return False
-    return True
-
-
 def quotient_model(m: Wts, p: Partition) -> Wts:
     """One state per block, keeping each block's min and max weight toward
     every other block.
 
     The partition must be a bound bisimulation for `m` (e.g. the output of
-    generalized_bisimilarity); block states are named by their least member.
+    generalized_bisimilarity): every state must carry the labels and the
+    bounds of its block's least member, which names the block state.
     """
     if set(p._index) != set(m.states):
         raise ValueError("partition does not cover the model's states")
-    if not _is_bound_bisimulation(m, p):
-        raise ValueError("partition is not a bound bisimulation for this model")
     reps = [min(block) for block in p.blocks]
     labels = {rep: m.labels[rep] for rep in reps}
     weights = m.weights
     transitions = []
-    for rep in reps:
-        for target, (lo, hi) in m.bounds_by_block(rep, p._index).items():
+    for block, rep in zip(p.blocks, reps):
+        bounds = m.bounds_by_block(rep, p._index)
+        for s in block:
+            if s != rep and (m.labels[s] != labels[rep]
+                             or m.bounds_by_block(s, p._index) != bounds):
+                raise ValueError("partition is not a bound bisimulation for this model")
+        for target, (lo, hi) in bounds.items():
             transitions.append((rep, weights[lo], reps[target]))
             transitions.append((rep, weights[hi], reps[target]))
     return Wts(reps, labels, transitions)
@@ -222,7 +212,7 @@ class _Separator:
     holds on whole round-k blocks.  The memo lives for one call.
     """
 
-    def __init__(self, m: Wts, history: list[Partition]):
+    def __init__(self, m: Wts, history: list[tuple[list, dict]]):
         self.m = m
         self.history = history
         self._memo: dict = {}
@@ -259,15 +249,15 @@ class _Separator:
         the state pairs whose separators its operand conjoins."""
         m = self.m
         weights = m.weights
-        k = next(k for k, p in enumerate(self.history) if not p.same_block(u, v))
+        k = next(k for k, (_, p) in enumerate(self.history) if p[u] != p[v])
         if k == 0:
             only_u = m.labels[u] - m.labels[v]
             if only_u:
                 return Atom(min(only_u))
             return Not(Atom(min(m.labels[v] - m.labels[u])))
-        previous = self.history[k - 1]
-        bounds = {u: m.bounds_by_block(u, previous._index),
-                  v: m.bounds_by_block(v, previous._index)}
+        blocks, previous = self.history[k - 1]
+        bounds = {u: m.bounds_by_block(u, previous),
+                  v: m.bounds_by_block(v, previous)}
         # Canonical block order; blocks neither state reaches never differ.
         for i in sorted(bounds[u].keys() | bounds[v].keys()):
             lo_u, hi_u = bounds[u].get(i, _UNREACHED)
@@ -289,8 +279,8 @@ class _Separator:
                 holder = u if hi_u < hi_v else v
                 spoilers = [j for j, (_, hi) in bounds[holder].items()
                             if weights[hi] > q]
-            b = min(previous.blocks[i])
-            operands = [(b, min(previous.blocks[j])) for j in sorted(spoilers)]
+            b = blocks[i][0]
+            operands = [(b, blocks[j][0]) for j in sorted(spoilers)]
             return modality, q, holder != u, operands
         raise AssertionError("separated states must differ toward some block")
 
@@ -303,6 +293,7 @@ def distinguishing_formula(m: Wts, s: str, t: str) -> Optional[Formula]:
     if s == t:
         return None
     history = list(_rounds(m, _bound_signature))
-    if history[-1].same_block(s, t):
+    p = history[-1][1]
+    if p[s] == p[t]:
         return None
     return _Separator(m, history).separate(s, t)

@@ -44,7 +44,7 @@ from typing import Iterator, Optional, Union
 
 from .formulas import (
     And, AtLeast, AtMost, Atom, Bottom, Formula, Not, Top,
-    modal_depth, model_check, print_formula,
+    model_check, print_formula,
 )
 from .wts import ExtendedBound, NEG_INF, POS_INF, Wts, format_bound
 
@@ -209,14 +209,7 @@ def _mod_child_specs(gamma) -> Iterator[tuple[Formula, Interval, Interval]]:
             positives.append(f)
         elif _is_negative_modal(f):
             negatives.append(f.operand)
-    if not positives and not negatives:
-        return
-    node_md = max(modal_depth(f) for f in itertools.chain(positives, negatives))
     operands = [f.operand for f in positives]
-    # recursion guard: entailment queries stay strictly below this node's depth
-    assert all(modal_depth(op) < node_md for op in operands)
-    assert all(modal_depth(g.operand) < node_md for g in negatives)
-
     for psi in minimal_representatives(operands):
         lower_pos = [f.bound for f in positives
                      if isinstance(f, AtLeast) and entails(psi, f.operand)]

@@ -121,10 +121,18 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    """Canonical text for a rational: "N" or "N/D"."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    """Canonical text for a rational: "N" or "N/D".
+
+    Raises ValueError, stating the limit, when N or D has more digits than
+    the interpreter converts to text (by default MAX_RATIONAL_DIGITS), as
+    one plus a bound at the limit or the midpoint of two such weights can.
+    """
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        raise ValueError(f"more than {MAX_RATIONAL_DIGITS} digits in a rational to print") from None
 
 
 def format_bound(b: ExtendedBound) -> str:

@@ -61,12 +61,16 @@ def test_weighted_refines_generalized_and_matches_naive_oracle():
 
 
 def test_fixpoint_stability():
-    from wtl.bisimulation import _bound_signature, _split_by
+    from wtl.bisimulation import _bound_signature, _rounds
 
     for seed in range(20):
         m = random_wts(seed + 71000, 5, 3, POOL, ["p", "q"])
         gen = generalized_bisimilarity(m)
-        assert _split_by(m, gen, _bound_signature) == gen
+        *_, (blocks, block_of) = _rounds(m, _bound_signature)
+        assert Partition(blocks) == gen
+        # one more split by signature splits nothing
+        for block in blocks:
+            assert len({_bound_signature(m, block_of, s) for s in block}) == 1, seed
 
 
 def test_per_block_bound_constancy():
@@ -263,6 +267,21 @@ def test_partition_callers_keep_one_round_at_a_time():
     assert len(generalized_bisimilarity(m).blocks) == 300
 
 
+def test_distinguishing_formula_keeps_rounds_as_plain_data():
+    # The separators keep every round, and a chain splits one state off
+    # per round, so the rounds hold O(n^2) block numbers: about 6.5 MB at
+    # n = 300 as lists and dicts.
+    m = _chain(300)
+    tracemalloc.start()
+    try:
+        d = distinguishing_formula(m, "c0", "c1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+    assert modal_depth(d) == 298
+
+
 def test_hennessy_milner_desk_check_small():
     from itertools import combinations
     from wtl.bisimulation import _bound_signature, _rounds
@@ -270,18 +289,22 @@ def test_hennessy_milner_desk_check_small():
     for i in range(6):
         m = random_wts(31000 + i, 6, 3, POOL, ["p1", "p2"])
         history = list(_rounds(m, _bound_signature))
-        partition = history[-1]
+        for blocks, block_of in history:
+            # sorted blocks in canonical order, and each state's block number
+            assert blocks == sorted(sorted(b) for b in blocks), i
+            assert block_of == {s: k for k, b in enumerate(blocks) for s in b}, i
+        partition = history[-1][1]
         cache: dict = {}
         satsets = [
             sat_set(m, random_formula(91000 + 997 * i + j, ["p1", "p2"], 2, POOL), cache)
             for j in range(200)
         ]
         for a, b in combinations(sorted(m.states), 2):
-            if partition.same_block(a, b):
+            if partition[a] == partition[b]:
                 assert all((a in ss) == (b in ss) for ss in satsets), (i, a, b)
             else:
                 d = distinguishing_formula(m, a, b)
                 assert d is not None
                 assert model_check(m, a, d) != model_check(m, b, d), (i, a, b)
-                first = next(k for k, p in enumerate(history) if not p.same_block(a, b))
+                first = next(k for k, (_, p) in enumerate(history) if p[a] != p[b])
                 assert modal_depth(d) == first, (i, a, b)

@@ -299,18 +299,30 @@ def test_bytes_that_are_not_utf8_name_their_offset():
         assert json.loads(err) == {"error": f"byte {offset}: not UTF-8 (invalid start byte)"}
 
 
-def test_rationals_over_the_digit_limit_give_one_json_error():
+def test_rationals_over_the_digit_limit_give_one_json_error(tmp_path):
     ones = "1" * 5000
     weight = '{"states":[{"id":"a"}],"transitions":[{"from":"a","weight":%s,"to":"a"}]}'
+    # Weights at the limit read, but the extracted model's weight c + 1 and
+    # the separator's midpoint of two of them have 4,301 digits.
+    nines = "9" * 4300
+    pair = {"states": [{"id": "a"}, {"id": "b"}, {"id": "t", "labels": ["p"]}],
+            "transitions": [{"from": "a", "weight": nines, "to": "t"},
+                            {"from": "b", "weight": nines[:-1] + "8", "to": "t"}]}
+    emitted = tmp_path / "m.json"
     for argv, stdin in ((["fmt", "--formula", f"L[{ones}] p"], b""),
                         (["sat", "--formula", f"M[1/{ones}] p"], b""),
                         (["fmt", "--model", "-"], (weight % f'"{ones}"').encode()),
-                        (["fmt", "--model", "-"], (weight % ones).encode())):
+                        (["fmt", "--model", "-"], (weight % ones).encode()),
+                        (["sat", "--formula", f"L[{nines}] p & !M[{nines}] p",
+                          "--emit-model", str(emitted)], b""),
+                        (["distinguish", "--model", "-", "--state", "a", "--state", "b"],
+                         json.dumps(pair).encode())):
         code, out, err = run(argv, stdin)
         assert code == 2 and out == "", argv
         assert err.endswith("\n") and err.count("\n") == 1, argv
         assert "more than 4300 digits" in json.loads(err)["error"], argv
         assert "set_int_max_str_digits" not in err, argv
+    assert not emitted.exists()
 
 
 def test_parser_defaults_do_not_leak_between_calls(tmp_path):

@@ -123,6 +123,12 @@ def test_format_rational():
     assert format_rational(F(3)) == "3"
     assert format_rational(F(7, 2)) == "7/2"
     assert format_rational(parse_rational("1.5")) == "3/2"
+    # the interpreter's own message never shows past the digit limit
+    at_limit = int("9" * MAX_RATIONAL_DIGITS)
+    assert format_rational(F(at_limit, at_limit - 1)) == f"{at_limit}/{at_limit - 1}"
+    for q in (F(at_limit + 1), F(1, at_limit + 1), F(2 * at_limit - 1, 2)):
+        with pytest.raises(ValueError, match="^more than 4300 digits in a rational to print$"):
+            format_rational(q)
 
 
 VACUUM_TEXT = b"""
