@@ -9,22 +9,26 @@ positive modal formulas, with intervals accumulated from all modal
 formulas whose operand is entailed.
 
 The two rules that do not branch (splitting a conjunction, dropping a
-double negation) saturate a formula set in one pass, `_saturate`: a node
-they apply to gets one child with every conjunction split and every
-double negation dropped, and each branch of a negated conjunction is
-saturated when it is made.  So such a node occurs only where a query
-starts (the root, a modal child, an entailment query).
+double negation) saturate a formula set in one pass, `_saturate`, and
+each branch of a negated conjunction is saturated when it is made.  So
+a node they apply to, with its saturation as its one child, occurs only
+where a query starts (the root, a modal child, an entailment query).
 
 One depth-first search, `_search`, applies the rules, and it builds
-nodes only as it reaches them.  An interior node tries its rule's
-alternatives in order and stops at the first open one; a terminal node
-gets its modal children only once it is consistent, and they stop at the
-first closed one.  Every node reached records the children tried and a
-`closed` flag, and the search memoizes these nodes for the query.  So the
-recorded tree is the one explored: an open node's path runs through the
-last child of each interior node, and the finite model extracted from it
-is re-checked against the input formula.  `build_tableau` returns that
-tree for dumps, and `find_witness` is its root when the root is open.
+nodes only as it reaches them.  It reads a node's formula set in one
+pass, `_scan`, which yields all that the rules ask: the non-branching
+rule that applies, the negated conjunctions, the positive and the
+negated modal formulas, and whether the literals clash.  Only a
+saturated set the memo does not hold is scanned again.  An interior
+node tries its rule's alternatives in order and stops at the first open
+one; a terminal node gets its modal children only once it is
+consistent, and they stop at the first closed one.  Every node reached
+records the children tried and a `closed` flag, and the search memoizes
+these nodes for the query.  So the recorded tree is the one explored:
+an open node's path runs through the last child of each interior node,
+and the finite model extracted from it is re-checked against the root's
+saturated set.  `build_tableau` returns that tree for dumps, and
+`find_witness` is its root when the root is open.
 
 Semantic entailment between operands is decided by the same search on
 the conjunction of one operand with the negation of the other; the modal
@@ -76,9 +80,11 @@ class Interval:
     upper_closed: bool
 
     def __post_init__(self):
-        if self.lower == NEG_INF and self.lower_closed:
+        # The flag and the type first: comparing a Fraction with a float
+        # infinity takes Fraction.__eq__'s slow path.
+        if self.lower_closed and type(self.lower) is float and self.lower == NEG_INF:
             raise ValueError("interval cannot be closed at -inf")
-        if self.upper == POS_INF and self.upper_closed:
+        if self.upper_closed and type(self.upper) is float and self.upper == POS_INF:
             raise ValueError("interval cannot be closed at +inf")
         # Stored once, as formula nodes do: every memo probe hashes two
         # intervals, and a Fraction's hash is a modular inverse.
@@ -150,14 +156,6 @@ class Tableau:
     root: TableauNode
 
 
-def _is_positive_modal(f: Formula) -> bool:
-    return isinstance(f, (AtLeast, AtMost))
-
-
-def _is_negative_modal(f: Formula) -> bool:
-    return isinstance(f, Not) and isinstance(f.operand, (AtLeast, AtMost))
-
-
 # Entailment is a property of the formula pair alone, so the memo is
 # shared process-wide; concurrent duplicate computation is harmless.  It
 # is emptied when it reaches ENTAILMENT_CACHE_LIMIT entries, which bounds
@@ -197,20 +195,13 @@ def minimal_representatives(operands) -> list[Formula]:
     ]
 
 
-def _mod_child_specs(gamma) -> Iterator[tuple[Formula, Interval, Interval]]:
-    """The modal rule: one (operand, min-interval, max-interval) triple per
-    minimal representative of the positive modal operands, yielded one at
-    a time so that a search stopping at a bad child asks no entailment
-    queries for the rest."""
-    positives = []
-    negatives = []
-    for f in gamma:
-        if _is_positive_modal(f):
-            positives.append(f)
-        elif _is_negative_modal(f):
-            negatives.append(f.operand)
-    operands = [f.operand for f in positives]
-    for psi in minimal_representatives(operands):
+def _mod_child_specs(positives, negatives) -> Iterator[tuple]:
+    """The modal rule at a node whose positive modal formulas are
+    `positives` and whose negated ones negate `negatives`: one (operand,
+    min-interval, max-interval) triple per minimal representative of the
+    positive operands, yielded one at a time so that a search stopping at
+    a bad child asks no entailment queries for the rest."""
+    for psi in minimal_representatives([f.operand for f in positives]):
         lower_pos = [f.bound for f in positives
                      if isinstance(f, AtLeast) and entails(psi, f.operand)]
         upper_pos = [f.bound for f in positives
@@ -253,60 +244,62 @@ def _saturate(gamma) -> tuple:
     return tuple(out)
 
 
-def _boolean_step(gamma, rng) -> Optional[tuple[str, list[tuple]]]:
-    """The Boolean rule applied at a formula set and its children's
-    formula sets, or None when none applies.
-
-    When `gamma` holds a conjunction or a double negation, its one child
-    is `_saturate(gamma)`, and the rule is `and` if it holds a
-    conjunction, else `neg-neg`.  Otherwise the leftmost negated
-    conjunction branches (with an RNG, a random one, in random branch
-    order), and each branch is saturated when it is made."""
+def _scan(gamma) -> tuple[Optional[str], list[int], list, list, bool]:
+    """Everything the rules read from a formula set, in one pass: the
+    non-branching rule that applies (`and` if the set holds a
+    conjunction, else `neg-neg` if it holds a double negation, else
+    None), the indices of its negated conjunctions, its positive modal
+    formulas, the modal formulas it negates, and whether its literals
+    clash (`false`, `!true`, or an atom together with its negation)."""
     alpha = None
     negated_ands = []
+    positives = []
+    negatives = []
+    atoms = set()
+    negated_atoms = set()
+    clash = False
     for i, f in enumerate(gamma):
-        if isinstance(f, And):
-            return RULE_AND, [_saturate(gamma)]
         if isinstance(f, Not):
-            if isinstance(f.operand, Not):
-                alpha = RULE_NEG_NEG
-            elif isinstance(f.operand, And):
+            g = f.operand
+            if isinstance(g, And):
                 negated_ands.append(i)
-    if alpha is not None:
-        return alpha, [_saturate(gamma)]
-    if not negated_ands:
-        return None
-    if rng is None:
-        index = negated_ands[0]
-    else:
-        index = negated_ands[rng.randrange(len(negated_ands))]
+            elif isinstance(g, (AtLeast, AtMost)):
+                negatives.append(g)
+            elif isinstance(g, Atom):
+                negated_atoms.add(g.name)
+            elif isinstance(g, Not):
+                alpha = alpha or RULE_NEG_NEG
+            elif isinstance(g, Top):
+                clash = True
+        elif isinstance(f, (AtLeast, AtMost)):
+            positives.append(f)
+        elif isinstance(f, Atom):
+            atoms.add(f.name)
+        elif isinstance(f, And):
+            alpha = RULE_AND
+        elif isinstance(f, Bottom):
+            clash = True
+    clash = clash or not atoms.isdisjoint(negated_atoms)
+    return alpha, negated_ands, positives, negatives, clash
+
+
+def _branches(gamma, negated_ands, rng) -> Iterator[tuple]:
+    """The `neg-and` rule's children: the leftmost negated conjunction
+    (with an RNG, a random one, in random branch order) branches, and
+    each branch is saturated when it is made."""
+    index = negated_ands[0 if rng is None else rng.randrange(len(negated_ands))]
     f = gamma[index].operand
     parts = [Not(f.left), Not(f.right)]
     if rng is not None and rng.random() < 0.5:
         parts.reverse()
     before, after = gamma[:index], gamma[index + 1:]
-    return RULE_NEG_AND, [_saturate(before + (part,) + after) for part in parts]
+    for part in parts:
+        yield _saturate(before + (part,) + after)
 
 
-def _has_modal(gamma) -> bool:
-    return any(_is_positive_modal(f) or _is_negative_modal(f) for f in gamma)
-
-
-def _consistent(gamma, min_itv: Interval, max_itv: Interval) -> bool:
-    pos = set()
-    neg = set()
-    for f in gamma:
-        if isinstance(f, Bottom):
-            return False
-        if isinstance(f, Atom):
-            pos.add(f.name)
-        elif isinstance(f, Not):
-            if isinstance(f.operand, Top):
-                return False
-            if isinstance(f.operand, Atom):
-                neg.add(f.operand.name)
-    if pos & neg:
-        return False
+def _intervals_meet(min_itv: Interval, max_itv: Interval) -> bool:
+    """Both intervals non-empty, and the least possible minimum weight not
+    above the greatest possible maximum."""
     if not min_itv.is_consistent or not max_itv.is_consistent:
         return False
     a, d = min_itv.lower, max_itv.upper
@@ -314,9 +307,9 @@ def _consistent(gamma, min_itv: Interval, max_itv: Interval) -> bool:
 
 
 def node_consistent(node: TableauNode) -> bool:
-    """No clashing literals or falsum, both intervals non-empty, and the
-    least possible minimum weight not above the greatest possible maximum."""
-    return _consistent(node.gamma, node.min_interval, node.max_interval)
+    """No clashing literals or falsum, and the intervals meet."""
+    *_, clash = _scan(node.gamma)
+    return not clash and _intervals_meet(node.min_interval, node.max_interval)
 
 
 def _search(gamma, min_itv: Interval, max_itv: Interval, rng, memo: dict
@@ -337,27 +330,27 @@ def _search(gamma, min_itv: Interval, max_itv: Interval, rng, memo: dict
     if node is not None:
         return node
     key = start
-    alpha = None
-    step = _boolean_step(gamma, rng)
-    if step is not None and step[0] != RULE_NEG_AND:
-        alpha, (gamma,) = step
+    alpha, negated_ands, positives, negatives, clash = _scan(gamma)
+    if alpha is not None:
+        gamma = _saturate(gamma)
         key = (gamma, min_itv, max_itv)
         node = memo.get(key)
-        step = _boolean_step(gamma, rng) if node is None else None
+        if node is None:
+            _, negated_ands, positives, negatives, clash = _scan(gamma)
     if node is None:
         children = []
-        if step is not None:
-            rule, child_sets = step
-            for child_gamma in child_sets:
+        if negated_ands:
+            rule = RULE_NEG_AND
+            for child_gamma in _branches(gamma, negated_ands, rng):
                 children.append(_search(child_gamma, min_itv, max_itv, rng, memo))
                 if not children[-1].closed:
                     break
             closed = children[-1].closed
         else:
-            rule = RULE_MOD if _has_modal(gamma) else None
-            closed = not _consistent(gamma, min_itv, max_itv)
+            rule = RULE_MOD if positives or negatives else None
+            closed = clash or not _intervals_meet(min_itv, max_itv)
             if not closed:
-                for psi, child_min, child_max in _mod_child_specs(gamma):
+                for psi, child_min, child_max in _mod_child_specs(positives, negatives):
                     children.append(_search((psi,), child_min, child_max, rng, memo))
                     if children[-1].closed:
                         closed = True
@@ -400,9 +393,10 @@ def extract_model(witness: TableauNode) -> tuple[Wts, str, bool]:
     Each modal child contributes a fresh state reached by the least weight
     its min-interval allows and by a weight inside its max-interval (the
     midpoint, or one above the left end when unbounded); positive atoms at
-    terminal nodes become labels.  The result is re-checked against the
-    root formula; on failure an ExtractionGapWarning is emitted (the
-    verdict still stands, the constructed model just is not a witness).
+    terminal nodes become labels.  The result is re-checked against each
+    formula of the root's saturated set; on failure an ExtractionGapWarning
+    is emitted (the verdict still stands, the constructed model just is
+    not a witness).
     """
     counter = itertools.count()
     root_state = f"s{next(counter)}"
@@ -434,7 +428,9 @@ def extract_model(witness: TableauNode) -> tuple[Wts, str, bool]:
                 transitions.append((state, y, fresh))
                 stack.append((fresh, child))
     model = Wts(labels.keys(), labels, transitions)
-    verified = all(model_check(model, root_state, f) for f in witness.gamma)
+    # The saturated set means what the root's does, and its conjuncts are
+    # flat: a wide conjunction is not re-checked as a deep one.
+    verified = all(model_check(model, root_state, f) for f in _saturate(witness.gamma))
     if not verified:
         warnings.warn(
             ExtractionGapWarning(witness.gamma[0], model, root_state),

@@ -30,7 +30,7 @@ import re
 from fractions import Fraction
 from math import inf
 from types import MappingProxyType
-from typing import Hashable, Iterable, Mapping, Union
+from typing import Hashable, Iterable, Mapping, Optional, Union
 
 Weight = Fraction
 
@@ -44,9 +44,10 @@ POS_INF: float = inf
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # ASCII digits only: `\d` would also take "٣" for 3.
 _RATIONAL_RE = re.compile(r"([0-9]+)(?:/([0-9]*)|\.([0-9]*))?")
-# The most digits a rational's text may hold, all its digit runs together:
-# the interpreter's default limit on converting between int and text.  So
-# the numerator and the denominator of every value read convert to text.
+# The most digits a rational may have: its text, all digit runs together,
+# and its canonical text "N" or "N/D" alike (the interpreter's default
+# limit on converting between int and text).  So every value read prints,
+# and every value printed reads back.
 MAX_RATIONAL_DIGITS = 4300
 
 
@@ -63,9 +64,10 @@ def read_rational(text: str, pos: int = 0) -> tuple[Fraction, int]:
 
     Returns its exact value and the index just past it.  Raises ValueError
     when no digit starts at `pos`, when the digits after "/" or "." are
-    missing, when there are more than MAX_RATIONAL_DIGITS digits, or on a
-    zero denominator; each caller reports it in its own terms.  The one
-    reader behind model weights and formula bounds.
+    missing, when the text or the value's canonical text has more than
+    MAX_RATIONAL_DIGITS digits, or on a zero denominator; each caller
+    reports it in its own terms.  The one reader behind model weights and
+    formula bounds.
     """
     m = _RATIONAL_RE.match(text, pos)
     if m is None:
@@ -83,6 +85,10 @@ def read_rational(text: str, pos: int = 0) -> tuple[Fraction, int]:
         if not dec:
             raise ValueError("missing decimal digits")
         value = Fraction(int(whole)) + Fraction(int(dec), 10 ** len(dec))
+        # NM/10^len(M) reduced: its text may hold up to len(N) + 2*len(M) + 1
+        # digits, more than the decimal's own
+        if len(whole) + 2 * len(dec) + 1 > MAX_RATIONAL_DIGITS and _canonical(value) is None:
+            raise ValueError(f"more than {MAX_RATIONAL_DIGITS} digits in a rational")
     else:
         value = Fraction(int(whole))
     return value, m.end()
@@ -120,19 +126,27 @@ def parse_rational(text: str) -> Fraction:
     return value
 
 
+def _canonical(q: Fraction) -> Optional[str]:
+    """`q`'s canonical text "N" or "N/D", or None when N and D together
+    have more than MAX_RATIONAL_DIGITS digits."""
+    try:
+        text = str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    except ValueError:  # past the interpreter's own limit
+        return None
+    return text if len(text) - (q.denominator != 1) <= MAX_RATIONAL_DIGITS else None
+
+
 def format_rational(q: Fraction) -> str:
     """Canonical text for a rational: "N" or "N/D".
 
-    Raises ValueError, stating the limit, when N or D has more digits than
-    the interpreter converts to text (by default MAX_RATIONAL_DIGITS), as
-    one plus a bound at the limit or the midpoint of two such weights can.
+    Raises ValueError, stating the limit, when N and D together have more
+    than MAX_RATIONAL_DIGITS digits, as one plus a bound at the limit or
+    the midpoint of two such weights can; the reader refuses the same.
     """
-    try:
-        if q.denominator == 1:
-            return str(q.numerator)
-        return f"{q.numerator}/{q.denominator}"
-    except ValueError:
-        raise ValueError(f"more than {MAX_RATIONAL_DIGITS} digits in a rational to print") from None
+    text = _canonical(q)
+    if text is None:
+        raise ValueError(f"more than {MAX_RATIONAL_DIGITS} digits in a rational to print")
+    return text
 
 
 def format_bound(b: ExtendedBound) -> str:

@@ -140,6 +140,30 @@ def test_quotient_is_minimal_and_preserves_bisimilarity():
             assert joined.same_block(f"m_{s}", f"q_{rep}"), (seed, s)
 
 
+def test_bisimilar_states_agree_on_every_formula(coarse_pair):
+    # Invariance: the states of one block, of either flavour, satisfy the
+    # same formulas; here 40 formulas of modal depth up to 3 per model,
+    # each checked statewise by `model_check`.  The coarse pair has a
+    # bound-bisimilar pair that is not weighted-bisimilar.
+    pool = [F(1), F(2), F(3)]
+    agreeing = {"generalized": 0, "weighted": 0}
+    models = [random_wts(41000 + seed, 6, 2, pool, ["p"]) for seed in range(150)]
+    for seed, m in enumerate(models + [coarse_pair]):
+        atoms = sorted(set().union(*m.labels.values()))
+        formulas = [random_formula(51000 + 97 * seed + j, atoms, 3, pool)
+                    for j in range(40)]
+        for flavour, partition in (("generalized", generalized_bisimilarity(m)),
+                                   ("weighted", weighted_bisimilarity(m))):
+            for block in partition.blocks:
+                first, *rest = sorted(block)
+                agreeing[flavour] += len(rest)
+                for f in formulas:
+                    holds = model_check(m, first, f)
+                    assert all(model_check(m, s, f) == holds for s in rest), (
+                        seed, flavour, sorted(block), print_formula(f))
+    assert agreeing["generalized"] > agreeing["weighted"] > 30, agreeing
+
+
 def test_quotient_rejects_non_bisimulation(coarse_pair):
     bad = Partition([{"s", "sp"}, {"t", "tp"}])
     with pytest.raises(ValueError):

@@ -271,8 +271,10 @@ def test_usage_errors_are_json(tmp_path):
     assert code == 2 and "error" in json.loads(err)
     code, _, err = run(["mc", "--model", path, "--state", "ghost", "--formula", "p"])
     assert code == 2
+    # model_check still recurses down a left-nested conjunction
+    wide = " & ".join(f"p{i}" for i in range(1000))
     for argv in (["fmt", "--formula", "!" * 1200 + "p"],
-                 ["sat", "--formula", " & ".join(f"p{i}" for i in range(1000))]):
+                 ["mc", "--model", path, "--state", "s1", "--formula", wide]):
         code, out, err = run(argv)
         assert code == 2 and out == "" and "error" in json.loads(err)
     missing = tmp_path / "missing"
@@ -288,6 +290,15 @@ def test_usage_errors_are_json(tmp_path):
                  ["fmt", "--model", str(unreachable)]):
         code, out, err = run(argv)
         assert code == 2 and out == "" and "error" in json.loads(err), argv
+
+
+def test_sat_answers_on_a_wide_flat_conjunction():
+    # the extracted model is re-checked conjunct by conjunct, not down the
+    # left-nested conjunction the parser builds
+    wide = " & ".join(f"p{i}" for i in range(1600))
+    code, out, err = run(["sat", "--formula", wide])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"satisfiable": True, "verified": True, "state": "s0"}
 
 
 def test_bytes_that_are_not_utf8_name_their_offset():

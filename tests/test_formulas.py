@@ -9,9 +9,10 @@ from math import inf
 import pytest
 
 from wtl import (
-    And, AtLeast, AtMost, Atom, Bottom, FormulaError, Not, Top, Wts, box,
-    diamond, iff, implies, lor, modal_depth, model_check, parse_formula,
-    print_formula, random_formula, random_wts, sat_set,
+    And, AtLeast, AtMost, Atom, Bottom, FormulaError, ModelError, Not, Top,
+    Wts, box, diamond, iff, implies, lor, modal_depth, model_check,
+    parse_formula, parse_wts, print_formula, random_formula, random_wts,
+    sat_set, serialize_wts,
 )
 from wtl import formulas
 from wtl.formulas import Formula
@@ -81,14 +82,58 @@ def test_bound_errors_are_never_memoized():
 def test_rationals_over_the_digit_limit_are_refused_with_a_stated_message():
     limit = MAX_RATIONAL_DIGITS
     assert print_formula(parse_formula(f"L[{'1' * limit}] p")) == f"L[{'1' * limit}] p"
-    # Every value within the limit prints, decimals included.
-    tiny = parse_formula(f"L[0.{'0' * (limit - 2)}1] p")
-    assert print_formula(tiny) == f"L[1/1{'0' * (limit - 1)}] p"
+    # Every value read prints: a decimal is refused when its canonical
+    # text "N/D" would be over the limit, though its own text is not.
+    tiny = parse_formula(f"L[0.{'0' * (limit - 3)}1] p")
+    assert print_formula(tiny) == f"L[1/1{'0' * (limit - 2)}] p"
     for bound in ("1" * (limit + 1), "1" * 5000, f"1/{'3' * limit}",
-                  f"{'1' * 3000}.{'1' * 3000}"):
+                  f"{'1' * 3000}.{'1' * 3000}", f"0.{'0' * (limit - 2)}1",
+                  f"1.{'3' * 2150}"):
         with pytest.raises(FormulaError) as caught:
             parse_formula(f"L[{bound}] p")
         assert str(caught.value) == f"position 2: more than {limit} digits in a rational"
+
+
+def _rational_texts(rng, count):
+    """Seeded rational texts "N", "N/D" and "N.M" of 1 to
+    MAX_RATIONAL_DIGITS digits, many of them at or near the limit."""
+    limit = MAX_RATIONAL_DIGITS
+    for _ in range(count):
+        n = rng.choice([1, 2, rng.randint(3, limit), limit // 2, limit - 1, limit])
+        digits = "".join(rng.choice("0123456789") for _ in range(n))
+        kind = rng.choice(["N", "N/D", "N.M"]) if n > 1 else "N"
+        if kind == "N":
+            yield digits
+        else:
+            cut = rng.randint(1, n - 1)
+            yield digits[:cut] + ("/" if kind == "N/D" else ".") + digits[cut:]
+
+
+def test_printed_formulas_and_models_read_back_up_to_the_digit_limit():
+    rng = random.Random(1601)
+    values = []
+    refused = 0
+    for text in _rational_texts(rng, 120):
+        try:
+            f = parse_formula(f"L[{text}] p")
+        except FormulaError as e:
+            # the model reader refuses the same texts, in its own terms
+            with pytest.raises(ModelError, match=re.escape(str(e)[len("position 2: "):])):
+                Wts(["a"], {}, [("a", text, "a")])
+            refused += 1
+            continue
+        values.append(f.bound)
+        assert parse_formula(print_formula(f)) == f
+        m = Wts(["a"], {}, [("a", text, "a")])
+        assert parse_wts(serialize_wts(m)) == m
+    printed = [print_formula(AtLeast(v, Atom("p")))[2:-3] for v in values]
+    assert max(len(t.replace("/", "")) for t in printed) == MAX_RATIONAL_DIGITS
+    assert refused > 0 and len(values) > 60
+    for seed in range(40):
+        f = random_formula(seed, ["p", "q"], 2, rng.sample(values, 4))
+        assert parse_formula(print_formula(f)) == f, seed
+        m = random_wts(seed, 4, 2, rng.sample(values, 4), ["p", "q"])
+        assert parse_wts(serialize_wts(m)) == m, seed
 
 
 def test_parse_errors_have_positions():

@@ -123,10 +123,14 @@ def test_format_rational():
     assert format_rational(F(3)) == "3"
     assert format_rational(F(7, 2)) == "7/2"
     assert format_rational(parse_rational("1.5")) == "3/2"
-    # the interpreter's own message never shows past the digit limit
+    # the interpreter's own message never shows past the digit limit, and
+    # N and D together hold at most the limit's digits, as the reader's do
     at_limit = int("9" * MAX_RATIONAL_DIGITS)
-    assert format_rational(F(at_limit, at_limit - 1)) == f"{at_limit}/{at_limit - 1}"
-    for q in (F(at_limit + 1), F(1, at_limit + 1), F(2 * at_limit - 1, 2)):
+    half = int("9" * (MAX_RATIONAL_DIGITS // 2))
+    assert format_rational(F(at_limit)) == str(at_limit)
+    assert format_rational(F(half, half - 1)) == f"{half}/{half - 1}"
+    for q in (F(at_limit + 1), F(1, at_limit + 1), F(2 * at_limit - 1, 2),
+              F(at_limit, at_limit - 1), F(half * 10 + 1, half)):
         with pytest.raises(ValueError, match="^more than 4300 digits in a rational to print$"):
             format_rational(q)
 
