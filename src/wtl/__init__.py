@@ -15,7 +15,7 @@ from .wts import (
 )
 from .formulas import (
     And, AtLeast, AtMost, Atom, Bottom, Formula, FormulaError, Not, Top, box,
-    conjoin, diamond, iff, implies, lor, modal_depth, model_check,
+    conjoin, diamond, iff, implies, lor, model_check,
     parse_formula, print_formula, random_formula, sat_set,
 )
 from .bisimulation import (
@@ -29,7 +29,7 @@ from .axioms import (
 from .tableau import (
     ExtractionGapWarning, Interval, Sat, Tableau, TableauNode, Unsat, Verdict,
     build_tableau, entails, extract_model, find_witness, is_satisfiable,
-    is_valid, minimal_representatives, node_consistent, tableau_to_json,
+    is_valid, minimal_representatives, tableau_to_json,
 )
 
 __version__ = "0.1.0"

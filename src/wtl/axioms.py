@@ -206,9 +206,9 @@ def premise_of(
     return schema.premise(FORMULAS, *args)
 
 
-def holds_everywhere(m: Wts, f: Formula, _cache: Optional[dict] = None) -> bool:
+def holds_everywhere(m: Wts, f: Formula) -> bool:
     """True iff every state of the model satisfies the formula."""
-    return sat_set(m, f, _cache) == m.states
+    return sat_set(m, f) == m.states
 
 
 @dataclass

@@ -52,7 +52,7 @@ __all__ = [
     "lor", "implies", "iff", "diamond", "box", "conjoin",
     "FormulaError", "parse_formula", "print_formula",
     "Algebra", "FORMULAS", "StateSets",
-    "sat_set", "model_check", "modal_depth", "random_formula",
+    "sat_set", "model_check", "random_formula",
 ]
 
 
@@ -592,18 +592,6 @@ def _holds(m: Wts, s: str, f: Formula, memo: dict) -> bool:
         raise TypeError(f"not a formula: {f!r}")
     memo[key] = result
     return result
-
-
-def modal_depth(f: Formula) -> int:
-    if isinstance(f, (Atom, Top, Bottom)):
-        return 0
-    if isinstance(f, Not):
-        return modal_depth(f.operand)
-    if isinstance(f, And):
-        return max(modal_depth(f.left), modal_depth(f.right))
-    if isinstance(f, (AtLeast, AtMost)):
-        return 1 + modal_depth(f.operand)
-    raise TypeError(f"not a formula: {f!r}")
 
 
 def random_formula(

@@ -9,33 +9,34 @@ positive modal formulas, with intervals accumulated from all modal
 formulas whose operand is entailed.
 
 The two rules that do not branch (splitting a conjunction, dropping a
-double negation) saturate a formula set in one pass, `_saturate`, and
-each branch of a negated conjunction is saturated when it is made.  So
-a node they apply to, with its saturation as its one child, occurs only
-where a query starts (the root, a modal child, an entailment query).
+double negation) saturate a formula set in one pass, `_saturate`.  They
+are applied once, where a query starts (the root, a modal child, an
+entailment query): `_search` saturates the start set, and when that
+changes it, returns a node for the rule (`and` if the set holds a
+conjunction, else `neg-neg`) whose one child is the saturated set.
 
-One depth-first search, `_search`, applies the rules, and it builds
-nodes only as it reaches them.  It reads a node's formula set in one
-pass, `_scan`, which yields all that the rules ask: the non-branching
-rule that applies, the negated conjunctions, the positive and the
-negated modal formulas, and whether the literals clash.  Only a
-saturated set the memo does not hold is scanned again.  An interior
-node tries its rule's alternatives in order and stops at the first open
-one; a terminal node gets its modal children only once it is
-consistent, and they stop at the first closed one.  Every node reached
-records the children tried and a `closed` flag, and the search memoizes
-these nodes for the query.  So the recorded tree is the one explored:
-an open node's path runs through the last child of each interior node,
-and the finite model extracted from it is re-checked against the root's
+Below a start, `_explore` works on saturated sets only, and builds nodes
+only as it reaches them.  It reads a set in one pass, `_scan`, which
+yields all that the rules ask: the leftmost negated conjunction, the
+positive and the negated modal formulas, and whether the literals
+clash.  An interior node branches on its leftmost negated conjunction,
+the negation of the left operand first, each branch saturated when it
+is made, and stops at the first open branch; a terminal node gets its
+modal children, each a new query start, only once it is consistent,
+and they stop at the first closed one.  Every node reached records the
+children tried and a `closed` flag, and `_explore` memoizes these
+nodes for the query.  So the recorded tree is the one explored: an open
+node's path runs through the last child of each interior node, and the
+finite model extracted from it is re-checked against the root's
 saturated set.  `build_tableau` returns that tree for dumps, and
 `find_witness` is its root when the root is open.
 
 Semantic entailment between operands is decided by the same search on
 the conjunction of one operand with the negation of the other; the modal
 rule strictly lowers modal depth, so the recursion terminates.  Verdicts
-do not depend on the order in which rules are applied; `build_tableau`
-and `is_satisfiable` accept an RNG to exercise exactly that: it picks
-the negated conjunction to branch on and the order of its branches.
+do not depend on the order in which rules are applied, so the order is
+fixed; swapping the operands of the input's conjunctions gives the
+search another order.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .wts import ExtendedBound, NEG_INF, POS_INF, Wts, format_bound
 __all__ = [
     "Interval", "TableauNode", "Tableau", "Sat", "Unsat",
     "Verdict", "ExtractionGapWarning", "entails", "minimal_representatives",
-    "build_tableau", "node_consistent", "find_witness",
+    "build_tableau", "find_witness",
     "extract_model", "is_satisfiable", "is_valid", "tableau_to_json",
 ]
 
@@ -173,7 +174,7 @@ def entails(phi: Formula, psi: Formula) -> bool:
     key = (phi, psi)
     hit = _entailment_cache.get(key)
     if hit is None:
-        hit = _search((And(phi, Not(psi)),), point_zero(), point_zero(), None, {}).closed
+        hit = _search((And(phi, Not(psi)),), point_zero(), point_zero(), {}).closed
         if len(_entailment_cache) >= ENTAILMENT_CACHE_LIMIT:
             _entailment_cache.clear()
         _entailment_cache[key] = hit
@@ -244,15 +245,13 @@ def _saturate(gamma) -> tuple:
     return tuple(out)
 
 
-def _scan(gamma) -> tuple[Optional[str], list[int], list, list, bool]:
-    """Everything the rules read from a formula set, in one pass: the
-    non-branching rule that applies (`and` if the set holds a
-    conjunction, else `neg-neg` if it holds a double negation, else
-    None), the indices of its negated conjunctions, its positive modal
-    formulas, the modal formulas it negates, and whether its literals
-    clash (`false`, `!true`, or an atom together with its negation)."""
-    alpha = None
-    negated_ands = []
+def _scan(gamma) -> tuple[Optional[int], list, list, bool]:
+    """Everything the rules read from a saturated formula set, in one
+    pass: the index of its leftmost negated conjunction (None if it has
+    none), its positive modal formulas, the modal formulas it negates,
+    and whether its literals clash (`false`, `!true`, or an atom together
+    with its negation)."""
+    negated_and = None
     positives = []
     negatives = []
     atoms = set()
@@ -262,39 +261,32 @@ def _scan(gamma) -> tuple[Optional[str], list[int], list, list, bool]:
         if isinstance(f, Not):
             g = f.operand
             if isinstance(g, And):
-                negated_ands.append(i)
+                if negated_and is None:
+                    negated_and = i
             elif isinstance(g, (AtLeast, AtMost)):
                 negatives.append(g)
             elif isinstance(g, Atom):
                 negated_atoms.add(g.name)
-            elif isinstance(g, Not):
-                alpha = alpha or RULE_NEG_NEG
             elif isinstance(g, Top):
                 clash = True
         elif isinstance(f, (AtLeast, AtMost)):
             positives.append(f)
         elif isinstance(f, Atom):
             atoms.add(f.name)
-        elif isinstance(f, And):
-            alpha = RULE_AND
         elif isinstance(f, Bottom):
             clash = True
     clash = clash or not atoms.isdisjoint(negated_atoms)
-    return alpha, negated_ands, positives, negatives, clash
+    return negated_and, positives, negatives, clash
 
 
-def _branches(gamma, negated_ands, rng) -> Iterator[tuple]:
-    """The `neg-and` rule's children: the leftmost negated conjunction
-    (with an RNG, a random one, in random branch order) branches, and
-    each branch is saturated when it is made."""
-    index = negated_ands[0 if rng is None else rng.randrange(len(negated_ands))]
+def _branches(gamma, index) -> Iterator[tuple]:
+    """The `neg-and` rule's children at the negated conjunction
+    `gamma[index]`: the negation of its left operand, then of its right,
+    each branch saturated when it is made."""
     f = gamma[index].operand
-    parts = [Not(f.left), Not(f.right)]
-    if rng is not None and rng.random() < 0.5:
-        parts.reverse()
     before, after = gamma[:index], gamma[index + 1:]
-    for part in parts:
-        yield _saturate(before + (part,) + after)
+    for part in (f.left, f.right):
+        yield _saturate(before + (Not(part),) + after)
 
 
 def _intervals_meet(min_itv: Interval, max_itv: Interval) -> bool:
@@ -306,67 +298,56 @@ def _intervals_meet(min_itv: Interval, max_itv: Interval) -> bool:
     return a < d or (a == d and min_itv.lower_closed and max_itv.upper_closed)
 
 
-def node_consistent(node: TableauNode) -> bool:
-    """No clashing literals or falsum, and the intervals meet."""
-    *_, clash = _scan(node.gamma)
-    return not clash and _intervals_meet(node.min_interval, node.max_interval)
+def _search(gamma, min_itv: Interval, max_itv: Interval, memo: dict) -> TableauNode:
+    """A query start: the node <gamma, min_itv, max_itv> (`gamma`
+    deduplicated) as the search explored it.  When the non-branching
+    rules change `gamma`, the node applies them (`and` if it holds a
+    conjunction, else `neg-neg`) and its one child is the saturated set's
+    explored node."""
+    saturated = _saturate(gamma)
+    node = _explore(saturated, min_itv, max_itv, memo)
+    if saturated == gamma:
+        return node
+    rule = RULE_AND if any(isinstance(f, And) for f in gamma) else RULE_NEG_NEG
+    return TableauNode(gamma, min_itv, max_itv, rule, (node,), node.closed)
 
 
-def _search(gamma, min_itv: Interval, max_itv: Interval, rng, memo: dict
-            ) -> TableauNode:
-    """The node <gamma, min_itv, max_itv> (`gamma` deduplicated) as the
-    search explored it.  An interior node tries its rule's alternatives in
-    order and is open at the first open one; a terminal node is open when
-    it is consistent and every modal child is open, and the children stop
-    at the first closed one.  `memo` maps each node reached in this query,
-    as (gamma, min_itv, max_itv), to its explored node.
-
-    Only negated-conjunction branches and modal children recurse.  A set
-    the non-branching rules apply to (only ever where a query starts) has
-    one child, its saturation, which is explored in the same frame.
-    """
-    start = (gamma, min_itv, max_itv)
-    node = memo.get(start)
+def _explore(gamma, min_itv: Interval, max_itv: Interval, memo: dict) -> TableauNode:
+    """The node of a saturated set as the search explored it.  An
+    interior node branches on its leftmost negated conjunction and is
+    open at the first open branch; a terminal node is open when it is
+    consistent and every modal child is open, and the children stop at
+    the first closed one.  `memo` maps each saturated node reached in
+    this query, as (gamma, min_itv, max_itv), to its explored node."""
+    key = (gamma, min_itv, max_itv)
+    node = memo.get(key)
     if node is not None:
         return node
-    key = start
-    alpha, negated_ands, positives, negatives, clash = _scan(gamma)
-    if alpha is not None:
-        gamma = _saturate(gamma)
-        key = (gamma, min_itv, max_itv)
-        node = memo.get(key)
-        if node is None:
-            _, negated_ands, positives, negatives, clash = _scan(gamma)
-    if node is None:
-        children = []
-        if negated_ands:
-            rule = RULE_NEG_AND
-            for child_gamma in _branches(gamma, negated_ands, rng):
-                children.append(_search(child_gamma, min_itv, max_itv, rng, memo))
-                if not children[-1].closed:
+    negated_and, positives, negatives, clash = _scan(gamma)
+    children = []
+    if negated_and is not None:
+        rule = RULE_NEG_AND
+        for child_gamma in _branches(gamma, negated_and):
+            children.append(_explore(child_gamma, min_itv, max_itv, memo))
+            if not children[-1].closed:
+                break
+        closed = children[-1].closed
+    else:
+        rule = RULE_MOD if positives or negatives else None
+        closed = clash or not _intervals_meet(min_itv, max_itv)
+        if not closed:
+            for psi, child_min, child_max in _mod_child_specs(positives, negatives):
+                children.append(_search((psi,), child_min, child_max, memo))
+                if children[-1].closed:
+                    closed = True
                     break
-            closed = children[-1].closed
-        else:
-            rule = RULE_MOD if positives or negatives else None
-            closed = clash or not _intervals_meet(min_itv, max_itv)
-            if not closed:
-                for psi, child_min, child_max in _mod_child_specs(positives, negatives):
-                    children.append(_search((psi,), child_min, child_max, rng, memo))
-                    if children[-1].closed:
-                        closed = True
-                        break
-        node = memo[key] = TableauNode(gamma, min_itv, max_itv, rule, children, closed)
-    if alpha is not None:
-        node = memo[start] = TableauNode(
-            start[0], min_itv, max_itv, alpha, (node,), node.closed)
+    node = memo[key] = TableauNode(gamma, min_itv, max_itv, rule, children, closed)
     return node
 
 
-def build_tableau(phi: Formula, rng=None) -> Tableau:
-    """The tree the search explores from <{phi}, [0,0], [0,0]>.  With an
-    RNG, the negated conjunction branched on and the order of its
-    branches are random; the verdict is the same either way."""
-    return Tableau(_search((phi,), point_zero(), point_zero(), rng, {}))
+def build_tableau(phi: Formula) -> Tableau:
+    """The tree the search explores from <{phi}, [0,0], [0,0]>."""
+    return Tableau(_search((phi,), point_zero(), point_zero(), {}))
 
 
 def find_witness(tableau: Tableau) -> Optional[TableauNode]:
@@ -454,10 +435,10 @@ class Unsat:
 Verdict = Union[Sat, Unsat]
 
 
-def is_satisfiable(phi: Formula, rng=None) -> Verdict:
+def is_satisfiable(phi: Formula) -> Verdict:
     """Search the tableau depth-first; when the root is open the verdict
     carries the extracted model and its verification outcome."""
-    return _verdict_of(_search((phi,), point_zero(), point_zero(), rng, {}))
+    return _verdict_of(_search((phi,), point_zero(), point_zero(), {}))
 
 
 def _verdict_of(root: TableauNode) -> Verdict:

@@ -20,6 +20,10 @@ kept verbatim (bar its name) as the reference for the iterative one.
 one formula at a time, as the search did before it saturated a set in
 one pass: the leftmost conjunction is split, else the leftmost double
 negation dropped, and the set is deduplicated after each step.
+
+`node_consistent` checks a tableau node's literals and weight intervals
+from the definitions, and `commute` swaps conjunctions' operands at
+random, which gives the tableau search another rule order.
 """
 
 import math
@@ -354,6 +358,59 @@ def reference_print_formula(f: Formula) -> str:
     if isinstance(f, AtMost):
         return f"M[{format_rational(f.bound)}] {reference_print_formula(f.operand)}"
     raise TypeError(f"not a formula: {f!r}")
+
+
+def modal_depth(f: Formula) -> int:
+    if isinstance(f, (Atom, Top, Bottom)):
+        return 0
+    if isinstance(f, Not):
+        return modal_depth(f.operand)
+    if isinstance(f, And):
+        return max(modal_depth(f.left), modal_depth(f.right))
+    if isinstance(f, (AtLeast, AtMost)):
+        return 1 + modal_depth(f.operand)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def commute(f: Formula, rng) -> Formula:
+    """`f` with the operands of each of its conjunctions, at any depth,
+    swapped or kept at random: the same formula up to commutativity.
+    This sets the two choices a rule order makes in the tableau: which
+    negated conjunction of a set comes leftmost, and which of its
+    branches is tried first."""
+    if isinstance(f, Not):
+        return Not(commute(f.operand, rng))
+    if isinstance(f, And):
+        left, right = commute(f.left, rng), commute(f.right, rng)
+        return And(right, left) if rng.random() < 0.5 else And(left, right)
+    if isinstance(f, (AtLeast, AtMost)):
+        return type(f)(f.bound, commute(f.operand, rng))
+    return f
+
+
+def node_consistent(node) -> bool:
+    """A tableau node's literals do not clash (no `false`, no `!true`, no
+    atom beside its negation), both weight intervals hold a value, and
+    some minimum weight from the one is at most some maximum weight from
+    the other."""
+    gamma = set(node.gamma)
+    if Bottom() in gamma or Not(Top()) in gamma:
+        return False
+    if any(Not(f) in gamma for f in gamma if isinstance(f, Atom)):
+        return False
+
+    def holds_a_value(itv):
+        if itv.lower == itv.upper:
+            return itv.lower_closed and itv.upper_closed
+        return itv.lower < itv.upper
+
+    low, high = node.min_interval, node.max_interval
+    if not (holds_a_value(low) and holds_a_value(high)):
+        return False
+    # the least minimum, low.lower, against the greatest maximum, high.upper
+    if low.lower == high.upper:
+        return low.lower_closed and high.upper_closed
+    return low.lower < high.upper
 
 
 def reference_saturate(gamma) -> tuple:

@@ -5,10 +5,12 @@ import pytest
 
 from wtl import (
     Partition, Wts, are_bisimilar, distinguishing_formula,
-    generalized_bisimilarity, modal_depth, model_check, print_formula,
+    generalized_bisimilarity, model_check, print_formula,
     quotient_model, random_formula, random_wts, sat_set, weighted_bisimilarity,
 )
-from oracles import is_bound_bisimulation, is_exact_bisimulation, naive_coarsest
+from oracles import (
+    is_bound_bisimulation, is_exact_bisimulation, modal_depth, naive_coarsest,
+)
 
 POOL = [F(0), F(1, 2), F(1), F(2), F(3)]
 

@@ -4,11 +4,12 @@ import random
 from wtl.axioms import SCHEMAS
 from wtl.cli import run
 from wtl import (
-    Wts, modal_depth, model_check, parse_formula, parse_wts, print_formula,
+    Wts, model_check, parse_formula, parse_wts, print_formula,
     random_formula, serialize_wts,
 )
 
 from conftest import make_coarse_pair_model, make_vacuum_model
+from oracles import modal_depth
 
 
 def write_model(tmp_path, model, name="model.wts.json"):

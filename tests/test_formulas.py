@@ -10,7 +10,7 @@ import pytest
 
 from wtl import (
     And, AtLeast, AtMost, Atom, Bottom, FormulaError, ModelError, Not, Top,
-    Wts, box, diamond, iff, implies, lor, modal_depth, model_check,
+    Wts, box, diamond, iff, implies, lor, model_check,
     parse_formula, parse_wts, print_formula, random_formula, random_wts,
     sat_set, serialize_wts,
 )
@@ -18,7 +18,7 @@ from wtl import formulas
 from wtl.formulas import Formula
 from wtl.wts import MAX_RATIONAL_DIGITS
 
-from oracles import reference_parse_formula, reference_print_formula
+from oracles import modal_depth, reference_parse_formula, reference_print_formula
 
 POOL = [F(0), F(1, 2), F(1), F(2), F(3)]
 # Below, between and above POOL's weights, so every bisect edge case is hit.

@@ -9,18 +9,20 @@ from wtl import (
     And, AtLeast, AtMost, Atom, Bottom, ExtractionGapWarning, Interval, Not,
     POS_INF, Sat, TableauNode, Top, Unsat, build_tableau, conjoin, entails,
     extract_model, find_witness, is_satisfiable, is_valid, lor,
-    minimal_representatives, model_check, node_consistent, parse_formula,
-    print_formula, random_formula, serialize_wts, tableau_to_json,
+    minimal_representatives, model_check, parse_formula, print_formula,
+    random_formula, serialize_wts, tableau_to_json,
 )
-from oracles import bounded_model_search, reference_saturate
+from oracles import (
+    bounded_model_search, commute, node_consistent, reference_saturate,
+)
 
 P1, P2, P3 = Atom("p1"), Atom("p2"), Atom("p3")
 
 
-def sat_verdict(phi, rng=None):
+def sat_verdict(phi):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ExtractionGapWarning)
-        return is_satisfiable(phi, rng)
+        return is_satisfiable(phi)
 
 
 def disjunction_family(k):
@@ -204,38 +206,37 @@ def test_unsat_conflicting_thresholds_tree():
 
 # ------------------------------------------------------------- consistency
 
+ZERO = Interval(F(0), True, F(0), True)
+
+
+def closed(gamma, min_itv=ZERO, max_itv=ZERO):
+    """Whether the search closes the node of a literal set, which has no
+    children: the clash-and-interval oracle must say the same."""
+    node = wtl.tableau._search(gamma, min_itv, max_itv, {})
+    assert node.children == ()
+    assert node_consistent(TableauNode(gamma, min_itv, max_itv)) is not node.closed
+    return node.closed
+
+
 def test_node_consistent_cases():
-    good = TableauNode(
-        (And(P1, P2),),
-        Interval(F(4), True, F(5), False),
-        Interval(F(0), True, POS_INF, False),
-    )
-    assert node_consistent(good)
-    bad_interval = TableauNode(
-        (P1,), Interval(F(4), True, F(3), False), Interval(F(0), True, POS_INF, False)
-    )
-    assert not node_consistent(bad_interval)
-    clash = TableauNode((P1, Not(P1)))
-    assert not node_consistent(clash)
-    assert not node_consistent(TableauNode((Bottom(),)))
-    assert not node_consistent(TableauNode((Not(Top()),)))
-    assert node_consistent(TableauNode((Not(Bottom()),)))
+    assert not closed((P1, P2), Interval(F(4), True, F(5), False),
+                      Interval(F(0), True, POS_INF, False))
+    assert closed((P1,), Interval(F(4), True, F(3), False),
+                  Interval(F(0), True, POS_INF, False))
+    assert closed((P1, Not(P1)))
+    assert closed((Bottom(),))
+    assert closed((Not(Top()),))
+    assert not closed((Not(Bottom()),))
 
 
 def test_node_consistent_cross_condition():
     # least possible minimum must not exceed greatest possible maximum
-    crossing = TableauNode(
-        (P1,), Interval(F(3), True, POS_INF, False), Interval(F(0), True, F(2), True)
-    )
-    assert not node_consistent(crossing)
-    touching = TableauNode(
-        (P1,), Interval(F(2), True, POS_INF, False), Interval(F(0), True, F(2), True)
-    )
-    assert node_consistent(touching)
-    open_touch = TableauNode(
-        (P1,), Interval(F(2), True, POS_INF, False), Interval(F(0), True, F(2), False)
-    )
-    assert not node_consistent(open_touch)
+    crossing = Interval(F(3), True, POS_INF, False), Interval(F(0), True, F(2), True)
+    assert closed((P1,), *crossing)
+    touching = Interval(F(2), True, POS_INF, False), Interval(F(0), True, F(2), True)
+    assert not closed((P1,), *touching)
+    open_touch = Interval(F(2), True, POS_INF, False), Interval(F(0), True, F(2), False)
+    assert closed((P1,), *open_touch)
 
 
 # ----------------------------------------------------------------- success
@@ -292,14 +293,13 @@ def test_search_agrees_with_the_built_tableau():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ExtractionGapWarning)
         for i, phi in enumerate(formulas):
-            for rng_seed in (None, 3 * i, 3 * i + 1, 3 * i + 2):
-                rng = None if rng_seed is None else random.Random(rng_seed)
-                tableau = build_tableau(phi, rng)
+            variants = [phi] + [commute(phi, random.Random(3 * i + k)) for k in range(3)]
+            for variant in variants:
+                tableau = build_tableau(variant)
                 _check_explored_tree(tableau.root)
-                rng = None if rng_seed is None else random.Random(rng_seed)
-                lazy = is_satisfiable(phi, rng)
+                lazy = is_satisfiable(variant)
                 witness = find_witness(tableau)
-                assert isinstance(lazy, Unsat) == (witness is None), print_formula(phi)
+                assert isinstance(lazy, Unsat) == (witness is None), print_formula(variant)
                 if witness is None:
                     closed += 1
                     continue
@@ -356,27 +356,55 @@ def test_saturation_agrees_with_the_one_step_rules():
 
 
 def test_non_branching_steps_take_one_node_and_no_recursion(monkeypatch):
-    calls = []
-    search = wtl.tableau._search
+    calls = {"_search": [], "_explore": []}
+    for name, frames in calls.items():
+        def counting(*args, frames=frames, inner=getattr(wtl.tableau, name)):
+            frames.append(args[0])
+            return inner(*args)
 
-    def counting(*args):
-        calls.append(args[0])
-        return search(*args)
-
-    monkeypatch.setattr(wtl.tableau, "_search", counting)
+        monkeypatch.setattr(wtl.tableau, name, counting)
     atoms = [Atom(f"a{j}") for j in range(800)]
     tableau = build_tableau(conjoin(atoms))
     nodes = list(explored_nodes(tableau.root))
     assert [n.rule for n in nodes] == ["and", None]
     assert nodes[1].gamma == tuple(atoms) and not tableau.root.closed
-    assert len(calls) == 1
-    calls.clear()
+    assert len(calls["_search"]) == len(calls["_explore"]) == 1
+    for frames in calls.values():
+        frames.clear()
     nodes = list(explored_nodes(build_tableau(disjunction_family(14)).root))
     assert len(nodes) <= 17  # 44 when each step was its own node
-    # a frame per negated-conjunction branch and per modal child only
-    assert len(calls) == sum(n.rule not in ("and", "neg-neg") for n in nodes)
+    # an _explore frame per negated-conjunction branch and per saturated
+    # set a query starts from, a _search frame per query start only
+    assert len(calls["_explore"]) == sum(n.rule not in ("and", "neg-neg") for n in nodes)
+    starts = 1 + sum(len(n.children) for n in nodes if n.rule == "mod")
+    assert len(calls["_search"]) == starts == 2
     assert [n.rule for n in nodes].count("and") == 1
     assert "neg-neg" not in [n.rule for n in nodes]
+
+
+def test_modal_children_start_with_the_non_branching_rules():
+    phi = parse_formula("L[1] (p & q) & M[2] !!r")
+    p, q, r = Atom("p"), Atom("q"), Atom("r")
+    tableau = build_tableau(phi)
+    root = tableau.root
+    assert (root.rule, root.gamma) == ("and", (phi,))
+    (modal,) = root.children
+    assert modal.rule == "mod" and modal.gamma == (AtLeast(1, And(p, q)), AtMost(2, Not(Not(r))))
+    first, second = modal.children
+    assert (first.rule, first.gamma) == ("and", (And(p, q),))
+    assert (second.rule, second.gamma) == ("neg-neg", (Not(Not(r)),))
+    unbounded = Interval(F(0), True, POS_INF, False)
+    for wrapper, gamma, min_itv, max_itv in [
+        (first, (p, q), Interval(F(1), True, POS_INF, False), unbounded),
+        (second, (r,), unbounded, Interval(F(0), True, F(2), True)),
+    ]:
+        (child,) = wrapper.children
+        assert child.rule is None and child.gamma == gamma and child.children == ()
+        assert (wrapper.min_interval, wrapper.max_interval) == (min_itv, max_itv)
+        assert (child.min_interval, child.max_interval) == (min_itv, max_itv)
+        assert wrapper.closed is child.closed is False
+    assert root.closed is modal.closed is False
+    assert isinstance(sat_verdict(phi), Sat)
 
 
 def test_entailment_cache_is_bounded(monkeypatch):
@@ -507,8 +535,8 @@ def test_order_independence_sample():
         phi = random_formula(seed + 8000, ["p1", "p2", "p3"], 2, [F(0), F(1, 2), F(1), F(2)])
         base = isinstance(sat_verdict(phi), Sat)
         for k in range(3):
-            rng = random.Random(seed * 17 + k)
-            assert isinstance(sat_verdict(phi, rng), Sat) == base, print_formula(phi)
+            variant = commute(phi, random.Random(seed * 17 + k))
+            assert isinstance(sat_verdict(variant), Sat) == base, print_formula(variant)
 
 
 def test_brute_force_agreement_sample():
