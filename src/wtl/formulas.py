@@ -158,6 +158,16 @@ def _init_modality(self, bound, operand: Formula) -> None:
     _set_hash(self, hash((bound, operand)))
 
 
+def _modality_eq(self, other):
+    """The `__eq__` of both modalities: the stored hashes, then the fields
+    as one tuple, which takes a bound that both nodes share as equal
+    without calling `Fraction.__eq__` on every Python version (a dataclass
+    `__eq__` may compare field by field)."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return self._hash == other._hash and (self.bound, self.operand) == (other.bound, other.operand)
+
+
 @_node
 class AtLeast(Formula):
     """Every transition into the operand's states costs at least `bound`,
@@ -167,6 +177,7 @@ class AtLeast(Formula):
     operand: Formula
 
     __init__ = _init_modality
+    __eq__ = _modality_eq
 
 
 @_node
@@ -178,6 +189,7 @@ class AtMost(Formula):
     operand: Formula
 
     __init__ = _init_modality
+    __eq__ = _modality_eq
 
 
 class Algebra:

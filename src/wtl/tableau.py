@@ -37,14 +37,29 @@ rule strictly lowers modal depth, so the recursion terminates.  Verdicts
 do not depend on the order in which rules are applied, so the order is
 fixed; swapping the operands of the input's conjunctions gives the
 search another order.
+
+The search compares no rationals.  Every interval end the rules make is
+0, +inf or a bound written in the formula, so a query (`build_tableau`,
+`is_satisfiable`, a call of `entails` from outside the search) starts by
+collecting its formula's bounds, plus 0, into one sorted table, and a
+node's two intervals are four int ranks in it (`RANK_INF` is +inf).
+Whether both intervals hold a value and the least minimum is not above
+the greatest maximum is then three int compares, and the memo hashes
+ints.  The modal rule reads each modal formula's rank from the query's
+dict keyed by the formula node, and its entailment queries reuse the
+table.  Rationals come back only at the edges: a node's `min_interval`
+and `max_interval` decode its ranks for dumps and `repr`, and
+`extract_model` reads its weights from the table.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Optional, Union
 
 from .formulas import (
@@ -87,13 +102,6 @@ class Interval:
             raise ValueError("interval cannot be closed at -inf")
         if self.upper_closed and type(self.upper) is float and self.upper == POS_INF:
             raise ValueError("interval cannot be closed at +inf")
-        # Stored once, as formula nodes do: every memo probe hashes two
-        # intervals, and a Fraction's hash is a modular inverse.
-        object.__setattr__(self, "_hash", hash(
-            (self.lower, self.lower_closed, self.upper, self.upper_closed)))
-
-    def __hash__(self):
-        return self._hash
 
     @property
     def is_consistent(self) -> bool:
@@ -107,33 +115,61 @@ class Interval:
         return f"{left}{format_bound(self.lower)},{format_bound(self.upper)}{right}"
 
 
-def point_zero() -> Interval:
-    return Interval(Fraction(0), True, Fraction(0), True)
+# The search's interval ends are ranks in its query's bound table: the
+# sorted distinct bounds written in the query's formula, plus 0, so 0 is
+# the table's first entry.  Bound i closed is 2i; an open lower end at it
+# is 2i+1 and an open upper end 2i-1, so a lower end is at most an upper
+# end exactly when the interval between them holds a value; +inf is
+# RANK_INF, above every other rank.  A node's four ends are one tuple
+# (min lower, min upper, max lower, max upper); a query starts at
+# [0,0], [0,0].
+RANK_INF = sys.maxsize
+START_ENDS = (0, 0, 0, 0)
+
+
+def _decode(table: tuple, lower: int, upper: int) -> Interval:
+    """The interval whose ends have ranks `lower` and `upper` in `table`."""
+    if upper == RANK_INF:
+        return Interval(table[lower >> 1], not lower & 1, POS_INF, False)
+    return Interval(table[lower >> 1], not lower & 1,
+                    table[(upper + 1) >> 1], not upper & 1)
 
 
 class TableauNode:
     """One tableau node: an insertion-ordered formula set (a tuple without
-    repeats; the search's sets are deduplicated when made), the two weight
-    intervals, the rule applied at it (if any), the children the search
-    tried and whether the node is closed (has no model)."""
+    repeats; the search's sets are deduplicated when made), the four ends
+    of its two weight intervals as ranks in its query's bound table, the
+    rule applied at it (if any), the children the search tried and
+    whether the node is closed (has no model).  `min_interval` and
+    `max_interval` read the intervals back as rationals."""
 
-    __slots__ = ("gamma", "min_interval", "max_interval", "rule", "children", "closed")
+    __slots__ = ("gamma", "ends", "table", "rule", "children", "closed")
 
     def __init__(
         self,
         gamma,
-        min_interval: Optional[Interval] = None,
-        max_interval: Optional[Interval] = None,
+        ends: tuple[int, int, int, int],
+        table: tuple[Fraction, ...],
         rule: Optional[str] = None,
         children: tuple = (),
         closed: bool = False,
     ):
         self.gamma: tuple[Formula, ...] = tuple(gamma)
-        self.min_interval = point_zero() if min_interval is None else min_interval
-        self.max_interval = point_zero() if max_interval is None else max_interval
+        self.ends = ends
+        self.table = table
         self.rule = rule
         self.children: tuple[TableauNode, ...] = tuple(children)
         self.closed = closed
+
+    @property
+    def min_interval(self) -> Interval:
+        """The interval of the least weight into the node's state."""
+        return _decode(self.table, self.ends[0], self.ends[1])
+
+    @property
+    def max_interval(self) -> Interval:
+        """The interval of the greatest weight into the node's state."""
+        return _decode(self.table, self.ends[2], self.ends[3])
 
     @property
     def kind(self) -> str:
@@ -157,6 +193,59 @@ class Tableau:
     root: TableauNode
 
 
+class _Query:
+    """What one query's search shares: the bound table, the rank in it of
+    each modal subformula's bound, keyed by the formula node, and the memo
+    of the saturated nodes explored, keyed by (gamma, ends)."""
+
+    __slots__ = ("table", "ranks", "memo")
+
+    def __init__(self, table: tuple, ranks: dict):
+        self.table = table
+        self.ranks = ranks
+        self.memo: dict = {}
+
+    @classmethod
+    def start(cls, gamma) -> _Query:
+        """The query whose search starts from the formula set `gamma`.
+
+        The walk marks the nodes it has been through by identity, so a
+        formula that shares a subformula is walked once per distinct
+        node.  Each distinct bound object is scaled once by the lcm of the
+        denominators, so the table is sorted and deduplicated on ints: a
+        `Fraction` compares through Python code, and hashes through a
+        modular inverse."""
+        modal = []
+        seen = set()
+        stack = list(gamma)
+        while stack:
+            f = stack.pop()
+            kind = type(f)
+            while kind is Not:
+                f = f.operand
+                kind = type(f)
+            if kind is And:
+                if id(f) not in seen:
+                    seen.add(id(f))
+                    stack.append(f.right)
+                    stack.append(f.left)
+            elif kind is AtLeast or kind is AtMost:
+                if id(f) not in seen:
+                    seen.add(id(f))
+                    modal.append(f)
+                    stack.append(f.operand)
+        bounds = {id(f.bound): f.bound for f in modal}
+        scale = lcm(*(b.denominator for b in bounds.values()))
+        scaled = {i: b.numerator * (scale // b.denominator) for i, b in bounds.items()}
+        bound_at = {0: Fraction(0)}
+        for i, n in scaled.items():
+            bound_at.setdefault(n, bounds[i])
+        order = sorted(bound_at)
+        rank = {n: r for r, n in enumerate(order)}
+        return cls(tuple(bound_at[n] for n in order),
+                   {f: rank[scaled[id(f.bound)]] for f in modal})
+
+
 # Entailment is a property of the formula pair alone, so the memo is
 # shared process-wide; concurrent duplicate computation is harmless.  It
 # is emptied when it reaches ENTAILMENT_CACHE_LIMIT entries, which bounds
@@ -165,61 +254,68 @@ ENTAILMENT_CACHE_LIMIT = 65536
 _entailment_cache: dict[tuple[Formula, Formula], bool] = {}
 
 
-def entails(phi: Formula, psi: Formula) -> bool:
+def entails(phi: Formula, psi: Formula, _within: Optional[_Query] = None) -> bool:
     """Semantic entailment: the conjunction of `phi` with the negation of
     `psi` has no model.  Decided by the witness search and memoized on
-    the structural pair."""
-    if phi == psi:
+    the structural pair.  The modal rule passes its query as `_within`,
+    whose bound table holds every bound of the pair."""
+    # The hashes stored in the nodes first: two modalities over one
+    # operand with different bounds would compare their bounds.
+    if phi is psi or (phi._hash == psi._hash and phi == psi):
         return True
     key = (phi, psi)
     hit = _entailment_cache.get(key)
     if hit is None:
-        hit = _search((And(phi, Not(psi)),), point_zero(), point_zero(), {}).closed
+        gamma = (And(phi, Not(psi)),)
+        query = (_Query.start(gamma) if _within is None
+                 else _Query(_within.table, _within.ranks))
+        hit = _search(gamma, START_ENDS, query).closed
         if len(_entailment_cache) >= ENTAILMENT_CACHE_LIMIT:
             _entailment_cache.clear()
         _entailment_cache[key] = hit
     return hit
 
 
-def minimal_representatives(operands) -> list[Formula]:
+def minimal_representatives(operands, _within: Optional[_Query] = None) -> list[Formula]:
     """Drop operands that repeat an earlier one up to logical equivalence,
     then drop any operand strictly entailed by another survivor.  Input
-    order is preserved."""
+    order is preserved.  `_within` is passed on to `entails`."""
     survivors: list[Formula] = []
     for f in operands:
-        if not any(entails(f, g) and entails(g, f) for g in survivors):
+        if not any(entails(f, g, _within) and entails(g, f, _within) for g in survivors):
             survivors.append(f)
     return [
         f
         for i, f in enumerate(survivors)
-        if not any(j != i and entails(g, f) for j, g in enumerate(survivors))
+        if not any(j != i and entails(g, f, _within) for j, g in enumerate(survivors))
     ]
 
 
-def _mod_child_specs(positives, negatives) -> Iterator[tuple]:
+def _mod_child_specs(positives, negatives, query: _Query) -> Iterator[tuple]:
     """The modal rule at a node whose positive modal formulas are
     `positives` and whose negated ones negate `negatives`: one (operand,
-    min-interval, max-interval) triple per minimal representative of the
-    positive operands, yielded one at a time so that a search stopping at
-    a bad child asks no entailment queries for the rest."""
-    for psi in minimal_representatives([f.operand for f in positives]):
-        lower_pos = [f.bound for f in positives
-                     if isinstance(f, AtLeast) and entails(psi, f.operand)]
-        upper_pos = [f.bound for f in positives
-                     if isinstance(f, AtMost) and entails(psi, f.operand)]
-        lower_neg = [g.bound for g in negatives
-                     if isinstance(g, AtLeast) and entails(psi, g.operand)]
-        upper_neg = [g.bound for g in negatives
-                     if isinstance(g, AtMost) and entails(psi, g.operand)]
-        min_itv = Interval(
-            max(lower_pos) if lower_pos else Fraction(0), True,
-            min(lower_neg) if lower_neg else POS_INF, False,
+    ends) pair per minimal representative of the positive operands,
+    yielded one at a time so that a search stopping at a bad child asks
+    no entailment queries for the rest.  The child's least weight is at
+    least each entailed `L` bound and below each entailed negated one;
+    its greatest weight is at most each entailed `M` bound and above each
+    entailed negated one."""
+    rank = query.ranks
+    for psi in minimal_representatives([f.operand for f in positives], query):
+        lower_pos = [rank[f] for f in positives
+                     if isinstance(f, AtLeast) and entails(psi, f.operand, query)]
+        upper_pos = [rank[f] for f in positives
+                     if isinstance(f, AtMost) and entails(psi, f.operand, query)]
+        lower_neg = [rank[g] for g in negatives
+                     if isinstance(g, AtLeast) and entails(psi, g.operand, query)]
+        upper_neg = [rank[g] for g in negatives
+                     if isinstance(g, AtMost) and entails(psi, g.operand, query)]
+        yield psi, (
+            2 * max(lower_pos) if lower_pos else 0,
+            2 * min(lower_neg) - 1 if lower_neg else RANK_INF,
+            2 * max(upper_neg) + 1 if upper_neg else 0,
+            2 * min(upper_pos) if upper_pos else RANK_INF,
         )
-        max_itv = Interval(
-            max(upper_neg) if upper_neg else Fraction(0), not upper_neg,
-            min(upper_pos) if upper_pos else POS_INF, bool(upper_pos),
-        )
-        yield psi, min_itv, max_itv
 
 
 def _saturate(gamma) -> tuple:
@@ -289,37 +385,28 @@ def _branches(gamma, index) -> Iterator[tuple]:
         yield _saturate(before + (Not(part),) + after)
 
 
-def _intervals_meet(min_itv: Interval, max_itv: Interval) -> bool:
-    """Both intervals non-empty, and the least possible minimum weight not
-    above the greatest possible maximum."""
-    if not min_itv.is_consistent or not max_itv.is_consistent:
-        return False
-    a, d = min_itv.lower, max_itv.upper
-    return a < d or (a == d and min_itv.lower_closed and max_itv.upper_closed)
-
-
-def _search(gamma, min_itv: Interval, max_itv: Interval, memo: dict) -> TableauNode:
-    """A query start: the node <gamma, min_itv, max_itv> (`gamma`
-    deduplicated) as the search explored it.  When the non-branching
-    rules change `gamma`, the node applies them (`and` if it holds a
-    conjunction, else `neg-neg`) and its one child is the saturated set's
-    explored node."""
+def _search(gamma, ends: tuple, query: _Query) -> TableauNode:
+    """A query start: the node <gamma, ends> (`gamma` deduplicated) as
+    the search explored it.  When the non-branching rules change `gamma`,
+    the node applies them (`and` if it holds a conjunction, else
+    `neg-neg`) and its one child is the saturated set's explored node."""
     saturated = _saturate(gamma)
-    node = _explore(saturated, min_itv, max_itv, memo)
+    node = _explore(saturated, ends, query)
     if saturated == gamma:
         return node
     rule = RULE_AND if any(isinstance(f, And) for f in gamma) else RULE_NEG_NEG
-    return TableauNode(gamma, min_itv, max_itv, rule, (node,), node.closed)
+    return TableauNode(gamma, ends, query.table, rule, (node,), node.closed)
 
 
-def _explore(gamma, min_itv: Interval, max_itv: Interval, memo: dict) -> TableauNode:
+def _explore(gamma, ends: tuple, query: _Query) -> TableauNode:
     """The node of a saturated set as the search explored it.  An
     interior node branches on its leftmost negated conjunction and is
     open at the first open branch; a terminal node is open when it is
     consistent and every modal child is open, and the children stop at
-    the first closed one.  `memo` maps each saturated node reached in
-    this query, as (gamma, min_itv, max_itv), to its explored node."""
-    key = (gamma, min_itv, max_itv)
+    the first closed one.  The query's memo maps each saturated node
+    reached, as (gamma, ends), to its explored node."""
+    memo = query.memo
+    key = (gamma, ends)
     node = memo.get(key)
     if node is not None:
         return node
@@ -328,26 +415,35 @@ def _explore(gamma, min_itv: Interval, max_itv: Interval, memo: dict) -> Tableau
     if negated_and is not None:
         rule = RULE_NEG_AND
         for child_gamma in _branches(gamma, negated_and):
-            children.append(_explore(child_gamma, min_itv, max_itv, memo))
+            children.append(_explore(child_gamma, ends, query))
             if not children[-1].closed:
                 break
         closed = children[-1].closed
     else:
         rule = RULE_MOD if positives or negatives else None
-        closed = clash or not _intervals_meet(min_itv, max_itv)
+        # Both intervals hold a value, and the least minimum weight is not
+        # above the greatest maximum.
+        a, b, c, d = ends
+        closed = clash or not (a <= b and c <= d and a <= d)
         if not closed:
-            for psi, child_min, child_max in _mod_child_specs(positives, negatives):
-                children.append(_search((psi,), child_min, child_max, memo))
+            for psi, child_ends in _mod_child_specs(positives, negatives, query):
+                children.append(_search((psi,), child_ends, query))
                 if children[-1].closed:
                     closed = True
                     break
-    node = memo[key] = TableauNode(gamma, min_itv, max_itv, rule, children, closed)
+    node = memo[key] = TableauNode(gamma, ends, query.table, rule, children, closed)
     return node
+
+
+def _start(phi: Formula) -> TableauNode:
+    """The explored tree of <{phi}, [0,0], [0,0]>."""
+    gamma = (phi,)
+    return _search(gamma, START_ENDS, _Query.start(gamma))
 
 
 def build_tableau(phi: Formula) -> Tableau:
     """The tree the search explores from <{phi}, [0,0], [0,0]>."""
-    return Tableau(_search((phi,), point_zero(), point_zero(), {}))
+    return Tableau(_start(phi))
 
 
 def find_witness(tableau: Tableau) -> Optional[TableauNode]:
@@ -394,15 +490,15 @@ def extract_model(witness: TableauNode) -> tuple[Wts, str, bool]:
         )
         if node.kind == "modal":
             for child in node.children:
-                a = child.min_interval.lower
-                assert isinstance(a, Fraction) and child.min_interval.lower_closed
-                c = child.max_interval.lower
-                d = child.max_interval.upper
-                x = a
-                if d == POS_INF:
-                    y = max(a, c + 1)
+                table = child.table
+                a, _, c, d = child.ends
+                assert not a & 1  # the least weight's interval is closed below
+                x, c = table[a >> 1], table[c >> 1]
+                if d == RANK_INF:
+                    y = max(x, c + 1)
                 else:
-                    y = max(a, (d - c) / 2 + c)
+                    d = table[(d + 1) >> 1]
+                    y = max(x, (d - c) / 2 + c)
                 fresh = f"s{next(counter)}"
                 labels[fresh] = set()
                 transitions.append((state, x, fresh))
@@ -438,7 +534,7 @@ Verdict = Union[Sat, Unsat]
 def is_satisfiable(phi: Formula) -> Verdict:
     """Search the tableau depth-first; when the root is open the verdict
     carries the extracted model and its verification outcome."""
-    return _verdict_of(_search((phi,), point_zero(), point_zero(), {}))
+    return _verdict_of(_start(phi))
 
 
 def _verdict_of(root: TableauNode) -> Verdict:

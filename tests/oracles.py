@@ -24,6 +24,10 @@ negation dropped, and the set is deduplicated after each step.
 `node_consistent` checks a tableau node's literals and weight intervals
 from the definitions, and `commute` swaps conjunctions' operands at
 random, which gives the tableau search another rule order.
+
+`encode_interval` writes an interval's ends as ranks in a bound table,
+from the definition of the tableau search's ranks; the search's +inf
+sentinel, `RANK_INF`, is the one name it takes from the package.
 """
 
 import math
@@ -37,7 +41,8 @@ from wtl.formulas import (
     And, AtLeast, AtMost, Atom, Bottom, Formula, FormulaError, Not, Top, box,
     diamond, iff, implies, lor,
 )
-from wtl.wts import IDENT_RE, format_rational, read_rational
+from wtl.tableau import RANK_INF
+from wtl.wts import IDENT_RE, POS_INF, format_rational, read_rational
 
 
 def all_partitions(items):
@@ -411,6 +416,16 @@ def node_consistent(node) -> bool:
     if low.lower == high.upper:
         return low.lower_closed and high.upper_closed
     return low.lower < high.upper
+
+
+def encode_interval(table, itv) -> tuple[int, int]:
+    """The ends of `itv` as ranks in the sorted bound table `table`, which
+    holds each finite end: bound i closed is 2i, an open lower end at it
+    2i+1 and an open upper end 2i-1, and +inf is RANK_INF."""
+    lower = 2 * table.index(itv.lower) + (0 if itv.lower_closed else 1)
+    if itv.upper == POS_INF:
+        return lower, RANK_INF
+    return lower, 2 * table.index(itv.upper) - (0 if itv.upper_closed else 1)
 
 
 def reference_saturate(gamma) -> tuple:

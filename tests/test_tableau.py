@@ -1,5 +1,7 @@
 import random
+import sys
 import warnings
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -7,13 +9,14 @@ import pytest
 import wtl.tableau
 from wtl import (
     And, AtLeast, AtMost, Atom, Bottom, ExtractionGapWarning, Interval, Not,
-    POS_INF, Sat, TableauNode, Top, Unsat, build_tableau, conjoin, entails,
+    POS_INF, Sat, Top, Unsat, build_tableau, conjoin, entails,
     extract_model, find_witness, is_satisfiable, is_valid, lor,
     minimal_representatives, model_check, parse_formula, print_formula,
-    random_formula, serialize_wts, tableau_to_json,
+    random_formula, random_wts, serialize_wts, tableau_to_json,
 )
 from oracles import (
-    bounded_model_search, commute, node_consistent, reference_saturate,
+    bounded_model_search, commute, encode_interval, node_consistent,
+    reference_saturate,
 )
 
 P1, P2, P3 = Atom("p1"), Atom("p2"), Atom("p3")
@@ -209,12 +212,26 @@ def test_unsat_conflicting_thresholds_tree():
 ZERO = Interval(F(0), True, F(0), True)
 
 
-def closed(gamma, min_itv=ZERO, max_itv=ZERO):
+def search_at(gamma, min_itv, max_itv, table=None):
+    """The search's node of the literal set `gamma` at two intervals, their
+    ends encoded as ranks in `table`: by default the sorted finite ends
+    and 0."""
+    if table is None:
+        ends = {end for itv in (min_itv, max_itv) for end in (itv.lower, itv.upper)}
+        table = tuple(sorted((ends | {F(0)}) - {POS_INF}))
+    query = wtl.tableau._Query(table, {})
+    ends = encode_interval(table, min_itv) + encode_interval(table, max_itv)
+    return wtl.tableau._search(gamma, ends, query)
+
+
+def closed(gamma, min_itv=ZERO, max_itv=ZERO, table=None):
     """Whether the search closes the node of a literal set, which has no
-    children: the clash-and-interval oracle must say the same."""
-    node = wtl.tableau._search(gamma, min_itv, max_itv, {})
+    children: the node reads both intervals back, and the
+    clash-and-interval oracle must say the same."""
+    node = search_at(gamma, min_itv, max_itv, table)
     assert node.children == ()
-    assert node_consistent(TableauNode(gamma, min_itv, max_itv)) is not node.closed
+    assert (node.min_interval, node.max_interval) == (min_itv, max_itv)
+    assert node_consistent(node) is not node.closed
     return node.closed
 
 
@@ -237,6 +254,92 @@ def test_node_consistent_cross_condition():
     assert not closed((P1,), *touching)
     open_touch = Interval(F(2), True, POS_INF, False), Interval(F(0), True, F(2), False)
     assert closed((P1,), *open_touch)
+
+
+def _drawn_bounds(rng):
+    """Bounds with repeats: 0, integers, N/D, decimals and rationals of
+    4,300 digits."""
+    huge = 10 ** 4299
+    pool = [
+        F(0), F(1), F(2), F(3), F(4), F(1, 3), F(7, 2), F("0.25"), F("2.5"),
+        F("1.000001"), F(huge + 7, 3), F(huge, huge + 1), F(huge + 1, huge),
+        F(rng.randint(1, 99), rng.randint(1, 99)),
+    ]
+    return [rng.choice(pool) for _ in range(rng.randint(1, 9))]
+
+
+def test_rank_encoding_reads_back_and_decides_as_the_oracle():
+    rng = random.Random(18000)
+    tables = []
+    for _ in range(60):
+        bounds = _drawn_bounds(rng)
+        modal = [rng.choice([AtLeast, AtMost])(b, P1) for b in bounds]
+        query = wtl.tableau._Query.start((conjoin(modal),))
+        # the query's table: its distinct bounds and 0, ascending; each
+        # modal formula's rank is its bound's place in it
+        assert query.table == tuple(sorted(set(bounds) | {F(0)}))
+        assert all(query.table[query.ranks[f]] == f.bound for f in modal)
+        tables.append(query.table)
+    touched = F(0), F(2), F(3), F(4)
+    pairs = [
+        (touched, Interval(F(4), True, F(3), False), Interval(F(0), True, POS_INF, False)),
+        (touched, Interval(F(2), True, POS_INF, False), Interval(F(0), True, F(2), True)),
+        (touched, Interval(F(2), True, POS_INF, False), Interval(F(0), True, F(2), False)),
+    ]
+    for table in tables:
+        for _ in range(40):
+            itvs = []
+            for _ in range(2):
+                upper = rng.choice(table + (POS_INF,))
+                itvs.append(Interval(rng.choice(table), rng.random() < 0.5,
+                                     upper, upper != POS_INF and rng.random() < 0.5))
+            pairs.append((table, *itvs))
+    verdicts = Counter()
+    for table, min_itv, max_itv in pairs:
+        # the node decodes both intervals exactly, and the int test closes
+        # it exactly when the oracle finds the intervals inconsistent
+        verdicts[closed((P1,), min_itv, max_itv, table)] += 1
+    assert verdicts[True] > 500 and verdicts[False] > 500
+
+
+def test_no_fraction_code_runs_below_the_search_start():
+    pool = [F(0), F(1, 2), F(1), F(2), F(5, 2), F(3)]
+    corpus = [random_formula(seed + 18100, ["p1", "p2", "p3"], 1 + seed % 3, pool)
+              for seed in range(120)]
+    rng = random.Random(18200)
+    for seed in range(24):
+        # planted: each conjunct made true at a state of a random model
+        model = random_wts(seed + 18300, 4, 3, pool, ["p1", "p2", "p3"])
+        state = min(model.states)
+        parts = [random_formula(seed * 20 + k, ["p1", "p2", "p3"], 1 + k % 3, pool)
+                 for k in range(rng.randint(6, 16))]
+        corpus.append(conjoin([f if model_check(model, state, f) else Not(f) for f in parts]))
+    corpus += [disjunction_family(k) for k in range(1, 12)]
+    search = wtl.tableau._search.__code__
+    depth = 0
+    entered = Counter()
+
+    def profile(frame, event, arg):
+        nonlocal depth
+        if event == "call":
+            if frame.f_code is search:
+                depth += 1
+            elif depth and frame.f_code.co_filename.endswith("fractions.py"):
+                entered[frame.f_code.co_name] += 1
+        elif event == "return" and frame.f_code is search:
+            depth -= 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        roots = [build_tableau(phi).root for phi in corpus]
+    finally:
+        sys.setprofile(previous)
+    assert entered == Counter()
+    # the corpus reaches the modal rule and closes and opens roots
+    assert sum(root.closed for root in roots) > 10
+    assert sum(not root.closed for root in roots) > 100
+    assert sum(n.kind == "modal" for root in roots for n in explored_nodes(root)) > 200
 
 
 # ----------------------------------------------------------------- success
