@@ -23,8 +23,8 @@ style), with the derived connectives desugared once in the base class.
 Its two carriers are the formulas themselves (`FORMULAS`) and the sets of
 a model's states (`StateSets(m)`), which is the one definition of the set
 semantics: the sat set of each constructor from the sat sets of its
-operands, a modality evaluated backward over the in-edges of its
-operand's states.
+operands, a modality evaluated by one forward scan of every state's
+out-edges.
 
 Two evaluators share these semantics.  `sat_set` is global: it folds a
 formula into `StateSets(m)`, bottom-up, a whole set at a time.
@@ -454,14 +454,18 @@ class StateSets(Algebra):
 
     This is the one definition of the bound logic's set semantics.
     `sat_set` folds a formula into it, and the soundness suite applies its
-    schemas to it directly.  A modality is evaluated backward, over the
-    in-edges of its operand's states (`Wts.ranked_in_edges`), with one
-    `bisect` of its bound `r` over a table of keys for `m.weights`.  By
-    default that table is `m.weights` itself, so `r` is a weight, as a
-    formula's bound is.  `_keys` may give any other ascending table that
-    orders as `m.weights` does, one key per weight; `r` is then a key in
-    that table's scale.  The soundness suite passes the weights times the
-    lcm of its index pool's denominators, so its bounds are ints.
+    schemas to it directly.  A modality scans every state's out-edges
+    forward, as `model_check` does one state's: in ascending rank the
+    first edge into the operand's states carries the least weight, and in
+    descending rank the greatest.  One `bisect` turns its bound `r` into a
+    rank, over a table of keys for `m.weights`.  By default that table is
+    `m.weights` itself, so `r` is a weight, as a formula's bound is.
+    `_keys` may give any other ascending table that orders as `m.weights`
+    does, one key per weight; `r` is then a key in that table's scale.
+    The soundness suite passes the weights times the lcm of its index
+    pool's denominators, so its bounds are ints.  Nothing is built or kept
+    on the model: each operation costs one pass over the labels or the
+    edges.
     """
 
     __slots__ = ("m", "_keys")
@@ -471,7 +475,7 @@ class StateSets(Algebra):
         self._keys = m.weights if _keys is None else _keys
 
     def Atom(self, name: str) -> frozenset[str]:
-        return self.m.states_labelled(name)
+        return frozenset(s for s, props in self.m.labels.items() if name in props)
 
     def Top(self) -> frozenset[str]:
         return self.m.states
@@ -486,41 +490,38 @@ class StateSets(Algebra):
         return a & b
 
     def AtLeast(self, r, a: frozenset[str]) -> frozenset[str]:
-        keys = self._keys
-        into = self.m.ranked_in_edges()[1]
-        return _reaching_within(into, a, bisect_left(keys, r), len(keys))
+        lo = bisect_left(self._keys, r)
+        result = []
+        for s, es in self.m._out.items():
+            for rank, t in es:
+                if t in a:
+                    if rank >= lo:
+                        result.append(s)
+                    break
+        return frozenset(result)
 
     def AtMost(self, r, a: frozenset[str]) -> frozenset[str]:
-        into = self.m.ranked_in_edges()[1]
-        return _reaching_within(into, a, 0, bisect_right(self._keys, r))
-
-
-def _reaching_within(into, targets: frozenset[str], lo: int, hi: int) -> frozenset[str]:
-    """States with a transition into `targets` whose every such transition
-    has a weight rank in [lo, hi), from one pass over the targets' in-edges.
-
-    `into` is `Wts.ranked_in_edges()[1]`.  For `L[r]` the ranks below
-    `bisect_left(keys, r)` are the weights under r; for `M[r]` those from
-    `bisect_right(keys, r)` on are the weights over r (`StateSets`).
-    """
-    reach, spoilt = set(), set()
-    for t in targets:
-        for rank, src in into[t]:
-            reach.add(src)
-            if not lo <= rank < hi:
-                spoilt.add(src)
-    return frozenset(reach - spoilt)
+        hi = bisect_right(self._keys, r)
+        result = []
+        for s, es in self.m._out.items():
+            for rank, t in reversed(es):
+                if t in a:
+                    if rank < hi:
+                        result.append(s)
+                    break
+        return frozenset(result)
 
 
 def sat_set(m: Wts, f: Formula, _cache: Optional[dict] = None) -> frozenset[str]:
     """States of `m` satisfying `f`, computed bottom-up, a set at a time.
 
-    The fold of `f` into `StateSets(m)`, so the whole model is evaluated;
-    to ask about one state, `model_check` is local.  That algebra's key
-    table is the default one, `m.weights`, so each modality's bound is
-    compared with the weights as it is.  Atoms absent from the
-    model's labels are false everywhere.  A shared cache dict may be
-    passed to reuse work across related formulas.
+    The fold of `f` into `StateSets(m)`, so the whole model is evaluated,
+    each modality by a forward scan of every state's out-edges, with no
+    index built on the model; to ask about one state, `model_check` is
+    local.  That algebra's key table is the default one, `m.weights`, so
+    each modality's bound is compared with the weights as it is.  Atoms
+    absent from the model's labels are false everywhere.  A shared cache
+    dict may be passed to reuse work across related formulas.
     """
     if _cache is None:
         _cache = {}
@@ -557,10 +558,10 @@ def model_check(m: Wts, s: str, f: Formula) -> bool:
 
     Local and top-down: the walk starts at `s` and follows the ranked
     out-edges, so it looks only at the states within `f`'s modal depth of
-    `s` and builds none of the model's indexes.  Each answer is kept per
-    (subformula, state) for the call, so a formula that shares subformulas
-    costs at most one evaluation of each node at each state:
-    O(|subformulas| * |edges|) in the worst case, as `sat_set`.
+    `s`.  Each answer is kept per (subformula, state) for the call, so a
+    formula that shares subformulas costs at most one evaluation of each
+    node at each state: O(|subformulas| * |edges|) in the worst case, as
+    `sat_set`.
     """
     m._require_state(s)
     return _holds(m, s, f, {})

@@ -323,21 +323,30 @@ def _saturate(gamma) -> tuple:
     conjunction split into its operands in place and every double
     negation dropped, then deduplicated keeping first occurrences.  This
     is the set, in the same order, that applying the leftmost `and`, else
-    the leftmost `neg-neg`, one step at a time reaches."""
+    the leftmost `neg-neg`, one step at a time reaches.
+
+    A conjunction node met again, by identity, is skipped: the depth-first
+    walk has already kept every leaf under it, so a formula that shares
+    one conjunction at every level is walked once per distinct node."""
     out = {}
     pending = []
+    split = set()
     for f in gamma:
         while True:
             if isinstance(f, And):
-                pending.append(f.right)
-                f = f.left
+                if id(f) not in split:
+                    split.add(id(f))
+                    pending.append(f.right)
+                    f = f.left
+                    continue
             elif isinstance(f, Not) and isinstance(f.operand, Not):
                 f = f.operand.operand
+                continue
             else:
                 out[f] = None
-                if not pending:
-                    break
-                f = pending.pop()
+            if not pending:
+                break
+            f = pending.pop()
     return tuple(out)
 
 

@@ -11,11 +11,11 @@ stored as a `(rank, neighbour)` pair, where the rank is the weight's index
 in that table.  Within one model ranks order exactly as the weights do, so
 the engines compare ints: the partition refinements ask for a state's
 least and greatest rank toward every block of a partition at once
-(`Wts.bounds_by_block`, one scan of the state's out-edges), `sat_set`'s
-modalities walk backward over the in-edges of the target set
-(`Wts.ranked_in_edges`), and `model_check` walks forward over one state's
-out-edges in rank order.  Ranks from two models do not compare; a caller
-that builds a new model or a formula bound maps them back through
+(`Wts.bounds_by_block`, one scan of the state's out-edges), and both
+evaluators, `sat_set` and `model_check`, walk forward over a state's
+out-edges in rank order: the first edge into a set carries the least
+weight, the last the greatest.  Ranks from two models do not compare; a
+caller that builds a new model or a formula bound maps them back through
 `weights`.  The `(source, weight, target)` triples, `Wts.transitions`,
 are derived from the ranks on request.
 All arithmetic is exact (`fractions.Fraction`); weights are kept in
@@ -182,16 +182,18 @@ def _check_ident(name: str, what: str) -> str:
 class Wts:
     """A finite weighted transition system.
 
-    Immutable after construction; every query is pure, so instances can be
-    shared freely between threads.  `weights` holds the model's distinct
-    weights in ascending order, and `_out[s]` the out-edges of `s` as
-    `(rank, target)` pairs sorted by rank, then target.  Transitions are a
-    set: duplicate (source, weight, target) triples collapse, however the
-    weight is written ("1/2", "2/4", "0.5" and `Fraction(1, 2)` are one
-    weight).  Each distinct weight text is parsed once per model.
+    Plain data: `__init__` sets the four slots and nothing writes to them
+    again.  No query builds or caches an index, the hash included, so
+    instances can be shared freely between threads.  `weights` holds the
+    model's distinct weights in ascending order, and `_out[s]` the
+    out-edges of `s` as `(rank, target)` pairs sorted by rank, then
+    target.  Transitions are a set: duplicate (source, weight, target)
+    triples collapse, however the weight is written ("1/2", "2/4", "0.5"
+    and `Fraction(1, 2)` are one weight).  Each distinct weight text is
+    parsed once per model.
     """
 
-    __slots__ = ("states", "labels", "weights", "_out", "_hash", "_in", "_holding")
+    __slots__ = ("states", "labels", "weights", "_out")
 
     def __init__(
         self,
@@ -246,9 +248,6 @@ class Wts:
             s: tuple(sorted({(rank[i], dst) for i, dst in es}))
             for s, es in pending.items()
         }
-        self._hash = None
-        self._in = None
-        self._holding = None
 
     @property
     def transitions(self) -> frozenset[tuple[str, Fraction, str]]:
@@ -307,37 +306,6 @@ class Wts:
                 bounds[block] = (hit[0], r)
         return bounds
 
-    def ranked_in_edges(
-        self,
-    ) -> tuple[tuple[Fraction, ...], Mapping[str, tuple[tuple[int, str], ...]]]:
-        """The model's distinct weights, ascending, and every state's in-edges.
-
-        The second part maps each state `t` to a `(rank, source)` pair per
-        transition `source -w-> t`, where `rank` is the index of `w` in
-        `weights`, so `rank < i` exactly when `w < weights[i]`.  Built on
-        the first call and kept, as the hash is: a model whose sat sets are
-        never asked for never pays for it.
-        """
-        if self._in is None:
-            into: dict[str, list] = {s: [] for s in self.states}
-            for src, es in self._out.items():
-                for r, dst in es:
-                    into[dst].append((r, src))
-            frozen = {s: tuple(es) for s, es in into.items()}
-            self._in = (self.weights, MappingProxyType(frozen))
-        return self._in
-
-    def states_labelled(self, p: str) -> frozenset[str]:
-        """The states whose labels hold `p`; empty for a proposition no
-        state carries.  The index is built on the first call and kept."""
-        if self._holding is None:
-            holding: dict[str, set] = {}
-            for s, props in self.labels.items():
-                for q in props:
-                    holding.setdefault(q, set()).add(s)
-            self._holding = {q: frozenset(ss) for q, ss in holding.items()}
-        return self._holding.get(p, frozenset())
-
     def __eq__(self, other):
         if not isinstance(other, Wts):
             return NotImplemented
@@ -349,12 +317,10 @@ class Wts:
         )
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((
-                self.states, tuple(sorted(self.labels.items())),
-                self.weights, frozenset(self._out.items()),
-            ))
-        return self._hash
+        return hash((
+            self.states, tuple(sorted(self.labels.items())),
+            self.weights, frozenset(self._out.items()),
+        ))
 
     def __repr__(self):
         count = sum(len(es) for es in self._out.values())

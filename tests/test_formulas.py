@@ -359,8 +359,6 @@ def test_each_model_answers_for_itself():
     assert sat_set(cheap, lo) == frozenset() and sat_set(cheap, hi) == {"a"}
     assert sat_set(dear, lo) == {"a"} and sat_set(dear, hi) == {"b"}
     assert sat_set(cheap, lo) == frozenset() and sat_set(cheap, hi) == {"a"}
-    assert cheap.ranked_in_edges()[0] == (F(1), F(3))
-    assert sorted(dear.ranked_in_edges()[1]["b"]) == [(0, "b"), (1, "a")]
 
 
 def _forward_sat(m, f, cache):
@@ -521,7 +519,6 @@ def test_local_model_check_stays_within_the_modal_depth_and_builds_no_index():
         m.labels = _ReadLabels(labels)
         model_check(m, s, f)
         assert m.labels.read <= near, f
-    assert m._in is None and m._holding is None
 
 
 def test_local_model_check_answers_deep_chains():

@@ -1,5 +1,7 @@
 import random
+import signal
 import sys
+import time
 import warnings
 from collections import Counter
 from fractions import Fraction as F
@@ -456,6 +458,28 @@ def test_saturation_agrees_with_the_one_step_rules():
     # the sample exercises both rules at the top of a set
     assert sum(any(isinstance(f, And) for f in gamma) for gamma in sets) > 500
     assert sum(any(map(double_negation, gamma)) for gamma in sets) > 500
+
+
+def test_saturation_splits_a_shared_conjunction_once():
+    p, q = Atom("p"), Atom("q")
+    f = p
+    for _ in range(22):
+        f = And(f, And(q, f))  # 2^22 copies of p, 45 distinct nodes
+
+    def hang(signum, frame):
+        raise TimeoutError("saturation split the tree, not the DAG")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        start = time.perf_counter()
+        assert wtl.tableau._saturate((f, Not(Not(f)))) == (p, q)
+        verdict = is_satisfiable(f)
+        assert time.perf_counter() - start < 1
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert isinstance(verdict, Sat) and verdict.verified
 
 
 def test_non_branching_steps_take_one_node_and_no_recursion(monkeypatch):

@@ -5,9 +5,12 @@ from fractions import Fraction as F
 import pytest
 
 from wtl import (
-    ModelError, NEG_INF, POS_INF, UnknownStateError, Wts, format_rational,
-    parse_rational, parse_wts, random_wts, serialize_wts,
+    SCHEMAS, Atom, ModelError, NEG_INF, POS_INF, UnknownStateError, Wts,
+    distinguishing_formula, format_rational, generalized_bisimilarity,
+    model_check, parse_formula, parse_rational, parse_wts, quotient_model,
+    random_wts, sat_set, serialize_wts, weighted_bisimilarity,
 )
+from wtl.formulas import StateSets
 from wtl.wts import MAX_RATIONAL_DIGITS
 
 POOL = [F(0), F(1, 2), F(1), F(2), F(3)]
@@ -112,11 +115,30 @@ def test_weights_are_equal_by_value_whatever_their_spelling_or_type():
         assert serialize_wts(m) == serialize_wts(first)
         assert m.transitions == {("a", F(1, 2), "b"), ("b", F(3), "a")}
         assert all(type(w) is F for _, w, _ in m.transitions)
-    assert first.states_labelled("p") == {"b"}
-    assert first.states_labelled("q") == frozenset()
     # A float is refused even after the text of the same value was read.
     with pytest.raises(ModelError):
         Wts(["a", "b"], {}, [("a", "1", "b"), ("a", 1.0, "b")])
+
+
+def test_a_model_is_plain_data():
+    m = random_wts(1953, 12, 3, POOL, ["p", "q"])
+    slots = {name: getattr(m, name) for name in Wts.__slots__}
+    f = parse_formula("L[1] p & !M[2] (q | L[0] p)")
+    sat_set(m, f)
+    for s in m.states:
+        model_check(m, s, f)
+    hash(m)
+    p, q = sat_set(m, Atom("p")), sat_set(m, Atom("q"))
+    SCHEMAS["A4"].conclusion(StateSets(m), p, q, F(1))
+    for partition in (generalized_bisimilarity(m), weighted_bisimilarity(m)):
+        quotient_model(m, partition)
+    first, *rest = sorted(m.states)
+    for t in rest:
+        distinguishing_formula(m, first, t)
+    # No query wrote a slot, or changed what one holds.
+    for name, value in slots.items():
+        assert getattr(m, name) is value, name
+    assert m == random_wts(1953, 12, 3, POOL, ["p", "q"])
 
 
 def test_format_rational():
