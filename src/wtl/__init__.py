@@ -29,7 +29,7 @@ from .axioms import (
 from .tableau import (
     ExtractionGapWarning, Interval, Sat, Tableau, TableauNode, Unsat, Verdict,
     build_tableau, entails, extract_model, find_witness, is_satisfiable,
-    is_valid, minimal_representatives, tableau_to_json,
+    is_valid, tableau_to_json,
 )
 
 __version__ = "0.1.0"

@@ -200,12 +200,7 @@ def _dispatch(args, stdin: Optional[bytes], emit) -> tuple[int, str]:
         return (EXIT_YES if verdict.verified else EXIT_GAP), emit(body)
 
     if args.command == "valid":
-        phi = _load_formula(args, stdin)
-        with warnings.catch_warnings():
-            # the answer stands when the negation's model fails verification,
-            # and stderr carries JSON only
-            warnings.simplefilter("ignore")
-            answer = is_valid(phi)
+        answer = is_valid(_load_formula(args, stdin))
         return (EXIT_YES if answer else EXIT_NO), emit({"valid": answer})
 
     if args.command == "bisim":

@@ -10,8 +10,8 @@ formulas whose operand is entailed.
 
 The two rules that do not branch (splitting a conjunction, dropping a
 double negation) saturate a formula set in one pass, `_saturate`.  They
-are applied once, where a query starts (the root, a modal child, an
-entailment query): `_search` saturates the start set, and when that
+are applied once, where a search starts (the root, a modal child, an
+entailment search): `_search` saturates the start set, and when that
 changes it, returns a node for the rule (`and` if the set holds a
 conjunction, else `neg-neg`) whose one child is the saturated set.
 
@@ -32,24 +32,25 @@ saturated set.  `build_tableau` returns that tree for dumps, and
 `find_witness` is its root when the root is open.
 
 Semantic entailment between operands is decided by the same search on
-the conjunction of one operand with the negation of the other; the modal
-rule strictly lowers modal depth, so the recursion terminates.  Verdicts
-do not depend on the order in which rules are applied, so the order is
-fixed; swapping the operands of the input's conjunctions gives the
-search another order.
+the conjunction of one operand with the negation of the other, run in
+the query it serves.  The modal rule strictly lowers modal depth, so the
+recursion terminates and never meets a node still being explored.
+Verdicts do not depend on the order in which rules are applied, so the
+order is fixed; swapping the operands of the input's conjunctions gives
+the search another order.
 
 The search compares no rationals.  Every interval end the rules make is
 0, +inf or a bound written in the formula, so a query (`build_tableau`,
-`is_satisfiable`, a call of `entails` from outside the search) starts by
-collecting its formula's bounds, plus 0, into one sorted table, and a
-node's two intervals are four int ranks in it (`RANK_INF` is +inf).
-Whether both intervals hold a value and the least minimum is not above
-the greatest maximum is then three int compares, and the memo hashes
-ints.  The modal rule reads each modal formula's rank from the query's
-dict keyed by the formula node, and its entailment queries reuse the
-table.  Rationals come back only at the edges: a node's `min_interval`
-and `max_interval` decode its ranks for dumps and `repr`, and
-`extract_model` reads its weights from the table.
+`is_satisfiable`, `is_valid`, a call of `entails` from outside the
+search) starts by collecting its formula's bounds, plus 0, into one
+sorted table, and a node's two intervals are four int ranks in it
+(`RANK_INF` is +inf).  Whether both intervals hold a value and the least
+minimum is not above the greatest maximum is then three int compares,
+and the memo hashes ints.  The modal rule reads each modal formula's
+rank from the query's dict keyed by the formula node.  Rationals come
+back only at the edges: a node's `min_interval` and `max_interval`
+decode its ranks for dumps and `repr`, and `extract_model` reads its
+weights from the table.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ from .wts import ExtendedBound, NEG_INF, POS_INF, Wts, format_bound
 
 __all__ = [
     "Interval", "TableauNode", "Tableau", "Sat", "Unsat",
-    "Verdict", "ExtractionGapWarning", "entails", "minimal_representatives",
+    "Verdict", "ExtractionGapWarning", "entails",
     "build_tableau", "find_witness",
     "extract_model", "is_satisfiable", "is_valid", "tableau_to_json",
 ]
@@ -196,7 +197,8 @@ class Tableau:
 class _Query:
     """What one query's search shares: the bound table, the rank in it of
     each modal subformula's bound, keyed by the formula node, and the memo
-    of the saturated nodes explored, keyed by (gamma, ends)."""
+    of the saturated nodes explored, keyed by (gamma, ends).
+    Entailment searches share it: a decision makes one, in `start`."""
 
     __slots__ = ("table", "ranks", "memo")
 
@@ -258,7 +260,8 @@ def entails(phi: Formula, psi: Formula, _within: Optional[_Query] = None) -> boo
     """Semantic entailment: the conjunction of `phi` with the negation of
     `psi` has no model.  Decided by the witness search and memoized on
     the structural pair.  The modal rule passes its query as `_within`,
-    whose bound table holds every bound of the pair."""
+    and the search runs in it: a node is keyed by its set and ends in one
+    table, so whichever search reaches it first explores it alike."""
     # The hashes stored in the nodes first: two modalities over one
     # operand with different bounds would compare their bounds.
     if phi is psi or (phi._hash == psi._hash and phi == psi):
@@ -267,8 +270,7 @@ def entails(phi: Formula, psi: Formula, _within: Optional[_Query] = None) -> boo
     hit = _entailment_cache.get(key)
     if hit is None:
         gamma = (And(phi, Not(psi)),)
-        query = (_Query.start(gamma) if _within is None
-                 else _Query(_within.table, _within.ranks))
+        query = _Query.start(gamma) if _within is None else _within
         hit = _search(gamma, START_ENDS, query).closed
         if len(_entailment_cache) >= ENTAILMENT_CACHE_LIMIT:
             _entailment_cache.clear()
@@ -276,46 +278,38 @@ def entails(phi: Formula, psi: Formula, _within: Optional[_Query] = None) -> boo
     return hit
 
 
-def minimal_representatives(operands, _within: Optional[_Query] = None) -> list[Formula]:
-    """Drop operands that repeat an earlier one up to logical equivalence,
-    then drop any operand strictly entailed by another survivor.  Input
-    order is preserved.  `_within` is passed on to `entails`."""
-    survivors: list[Formula] = []
-    for f in operands:
-        if not any(entails(f, g, _within) and entails(g, f, _within) for g in survivors):
-            survivors.append(f)
-    return [
-        f
-        for i, f in enumerate(survivors)
-        if not any(j != i and entails(g, f, _within) for j, g in enumerate(survivors))
-    ]
-
-
 def _mod_child_specs(positives, negatives, query: _Query) -> Iterator[tuple]:
     """The modal rule at a node whose positive modal formulas are
     `positives` and whose negated ones negate `negatives`: one (operand,
-    ends) pair per minimal representative of the positive operands,
-    yielded one at a time so that a search stopping at a bad child asks
-    no entailment queries for the rest.  The child's least weight is at
-    least each entailed `L` bound and below each entailed negated one;
-    its greatest weight is at most each entailed `M` bound and above each
-    entailed negated one."""
+    ends) pair per minimal positive operand, in order, yielded one at a
+    time so that a search stopping at a bad child asks no entailment
+    queries for the rest.  An operand is minimal unless another entails
+    it and comes first or is not entailed by it.  The child's least
+    weight is at least each entailed `L` bound and below each entailed
+    negated one; its greatest weight is at most each entailed `M` bound
+    and above each entailed negated one."""
     rank = query.ranks
-    for psi in minimal_representatives([f.operand for f in positives], query):
-        lower_pos = [rank[f] for f in positives
-                     if isinstance(f, AtLeast) and entails(psi, f.operand, query)]
-        upper_pos = [rank[f] for f in positives
-                     if isinstance(f, AtMost) and entails(psi, f.operand, query)]
-        lower_neg = [rank[g] for g in negatives
-                     if isinstance(g, AtLeast) and entails(psi, g.operand, query)]
-        upper_neg = [rank[g] for g in negatives
-                     if isinstance(g, AtMost) and entails(psi, g.operand, query)]
-        yield psi, (
-            2 * max(lower_pos) if lower_pos else 0,
-            2 * min(lower_neg) - 1 if lower_neg else RANK_INF,
-            2 * max(upper_neg) + 1 if upper_neg else 0,
-            2 * min(upper_pos) if upper_pos else RANK_INF,
-        )
+    operands = [f.operand for f in positives]
+    for i, psi in enumerate(operands):
+        if any(j != i and entails(phi, psi, query)
+               and (j < i or not entails(psi, phi, query))
+               for j, phi in enumerate(operands)):
+            continue
+        a, d = 0, RANK_INF
+        for f in positives:
+            if entails(psi, f.operand, query):
+                if isinstance(f, AtLeast):
+                    a = max(a, 2 * rank[f])
+                else:
+                    d = min(d, 2 * rank[f])
+        b, c = RANK_INF, 0
+        for g in negatives:
+            if entails(psi, g.operand, query):
+                if isinstance(g, AtLeast):
+                    b = min(b, 2 * rank[g] - 1)
+                else:
+                    c = max(c, 2 * rank[g] + 1)
+        yield psi, (a, b, c, d)
 
 
 def _saturate(gamma) -> tuple:
@@ -556,8 +550,9 @@ def _verdict_of(root: TableauNode) -> Verdict:
 
 
 def is_valid(phi: Formula) -> bool:
-    """True iff the negation has no model."""
-    return isinstance(is_satisfiable(Not(phi)), Unsat)
+    """True iff the negation has no model: the explored root of its
+    tableau is closed.  No model is extracted, so no warning is raised."""
+    return _start(Not(phi)).closed
 
 
 def _interval_json(itv: Interval) -> dict:

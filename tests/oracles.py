@@ -25,6 +25,11 @@ negation dropped, and the set is deduplicated after each step.
 from the definitions, and `commute` swaps conjunctions' operands at
 random, which gives the tableau search another rule order.
 
+`reference_minimal_operands` is the tableau's minimal-operand filter as
+it was before the modal rule chose its operands in one pass: drop each
+operand equivalent to an earlier survivor, then each survivor that
+another survivor entails.  Entailment is the one relation it is given.
+
 `encode_interval` writes an interval's ends as ranks in a bound table,
 from the definition of the tableau search's ranks; the search's +inf
 sentinel, `RANK_INF`, is the one name it takes from the package.
@@ -416,6 +421,21 @@ def node_consistent(node) -> bool:
     if low.lower == high.upper:
         return low.lower_closed and high.upper_closed
     return low.lower < high.upper
+
+
+def reference_minimal_operands(operands, entails) -> list:
+    """Drop operands that repeat an earlier one up to logical equivalence,
+    then drop any operand strictly entailed by another survivor.  Input
+    order is preserved."""
+    survivors = []
+    for f in operands:
+        if not any(entails(f, g) and entails(g, f) for g in survivors):
+            survivors.append(f)
+    return [
+        f
+        for i, f in enumerate(survivors)
+        if not any(j != i and entails(g, f) for j, g in enumerate(survivors))
+    ]
 
 
 def encode_interval(table, itv) -> tuple[int, int]:

@@ -168,8 +168,9 @@ def test_valid_writes_no_python_warning(monkeypatch, capsys):
 
     from wtl.cli import main
 
-    # The negated A4 instance's extracted model fails verification; the
-    # interpreter's default hook would print that warning on stderr.
+    # The negated A4 instance is satisfiable, but the model extracted from
+    # it fails verification.  `valid` extracts no model, so no warning
+    # reaches the hook below, which would print it on stderr.
     def show(message, category, filename, lineno, file=None, line=None):
         sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
 
@@ -300,6 +301,13 @@ def test_sat_answers_on_a_wide_flat_conjunction():
     code, out, err = run(["sat", "--formula", wide])
     assert (code, err) == (0, "")
     assert json.loads(out) == {"satisfiable": True, "verified": True, "state": "s0"}
+
+
+def test_valid_answers_on_a_wide_disjunction():
+    # `valid` re-checks no model, so nothing walks the negation's nested
+    # disjunction one level per disjunct
+    wide = "!(" + " | ".join(f"p{i}" for i in range(600)) + ")"
+    assert run(["valid", "--formula", wide]) == (1, '{"valid":false}\n', "")
 
 
 def test_bytes_that_are_not_utf8_name_their_offset():

@@ -13,12 +13,12 @@ from wtl import (
     And, AtLeast, AtMost, Atom, Bottom, ExtractionGapWarning, Interval, Not,
     POS_INF, Sat, Top, Unsat, build_tableau, conjoin, entails,
     extract_model, find_witness, is_satisfiable, is_valid, lor,
-    minimal_representatives, model_check, parse_formula, print_formula,
-    random_formula, random_wts, serialize_wts, tableau_to_json,
+    model_check, parse_formula, print_formula, random_formula, random_wts,
+    serialize_wts, tableau_to_json,
 )
 from oracles import (
     bounded_model_search, commute, encode_interval, node_consistent,
-    reference_saturate,
+    reference_minimal_operands, reference_saturate,
 )
 
 P1, P2, P3 = Atom("p1"), Atom("p2"), Atom("p3")
@@ -104,17 +104,58 @@ def test_entails_modal():
 
 # ------------------------------------------------------- minimal operands
 
+def rule_operands(operands):
+    """The operands the modal rule gives children to, in order, at a node
+    whose positive modal formulas are `L[0]` over `operands`."""
+    positives = [AtLeast(0, f) for f in operands]
+    query = wtl.tableau._Query.start((conjoin(positives),))
+    return [psi for psi, _ in wtl.tableau._mod_child_specs(positives, [], query)]
+
+
 def test_minimal_representatives_drop_entailed():
-    assert minimal_representatives([P1, And(P1, P2), P3]) == [And(P1, P2), P3]
+    assert rule_operands([P1, And(P1, P2), P3]) == [And(P1, P2), P3]
 
 
 def test_minimal_representatives_keep_singleton():
-    assert minimal_representatives([P1]) == [P1]
+    assert rule_operands([P1]) == [P1]
 
 
 def test_minimal_representatives_equivalence_keeps_first():
-    assert minimal_representatives([P1, And(P1, P1)]) == [P1]
-    assert minimal_representatives([And(P1, P1), P1]) == [And(P1, P1)]
+    assert rule_operands([P1, And(P1, P1)]) == [P1]
+    assert rule_operands([And(P1, P1), P1]) == [And(P1, P1)]
+
+
+def test_rule_operands_are_the_two_pass_minimal_operands():
+    """The one-pass rule keeps the operands, the very objects, that the
+    two-pass definition keeps, on operand lists that repeat an object,
+    hold equal but distinct nodes, and hold equivalent formulas."""
+    rng = random.Random(20000)
+    bounds = [F(0), F(1), F(2)]
+    kinds = Counter()
+    dropped = 0
+    for _ in range(300):
+        drawn = [random_formula(rng.randrange(10**6), ["p", "q"], 1, bounds)]
+        for _ in range(rng.randint(0, 4)):
+            g = rng.choice(drawn)
+            kind = rng.choice(["fresh", "repeat", "copy", "equivalent", "stronger"])
+            if kind == "fresh":
+                f = random_formula(rng.randrange(10**6), ["p", "q"], 1, bounds)
+            elif kind == "repeat":
+                f = g
+            elif kind == "copy":
+                f = parse_formula(print_formula(g))
+                assert f == g and f is not g
+            elif kind == "equivalent":
+                f = rng.choice([And(g, g), Not(Not(g)), And(Top(), g), commute(g, rng)])
+            else:
+                f = And(g, rng.choice([P1, AtLeast(1, Atom("p")), Atom("q")]))
+            kinds[kind] += 1
+            drawn.append(f)
+        got = rule_operands(drawn)
+        want = reference_minimal_operands(drawn, entails)
+        assert [id(f) for f in got] == [id(f) for f in want], drawn
+        dropped += len(drawn) - len(got)
+    assert min(kinds.values()) >= 100 and dropped >= 100, (kinds, dropped)
 
 
 # ------------------------------------------------------------- modal rule
@@ -562,6 +603,25 @@ def test_entailment_cache_is_bounded(monkeypatch):
     assert max(sizes) <= limit
 
 
+def test_entailments_search_in_the_query_they_serve(monkeypatch):
+    """The entailment searches the modal rule asks run in the decision's
+    own query: `is_satisfiable` makes one query, however many of them
+    miss the entailment cache."""
+    made = []
+    init = wtl.tableau._Query.__init__
+
+    def spy(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(wtl.tableau._Query, "__init__", spy)
+    monkeypatch.setattr(wtl.tableau, "_entailment_cache", {})
+    phi = parse_formula("L[1] p1 & L[2] (p1 & p2) & L[3] (p2 & p1) & L[0] p3")
+    assert isinstance(sat_verdict(phi), Sat)
+    assert len(wtl.tableau._entailment_cache) > 1  # searched, not cached
+    assert len(made) == 1
+
+
 # -------------------------------------------------------------- extraction
 
 def test_satisfiable_nested_bounds_with_verified_witness():
@@ -638,6 +698,21 @@ def test_validity_examples():
     assert is_valid(parse_formula("!L[0] false")) is True
     assert is_valid(parse_formula("p")) is False
     assert is_valid(parse_formula("L[3] p -> !M[2] p")) is True
+
+
+def test_validity_extracts_no_model(monkeypatch):
+    """`is_valid` reads the closed flag of the negation's root: it neither
+    extracts a model nor warns, even where the extracted model of the
+    negation (this A4 instance's) fails verification."""
+    def refuse(witness):
+        raise AssertionError("is_valid extracted a model")
+
+    monkeypatch.setattr(wtl.tableau, "extract_model", refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a4 = "!(L[2] !(!p1 & !p2) & !!(!L[2] p1 & !L[2] p2))"
+        assert is_valid(parse_formula(a4)) is False
+        assert is_valid(parse_formula("L[3] p -> !M[2] p")) is True
 
 
 def test_validity_duality():
