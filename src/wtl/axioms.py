@@ -36,7 +36,7 @@ from typing import Callable, Optional
 from .formulas import (
     FORMULAS, Formula, StateSets, _draw_formula, print_formula, sat_set,
 )
-from .wts import Wts, _draw_wts, as_weight, serialize_wts
+from .wts import Wts, _draw_wts, _weight_slots, as_weight, serialize_wts
 
 __all__ = [
     "Schema", "SCHEMAS", "SideConditionError", "instantiate", "premise_of",
@@ -303,6 +303,7 @@ def run_suite(
         return w.numerator * (scale // w.denominator)
 
     keys = [key(w) for w in pool]
+    draw_weights, draw_slots = _weight_slots(pool)
     atoms = sorted(_SUITE_ATOMS)
     rng = random.Random(seed)
     report = SuiteReport(seed=seed, trials=trials)
@@ -311,7 +312,7 @@ def run_suite(
 
     for trial in range(trials):
         trial_seed = rng.getrandbits(32)
-        model = _draw_wts(trial_seed, 4, 3, pool, atoms)
+        model = _draw_wts(trial_seed, 4, 3, draw_weights, draw_slots, atoms)
         phi = _draw_formula(trial_seed + 1, atoms, 2, pool)
         psi = _draw_formula(trial_seed + 2, atoms, 2, pool)
         # Positions in the pool: `keys[i]` for the sets, `pool[i]` to report.

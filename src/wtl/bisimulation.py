@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .formulas import AtLeast, AtMost, Atom, Formula, Not, conjoin
-from .wts import NEG_INF, POS_INF, Wts
+from .wts import NEG_INF, POS_INF, Wts, _assemble
 
 __all__ = [
     "Partition", "generalized_bisimilarity", "weighted_bisimilarity",
@@ -170,8 +170,8 @@ def quotient_model(m: Wts, p: Partition) -> Wts:
         raise ValueError("partition does not cover the model's states")
     reps = [min(block) for block in p.blocks]
     labels = {rep: m.labels[rep] for rep in reps}
-    weights = m.weights
-    transitions = []
+    ids: dict[int, int] = {}  # rank in m.weights -> index in the quotient's
+    edges = []
     for block, rep in zip(p.blocks, reps):
         bounds = m.bounds_by_block(rep, p._index)
         for s in block:
@@ -179,9 +179,9 @@ def quotient_model(m: Wts, p: Partition) -> Wts:
                              or m.bounds_by_block(s, p._index) != bounds):
                 raise ValueError("partition is not a bound bisimulation for this model")
         for target, (lo, hi) in bounds.items():
-            transitions.append((rep, weights[lo], reps[target]))
-            transitions.append((rep, weights[hi], reps[target]))
-    return Wts(reps, labels, transitions)
+            edges.append((rep, ids.setdefault(lo, len(ids)), reps[target]))
+            edges.append((rep, ids.setdefault(hi, len(ids)), reps[target]))
+    return _assemble(frozenset(reps), labels, list(map(m.weights.__getitem__, ids)), edges)
 
 
 class _Separator:

@@ -67,7 +67,7 @@ from .formulas import (
     And, AtLeast, AtMost, Atom, Bottom, Formula, Not, Top,
     model_check, print_formula,
 )
-from .wts import ExtendedBound, NEG_INF, POS_INF, Wts, format_bound
+from .wts import ExtendedBound, NEG_INF, POS_INF, Wts, _assemble, format_bound
 
 __all__ = [
     "Interval", "TableauNode", "Tableau", "Sat", "Unsat",
@@ -481,7 +481,8 @@ def extract_model(witness: TableauNode) -> tuple[Wts, str, bool]:
     counter = itertools.count()
     root_state = f"s{next(counter)}"
     labels: dict[str, set] = {root_state: set()}
-    transitions = []
+    ids: dict[Fraction, int] = {}
+    edges = []
     stack = [(root_state, witness)]
     while stack:
         state, node = stack.pop()
@@ -504,10 +505,15 @@ def extract_model(witness: TableauNode) -> tuple[Wts, str, bool]:
                     y = max(x, (d - c) / 2 + c)
                 fresh = f"s{next(counter)}"
                 labels[fresh] = set()
-                transitions.append((state, x, fresh))
-                transitions.append((state, y, fresh))
+                edges.append((state, ids.setdefault(x, len(ids)), fresh))
+                edges.append((state, ids.setdefault(y, len(ids)), fresh))
                 stack.append((fresh, child))
-    model = Wts(labels.keys(), labels, transitions)
+    # State ids and labels made here, weights from the query's bounds:
+    # nothing to check before the re-check below.
+    model = _assemble(
+        frozenset(labels), {s: frozenset(props) for s, props in labels.items()},
+        list(ids), edges,
+    )
     # The saturated set means what the root's does, and its conjuncts are
     # flat: a wide conjunction is not re-checked as a deep one.
     verified = all(model_check(model, root_state, f) for f in _saturate(witness.gamma))

@@ -20,6 +20,18 @@ caller that builds a new model or a formula bound maps them back through
 are derived from the ranks on request.
 All arithmetic is exact (`fractions.Fraction`); weights are kept in
 canonical reduced form so equality is structural.
+
+A model from outside, a model file (`parse_wts`) or the arguments of
+`Wts(...)`, is checked completely, in passes over whole lists rather than
+one Python step per element: one type pass per column, one subset test
+for the ends of all transitions, one identifier test over all state ids
+and one over the union of all labels, one parse per distinct weight text.
+Checking is all or nothing.  Only when a pass fails does a loop over the
+elements run, to raise for the first bad one in the order given, so the
+message names that element.  Models the engines make from parts they have
+already checked (`quotient_model`, `extract_model`, `random_wts`'s draw)
+skip the checks: they go straight to `_assemble`, the private builder
+behind the constructor too, which nothing outside this package calls.
 """
 
 from __future__ import annotations
@@ -28,9 +40,11 @@ import json
 import random
 import re
 from fractions import Fraction
+from itertools import chain, count, repeat
 from math import inf
+from operator import itemgetter
 from types import MappingProxyType
-from typing import Hashable, Iterable, Mapping, Optional, Union
+from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
 
 Weight = Fraction
 
@@ -179,18 +193,41 @@ def _check_ident(name: str, what: str) -> str:
     return name
 
 
+def _all_idents(names: list) -> bool:
+    """Whether every name is a str that IDENT_RE matches, in two passes
+    over the whole list: on ASCII text, `str.isidentifier` is exactly
+    `[A-Za-z_][A-Za-z0-9_]*`."""
+    try:
+        return "".join(names).isascii() and all(map(str.isidentifier, names))
+    except TypeError:  # a name that is not a str
+        return False
+
+
 class Wts:
     """A finite weighted transition system.
 
-    Plain data: `__init__` sets the four slots and nothing writes to them
-    again.  No query builds or caches an index, the hash included, so
-    instances can be shared freely between threads.  `weights` holds the
-    model's distinct weights in ascending order, and `_out[s]` the
-    out-edges of `s` as `(rank, target)` pairs sorted by rank, then
-    target.  Transitions are a set: duplicate (source, weight, target)
-    triples collapse, however the weight is written ("1/2", "2/4", "0.5"
-    and `Fraction(1, 2)` are one weight).  Each distinct weight text is
-    parsed once per model.
+    Plain data: the four slots are set once, by `_assemble`, and nothing
+    writes to them again.  No query builds or caches an index, the hash
+    included, so instances can be shared freely between threads.
+    `weights` holds the model's distinct weights in ascending order, and
+    `_out[s]` the out-edges of `s` as `(rank, target)` pairs sorted by
+    rank, then target.  Transitions are a set: duplicate (source, weight,
+    target) triples collapse, however the weight is written ("1/2", "2/4",
+    "0.5" and `Fraction(1, 2)` are one weight).
+
+    The constructor checks its arguments completely, in passes over whole
+    lists: every state id at once, then the labels given for unknown
+    states, the label sets and the union of all labels, then the ends of
+    every transition (one pass over their types, then one subset test)
+    and its weight.  When every weight is text, each distinct text is
+    parsed once.  A check that fails falls back to the element-by-element
+    loop, which raises for the first bad element in the order given: state
+    ids, then labels, then transitions, each in the order of the
+    arguments.  A weight that is not text, a `Fraction` say, also takes
+    that loop, where it goes through `as_weight` every time, so a float is
+    refused even after the text of the same value.  The engines build
+    their models with `_assemble`, which checks nothing, so only models
+    built through this constructor run it.
     """
 
     __slots__ = ("states", "labels", "weights", "_out")
@@ -201,53 +238,7 @@ class Wts:
         labels: Mapping[str, Iterable[str]],
         transitions: Iterable[tuple],
     ):
-        if isinstance(states, str):
-            raise ModelError(f"states must be a collection of ids, got {states!r}")
-        state_set = frozenset(states)
-        if not state_set:
-            raise ModelError("a model needs at least one state")
-        for s in state_set:
-            _check_ident(s, "state id")
-        for s in labels:
-            if s not in state_set:
-                raise ModelError(f"labels given for unknown state {s!r}")
-        label_map = {}
-        for s in state_set:
-            props = labels.get(s, ())
-            if isinstance(props, str):
-                raise ModelError(f"labels of {s!r} must be a collection, got {props!r}")
-            for p in props:
-                _check_ident(p, "proposition")
-            label_map[s] = frozenset(props)
-        # Each weight gets the id of its value: text is parsed once per
-        # distinct string, anything else goes through as_weight every time,
-        # so a float is refused even after the text of the same value.
-        ids: dict[Fraction, int] = {}
-        text_ids: dict[str, int] = {}
-        pending: dict[str, list] = {s: [] for s in state_set}
-        for src, w, dst in transitions:
-            if not isinstance(src, str) or src not in state_set:
-                raise ModelError(f"transition from unknown state {src!r}")
-            if not isinstance(dst, str) or dst not in state_set:
-                raise ModelError(f"transition to unknown state {dst!r}")
-            if isinstance(w, str):
-                i = text_ids.get(w)
-                if i is None:
-                    i = text_ids[w] = ids.setdefault(parse_rational(w), len(ids))
-            else:
-                i = ids.setdefault(as_weight(w), len(ids))
-            pending[src].append((i, dst))
-        weights = tuple(sorted(ids))
-        rank = [0] * len(weights)
-        for r, w in enumerate(weights):
-            rank[ids[w]] = r
-        self.states: frozenset[str] = state_set
-        self.labels: Mapping[str, frozenset[str]] = MappingProxyType(label_map)
-        self.weights: tuple[Fraction, ...] = weights
-        self._out: dict[str, tuple[tuple[int, str], ...]] = {
-            s: tuple(sorted({(rank[i], dst) for i, dst in es}))
-            for s, es in pending.items()
-        }
+        _checked(states, labels, transitions, None, self)
 
     @property
     def transitions(self) -> frozenset[tuple[str, Fraction, str]]:
@@ -327,6 +318,130 @@ class Wts:
         return f"Wts({len(self.states)} states, {count} transitions)"
 
 
+def _checked(
+    states: Iterable[str],
+    labels: Mapping[str, Iterable[str]],
+    transitions: Iterable[tuple],
+    columns: Optional[tuple] = None,
+    into: Optional[Wts] = None,
+) -> Wts:
+    """The constructor's checks, then `_assemble`.  `columns`, when given,
+    are the sources, the weights and the targets of `transitions` as
+    three sequences, as `parse_wts` reads them."""
+    if isinstance(states, str):
+        raise ModelError(f"states must be a collection of ids, got {states!r}")
+    order = list(states)
+    state_set = frozenset(order)
+    if not state_set:
+        raise ModelError("a model needs at least one state")
+    if not _all_idents(order):
+        for s in order:
+            _check_ident(s, "state id")
+    if not state_set.issuperset(labels):
+        for s in labels:
+            if s not in state_set:
+                raise ModelError(f"labels given for unknown state {s!r}")
+    label_map = _label_sets(order, state_set, labels)
+    if columns is None:
+        transitions = list(transitions)
+        try:
+            if set(map(len, transitions)) <= {3}:
+                columns = tuple(zip(*transitions)) or ((), (), ())
+        except TypeError:  # a triple that is not a sized collection
+            pass
+    found = columns is not None and _text_edges(state_set, *columns)
+    return _assemble(state_set, label_map, *(found or _edges(state_set, transitions)), into)
+
+
+def _label_sets(order: list, state_set: frozenset, labels: Mapping) -> dict:
+    """The label set of each state, for the constructor: the types of all
+    label collections in one pass, then every label at once."""
+    given = list(map(labels.get, state_set, repeat(())))
+    if not any(issubclass(t, str) for t in set(map(type, given))):
+        try:
+            sets = list(map(frozenset, given))
+        except TypeError:  # not a collection, or a label that is not hashable
+            pass
+        else:
+            if _all_idents(list(frozenset().union(*sets))):
+                return dict(zip(state_set, sets))
+    for s in order:
+        props = labels.get(s, ())
+        if isinstance(props, str):
+            raise ModelError(f"labels of {s!r} must be a collection, got {props!r}")
+        for p in props:
+            _check_ident(p, "proposition")
+    return {s: frozenset(labels.get(s, ())) for s in state_set}
+
+
+def _text_edges(
+    state_set: frozenset, srcs: Sequence, texts: Sequence, dsts: Sequence,
+) -> Optional[tuple[list, Iterable]]:
+    """The constructor's weights and edges when every transition passes
+    its checks and every weight is text, checked a column at a time; None
+    otherwise."""
+    if not (set(map(type, texts)) <= {str}
+            and set(map(type, srcs)) | set(map(type, dsts)) <= {str}
+            and state_set.issuperset(srcs) and state_set.issuperset(dsts)):
+        return None
+    try:
+        value = {t: parse_rational(t) for t in set(texts)}
+    except ModelError:
+        return None
+    ids: dict[Fraction, int] = {}
+    index = {t: ids.setdefault(w, len(ids)) for t, w in value.items()}
+    return list(ids), zip(srcs, map(index.__getitem__, texts), dsts)
+
+
+def _edges(state_set: frozenset, triples: Iterable[tuple]) -> tuple[list, list]:
+    """The constructor's weights and edges, one triple at a time: raises
+    for the first bad triple.  Every weight goes through as_weight."""
+    ids: dict[Fraction, int] = {}
+    edges = []
+    for src, w, dst in triples:
+        if not isinstance(src, str) or src not in state_set:
+            raise ModelError(f"transition from unknown state {src!r}")
+        if not isinstance(dst, str) or dst not in state_set:
+            raise ModelError(f"transition to unknown state {dst!r}")
+        edges.append((src, ids.setdefault(as_weight(w), len(ids)), dst))
+    return list(ids), edges
+
+
+def _assemble(
+    states: frozenset,
+    labels: dict,
+    weights: list,
+    edges: Iterable[tuple],
+    into: Optional[Wts] = None,
+) -> Wts:
+    """The one builder of models, behind the checking constructor and the
+    engines that make models from parts they have already checked
+    (`quotient_model`, `extract_model`, the random draw); it checks
+    nothing.
+
+    `labels` maps every state to its frozenset of propositions.
+    `weights` lists distinct weights in any order, each the weight of
+    some edge, and `edges` are `(source, i, target)` triples, where
+    `weights[i]` is the edge's weight.  The builder sorts the weights,
+    groups the edges by source in one loop and sorts each source's edges
+    once.  Fills `into`, or a new model.
+    """
+    m = Wts.__new__(Wts) if into is None else into
+    order = sorted(range(len(weights)), key=weights.__getitem__)
+    rank = [0] * len(order)
+    for r, i in enumerate(order):
+        rank[i] = r
+    # A dict per source keeps each of its edges once, in one loop.
+    out: dict[str, dict] = {s: {} for s in states}
+    for src, i, dst in edges:
+        out[src][rank[i], dst] = None
+    m.states = states
+    m.labels = MappingProxyType(labels)
+    m.weights = tuple(map(weights.__getitem__, order))
+    m._out = dict(zip(out, map(tuple, map(sorted, out.values()))))
+    return m
+
+
 _MODEL_KEYS = frozenset({"states", "transitions"})
 _STATE_KEYS = frozenset({"id", "labels"})
 _TRANSITION_KEYS = frozenset({"from", "weight", "to"})
@@ -342,9 +457,12 @@ def parse_wts(data: Union[bytes, str]) -> Wts:
     """Parse the JSON model format.
 
     Raises ModelError with the offset of the first bad byte on bytes that
-    are not UTF-8, with line/column on malformed JSON, and with the
-    offending element on problems of shape (a wrong type, a missing or
-    unknown key, a duplicate state id).  `Wts` checks the rest once:
+    are not UTF-8, with line/column on malformed JSON, on JSON nested
+    deeper than the interpreter's recursion limit, and with the offending
+    element on problems of shape (a wrong type, a missing or unknown key,
+    a duplicate state id).  The state and transition entries are checked
+    in passes over the whole list; when one fails, a loop over the entries
+    names the first bad one in file order.  `Wts` checks the rest once:
     identifiers, weights and dangling state references.
     """
     if isinstance(data, bytes):
@@ -353,6 +471,8 @@ def parse_wts(data: Union[bytes, str]) -> Wts:
         doc = json.loads(data, parse_int=_read_json_int)
     except json.JSONDecodeError as e:
         raise ModelError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise ModelError("model nested too deeply for this interpreter's recursion limit") from None
     if not isinstance(doc, dict):
         raise ModelError("top level must be a JSON object")
     _reject_unknown_keys(doc, _MODEL_KEYS, "model")
@@ -361,10 +481,22 @@ def parse_wts(data: Union[bytes, str]) -> Wts:
     for key in ("states", "transitions"):
         if not isinstance(doc[key], list):
             raise ModelError(f'"{key}" must be a list')
+    ids, labels = _state_entries(doc["states"])
+    columns = _transition_entries(doc["transitions"])
+    return _checked(ids, labels, zip(*columns), columns)
 
-    seen: set[str] = set()
+
+def _state_entries(entries: list) -> tuple[list, dict]:
+    """The ids, in file order, and the label lists of a model file's
+    state entries."""
+    if set(map(type, entries)) <= {dict} and _STATE_KEYS.issuperset(chain.from_iterable(entries)):
+        ids = list(map(dict.get, entries, repeat("id")))
+        props = list(map(dict.get, entries, repeat("labels"), repeat([])))
+        if (set(map(type, ids)) <= {str} and len(set(ids)) == len(ids)
+                and set(map(type, props)) <= {list}):
+            return ids, dict(zip(ids, props))
     labels: dict[str, list] = {}
-    for entry in doc["states"]:
+    for entry in entries:
         if not isinstance(entry, dict):
             raise ModelError(f"state entry must be an object, got {entry!r}")
         if not entry.keys() <= _STATE_KEYS:
@@ -372,16 +504,32 @@ def parse_wts(data: Union[bytes, str]) -> Wts:
         sid = entry.get("id")
         if not isinstance(sid, str):
             raise ModelError(f'state entry needs a string "id": {entry!r}')
-        if sid in seen:
+        if sid in labels:
             raise ModelError(f"duplicate state id {sid!r}")
-        seen.add(sid)
         props = entry.get("labels", [])
         if not isinstance(props, list):
             raise ModelError(f"labels of {sid!r} must be a list")
         labels[sid] = props
+    return list(labels), labels
 
-    triples = []
-    for entry in doc["transitions"]:
+
+_FROM, _WEIGHT, _TO = map(itemgetter, ("from", "weight", "to"))
+
+
+def _transition_entries(entries: list) -> tuple[list, list, list]:
+    """The sources, weights and targets of a model file's transition
+    entries: every entry an object, the three keys in each and no other
+    (three keys per entry in all), and every weight text."""
+    if set(map(type, entries)) <= {dict} and sum(map(len, entries)) == 3 * len(entries):
+        try:
+            columns = list(map(_FROM, entries)), list(map(_WEIGHT, entries)), list(map(_TO, entries))
+        except KeyError:
+            pass
+        else:
+            if set(map(type, columns[1])) <= {str}:
+                return columns
+    srcs, weights, dsts = [], [], []
+    for entry in entries:
         if not isinstance(entry, dict):
             raise ModelError(f"transition entry must be an object, got {entry!r}")
         if entry.keys() != _TRANSITION_KEYS:
@@ -391,9 +539,10 @@ def parse_wts(data: Union[bytes, str]) -> Wts:
         weight = entry["weight"]
         if not isinstance(weight, str):
             raise ModelError(f"weight must be a string, got {weight!r}")
-        triples.append((entry["from"], weight, entry["to"]))
-
-    return Wts(seen, labels, triples)
+        srcs.append(entry["from"])
+        weights.append(weight)
+        dsts.append(entry["to"])
+    return srcs, weights, dsts
 
 
 def serialize_wts(m: Wts) -> bytes:
@@ -444,27 +593,39 @@ def random_wts(
     """Seed-deterministic random model for property tests."""
     if max_states < 1:
         raise ValueError("max_states must be at least 1")
-    return _draw_wts(
-        seed, max_states, max_out_degree,
-        sorted(as_weight(w) for w in weight_pool), sorted(prop_pool),
-    )
+    weights, slots = _weight_slots(sorted(as_weight(w) for w in weight_pool))
+    props = sorted(prop_pool)
+    if not _all_idents(props):
+        for p in props:
+            _check_ident(p, "proposition")
+    return _draw_wts(seed, max_states, max_out_degree, weights, slots, props)
+
+
+def _weight_slots(pool: list) -> tuple[list, list[int]]:
+    """A sorted weight pool as the draw takes it: its distinct weights,
+    and for each entry of the pool the index of its weight."""
+    index = dict(zip(dict.fromkeys(pool), count()))
+    return list(index), list(map(index.__getitem__, pool))
 
 
 def _draw_wts(
-    seed: int, max_states: int, max_out_degree: int, weights: list, props: list,
+    seed: int, max_states: int, max_out_degree: int,
+    weights: list, slots: list[int], props: list,
 ) -> Wts:
-    """`random_wts`'s draw, from weights and propositions already sorted
-    (and the weights coerced), so a caller that draws many models from one
-    pool normalizes it once."""
+    """`random_wts`'s draw, from a pool already checked and indexed by
+    `_weight_slots` and propositions already checked and sorted, so a
+    caller that draws many models from one pool prepares it once.  Each
+    transition draws one of the pool's entries, repeats included."""
     rng = random.Random(seed)
     n = rng.randint(1, max_states)
     states = [f"s{i}" for i in range(1, n + 1)]
     labels = {
-        s: [p for p in props if rng.random() < 0.5] for s in states
+        s: frozenset([p for p in props if rng.random() < 0.5]) for s in states
     }
-    transitions = []
-    if weights:
+    ids: dict[int, int] = {}
+    edges = []
+    if slots:
         for s in states:
             for _ in range(rng.randint(0, max_out_degree)):
-                transitions.append((s, rng.choice(weights), rng.choice(states)))
-    return Wts(states, labels, transitions)
+                edges.append((s, ids.setdefault(rng.choice(slots), len(ids)), rng.choice(states)))
+    return _assemble(frozenset(states), labels, list(map(weights.__getitem__, ids)), edges)

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from wtl import Wts
@@ -37,6 +39,30 @@ def make_coarse_pair_model() -> Wts:
             ("t", 3, "tp"),
         ],
     )
+
+
+BAD_VALUES = (
+    None, 0, 7, [], ["p"], [1], {}, {"id": "s1"}, "", "bad id", "9x", "-3/2",
+    "1e3", "1/0", "1" + "0" * 400 + "/7", "9" * 5000,
+)
+
+
+def mutated_model(rng, doc) -> bytes:
+    """`doc` with one value, chosen over the whole tree, replaced by a bad one."""
+    doc = json.loads(json.dumps(doc))
+    slots = []
+
+    def collect(node):
+        for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+            slots.append((node, key))
+            if isinstance(value, (dict, list)):
+                collect(value)
+
+    collect(doc)
+    node, key = rng.choice(slots)
+    node[key] = rng.choice(BAD_VALUES)
+    text = json.dumps(doc).encode("utf-8")
+    return text[: rng.randrange(len(text))] if rng.random() < 0.1 else text
 
 
 @pytest.fixture

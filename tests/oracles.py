@@ -33,8 +33,21 @@ another survivor entails.  Entailment is the one relation it is given.
 `encode_interval` writes an interval's ends as ranks in a bound table,
 from the definition of the tableau search's ranks; the search's +inf
 sentinel, `RANK_INF`, is the one name it takes from the package.
+
+`reference_parse_wts` and `reference_model` are the model front end as it
+was before it checked whole lists at once: one Python step per state
+entry, per transition entry, per state id, per label and per triple.
+They are kept as they were, bar their names and three points: they
+return the model as plain data (its states, its label sets and its
+`(source, weight, target)` triples) rather than a `Wts`; they parse each
+weight text where it occurs, not once per distinct text; and they walk
+the states in the order given, where the old constructor walked the
+frozenset of states, whose order follows the string hash.  So a model
+with two bad state ids names the first one given.  The text of every
+`ModelError` is the one the package raises.
 """
 
+import json
 import math
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
@@ -47,7 +60,10 @@ from wtl.formulas import (
     diamond, iff, implies, lor,
 )
 from wtl.tableau import RANK_INF
-from wtl.wts import IDENT_RE, POS_INF, format_rational, read_rational
+from wtl.wts import (
+    IDENT_RE, POS_INF, ModelError, _read_json_int, as_weight, decode_utf8,
+    format_rational, parse_rational, read_rational,
+)
 
 
 def all_partitions(items):
@@ -467,3 +483,103 @@ def reference_saturate(gamma) -> tuple:
             return gamma
         i, part = step
         gamma = tuple(dict.fromkeys(gamma[:i] + part + gamma[i + 1:]))
+
+
+def _reference_check_ident(name: str, what: str) -> str:
+    if not isinstance(name, str) or IDENT_RE.fullmatch(name) is None:
+        raise ModelError(f"bad {what} {name!r}: expected [A-Za-z_][A-Za-z0-9_]*")
+    return name
+
+
+def reference_model(states, labels, transitions) -> tuple:
+    """The checks of the model constructor, one element at a time; returns
+    the states, the label set of each state and the set of triples."""
+    if isinstance(states, str):
+        raise ModelError(f"states must be a collection of ids, got {states!r}")
+    states = list(states)
+    state_set = frozenset(states)
+    if not state_set:
+        raise ModelError("a model needs at least one state")
+    for s in states:
+        _reference_check_ident(s, "state id")
+    for s in labels:
+        if s not in state_set:
+            raise ModelError(f"labels given for unknown state {s!r}")
+    label_map = {}
+    for s in states:
+        props = labels.get(s, ())
+        if isinstance(props, str):
+            raise ModelError(f"labels of {s!r} must be a collection, got {props!r}")
+        for p in props:
+            _reference_check_ident(p, "proposition")
+        label_map[s] = frozenset(props)
+    triples = set()
+    for src, w, dst in transitions:
+        if not isinstance(src, str) or src not in state_set:
+            raise ModelError(f"transition from unknown state {src!r}")
+        if not isinstance(dst, str) or dst not in state_set:
+            raise ModelError(f"transition to unknown state {dst!r}")
+        triples.add((src, parse_rational(w) if isinstance(w, str) else as_weight(w), dst))
+    return state_set, label_map, frozenset(triples)
+
+
+_REFERENCE_MODEL_KEYS = frozenset({"states", "transitions"})
+_REFERENCE_STATE_KEYS = frozenset({"id", "labels"})
+_REFERENCE_TRANSITION_KEYS = frozenset({"from", "weight", "to"})
+
+
+def _reference_reject_unknown_keys(obj: dict, allowed: frozenset, where: str) -> None:
+    extra = set(obj) - allowed
+    if extra:
+        raise ModelError(f"unknown key(s) {sorted(extra)!r} in {where}")
+
+
+def reference_parse_wts(data) -> tuple:
+    """The model file reader, one entry at a time, then `reference_model`."""
+    if isinstance(data, bytes):
+        data = decode_utf8(data, ModelError)
+    try:
+        doc = json.loads(data, parse_int=_read_json_int)
+    except json.JSONDecodeError as e:
+        raise ModelError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
+    if not isinstance(doc, dict):
+        raise ModelError("top level must be a JSON object")
+    _reference_reject_unknown_keys(doc, _REFERENCE_MODEL_KEYS, "model")
+    if "states" not in doc or "transitions" not in doc:
+        raise ModelError('model needs both "states" and "transitions"')
+    for key in ("states", "transitions"):
+        if not isinstance(doc[key], list):
+            raise ModelError(f'"{key}" must be a list')
+
+    seen = {}
+    labels = {}
+    for entry in doc["states"]:
+        if not isinstance(entry, dict):
+            raise ModelError(f"state entry must be an object, got {entry!r}")
+        if not entry.keys() <= _REFERENCE_STATE_KEYS:
+            _reference_reject_unknown_keys(entry, _REFERENCE_STATE_KEYS, "state entry")
+        sid = entry.get("id")
+        if not isinstance(sid, str):
+            raise ModelError(f'state entry needs a string "id": {entry!r}')
+        if sid in seen:
+            raise ModelError(f"duplicate state id {sid!r}")
+        seen[sid] = None
+        props = entry.get("labels", [])
+        if not isinstance(props, list):
+            raise ModelError(f"labels of {sid!r} must be a list")
+        labels[sid] = props
+
+    triples = []
+    for entry in doc["transitions"]:
+        if not isinstance(entry, dict):
+            raise ModelError(f"transition entry must be an object, got {entry!r}")
+        if entry.keys() != _REFERENCE_TRANSITION_KEYS:
+            _reference_reject_unknown_keys(entry, _REFERENCE_TRANSITION_KEYS, "transition entry")
+            key = next(k for k in ("from", "weight", "to") if k not in entry)
+            raise ModelError(f'transition without "{key}": {entry!r}')
+        weight = entry["weight"]
+        if not isinstance(weight, str):
+            raise ModelError(f"weight must be a string, got {weight!r}")
+        triples.append((entry["from"], weight, entry["to"]))
+
+    return reference_model(seen, labels, triples)

@@ -8,7 +8,7 @@ from wtl import (
     random_formula, serialize_wts,
 )
 
-from conftest import make_coarse_pair_model, make_vacuum_model
+from conftest import make_coarse_pair_model, make_vacuum_model, mutated_model
 from oracles import modal_depth
 
 
@@ -279,6 +279,18 @@ def test_usage_errors_are_json(tmp_path):
                  ["mc", "--model", path, "--state", "s1", "--formula", wide]):
         code, out, err = run(argv)
         assert code == 2 and out == "" and "error" in json.loads(err)
+    # a formula or a model nested past the recursion limit: each says which
+    deep_formula = "(" * 100_000 + "p" + ")" * 100_000
+    code, out, err = run(["fmt", "--formula-file", "-"], deep_formula.encode())
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "formula nested too deeply for this interpreter's recursion limit"}
+    for deep_model in (b"[" * 100_000,
+                       b'{"states": ' + b"[" * 100_000 + b"]" * 100_000 + b', "transitions": []}'):
+        code, out, err = run(["bisim", "--model", "-"], deep_model)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "model nested too deeply for this interpreter's recursion limit"}
     missing = tmp_path / "missing"
     unlabelled = tmp_path / "bad_label.json"
     unlabelled.write_bytes(b'{"states":[{"id":"a","labels":[1]}],"transitions":[]}')
@@ -445,33 +457,11 @@ def test_version_and_pretty():
     assert code == 0 and out.startswith("{\n")
 
 
-_BAD_VALUES = (
-    None, 0, 7, [], ["p"], [1], {}, {"id": "s1"}, "", "bad id", "9x", "-3/2",
-    "1e3", "1/0", "1" + "0" * 400 + "/7", "9" * 5000,
-)
 _FORMULA_TOKENS = (
     "p", "q", "waiting", "x_1", "é", "true", "false", "!", "&", "|", "->",
     "<->", "<>", "[]", "(", ")", "[", "]", "L[", "M[", "1", "1/2", "0.5",
     "1/", "1.", "1/0", "-1", "%", " ",
 )
-
-
-def _mutated_model(rng, doc) -> bytes:
-    """`doc` with one value, chosen over the whole tree, replaced by a bad one."""
-    doc = json.loads(json.dumps(doc))
-    slots = []
-
-    def collect(node):
-        for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
-            slots.append((node, key))
-            if isinstance(value, (dict, list)):
-                collect(value)
-
-    collect(doc)
-    node, key = rng.choice(slots)
-    node[key] = rng.choice(_BAD_VALUES)
-    text = json.dumps(doc).encode("utf-8")
-    return text[: rng.randrange(len(text))] if rng.random() < 0.1 else text
 
 
 def _fuzz_formula(rng) -> str:
@@ -499,7 +489,7 @@ def test_cli_contract_holds_on_fuzzed_input(tmp_path):
                str(tmp_path)]
     for case in range(500):
         doc = rng.choice(docs)
-        model = _mutated_model(rng, doc) if rng.random() < 0.4 else json.dumps(doc).encode()
+        model = mutated_model(rng, doc) if rng.random() < 0.4 else json.dumps(doc).encode()
         states = [entry["id"] for entry in doc["states"]] * 4 + bad_states
         formula = _fuzz_formula(rng)
         stdin = model

@@ -1,17 +1,25 @@
 import json
 import random
+import sys
+from collections import Counter
+from itertools import chain, combinations
 from fractions import Fraction as F
 
 import pytest
 
+import wtl.wts
 from wtl import (
     SCHEMAS, Atom, ModelError, NEG_INF, POS_INF, UnknownStateError, Wts,
-    distinguishing_formula, format_rational, generalized_bisimilarity,
-    model_check, parse_formula, parse_rational, parse_wts, quotient_model,
-    random_wts, sat_set, serialize_wts, weighted_bisimilarity,
+    build_tableau, distinguishing_formula, extract_model, format_rational,
+    generalized_bisimilarity, model_check, parse_formula, parse_rational,
+    parse_wts, quotient_model, random_wts, sat_set, serialize_wts,
+    weighted_bisimilarity,
 )
 from wtl.formulas import StateSets
 from wtl.wts import MAX_RATIONAL_DIGITS
+
+from conftest import make_coarse_pair_model, make_vacuum_model, mutated_model
+from oracles import reference_model, reference_parse_wts
 
 POOL = [F(0), F(1, 2), F(1), F(2), F(3)]
 
@@ -216,6 +224,184 @@ def test_parse_wts_refuses_numbers_over_the_digit_limit():
             parse_wts(model(weight))
         assert str(caught.value).endswith(message)
         assert "set_int_max_str_digits" not in str(caught.value)
+
+
+def test_parse_wts_refuses_deep_nesting_with_a_model_error():
+    message = "^model nested too deeply for this interpreter's recursion limit$"
+    for blob in (b"[" * 100_000,
+                 b'{"states": ' + b"[" * 100_000 + b"]" * 100_000 + b', "transitions": []}',
+                 b'{"states": [], "transitions": [' + b'{"a": ' * 100_000 + b"1"
+                 + b"}" * 100_000 + b"]}"):
+        with pytest.raises(ModelError, match=message):
+            parse_wts(blob)
+
+
+def _outcome(check, *args):
+    """What a model check gives: the model as plain data, or the type and
+    text of what it raises."""
+    try:
+        result = check(*args)
+    except (ModelError, TypeError, ValueError) as e:  # compared by type and text
+        return type(e).__name__, str(e)
+    if isinstance(result, Wts):
+        assert result.weights == tuple(sorted({w for _, w, _ in result.transitions}))
+        return "model", (result.states, dict(result.labels), result.transitions)
+    return "model", result
+
+
+def _faulty(rng, doc, faults: int) -> bytes:
+    """`doc` with `faults` values replaced by bad ones, one after another."""
+    blob = json.dumps(doc).encode()
+    for _ in range(faults):
+        try:
+            doc = json.loads(blob)
+        except ValueError:  # cut short by the last mutation
+            break
+        blob = mutated_model(rng, doc)
+    return blob
+
+
+def test_bulk_checks_agree_with_the_reference_checker():
+    """The model file reader and the constructor accept exactly what the
+    element-by-element reference accepts, build the same model, and raise
+    the same error with the same text for the first bad element."""
+    rng = random.Random(2121)
+    docs = [json.loads(serialize_wts(m)) for m in (
+        make_vacuum_model(), make_coarse_pair_model(),
+        random_wts(12, 9, 3, POOL, ["p", "q"]))]
+    blobs = [_faulty(rng, rng.choice(docs), rng.choice([1, 1, 1, 2, 3]))
+             for _ in range(700)]
+    vacuum = json.loads(VACUUM_TEXT)
+    hand_made = [
+        # labels: unhashable, not text, not a list, one bad among good ones
+        {"labels": [{}]}, {"labels": [["p"]]}, {"labels": [1]}, {"labels": [None]},
+        {"labels": "p"}, {"labels": {"p": 1}}, {"labels": ["ok", "bad id"]},
+        # identifiers to Python but not ASCII
+        {"labels": ["p", "é"]}, {"id": "s٣"}, {"labels": ["ａ"]},
+        # endpoints: not text, a list, an object, unknown
+        {"from": 1}, {"to": ["s1"]}, {"from": {"id": "s1"}}, {"to": "ghost"},
+        # weights: not text, unhashable, bad text
+        {"weight": 1}, {"weight": ["1"]}, {"weight": None}, {"weight": "-1"},
+        # extra and missing keys
+        {"extra": 0}, {"from": None, "drop": "from"}, {"drop": "weight"},
+        {"drop": "id"}, {"drop": "labels"},
+    ]
+    for fault in hand_made:
+        for kind in ("states", "transitions"):
+            doc = json.loads(json.dumps(vacuum))
+            entry = doc[kind][rng.randrange(len(doc[kind]))]
+            entry.update((k, v) for k, v in fault.items() if k != "drop")
+            entry.pop(fault.get("drop"), None)
+            blobs.append(json.dumps(doc).encode())
+    # several faults of different kinds at once: the first one named wins
+    faults = [("states", 0, "id", "9x"), ("states", 2, "labels", ["bad id"]),
+              ("transitions", 1, "weight", "1/0"), ("transitions", 4, "to", "ghost"),
+              ("transitions", 6, "weight", "x")]
+    for chosen in chain.from_iterable(combinations(faults, k) for k in range(2, 6)):
+        doc = json.loads(json.dumps(vacuum))
+        for kind, i, key, value in chosen:
+            doc[kind][i][key] = value
+        blobs.append(json.dumps(doc).encode())
+    # valid files: entries shuffled, triples repeated, weights respelled
+    spelled = {"1": ["1", "1.0", "2/2"], "2": ["2", "4/2"], "0": ["0", "0.00"]}
+    for _ in range(80):
+        doc = json.loads(json.dumps(rng.choice(docs)))
+        doc["transitions"] += rng.sample(doc["transitions"], len(doc["transitions"]) // 2)
+        for entries in doc.values():
+            rng.shuffle(entries)
+        for entry in doc["transitions"]:
+            entry["weight"] = rng.choice(spelled.get(entry["weight"], [entry["weight"]]))
+        blobs.append(json.dumps(doc).encode())
+    rejected = Counter()
+    for blob in blobs:
+        want = _outcome(reference_parse_wts, blob)
+        assert _outcome(parse_wts, blob) == want, blob
+        rejected[want[0]] += 1
+    assert rejected["model"] > 50 and rejected["ModelError"] > 500
+    assert set(rejected) == {"model", "ModelError"}
+
+    # The constructor on Python values the file format cannot hold.
+    def cases():
+        return [
+            (["a", "b"], {"a": ["p"]}, [("a", F(1, 2), "b"), ("b", "0.5", "a"), ("a", 2, "a")]),
+            (["b", "a", "b"], {}, [("a", "1", "b"), ("a", 1.0, "b")]),
+            (("a",), {"a": ("p", {})}, []),
+            (["a"], {"a": 5}, []),
+            (["a", 7], {}, []),
+            (["bad id", "9x"], {}, []),
+            (["a", "été"], {"a": ["x٣"]}, []),
+            (["a"], {}, [("a", "1")]),
+            (["a"], {}, [("a", "1", "a", "extra")]),
+            (["a"], {}, [("a", "1", "a"), 5]),
+            (["a"], {}, [iter(("a", "1", "a"))]),
+            (["a"], {}, [("a", "1", "ghost"), ("a", "x", "a")]),
+            (["a"], {}, [("a", "x", "a"), ("a", "1", "ghost")]),
+            (["a"], {}, [(["a"], "1", "a")]),
+            (["a"], {"a": ["bad id"]}, [("a", "1", "ghost")]),
+            (["bad id"], {"ghost": ["p"]}, []),
+        ]
+    for want, got in zip(cases(), cases()):
+        assert _outcome(Wts, *got) == _outcome(reference_model, *want), want
+
+
+def _calls(names, action):
+    """The result of `action()` and how often it ran each named function of
+    `wtl.wts`."""
+    codes = {getattr(wtl.wts, name).__code__: name for name in names}
+    seen = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            seen[codes[frame.f_code]] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = action()
+    finally:
+        sys.setprofile(previous)
+    return result, seen
+
+
+def test_model_construction_does_no_work_per_element():
+    # A file of planted size: each distinct weight text is parsed once,
+    # and no identifier goes through the per-element check.
+    texts = ["1/2", "0.5", "2/4", "3", "10", "0"]
+    rng = random.Random(2122)
+    states = [f"s{i}" for i in range(300)]
+    doc = {
+        "states": [{"id": s, "labels": rng.sample(["p", "q", "r"], rng.randint(0, 2))}
+                   for s in states],
+        "transitions": [{"from": s, "weight": rng.choice(texts), "to": rng.choice(states)}
+                        for s in states for _ in range(rng.randint(1, 4))],
+    }
+    watched = ("_check_ident", "parse_rational", "as_weight")
+    m, seen = _calls(watched, lambda: parse_wts(json.dumps(doc).encode()))
+    assert seen == Counter({"parse_rational": len(texts)})
+    assert m.weights == (F(0), F(1, 2), F(3), F(10)) and len(m.transitions) > 400
+
+    # Models the engines make from parts they have checked: no identifier
+    # check at all, and `as_weight` only on the pool a draw is given.
+    pool = POOL + ["7/2", "1.5"]
+    drawn, seen = _calls(watched, lambda: random_wts(2123, 400, 5, pool, ["p", "q"]))
+    assert seen == Counter({"as_weight": len(pool), "parse_rational": 2})
+    assert len(drawn.transitions) > 400
+    coarse = generalized_bisimilarity(m)
+    quotient, seen = _calls(watched, lambda: quotient_model(m, coarse))
+    assert seen == Counter() and len(quotient.transitions) > 100
+    phi = parse_formula(" & ".join(f"L[{k}] (p & M[{k + 1}] q{k})" for k in range(20)))
+    root = build_tableau(phi).root
+    (extracted, _, verified), seen = _calls(watched, lambda: extract_model(root))
+    assert seen == Counter() and verified and len(extracted.transitions) >= 40
+
+
+def test_random_wts_checks_its_propositions_once():
+    # a one-state draw still refuses a bad proposition it might not use
+    for bad in ("bad id", "", "9x", "é"):
+        with pytest.raises(ModelError, match=f"^bad proposition {bad!r}: expected"):
+            random_wts(1, 1, 0, POOL, ["p", bad])
+    with pytest.raises(ModelError, match="negative weight"):
+        random_wts(1, 1, 0, POOL + ["-1"], ["p"])
 
 
 def test_parse_wts_names_the_first_byte_that_is_not_utf8():
