@@ -67,7 +67,9 @@ from .formulas import (
     And, AtLeast, AtMost, Atom, Bottom, Formula, Not, Top,
     model_check, print_formula,
 )
-from .wts import ExtendedBound, NEG_INF, POS_INF, Wts, _assemble, format_bound
+from .wts import (
+    ExtendedBound, NEG_INF, POS_INF, Wts, _assemble, _check_idents, format_bound,
+)
 
 __all__ = [
     "Interval", "TableauNode", "Tableau", "Sat", "Unsat",
@@ -508,12 +510,11 @@ def extract_model(witness: TableauNode) -> tuple[Wts, str, bool]:
                 edges.append((state, ids.setdefault(x, len(ids)), fresh))
                 edges.append((state, ids.setdefault(y, len(ids)), fresh))
                 stack.append((fresh, child))
-    # State ids and labels made here, weights from the query's bounds:
-    # nothing to check before the re-check below.
-    model = _assemble(
-        frozenset(labels), {s: frozenset(props) for s, props in labels.items()},
-        list(ids), edges,
-    )
+    # State ids made here, weights from the query's bounds.  The labels
+    # are atom names, which `Atom` does not check: one pass over them all.
+    label_sets = {s: frozenset(props) for s, props in labels.items()}
+    _check_idents(list(frozenset().union(*label_sets.values())), "proposition")
+    model = _assemble(frozenset(labels), label_sets, list(ids), edges)
     # The saturated set means what the root's does, and its conjuncts are
     # flat: a wide conjunction is not re-checked as a deep one.
     verified = all(model_check(model, root_state, f) for f in _saturate(witness.gamma))

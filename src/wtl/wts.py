@@ -22,16 +22,19 @@ All arithmetic is exact (`fractions.Fraction`); weights are kept in
 canonical reduced form so equality is structural.
 
 A model from outside, a model file (`parse_wts`) or the arguments of
-`Wts(...)`, is checked completely, in passes over whole lists rather than
-one Python step per element: one type pass per column, one subset test
-for the ends of all transitions, one identifier test over all state ids
-and one over the union of all labels, one parse per distinct weight text.
-Checking is all or nothing.  Only when a pass fails does a loop over the
-elements run, to raise for the first bad one in the order given, so the
-message names that element.  Models the engines make from parts they have
-already checked (`quotient_model`, `extract_model`, `random_wts`'s draw)
-skip the checks: they go straight to `_assemble`, the private builder
-behind the constructor too, which nothing outside this package calls.
+`Wts(...)`, is checked completely.  A model file is checked in passes over
+whole lists rather than one Python step per element: one type pass per
+column, one identifier test over all state ids and one over the union of
+all labels, one subset test for the ends of all transitions, one parse
+per distinct weight text.  `Wts(...)` checks its state ids and labels the
+same way and its transitions one at a time.  Checking is all or nothing.
+Only when a pass fails does a loop over the elements run, to raise for
+the first bad one in the order given, so the message names that element.
+Models the engines make from parts they have already checked
+(`quotient_model`, `extract_model`, `random_wts`'s draw) skip the checks,
+bar one pass over the atom names `extract_model` turns into labels: they
+go straight to `_assemble`, the private builder behind the constructor
+too, which nothing outside this package calls.
 """
 
 from __future__ import annotations
@@ -193,6 +196,14 @@ def _check_ident(name: str, what: str) -> str:
     return name
 
 
+def _check_idents(names: list, what: str) -> None:
+    """Raise for the first of `names` that is not an identifier; when all
+    are, `_all_idents` tells so without a step per name."""
+    if not _all_idents(names):
+        for name in names:
+            _check_ident(name, what)
+
+
 def _all_idents(names: list) -> bool:
     """Whether every name is a str that IDENT_RE matches, in two passes
     over the whole list: on ASCII text, `str.isidentifier` is exactly
@@ -206,8 +217,8 @@ def _all_idents(names: list) -> bool:
 class Wts:
     """A finite weighted transition system.
 
-    Plain data: the four slots are set once, by `_assemble`, and nothing
-    writes to them again.  No query builds or caches an index, the hash
+    Plain data: the four slots are set once, when the model is made, and
+    nothing writes to them again.  No query builds or caches an index, the hash
     included, so instances can be shared freely between threads.
     `weights` holds the model's distinct weights in ascending order, and
     `_out[s]` the out-edges of `s` as `(rank, target)` pairs sorted by
@@ -215,19 +226,18 @@ class Wts:
     target) triples collapse, however the weight is written ("1/2", "2/4",
     "0.5" and `Fraction(1, 2)` are one weight).
 
-    The constructor checks its arguments completely, in passes over whole
-    lists: every state id at once, then the labels given for unknown
-    states, the label sets and the union of all labels, then the ends of
-    every transition (one pass over their types, then one subset test)
-    and its weight.  When every weight is text, each distinct text is
-    parsed once.  A check that fails falls back to the element-by-element
+    The constructor checks its arguments completely: every state id at
+    once, then the labels given for unknown states, then each label
+    collection, read once, and the union of all labels at once, then the
+    transitions one at a time, parsing each distinct weight text once.  A
+    check that fails over a whole list falls back to the element-by-element
     loop, which raises for the first bad element in the order given: state
     ids, then labels, then transitions, each in the order of the
-    arguments.  A weight that is not text, a `Fraction` say, also takes
-    that loop, where it goes through `as_weight` every time, so a float is
-    refused even after the text of the same value.  The engines build
-    their models with `_assemble`, which checks nothing, so only models
-    built through this constructor run it.
+    arguments.  A weight that is not text, a `Fraction` say, goes through
+    `as_weight` every time, so a float is refused even after the text of
+    the same value.  The engines build their models with `_assemble`,
+    which checks nothing, so only models built through this constructor or
+    read by `parse_wts` run these checks.
     """
 
     __slots__ = ("states", "labels", "weights", "_out")
@@ -238,7 +248,8 @@ class Wts:
         labels: Mapping[str, Iterable[str]],
         transitions: Iterable[tuple],
     ):
-        _checked(states, labels, transitions, None, self)
+        m = _checked(states, labels, transitions)
+        self.states, self.labels, self.weights, self._out = m.states, m.labels, m.weights, m._out
 
     @property
     def transitions(self) -> frozenset[tuple[str, Fraction, str]]:
@@ -323,55 +334,52 @@ def _checked(
     labels: Mapping[str, Iterable[str]],
     transitions: Iterable[tuple],
     columns: Optional[tuple] = None,
-    into: Optional[Wts] = None,
 ) -> Wts:
     """The constructor's checks, then `_assemble`.  `columns`, when given,
     are the sources, the weights and the targets of `transitions` as
-    three sequences, as `parse_wts` reads them."""
+    three lists, as `parse_wts` reads them, and are checked a column at a
+    time; otherwise the transitions are checked one at a time."""
     if isinstance(states, str):
         raise ModelError(f"states must be a collection of ids, got {states!r}")
     order = list(states)
     state_set = frozenset(order)
     if not state_set:
         raise ModelError("a model needs at least one state")
-    if not _all_idents(order):
-        for s in order:
-            _check_ident(s, "state id")
+    _check_idents(order, "state id")
     if not state_set.issuperset(labels):
         for s in labels:
             if s not in state_set:
                 raise ModelError(f"labels given for unknown state {s!r}")
     label_map = _label_sets(order, state_set, labels)
-    if columns is None:
-        transitions = list(transitions)
-        try:
-            if set(map(len, transitions)) <= {3}:
-                columns = tuple(zip(*transitions)) or ((), (), ())
-        except TypeError:  # a triple that is not a sized collection
-            pass
     found = columns is not None and _text_edges(state_set, *columns)
-    return _assemble(state_set, label_map, *(found or _edges(state_set, transitions)), into)
+    return _assemble(state_set, label_map, *(found or _edges(state_set, transitions)))
 
 
 def _label_sets(order: list, state_set: frozenset, labels: Mapping) -> dict:
-    """The label set of each state, for the constructor: the types of all
-    label collections in one pass, then every label at once."""
+    """The label set of each state, for the constructor: each collection
+    read once, then the types of all collections in one pass and every
+    label at once."""
     given = list(map(labels.get, state_set, repeat(())))
-    if not any(issubclass(t, str) for t in set(map(type, given))):
+    # Text and non-collections go to the loop below unread, so it raises
+    # for them in order; every collection is read here once, an iterator too.
+    kinds = set(map(type, given))
+    if all(hasattr(t, "__iter__") and not issubclass(t, str) for t in kinds):
+        given = list(map(tuple, given))
         try:
             sets = list(map(frozenset, given))
-        except TypeError:  # not a collection, or a label that is not hashable
+        except TypeError:  # a label that is not hashable
             pass
         else:
             if _all_idents(list(frozenset().union(*sets))):
                 return dict(zip(state_set, sets))
+    given = dict(zip(state_set, given))
     for s in order:
-        props = labels.get(s, ())
+        props = given[s]
         if isinstance(props, str):
             raise ModelError(f"labels of {s!r} must be a collection, got {props!r}")
         for p in props:
             _check_ident(p, "proposition")
-    return {s: frozenset(labels.get(s, ())) for s in state_set}
+    return {s: frozenset(props) for s, props in given.items()}
 
 
 def _text_edges(
@@ -395,15 +403,25 @@ def _text_edges(
 
 def _edges(state_set: frozenset, triples: Iterable[tuple]) -> tuple[list, list]:
     """The constructor's weights and edges, one triple at a time: raises
-    for the first bad triple.  Every weight goes through as_weight."""
+    for the first bad triple.  Each weight gets the id of its value: text
+    is parsed once per distinct string, anything else goes through
+    as_weight every time, so a float is refused even after the text of
+    the same value."""
     ids: dict[Fraction, int] = {}
+    text_ids: dict[str, int] = {}
     edges = []
     for src, w, dst in triples:
         if not isinstance(src, str) or src not in state_set:
             raise ModelError(f"transition from unknown state {src!r}")
         if not isinstance(dst, str) or dst not in state_set:
             raise ModelError(f"transition to unknown state {dst!r}")
-        edges.append((src, ids.setdefault(as_weight(w), len(ids)), dst))
+        if isinstance(w, str):
+            i = text_ids.get(w)
+            if i is None:
+                i = text_ids[w] = ids.setdefault(parse_rational(w), len(ids))
+        else:
+            i = ids.setdefault(as_weight(w), len(ids))
+        edges.append((src, i, dst))
     return list(ids), edges
 
 
@@ -412,7 +430,6 @@ def _assemble(
     labels: dict,
     weights: list,
     edges: Iterable[tuple],
-    into: Optional[Wts] = None,
 ) -> Wts:
     """The one builder of models, behind the checking constructor and the
     engines that make models from parts they have already checked
@@ -424,9 +441,9 @@ def _assemble(
     some edge, and `edges` are `(source, i, target)` triples, where
     `weights[i]` is the edge's weight.  The builder sorts the weights,
     groups the edges by source in one loop and sorts each source's edges
-    once.  Fills `into`, or a new model.
+    once.
     """
-    m = Wts.__new__(Wts) if into is None else into
+    m = Wts.__new__(Wts)
     order = sorted(range(len(weights)), key=weights.__getitem__)
     rank = [0] * len(order)
     for r, i in enumerate(order):
@@ -595,9 +612,7 @@ def random_wts(
         raise ValueError("max_states must be at least 1")
     weights, slots = _weight_slots(sorted(as_weight(w) for w in weight_pool))
     props = sorted(prop_pool)
-    if not _all_idents(props):
-        for p in props:
-            _check_ident(p, "proposition")
+    _check_idents(props, "proposition")
     return _draw_wts(seed, max_states, max_out_degree, weights, slots, props)
 
 

@@ -9,11 +9,11 @@ import pytest
 
 import wtl.wts
 from wtl import (
-    SCHEMAS, Atom, ModelError, NEG_INF, POS_INF, UnknownStateError, Wts,
+    SCHEMAS, And, Atom, ModelError, NEG_INF, POS_INF, UnknownStateError, Wts,
     build_tableau, distinguishing_formula, extract_model, format_rational,
-    generalized_bisimilarity, model_check, parse_formula, parse_rational,
-    parse_wts, quotient_model, random_wts, sat_set, serialize_wts,
-    weighted_bisimilarity,
+    generalized_bisimilarity, is_satisfiable, model_check, parse_formula,
+    parse_rational, parse_wts, quotient_model, random_wts, sat_set,
+    serialize_wts, weighted_bisimilarity,
 )
 from wtl.formulas import StateSets
 from wtl.wts import MAX_RATIONAL_DIGITS
@@ -339,6 +339,8 @@ def test_bulk_checks_agree_with_the_reference_checker():
             (["a"], {}, [(["a"], "1", "a")]),
             (["a"], {"a": ["bad id"]}, [("a", "1", "ghost")]),
             (["bad id"], {"ghost": ["p"]}, []),
+            (["a"], {"a": iter(["bad id"])}, []),
+            (["a", "b"], {"a": iter(["p", "bad id"]), "b": 5}, []),
         ]
     for want, got in zip(cases(), cases()):
         assert _outcome(Wts, *got) == _outcome(reference_model, *want), want
@@ -393,6 +395,19 @@ def test_model_construction_does_no_work_per_element():
     root = build_tableau(phi).root
     (extracted, _, verified), seen = _calls(watched, lambda: extract_model(root))
     assert seen == Counter() and verified and len(extracted.transitions) >= 40
+
+
+def test_constructor_reads_each_label_collection_once():
+    m = Wts(["a", "b", "a"], {"a": iter(["p", "q"]), "b": (x for x in ["r"])}, [])
+    assert m.labels == {"a": {"p", "q"}, "b": {"r"}}
+
+
+def test_extraction_refuses_atom_names_that_are_not_identifiers():
+    # `Atom` takes any name; the model a Sat verdict carries must still
+    # be one the model file format can hold.
+    for bad in ("bad id", "é", "9x"):
+        with pytest.raises(ModelError, match=f"^bad proposition {bad!r}: expected"):
+            is_satisfiable(And(parse_formula("L[1] p"), Atom(bad)))
 
 
 def test_random_wts_checks_its_propositions_once():
