@@ -476,9 +476,8 @@ def extract_model(witness: TableauNode) -> tuple[Wts, str, bool]:
     its min-interval allows and by a weight inside its max-interval (the
     midpoint, or one above the left end when unbounded); positive atoms at
     terminal nodes become labels.  The result is re-checked against each
-    formula of the root's saturated set; on failure an ExtractionGapWarning
-    is emitted (the verdict still stands, the constructed model just is
-    not a witness).
+    formula of the root's saturated set: `verified` is False when the
+    constructed model is not a witness (the verdict still stands).
     """
     counter = itertools.count()
     root_state = f"s{next(counter)}"
@@ -518,11 +517,6 @@ def extract_model(witness: TableauNode) -> tuple[Wts, str, bool]:
     # The saturated set means what the root's does, and its conjuncts are
     # flat: a wide conjunction is not re-checked as a deep one.
     verified = all(model_check(model, root_state, f) for f in _saturate(witness.gamma))
-    if not verified:
-        warnings.warn(
-            ExtractionGapWarning(witness.gamma[0], model, root_state),
-            stacklevel=2,
-        )
     return model, root_state, verified
 
 
@@ -543,8 +537,12 @@ Verdict = Union[Sat, Unsat]
 
 def is_satisfiable(phi: Formula) -> Verdict:
     """Search the tableau depth-first; when the root is open the verdict
-    carries the extracted model and its verification outcome."""
-    return _verdict_of(_start(phi))
+    carries the extracted model and its verification outcome.  A model
+    that fails verification raises an ExtractionGapWarning."""
+    verdict = _verdict_of(_start(phi))
+    if isinstance(verdict, Sat) and not verdict.verified:
+        warnings.warn(ExtractionGapWarning(phi, verdict.model, verdict.state), stacklevel=2)
+    return verdict
 
 
 def _verdict_of(root: TableauNode) -> Verdict:

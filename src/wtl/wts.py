@@ -375,7 +375,7 @@ def _label_sets(order: list, state_set: frozenset, labels: Mapping) -> dict:
     given = dict(zip(state_set, given))
     for s in order:
         props = given[s]
-        if isinstance(props, str):
+        if isinstance(props, str) or not hasattr(type(props), "__iter__"):
             raise ModelError(f"labels of {s!r} must be a collection, got {props!r}")
         for p in props:
             _check_ident(p, "proposition")
@@ -410,7 +410,13 @@ def _edges(state_set: frozenset, triples: Iterable[tuple]) -> tuple[list, list]:
     ids: dict[Fraction, int] = {}
     text_ids: dict[str, int] = {}
     edges = []
-    for src, w, dst in triples:
+    for triple in triples:
+        try:
+            # text is no triple, though three characters would unpack
+            src, w, dst = () if isinstance(triple, str) else triple
+        except (TypeError, ValueError):
+            raise ModelError(
+                f"transition {triple!r} is not a (source, weight, target) triple") from None
         if not isinstance(src, str) or src not in state_set:
             raise ModelError(f"transition from unknown state {src!r}")
         if not isinstance(dst, str) or dst not in state_set:

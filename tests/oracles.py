@@ -45,9 +45,18 @@ the states in the order given, where the old constructor walked the
 frozenset of states, whose order follows the string hash.  So a model
 with two bad state ids names the first one given.  The text of every
 `ModelError` is the one the package raises.
+
+`_build_parser` is the command line's argparse front end, with its
+parser class, as it was before the CLI read argv from a table; it is
+kept verbatim (bar the names of its classes) as the reference for that
+table.  `reference_read_argv` gives
+what it makes of an argv: the parsed attributes, the error message, or
+which parser's help text it returned.
 """
 
+import argparse
 import json
+import re
 import math
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
@@ -583,3 +592,97 @@ def reference_parse_wts(data) -> tuple:
         triples.append((entry["from"], weight, entry["to"]))
 
     return reference_model(seen, labels, triples)
+
+
+class _ArgvUsageError(Exception):
+    pass
+
+
+class _ArgvHelpRequested(Exception):
+    pass
+
+
+class _ArgvParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _ArgvUsageError(message)
+
+    def print_help(self, file=None):
+        # -h/--help on any parser: hand the text back to `run` instead of
+        # printing it and exiting the process.
+        raise _ArgvHelpRequested(self.format_help())
+
+
+def _build_parser() -> _ArgvParser:
+    parser = _ArgvParser(prog="wtl", description=__doc__, add_help=True)
+    parser.add_argument("--pretty", action="store_true",
+                        help="indent JSON output")
+    parser.add_argument("--version", action="store_true",
+                        help="print version and exit")
+    sub = parser.add_subparsers(dest="command")
+
+    def add_formula_flags(p):
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--formula", help="formula text")
+        group.add_argument("--formula-file", help="file with formula text ('-' for stdin)")
+
+    mc = sub.add_parser("mc", help="check a formula at a state of a model")
+    mc.add_argument("--model", required=True)
+    mc.add_argument("--state", required=True)
+    add_formula_flags(mc)
+
+    sat = sub.add_parser("sat", help="decide satisfiability")
+    add_formula_flags(sat)
+    sat.add_argument("--emit-model", metavar="OUT",
+                     help="write the extracted model here when satisfiable")
+    sat.add_argument("--dump-tableau", metavar="OUT",
+                     help="write the tableau as JSON here")
+
+    valid = sub.add_parser("valid", help="decide validity")
+    add_formula_flags(valid)
+
+    bisim = sub.add_parser("bisim", help="bisimilarity partition or pair check")
+    bisim.add_argument("--model", required=True)
+    bisim.add_argument("--weighted", action="store_true",
+                       help="exact weight matching instead of bound matching")
+    bisim.add_argument("--state", action="append", default=[],
+                       help="give twice for a pair verdict")
+
+    dist = sub.add_parser("distinguish", help="formula separating two states")
+    dist.add_argument("--model", required=True)
+    dist.add_argument("--state", action="append", required=True)
+
+    quot = sub.add_parser("quotient", help="minimize under bound bisimilarity")
+    quot.add_argument("--model", required=True)
+    quot.add_argument("-o", "--output", help="write the quotient model here")
+
+    ax = sub.add_parser("axioms", help="run the soundness suite")
+    ax.add_argument("--seed", type=int, required=True)
+    ax.add_argument("--trials", type=int, required=True)
+    ax.add_argument("--schema", action="append",
+                    help="restrict to these schemas (repeatable)")
+
+    fmt = sub.add_parser("fmt", help="canonical reprint of a model or formula")
+    fmt_group = fmt.add_mutually_exclusive_group(required=True)
+    fmt_group.add_argument("--model")
+    fmt_group.add_argument("--formula")
+    fmt_group.add_argument("--formula-file")
+    return parser
+
+
+_REFERENCE_PARSER = _build_parser()
+
+
+def help_prog(text: str) -> str:
+    """Which parser a help text is of: "wtl" or "wtl <command>"."""
+    return re.match(r"usage: (wtl(?: [a-z]+)?)", text).group(1)
+
+
+def reference_read_argv(argv: list) -> tuple:
+    """("ok", the parsed attributes), ("error", argparse's message) or
+    ("help", the parser whose help text it returned)."""
+    try:
+        return "ok", vars(_REFERENCE_PARSER.parse_args(argv))
+    except _ArgvUsageError as e:
+        return "error", str(e)
+    except _ArgvHelpRequested as e:
+        return "help", help_prog(e.args[0])

@@ -341,9 +341,25 @@ def test_bulk_checks_agree_with_the_reference_checker():
             (["bad id"], {"ghost": ["p"]}, []),
             (["a"], {"a": iter(["bad id"])}, []),
             (["a", "b"], {"a": iter(["p", "bad id"]), "b": 5}, []),
+            (["a"], {}, ["a1a"]),
         ]
-    for want, got in zip(cases(), cases()):
-        assert _outcome(Wts, *got) == _outcome(reference_model, *want), want
+    # A label value that is not a collection and a transition that is not
+    # a triple: the constructor names them in a ModelError, where the
+    # reference lets Python's TypeError or ValueError out, or reads three
+    # characters of text as a triple.
+    named = {
+        3: "labels of 'a' must be a collection, got 5",
+        7: "transition ('a', '1') is not a (source, weight, target) triple",
+        8: "transition ('a', '1', 'a', 'extra') is not a (source, weight, target) triple",
+        9: "transition 5 is not a (source, weight, target) triple",
+        18: "transition 'a1a' is not a (source, weight, target) triple",
+    }
+    for i, (want, got) in enumerate(zip(cases(), cases())):
+        expected = _outcome(reference_model, *want)
+        if i in named:
+            assert expected[0] != "ModelError", want
+            expected = "ModelError", named[i]
+        assert _outcome(Wts, *got) == expected, want
 
 
 def _calls(names, action):
