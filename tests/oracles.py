@@ -47,11 +47,12 @@ with two bad state ids names the first one given.  The text of every
 `ModelError` is the one the package raises.
 
 `_build_parser` is the command line's argparse front end, with its
-parser class, as it was before the CLI read argv from a table; it is
-kept verbatim (bar the names of its classes) as the reference for that
-table.  `reference_read_argv` gives
-what it makes of an argv: the parsed attributes, the error message, or
-which parser's help text it returned.
+parser class, as it was written out call by call before the CLI built
+its parser from a table of flags; it is kept verbatim (bar the names of
+its classes) as the reference for that parser and for the CLI's short
+path, which reads fully spelt flags without argparse.
+`reference_read_argv` gives what it makes of an argv: the parsed
+attributes, the error message, or which parser's help text it returned.
 """
 
 import argparse

@@ -1,11 +1,14 @@
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 from wtl.axioms import SCHEMAS
-from wtl.cli import _parse, _UsageError, run
+from wtl.cli import _parse, _quick, _UsageError, run
 from wtl import (
     Wts, model_check, parse_formula, parse_wts, print_formula,
     random_formula, serialize_wts,
@@ -114,7 +117,8 @@ def test_sat_emit_model_and_dump_tableau(tmp_path):
     assert dump["min_interval"]["lower"] == "0"
 
 
-def test_sat_builds_the_full_tableau_only_for_the_dump(tmp_path, monkeypatch):
+def test_sat_builds_one_tableau_and_dumps_it_only_when_asked(tmp_path, monkeypatch):
+    # every `sat` search starts in `build_tableau`, dump or no dump
     import wtl.cli
     import wtl.tableau
 
@@ -129,10 +133,10 @@ def test_sat_builds_the_full_tableau_only_for_the_dump(tmp_path, monkeypatch):
     monkeypatch.setattr(wtl.tableau, "build_tableau", counting_build)
     formula = "L[2] p1 & M[5] L[1] p1"
     assert invoke(["sat", "--formula", formula])[0] == 0
-    assert built == []
+    assert built == [(parse_formula(formula),)] and list(tmp_path.iterdir()) == []
     dump_out = tmp_path / "tableau.json"
     assert invoke(["sat", "--formula", formula, "--dump-tableau", str(dump_out)])[0] == 0
-    assert len(built) == 1 and dump_out.exists()
+    assert len(built) == 2 and dump_out.exists()
 
 
 def test_sat_with_a_dump_searches_once(tmp_path, monkeypatch):
@@ -303,6 +307,11 @@ def test_usage_errors_are_json(tmp_path):
                  ["mc", "--model", path, "--state", "s1", "--formula", wide]):
         code, out, err = run(argv)
         assert code == 2 and out == "" and "error" in json.loads(err)
+    # an attached `--` is the value `--` on every Python version, in the
+    # error text too
+    for argv in (["axioms", "--seed=--", "--trials", "1"], ["axioms", "--se=--", "--trials", "1"]):
+        assert run(argv) == (
+            2, "", json.dumps({"error": "argument --seed: invalid int value: '--'"}) + "\n")
     # a formula or a model nested past the recursion limit: each says which
     deep_formula = "(" * 100_000 + "p" + ")" * 100_000
     code, out, err = run(["fmt", "--formula-file", "-"], deep_formula.encode())
@@ -702,3 +711,73 @@ def test_argv_is_read_as_the_argparse_front_end_read_it():
         "ambiguous option", "unrecognized arguments", "the following arguments are required",
         "one of the arguments", "expected one argument", "ignored explicit argument",
         "not allowed with argument", "invalid int value", "invalid choice"}
+
+
+_SPELT_VALUES = ["p", "L[2] p & q", "m.json", "s1", "a=b", "-", ""]
+_SPELT_INTS = ["7", "0", " 7", "+7", "1_000", "٣"]
+
+
+def _spelt_argv(rng) -> list:
+    """One argv of the shape scripted callers send: a subcommand, then its
+    long flags spelt in full, each `--flag value` or `--flag=value`, some
+    given twice; now and then a flag is left out, both members of a
+    one-of group are given, or `--weighted` is given a value."""
+    command = rng.choice(list(_ARGV_FLAGS))
+    group = _ARGV_ONE_OF.get(command, [])
+    uses = [f for f in _ARGV_FLAGS[command] if f not in group and f != "-o"
+            for _ in range(rng.choice([0] + [1] * 12 + [2] * 3))]
+    if group:
+        uses += rng.sample(group, rng.choice([1] * 15 + [2]))
+    rng.shuffle(uses)
+    argv = [command]
+    for flag in uses:
+        if flag == "--weighted":
+            argv.append(rng.choice(["--weighted"] * 7 + ["--weighted=x"]))
+            continue
+        value = rng.choice(_SPELT_INTS if flag in ("--seed", "--trials") else _SPELT_VALUES)
+        argv += [flag, value] if rng.random() < 0.5 else [f"{flag}={value}"]
+    return argv
+
+
+def test_fully_spelt_argv_skip_argparse_with_its_attributes():
+    """`_quick` reads most fully spelt argv, and each one it reads gets
+    the attributes the argparse front end kept in `oracles` gives it; the
+    rest go to argparse and get its outcome."""
+    rng = random.Random(24)
+    quick = 0
+    for argv in (_spelt_argv(rng) for _ in range(800)):
+        want = reference_read_argv(argv)
+        assert _read_argv(argv) == want, argv
+        args = _quick(argv)
+        if args is not None:
+            assert want == ("ok", vars(args)), argv
+            quick += 1
+    assert quick >= 500
+
+
+def test_benchmark_shaped_requests_import_no_argparse(tmp_path):
+    """One request of each argv shape the benchmark sends runs in a fresh
+    interpreter without importing argparse."""
+    model = serialize_wts(make_vacuum_model())
+    witness = str(tmp_path / "w.json")
+    script = f"""
+import sys
+from wtl.cli import run
+
+for argv, stdin in [
+    (["sat", "--formula", "L[2] p", "--emit-model", {witness!r}], b""),
+    (["valid", "--formula", "p | !p"], b""),
+    (["quotient", "--model", "-"], {model!r}),
+    (["bisim", "--model", "-"], {model!r}),
+    (["bisim", "--weighted", "--model", "-"], {model!r}),
+    (["distinguish", "--model", "-", "--state", "s1", "--state", "s2"], {model!r}),
+    (["axioms", "--seed", "1", "--trials", "2"], b""),
+]:
+    code, out, err = run(argv, stdin)
+    assert code == 0 and err == "", (argv, code, err)
+sys.exit("argparse" in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
