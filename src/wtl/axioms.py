@@ -28,11 +28,11 @@ and every draw goes to the private drawers behind `random_wts` and
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Optional
 
+from ._record import fill, record
 from .formulas import (
     FORMULAS, Formula, StateSets, _draw_formula, print_formula, sat_set,
 )
@@ -53,7 +53,7 @@ class SideConditionError(ValueError):
     """Schema instantiated against its side condition."""
 
 
-@dataclass(frozen=True)
+@record
 class Schema:
     """One schema: how many formula/index slots it takes, its side
     condition, whether it is a rule (premise-guarded), and whether it is
@@ -63,13 +63,13 @@ class Schema:
     algebra, then the formula slots, then (the conclusion only) the index
     slots."""
 
-    name: str
-    formula_slots: int
-    index_slots: int
-    positive_q: bool = False
-    conclusion: Optional[Callable] = None
-    premise: Optional[Callable] = None
-    sound: bool = True
+    __slots__ = ("name", "formula_slots", "index_slots", "positive_q",
+                 "conclusion", "premise", "sound")
+
+    def __init__(self, name: str, formula_slots: int, index_slots: int,
+                 positive_q: bool = False, conclusion: Optional[Callable] = None,
+                 premise: Optional[Callable] = None, sound: bool = True):
+        fill(self, name, formula_slots, index_slots, positive_q, conclusion, premise, sound)
 
 
 _TABLE = [
@@ -211,14 +211,18 @@ def holds_everywhere(m: Wts, f: Formula) -> bool:
     return sat_set(m, f) == m.states
 
 
-@dataclass
+@record(frozen=False)
 class SchemaReport:
-    name: str
-    sound: bool
-    checked: int = 0
-    applicable: int = 0
-    violations: int = 0
-    first_violation: Optional[dict] = None
+    __slots__ = ("name", "sound", "checked", "applicable", "violations", "first_violation")
+
+    def __init__(self, name: str, sound: bool, checked: int = 0, applicable: int = 0,
+                 violations: int = 0, first_violation: Optional[dict] = None):
+        self.name = name
+        self.sound = sound
+        self.checked = checked
+        self.applicable = applicable
+        self.violations = violations
+        self.first_violation = first_violation
 
     def as_dict(self) -> dict:
         d = {
@@ -233,11 +237,15 @@ class SchemaReport:
         return d
 
 
-@dataclass
+@record(frozen=False)
 class SuiteReport:
-    seed: int
-    trials: int
-    schemas: dict[str, SchemaReport] = field(default_factory=dict)
+    __slots__ = ("seed", "trials", "schemas")
+
+    def __init__(self, seed: int, trials: int,
+                 schemas: Optional[dict[str, SchemaReport]] = None):
+        self.seed = seed
+        self.trials = trials
+        self.schemas = {} if schemas is None else schemas
 
     @property
     def unexpected_violations(self) -> int:

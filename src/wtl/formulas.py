@@ -5,7 +5,10 @@ negation, conjunction, and the two weight-bound modalities.  `AtLeast(r, f)`
 holds at a state when the cheapest transition into the states satisfying
 `f` costs at least `r`; `AtMost(r, f)` holds when the most expensive such
 transition costs at most `r`.  Surface forms (`|`, `->`, `<->`, `<>`, `[]`)
-are desugared by the parser; every engine consumes core AST only.
+are desugared by the parser; every engine consumes core AST only.  The
+nodes are frozen, slotted records (`_record.record`) rather than
+dataclasses, so importing the package loads neither `dataclasses` nor
+`inspect`.
 
 The parser reads a formula in two passes.  The scanner is one compiled
 pattern with one group, run by `findall`, so the character loop runs in
@@ -39,10 +42,10 @@ import functools
 import random
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
+from ._record import record
 from .wts import (
     IDENT_RE, Wts, as_weight, decode_utf8, format_rational, read_rational,
 )
@@ -57,17 +60,16 @@ __all__ = [
 
 
 class Formula:
-    """Base of the core constructors: frozen, slotted dataclasses compared
-    by structure.
+    """Base of the core constructors: frozen, slotted records compared by
+    structure (`_record.record`).
 
-    A node's hash is `hash` of the tuple of its fields, the stock hash of a
-    frozen dataclass, computed by the node's `__init__` and kept in the
-    `_hash` slot.  Children are made first, so that hash reads each
-    child's slot and goes one level deep, however deep the formula; and no
-    dict or set probe of the model checker's and the tableau's caches
-    walks a subtree.  The slot is no field, so equality, `repr` and
-    pickled state leave it out; a node read back from a pickle is made
-    again by its `__init__`.
+    A node's hash is `hash` of the tuple of its fields, computed by the
+    node's `__init__` and kept in the `_hash` slot.  Children are made
+    first, so that hash reads each child's slot and goes one level deep,
+    however deep the formula; and no dict or set probe of the model
+    checker's and the tableau's caches walks a subtree.  The slot is no
+    field, so equality, `repr` and pickled state leave it out; a node
+    read back from a pickle is made again by its `__init__`.
     """
 
     __slots__ = ("_hash",)
@@ -77,18 +79,17 @@ _set_hash = Formula._hash.__set__
 
 
 def _node(cls):
-    """Make `cls` a frozen, slotted dataclass that keeps the `__init__`
-    written in its body.
+    """Make `cls` a frozen record that keeps the `__init__` written in its
+    body, hashed by its `_hash` slot.
 
     That `__init__` is the one call that makes a node: it stores the
     fields through `cls._setters`, the setters of their slots in field
-    order, and then the hash.  A frozen dataclass refuses `setattr`, and
+    order, and then the hash.  A frozen record refuses `setattr`, and
     `object.__setattr__` would check the class's `__setattr__` on every
     field; the parser, the tableau, the separators and the soundness suite
     make nodes by the thousand.
     """
-    cls = dataclass(frozen=True, slots=True, init=False)(cls)
-    cls._setters = tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+    cls = record(cls)
     cls.__hash__ = _stored_hash
     cls.__setstate__ = _init_from_state
     return cls
@@ -104,7 +105,7 @@ def _init_from_state(self, state) -> None:
 
 @_node
 class Atom(Formula):
-    name: str
+    __slots__ = ("name",)
 
     def __init__(self, name: str):
         (set_name,) = self._setters
@@ -117,19 +118,23 @@ _EMPTY_HASH = hash(())
 
 @_node
 class Top(Formula):
+    __slots__ = ()
+
     def __init__(self):
         _set_hash(self, _EMPTY_HASH)
 
 
 @_node
 class Bottom(Formula):
+    __slots__ = ()
+
     def __init__(self):
         _set_hash(self, _EMPTY_HASH)
 
 
 @_node
 class Not(Formula):
-    operand: Formula
+    __slots__ = ("operand",)
 
     def __init__(self, operand: Formula):
         (set_operand,) = self._setters
@@ -139,8 +144,7 @@ class Not(Formula):
 
 @_node
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
 
     def __init__(self, left: Formula, right: Formula):
         set_left, set_right = self._setters
@@ -159,10 +163,10 @@ def _init_modality(self, bound, operand: Formula) -> None:
 
 
 def _modality_eq(self, other):
-    """The `__eq__` of both modalities: the stored hashes, then the fields
-    as one tuple, which takes a bound that both nodes share as equal
-    without calling `Fraction.__eq__` on every Python version (a dataclass
-    `__eq__` may compare field by field)."""
+    """The `__eq__` of both modalities: the stored hashes first, so that
+    two nodes whose bounds differ seldom reach `Fraction.__eq__`, which
+    runs in Python; then the fields as one tuple, as every record compares
+    them, where a bound that both nodes share is equal by identity."""
     if other.__class__ is not self.__class__:
         return NotImplemented
     return self._hash == other._hash and (self.bound, self.operand) == (other.bound, other.operand)
@@ -173,8 +177,7 @@ class AtLeast(Formula):
     """Every transition into the operand's states costs at least `bound`,
     and there is at least one such transition."""
 
-    bound: Fraction
-    operand: Formula
+    __slots__ = ("bound", "operand")
 
     __init__ = _init_modality
     __eq__ = _modality_eq
@@ -185,8 +188,7 @@ class AtMost(Formula):
     """Every transition into the operand's states costs at most `bound`,
     and there is at least one such transition."""
 
-    bound: Fraction
-    operand: Formula
+    __slots__ = ("bound", "operand")
 
     __init__ = _init_modality
     __eq__ = _modality_eq

@@ -58,11 +58,11 @@ from __future__ import annotations
 import itertools
 import sys
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterator, Optional, Union
 
+from ._record import fill, record
 from .formulas import (
     And, AtLeast, AtMost, Atom, Bottom, Formula, Not, Top,
     model_check, print_formula,
@@ -84,7 +84,7 @@ RULE_NEG_NEG = "neg-neg"
 RULE_MOD = "mod"
 
 
-@dataclass(frozen=True)
+@record
 class Interval:
     """One interval endpoint pair with open/closed flags.
 
@@ -93,18 +93,17 @@ class Interval:
     upper, or equal with both ends closed.
     """
 
-    lower: ExtendedBound
-    lower_closed: bool
-    upper: ExtendedBound
-    upper_closed: bool
+    __slots__ = ("lower", "lower_closed", "upper", "upper_closed")
 
-    def __post_init__(self):
+    def __init__(self, lower: ExtendedBound, lower_closed: bool,
+                 upper: ExtendedBound, upper_closed: bool):
         # The flag and the type first: comparing a Fraction with a float
         # infinity takes Fraction.__eq__'s slow path.
-        if self.lower_closed and type(self.lower) is float and self.lower == NEG_INF:
+        if lower_closed and type(lower) is float and lower == NEG_INF:
             raise ValueError("interval cannot be closed at -inf")
-        if self.upper_closed and type(self.upper) is float and self.upper == POS_INF:
+        if upper_closed and type(upper) is float and upper == POS_INF:
             raise ValueError("interval cannot be closed at +inf")
+        fill(self, lower, lower_closed, upper, upper_closed)
 
     @property
     def is_consistent(self) -> bool:
@@ -191,9 +190,12 @@ class TableauNode:
         return f"<{{{body}}}, {self.min_interval}, {self.max_interval}>"
 
 
-@dataclass(frozen=True)
+@record
 class Tableau:
-    root: TableauNode
+    __slots__ = ("root",)
+
+    def __init__(self, root: TableauNode):
+        fill(self, root)
 
 
 class _Query:
@@ -520,16 +522,17 @@ def extract_model(witness: TableauNode) -> tuple[Wts, str, bool]:
     return model, root_state, verified
 
 
-@dataclass(frozen=True)
+@record
 class Sat:
-    model: Wts
-    state: str
-    verified: bool
+    __slots__ = ("model", "state", "verified")
+
+    def __init__(self, model: Wts, state: str, verified: bool):
+        fill(self, model, state, verified)
 
 
-@dataclass(frozen=True)
+@record
 class Unsat:
-    pass
+    __slots__ = ()
 
 
 Verdict = Union[Sat, Unsat]

@@ -53,25 +53,34 @@ its classes) as the reference for that parser and for the CLI's short
 path, which reads fully spelt flags without argparse.
 `reference_read_argv` gives what it makes of an argv: the parsed
 attributes, the error message, or which parser's help text it returned.
+
+`DATACLASS_REFERENCES` holds, by class name, the dataclasses that the
+formula nodes and the tableau's and the soundness suite's records were
+before they became plain slotted records: the seven node classes as
+frozen, slotted dataclasses of their fields, and the seven records as
+they were written, bar `slots=True`, with the `__qualname__` of the
+package's class.  `reference_record` rebuilds a node or a record from
+them.
 """
 
 import argparse
+import dataclasses
 import json
 import re
 import math
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
-from typing import Union
+from typing import Callable, Optional, Union
 
 from wtl import Partition, Wts
 from wtl.formulas import (
     And, AtLeast, AtMost, Atom, Bottom, Formula, FormulaError, Not, Top, box,
     diamond, iff, implies, lor,
 )
-from wtl.tableau import RANK_INF
+from wtl.tableau import RANK_INF, TableauNode
 from wtl.wts import (
-    IDENT_RE, POS_INF, ModelError, _read_json_int, as_weight, decode_utf8,
+    IDENT_RE, NEG_INF, POS_INF, ExtendedBound, format_bound, ModelError, _read_json_int, as_weight, decode_utf8,
     format_rational, parse_rational, read_rational,
 )
 
@@ -687,3 +696,141 @@ def reference_read_argv(argv: list) -> tuple:
         return "error", str(e)
     except _ArgvHelpRequested as e:
         return "help", help_prog(e.args[0])
+
+
+def _dataclass_references() -> dict:
+    dataclass, field = dataclasses.dataclass, dataclasses.field
+
+    @dataclass(frozen=True, slots=True)
+    class Interval:
+        """One interval endpoint pair with open/closed flags.
+
+        An endpoint at -inf is necessarily open on the left, +inf open on the
+        right.  The interval is consistent when it is non-empty: lower below
+        upper, or equal with both ends closed.
+        """
+
+        lower: ExtendedBound
+        lower_closed: bool
+        upper: ExtendedBound
+        upper_closed: bool
+
+        def __post_init__(self):
+            # The flag and the type first: comparing a Fraction with a float
+            # infinity takes Fraction.__eq__'s slow path.
+            if self.lower_closed and type(self.lower) is float and self.lower == NEG_INF:
+                raise ValueError("interval cannot be closed at -inf")
+            if self.upper_closed and type(self.upper) is float and self.upper == POS_INF:
+                raise ValueError("interval cannot be closed at +inf")
+
+        @property
+        def is_consistent(self) -> bool:
+            return self.lower < self.upper or (
+                self.lower == self.upper and self.lower_closed and self.upper_closed
+            )
+
+        def __str__(self):
+            left = "[" if self.lower_closed else "("
+            right = "]" if self.upper_closed else ")"
+            return f"{left}{format_bound(self.lower)},{format_bound(self.upper)}{right}"
+
+    @dataclass(frozen=True, slots=True)
+    class Tableau:
+        root: TableauNode
+
+    @dataclass(frozen=True, slots=True)
+    class Sat:
+        model: Wts
+        state: str
+        verified: bool
+
+    @dataclass(frozen=True, slots=True)
+    class Unsat:
+        pass
+
+    @dataclass(frozen=True, slots=True)
+    class Schema:
+        """One schema: how many formula/index slots it takes, its side
+        condition, whether it is a rule (premise-guarded), and whether it is
+        expected to be sound.
+
+        `conclusion` and `premise` are terms over an `Algebra`: each takes the
+        algebra, then the formula slots, then (the conclusion only) the index
+        slots."""
+
+        name: str
+        formula_slots: int
+        index_slots: int
+        positive_q: bool = False
+        conclusion: Optional[Callable] = None
+        premise: Optional[Callable] = None
+        sound: bool = True
+
+    @dataclass(slots=True)
+    class SchemaReport:
+        name: str
+        sound: bool
+        checked: int = 0
+        applicable: int = 0
+        violations: int = 0
+        first_violation: Optional[dict] = None
+
+        def as_dict(self) -> dict:
+            d = {
+                "schema": self.name,
+                "expected_sound": self.sound,
+                "checked": self.checked,
+                "applicable": self.applicable,
+                "violations": self.violations,
+            }
+            if self.first_violation is not None:
+                d["first_violation"] = self.first_violation
+            return d
+
+    @dataclass(slots=True)
+    class SuiteReport:
+        seed: int
+        trials: int
+        schemas: dict[str, SchemaReport] = field(default_factory=dict)
+
+        @property
+        def unexpected_violations(self) -> int:
+            return sum(r.violations for r in self.schemas.values() if r.sound)
+
+        @property
+        def control_violations(self) -> int:
+            return sum(r.violations for r in self.schemas.values() if not r.sound)
+
+        def as_dict(self) -> dict:
+            return {
+                "seed": self.seed,
+                "trials": self.trials,
+                "unexpected_violations": self.unexpected_violations,
+                "control_violations": self.control_violations,
+                "schemas": [self.schemas[n].as_dict() for n in sorted(self.schemas)],
+            }
+
+    classes = [Interval, Tableau, Sat, Unsat, Schema, SchemaReport, SuiteReport]
+    for cls in classes:
+        cls.__qualname__ = cls.__name__
+    nodes = [("Atom", ["name"]), ("Top", []), ("Bottom", []), ("Not", ["operand"]),
+             ("And", ["left", "right"]), ("AtLeast", ["bound", "operand"]),
+             ("AtMost", ["bound", "operand"])]
+    classes += [dataclasses.make_dataclass(name, names, frozen=True, slots=True)
+                for name, names in nodes]
+    return {cls.__name__: cls for cls in classes}
+
+
+DATACLASS_REFERENCES = _dataclass_references()
+
+
+def reference_record(x):
+    """The formula node or record `x` rebuilt from its dataclass
+    reference, with the same field values, bar a formula's nodes and a
+    suite report's schema reports, which are rebuilt too."""
+    ref = DATACLASS_REFERENCES[type(x).__name__]
+    values = [getattr(x, f.name) for f in dataclasses.fields(ref)]
+    values = [reference_record(v) if isinstance(v, Formula) else v for v in values]
+    if ref.__name__ == "SuiteReport":
+        values[2] = {name: reference_record(r) for name, r in values[2].items()}
+    return ref(*values)

@@ -781,3 +781,34 @@ sys.exit("argparse" in sys.modules)
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr.decode()
+
+
+def test_requests_import_neither_dataclasses_nor_inspect(tmp_path):
+    """`import wtl.cli` and one request of each subcommand run in a fresh
+    interpreter without importing `dataclasses` or `inspect`."""
+    model = serialize_wts(make_vacuum_model())
+    script = f"""
+import sys
+import wtl.cli
+
+for argv, stdin in [
+    (["mc", "--model", "-", "--state", "s1", "--formula", "L[1] charging"], {model!r}),
+    (["sat", "--formula", "L[2] p & M[3] !q", "--emit-model", {str(tmp_path / "w.json")!r},
+      "--dump-tableau", {str(tmp_path / "t.json")!r}], b""),
+    (["valid", "--formula", "p | !p"], b""),
+    (["bisim", "--model", "-"], {model!r}),
+    (["bisim", "--weighted", "--model", "-"], {model!r}),
+    (["distinguish", "--model", "-", "--state", "s1", "--state", "s2"], {model!r}),
+    (["quotient", "--model", "-"], {model!r}),
+    (["axioms", "--seed", "1", "--trials", "2"], b""),
+    (["fmt", "--formula", "p -> L[1/2] q"], b""),
+]:
+    code, out, err = wtl.cli.run(argv, stdin)
+    assert code == 0 and err == "", (argv, code, err)
+sys.exit(sorted({{"dataclasses", "inspect"}} & set(sys.modules)) or None)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+    assert (tmp_path / "w.json").exists() and (tmp_path / "t.json").exists()

@@ -196,7 +196,7 @@ def _tuple_hash(f) -> int:
     tuple does."""
     return hash(tuple(
         _Hashed(_tuple_hash(v)) if isinstance(v, Formula) else v
-        for v in (getattr(f, name) for name in f.__dataclass_fields__)
+        for v in (getattr(f, name) for name in f.__match_args__)
     ))
 
 
