@@ -22,19 +22,21 @@ All arithmetic is exact (`fractions.Fraction`); weights are kept in
 canonical reduced form so equality is structural.
 
 A model from outside, a model file (`parse_wts`) or the arguments of
-`Wts(...)`, is checked completely.  A model file is checked in passes over
-whole lists rather than one Python step per element: one type pass per
-column, one identifier test over all state ids and one over the union of
-all labels, one subset test for the ends of all transitions, one parse
-per distinct weight text.  `Wts(...)` checks its state ids and labels the
-same way and its transitions one at a time.  Checking is all or nothing.
-Only when a pass fails does a loop over the elements run, to raise for
-the first bad one in the order given, so the message names that element.
+`Wts(...)`, is checked completely, in two parts.  The bulk reader,
+`_in_bulk`, reads a model file in passes over whole lists rather than one
+Python step per element: one type pass per column, one identifier test
+over all state ids and one over the union of all labels, one subset test
+for the ends of all transitions, one parse per distinct weight text.  It
+can only accept: when a pass fails it gives the file up, without raising
+or naming an element.  The checker, `_checked`, goes one element at a
+time and makes every refusal, for `Wts(...)` and for a file the bulk
+reader gave up: it raises for the first bad element in the order given,
+so the message names that element.  Checking is all or nothing.
 Models the engines make from parts they have already checked
 (`quotient_model`, `extract_model`, `random_wts`'s draw) skip the checks,
 bar one pass over the atom names `extract_model` turns into labels: they
-go straight to `_assemble`, the private builder behind the constructor
-too, which nothing outside this package calls.
+go straight to `_assemble`, the private builder behind both parts too,
+which nothing outside this package calls.
 """
 
 from __future__ import annotations
@@ -42,12 +44,13 @@ from __future__ import annotations
 import json
 import random
 import re
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import chain, count, repeat
 from math import inf
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Hashable, Iterable, Optional, Union
 
 Weight = Fraction
 
@@ -226,18 +229,17 @@ class Wts:
     target) triples collapse, however the weight is written ("1/2", "2/4",
     "0.5" and `Fraction(1, 2)` are one weight).
 
-    The constructor checks its arguments completely: every state id at
-    once, then the labels given for unknown states, then each label
-    collection, read once, and the union of all labels at once, then the
-    transitions one at a time, parsing each distinct weight text once.  A
-    check that fails over a whole list falls back to the element-by-element
-    loop, which raises for the first bad element in the order given: state
-    ids, then labels, then transitions, each in the order of the
-    arguments.  A weight that is not text, a `Fraction` say, goes through
-    `as_weight` every time, so a float is refused even after the text of
-    the same value.  The engines build their models with `_assemble`,
-    which checks nothing, so only models built through this constructor or
-    read by `parse_wts` run these checks.
+    The constructor checks its arguments completely, one element at a
+    time, and raises for the first bad one in the order given: state ids,
+    then labels, then transitions, each in the order of the arguments; an
+    argument of the wrong shape, labels that are no mapping say, is named
+    too.  Each distinct weight text is parsed once; a weight that is not
+    text, a `Fraction` say, goes through `as_weight` every time, so a
+    float is refused even after the text of the same value.  The engines
+    build their models with `_assemble`, which checks nothing, so only
+    models built through this constructor or read by `parse_wts` are
+    checked.  A model pickles and deep-copies by rebuilding through
+    `_assemble`.
     """
 
     __slots__ = ("states", "labels", "weights", "_out")
@@ -308,6 +310,11 @@ class Wts:
                 bounds[block] = (hit[0], r)
         return bounds
 
+    def __reduce__(self):
+        # `labels` is a read-only view, which does not pickle
+        edges = [(src, r, dst) for src, es in self._out.items() for r, dst in es]
+        return _assemble, (self.states, dict(self.labels), list(self.weights), edges)
+
     def __eq__(self, other):
         if not isinstance(other, Wts):
             return NotImplemented
@@ -333,84 +340,38 @@ def _checked(
     states: Iterable[str],
     labels: Mapping[str, Iterable[str]],
     transitions: Iterable[tuple],
-    columns: Optional[tuple] = None,
 ) -> Wts:
-    """The constructor's checks, then `_assemble`.  `columns`, when given,
-    are the sources, the weights and the targets of `transitions` as
-    three lists, as `parse_wts` reads them, and are checked a column at a
-    time; otherwise the transitions are checked one at a time."""
-    if isinstance(states, str):
+    """Every check of a model from outside, one element at a time, then
+    `_assemble`: raises for the first bad element, state ids, then labels,
+    then transitions, each in the order given."""
+    if isinstance(states, str) or not hasattr(type(states), "__iter__"):
         raise ModelError(f"states must be a collection of ids, got {states!r}")
     order = list(states)
+    for s in order:  # before the set, which an unhashable id would break
+        _check_ident(s, "state id")
     state_set = frozenset(order)
     if not state_set:
         raise ModelError("a model needs at least one state")
-    _check_idents(order, "state id")
-    if not state_set.issuperset(labels):
-        for s in labels:
-            if s not in state_set:
-                raise ModelError(f"labels given for unknown state {s!r}")
-    label_map = _label_sets(order, state_set, labels)
-    found = columns is not None and _text_edges(state_set, *columns)
-    return _assemble(state_set, label_map, *(found or _edges(state_set, transitions)))
-
-
-def _label_sets(order: list, state_set: frozenset, labels: Mapping) -> dict:
-    """The label set of each state, for the constructor: each collection
-    read once, then the types of all collections in one pass and every
-    label at once."""
-    given = list(map(labels.get, state_set, repeat(())))
-    # Text and non-collections go to the loop below unread, so it raises
-    # for them in order; every collection is read here once, an iterator too.
-    kinds = set(map(type, given))
-    if all(hasattr(t, "__iter__") and not issubclass(t, str) for t in kinds):
-        given = list(map(tuple, given))
-        try:
-            sets = list(map(frozenset, given))
-        except TypeError:  # a label that is not hashable
-            pass
-        else:
-            if _all_idents(list(frozenset().union(*sets))):
-                return dict(zip(state_set, sets))
-    given = dict(zip(state_set, given))
-    for s in order:
-        props = given[s]
+    if not isinstance(labels, Mapping):
+        raise ModelError(f"labels must be a mapping from state ids to labels, got {labels!r}")
+    for s in labels:
+        if s not in state_set:
+            raise ModelError(f"labels given for unknown state {s!r}")
+    given = {}
+    for s in dict.fromkeys(order):
+        props = labels.get(s, ())
         if isinstance(props, str) or not hasattr(type(props), "__iter__"):
             raise ModelError(f"labels of {s!r} must be a collection, got {props!r}")
+        given[s] = props = tuple(props)  # an iterator is read once
         for p in props:
             _check_ident(p, "proposition")
-    return {s: frozenset(props) for s, props in given.items()}
-
-
-def _text_edges(
-    state_set: frozenset, srcs: Sequence, texts: Sequence, dsts: Sequence,
-) -> Optional[tuple[list, Iterable]]:
-    """The constructor's weights and edges when every transition passes
-    its checks and every weight is text, checked a column at a time; None
-    otherwise."""
-    if not (set(map(type, texts)) <= {str}
-            and set(map(type, srcs)) | set(map(type, dsts)) <= {str}
-            and state_set.issuperset(srcs) and state_set.issuperset(dsts)):
-        return None
-    try:
-        value = {t: parse_rational(t) for t in set(texts)}
-    except ModelError:
-        return None
-    ids: dict[Fraction, int] = {}
-    index = {t: ids.setdefault(w, len(ids)) for t, w in value.items()}
-    return list(ids), zip(srcs, map(index.__getitem__, texts), dsts)
-
-
-def _edges(state_set: frozenset, triples: Iterable[tuple]) -> tuple[list, list]:
-    """The constructor's weights and edges, one triple at a time: raises
-    for the first bad triple.  Each weight gets the id of its value: text
-    is parsed once per distinct string, anything else goes through
-    as_weight every time, so a float is refused even after the text of
-    the same value."""
+    label_map = {s: frozenset(given[s]) for s in state_set}
+    if not hasattr(type(transitions), "__iter__"):
+        raise ModelError(f"transitions must be a collection of triples, got {transitions!r}")
     ids: dict[Fraction, int] = {}
     text_ids: dict[str, int] = {}
     edges = []
-    for triple in triples:
+    for triple in transitions:
         try:
             # text is no triple, though three characters would unpack
             src, w, dst = () if isinstance(triple, str) else triple
@@ -428,7 +389,7 @@ def _edges(state_set: frozenset, triples: Iterable[tuple]) -> tuple[list, list]:
         else:
             i = ids.setdefault(as_weight(w), len(ids))
         edges.append((src, i, dst))
-    return list(ids), edges
+    return _assemble(state_set, label_map, list(ids), edges)
 
 
 def _assemble(
@@ -482,11 +443,12 @@ def parse_wts(data: Union[bytes, str]) -> Wts:
     Raises ModelError with the offset of the first bad byte on bytes that
     are not UTF-8, with line/column on malformed JSON, on JSON nested
     deeper than the interpreter's recursion limit, and with the offending
-    element on problems of shape (a wrong type, a missing or unknown key,
-    a duplicate state id).  The state and transition entries are checked
-    in passes over the whole list; when one fails, a loop over the entries
-    names the first bad one in file order.  `Wts` checks the rest once:
-    identifiers, weights and dangling state references.
+    element on a problem of shape (a wrong type, a missing or unknown key,
+    a duplicate state id), a bad identifier or weight, or a dangling state
+    reference.  The bulk reader reads the entries in passes over whole
+    lists; when it gives the file up, the state entries, then the
+    transition entries, then `_checked` go one element at a time and name
+    the first bad one in file order.
     """
     if isinstance(data, bytes):
         data = decode_utf8(data, ModelError)
@@ -504,20 +466,54 @@ def parse_wts(data: Union[bytes, str]) -> Wts:
     for key in ("states", "transitions"):
         if not isinstance(doc[key], list):
             raise ModelError(f'"{key}" must be a list')
-    ids, labels = _state_entries(doc["states"])
-    columns = _transition_entries(doc["transitions"])
-    return _checked(ids, labels, zip(*columns), columns)
+    model = _in_bulk(doc["states"], doc["transitions"])
+    if model is None:
+        ids, labels = _state_entries(doc["states"])
+        model = _checked(ids, labels, _transition_entries(doc["transitions"]))
+    return model
+
+
+_FROM, _WEIGHT, _TO = map(itemgetter, ("from", "weight", "to"))
+
+
+def _in_bulk(states: list, transitions: list) -> Optional[Wts]:
+    """The model of a model file's state and transition entries, read in
+    passes over whole lists, or None when a pass fails.  It never raises
+    and names no element: `_checked` makes every refusal."""
+    if not (set(map(type, states)) | set(map(type, transitions)) <= {dict}
+            and _STATE_KEYS.issuperset(chain.from_iterable(states))
+            # three keys per entry in all, and each has the three read below
+            and sum(map(len, transitions)) == 3 * len(transitions)):
+        return None
+    ids = list(map(dict.get, states, repeat("id")))
+    props = list(map(dict.get, states, repeat("labels"), repeat([])))
+    if not (set(map(type, ids)) <= {str} and set(map(type, props)) <= {list}):
+        return None
+    state_set = frozenset(ids)
+    given = dict(zip(ids, props))
+    try:
+        sets = list(map(frozenset, map(given.__getitem__, state_set)))
+        srcs, texts, dsts = ([*map(key, transitions)] for key in (_FROM, _WEIGHT, _TO))
+    except (TypeError, KeyError):  # a label that is not hashable, a missing key
+        return None
+    if not (len(state_set) == len(ids) > 0
+            and _all_idents(ids) and _all_idents(list(frozenset().union(*sets)))
+            and set(map(type, srcs)) | set(map(type, texts)) | set(map(type, dsts)) <= {str}
+            and state_set.issuperset(srcs) and state_set.issuperset(dsts)):
+        return None
+    try:
+        value = {t: parse_rational(t) for t in set(texts)}
+    except ModelError:
+        return None
+    weights: dict[Fraction, int] = {}
+    index = {t: weights.setdefault(w, len(weights)) for t, w in value.items()}
+    edges = zip(srcs, map(index.__getitem__, texts), dsts)
+    return _assemble(state_set, dict(zip(state_set, sets)), list(weights), edges)
 
 
 def _state_entries(entries: list) -> tuple[list, dict]:
     """The ids, in file order, and the label lists of a model file's
-    state entries."""
-    if set(map(type, entries)) <= {dict} and _STATE_KEYS.issuperset(chain.from_iterable(entries)):
-        ids = list(map(dict.get, entries, repeat("id")))
-        props = list(map(dict.get, entries, repeat("labels"), repeat([])))
-        if (set(map(type, ids)) <= {str} and len(set(ids)) == len(ids)
-                and set(map(type, props)) <= {list}):
-            return ids, dict(zip(ids, props))
+    state entries, one entry at a time: raises for the first bad one."""
     labels: dict[str, list] = {}
     for entry in entries:
         if not isinstance(entry, dict):
@@ -536,22 +532,11 @@ def _state_entries(entries: list) -> tuple[list, dict]:
     return list(labels), labels
 
 
-_FROM, _WEIGHT, _TO = map(itemgetter, ("from", "weight", "to"))
-
-
-def _transition_entries(entries: list) -> tuple[list, list, list]:
-    """The sources, weights and targets of a model file's transition
-    entries: every entry an object, the three keys in each and no other
-    (three keys per entry in all), and every weight text."""
-    if set(map(type, entries)) <= {dict} and sum(map(len, entries)) == 3 * len(entries):
-        try:
-            columns = list(map(_FROM, entries)), list(map(_WEIGHT, entries)), list(map(_TO, entries))
-        except KeyError:
-            pass
-        else:
-            if set(map(type, columns[1])) <= {str}:
-                return columns
-    srcs, weights, dsts = [], [], []
+def _transition_entries(entries: list) -> list[tuple]:
+    """The (source, weight, target) triples of a model file's transition
+    entries, one entry at a time: raises for the first that is not an
+    object with the three keys and no other, or whose weight is not text."""
+    triples = []
     for entry in entries:
         if not isinstance(entry, dict):
             raise ModelError(f"transition entry must be an object, got {entry!r}")
@@ -562,10 +547,8 @@ def _transition_entries(entries: list) -> tuple[list, list, list]:
         weight = entry["weight"]
         if not isinstance(weight, str):
             raise ModelError(f"weight must be a string, got {weight!r}")
-        srcs.append(entry["from"])
-        weights.append(weight)
-        dsts.append(entry["to"])
-    return srcs, weights, dsts
+        triples.append((entry["from"], weight, entry["to"]))
+    return triples
 
 
 def serialize_wts(m: Wts) -> bytes:

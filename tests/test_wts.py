@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 import sys
 from collections import Counter
@@ -241,7 +243,7 @@ def _outcome(check, *args):
     text of what it raises."""
     try:
         result = check(*args)
-    except (ModelError, TypeError, ValueError) as e:  # compared by type and text
+    except (ModelError, TypeError, ValueError, AttributeError) as e:  # compared by type and text
         return type(e).__name__, str(e)
     if isinstance(result, Wts):
         assert result.weights == tuple(sorted({w for _, w, _ in result.transitions}))
@@ -261,10 +263,13 @@ def _faulty(rng, doc, faults: int) -> bytes:
     return blob
 
 
-def test_bulk_checks_agree_with_the_reference_checker():
+def test_bulk_checks_agree_with_the_reference_checker(monkeypatch):
     """The model file reader and the constructor accept exactly what the
     element-by-element reference accepts, build the same model, and raise
-    the same error with the same text for the first bad element."""
+    the same error with the same text for the first bad element.  The
+    files are read twice: as they come, and with the bulk reader giving
+    every file up, so the element-by-element checker alone must accept
+    and refuse exactly the same."""
     rng = random.Random(2121)
     docs = [json.loads(serialize_wts(m)) for m in (
         make_vacuum_model(), make_coarse_pair_model(),
@@ -302,6 +307,13 @@ def test_bulk_checks_agree_with_the_reference_checker():
         for kind, i, key, value in chosen:
             doc[kind][i][key] = value
         blobs.append(json.dumps(doc).encode())
+    # faults no transition shows: no state at all, and a state that no
+    # transition touches with an id that is not an identifier
+    blobs.append(b'{"states": [], "transitions": []}')
+    for bad in ("9x", "s\u0663", "bad id"):
+        doc = json.loads(json.dumps(vacuum))
+        doc["states"].append({"id": bad})
+        blobs.append(json.dumps(doc).encode())
     # valid files: entries shuffled, triples repeated, weights respelled
     spelled = {"1": ["1", "1.0", "2/2"], "2": ["2", "4/2"], "0": ["0", "0.00"]}
     for _ in range(80):
@@ -312,11 +324,13 @@ def test_bulk_checks_agree_with_the_reference_checker():
         for entry in doc["transitions"]:
             entry["weight"] = rng.choice(spelled.get(entry["weight"], [entry["weight"]]))
         blobs.append(json.dumps(doc).encode())
-    rejected = Counter()
-    for blob in blobs:
-        want = _outcome(reference_parse_wts, blob)
-        assert _outcome(parse_wts, blob) == want, blob
-        rejected[want[0]] += 1
+    wants = [_outcome(reference_parse_wts, blob) for blob in blobs]
+    for bulk in (True, False):
+        if not bulk:
+            monkeypatch.setattr(wtl.wts, "_in_bulk", lambda states, transitions: None)
+        for blob, want in zip(blobs, wants):
+            assert _outcome(parse_wts, blob) == want, (bulk, blob)
+    rejected = Counter(want[0] for want in wants)
     assert rejected["model"] > 50 and rejected["ModelError"] > 500
     assert set(rejected) == {"model", "ModelError"}
 
@@ -342,17 +356,28 @@ def test_bulk_checks_agree_with_the_reference_checker():
             (["a"], {"a": iter(["bad id"])}, []),
             (["a", "b"], {"a": iter(["p", "bad id"]), "b": 5}, []),
             (["a"], {}, ["a1a"]),
+            (["a"], [], []),
+            (["a"], None, []),
+            (["a"], {}, None),
+            (None, {}, []),
+            ([["a"]], {}, []),
         ]
-    # A label value that is not a collection and a transition that is not
-    # a triple: the constructor names them in a ModelError, where the
-    # reference lets Python's TypeError or ValueError out, or reads three
-    # characters of text as a triple.
+    # A label value that is not a collection, a transition that is not a
+    # triple, an argument of the wrong shape and a state id that is not
+    # hashable: the constructor names them in a ModelError, where the
+    # reference lets Python's TypeError, ValueError or AttributeError out,
+    # or reads three characters of text as a triple.
     named = {
         3: "labels of 'a' must be a collection, got 5",
         7: "transition ('a', '1') is not a (source, weight, target) triple",
         8: "transition ('a', '1', 'a', 'extra') is not a (source, weight, target) triple",
         9: "transition 5 is not a (source, weight, target) triple",
         18: "transition 'a1a' is not a (source, weight, target) triple",
+        19: "labels must be a mapping from state ids to labels, got []",
+        20: "labels must be a mapping from state ids to labels, got None",
+        21: "transitions must be a collection of triples, got None",
+        22: "states must be a collection of ids, got None",
+        23: "bad state id ['a']: expected [A-Za-z_][A-Za-z0-9_]*",
     }
     for i, (want, got) in enumerate(zip(cases(), cases())):
         expected = _outcome(reference_model, *want)
@@ -411,6 +436,19 @@ def test_model_construction_does_no_work_per_element():
     root = build_tableau(phi).root
     (extracted, _, verified), seen = _calls(watched, lambda: extract_model(root))
     assert seen == Counter() and verified and len(extracted.transitions) >= 40
+
+
+def test_models_and_verdicts_pickle_and_deep_copy():
+    # `Wts.labels` is a read-only view, which pickles only by a rebuild
+    m = random_wts(2124, 12, 3, POOL, ["p", "q"])
+    verdict = is_satisfiable(parse_formula("L[1] p"))
+    copied = copy.deepcopy(m)
+    assert copied == m and serialize_wts(copied) == serialize_wts(m)
+    for value in (m, verdict, copied):
+        again = pickle.loads(pickle.dumps(value))
+        assert again == value and hash(again) == hash(value)
+    with pytest.raises(TypeError):
+        copied.labels["s1"] = frozenset()
 
 
 def test_constructor_reads_each_label_collection_once():
