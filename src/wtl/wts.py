@@ -24,14 +24,19 @@ canonical reduced form so equality is structural.
 A model from outside, a model file (`parse_wts`) or the arguments of
 `Wts(...)`, is checked completely, in two parts.  The bulk reader,
 `_in_bulk`, reads a model file in passes over whole lists rather than one
-Python step per element: one type pass per column, one identifier test
-over all state ids and one over the union of all labels, one subset test
-for the ends of all transitions, one parse per distinct weight text.  It
-can only accept: when a pass fails it gives the file up, without raising
-or naming an element.  The checker, `_checked`, goes one element at a
-time and makes every refusal, for `Wts(...)` and for a file the bulk
-reader gave up: it raises for the first bad element in the order given,
-so the message names that element.  Checking is all or nothing.
+Python step per element: one pass over the state entries' keys and one
+count of the transition entries' keys, one type pass over the label
+lists, one identifier test over all state ids and one over the union of
+all labels, one subset test for the sources and one id lookup per
+target, one type test and one parse per distinct weight text.  A value
+of the wrong type (an entry that is no object, an id, end or label that
+is no text) needs no pass of its own: the lookups fail on it.  The bulk
+reader can only accept: when a pass or a lookup fails it gives the file
+up, without raising or naming an element.  The checker, `_checked`, goes
+one element at a time and makes every refusal, for `Wts(...)` and for a
+file the bulk reader gave up: it raises for the first bad element in the
+order given, so the message names that element.  Checking is all or
+nothing.
 Both parts keep one object per state id and per label set
 (hash-consing): every transition target, and every key of `labels` and
 of the out-edge table, is the id object in `states`, and states with
@@ -40,6 +45,12 @@ occurrence of an id, so a model file of 4,000 states (ids `s0` to
 `s3999`) kept 118 bytes per edge and 395 per state beyond its edges, and
 keeps 64 and 179 (tracemalloc, 64-bit CPython 3.11); mc-large's four
 seed-1 models keep 456 bytes per state where they kept 885.
+`parse_wts` reads with the cyclic garbage collector paused: a JSON
+document and the model made from it hold no reference cycles, so the
+collections the read's many new objects would start free nothing (they
+took a fifth of reading mc-large's models).  The pause is process-wide:
+another thread's cyclic garbage waits until the read ends, and the read
+turns collection back on only if it was on when the read began.
 Models the engines make from parts they have already checked
 (`quotient_model`, `extract_model`, `random_wts`'s draw) skip the checks,
 bar one pass over the atom names `extract_model` turns into labels: they
@@ -49,6 +60,7 @@ which nothing outside this package calls.
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 import re
@@ -237,6 +249,8 @@ class Wts:
     Plain data: the four slots are set once, when the model is made, and
     nothing writes to them again.  No query builds or caches an index, the hash
     included, so instances can be shared freely between threads.
+    `parse_wts` pauses the cyclic garbage collector, which is process-wide,
+    for the length of a read, so other threads' cyclic garbage waits.
     `weights` holds the model's distinct weights in ascending order, and
     `_out[s]` the out-edges of `s` as `(rank, target)` pairs sorted by
     rank, then target.  Transitions are a set: duplicate (source, weight,
@@ -467,31 +481,48 @@ def parse_wts(data: Union[bytes, str]) -> Wts:
     element on a problem of shape (a wrong type, a missing or unknown key,
     a duplicate state id), a bad identifier or weight, or a dangling state
     reference.  The bulk reader reads the entries in passes over whole
-    lists; when it gives the file up, the state entries, then the
-    transition entries, then `_checked` go one element at a time and name
-    the first bad one in file order.
+    lists and in lookups that fail on a wrong type; when it gives the file
+    up, the state entries, then the transition entries, then `_checked` go
+    one element at a time and name the first bad one in file order.
+
+    The whole read runs with automatic garbage collection off: a JSON
+    document is a tree and a model holds no reference cycles, so the
+    cyclic collector, which the read's many new lists and dicts would
+    otherwise start over and over, could free nothing.  The pause is
+    process-wide: cyclic garbage other threads make meanwhile waits for
+    the first collection after the read.  Collection is turned back on
+    when the read ends, whether it gives a model or raises, if and only
+    if it was on when the read began; so a program that turns it off
+    while a read is in flight finds it on again afterwards.
     """
-    if isinstance(data, bytes):
-        data = decode_utf8(data, ModelError)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        doc = json.loads(data, parse_int=_read_json_int)
-    except json.JSONDecodeError as e:
-        raise ModelError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
-    except RecursionError:
-        raise ModelError("model nested too deeply for this interpreter's recursion limit") from None
-    if not isinstance(doc, dict):
-        raise ModelError("top level must be a JSON object")
-    _reject_unknown_keys(doc, _MODEL_KEYS, "model")
-    if "states" not in doc or "transitions" not in doc:
-        raise ModelError('model needs both "states" and "transitions"')
-    for key in ("states", "transitions"):
-        if not isinstance(doc[key], list):
-            raise ModelError(f'"{key}" must be a list')
-    model = _in_bulk(doc["states"], doc["transitions"])
-    if model is None:
-        ids, labels = _state_entries(doc["states"])
-        model = _checked(ids, labels, _transition_entries(doc["transitions"]))
-    return model
+        if isinstance(data, bytes):
+            data = decode_utf8(data, ModelError)
+        try:
+            doc = json.loads(data, parse_int=_read_json_int)
+        except json.JSONDecodeError as e:
+            raise ModelError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
+        except RecursionError:
+            raise ModelError(
+                "model nested too deeply for this interpreter's recursion limit") from None
+        if not isinstance(doc, dict):
+            raise ModelError("top level must be a JSON object")
+        _reject_unknown_keys(doc, _MODEL_KEYS, "model")
+        if "states" not in doc or "transitions" not in doc:
+            raise ModelError('model needs both "states" and "transitions"')
+        for key in ("states", "transitions"):
+            if not isinstance(doc[key], list):
+                raise ModelError(f'"{key}" must be a list')
+        model = _in_bulk(doc["states"], doc["transitions"])
+        if model is None:
+            ids, labels = _state_entries(doc["states"])
+            model = _checked(ids, labels, _transition_entries(doc["transitions"]))
+        return model
+    finally:
+        if enabled:
+            gc.enable()
 
 
 _FROM, _WEIGHT, _TO = map(itemgetter, ("from", "weight", "to"))
@@ -499,8 +530,18 @@ _FROM, _WEIGHT, _TO = map(itemgetter, ("from", "weight", "to"))
 
 def _in_bulk(states: list, transitions: list) -> Optional[Wts]:
     """The model of a model file's state and transition entries, read in
-    passes over whole lists, or None when a pass fails.  It never raises
-    and names no element: `_checked` makes every refusal.
+    passes over whole lists, or None when a pass or a lookup fails.  It
+    never raises and names no element: `_checked` makes every refusal.
+
+    Whole-list passes: the state entries' keys, the transition entries'
+    key count (three in all per entry), the label lists' type, the ids'
+    uniqueness and identifier test, the identifier test of the union of
+    the distinct label sets, and the type of each distinct weight text.
+    Everything else is left to lookups that fail on a wrong type: `dict.get`
+    and the key columns on an entry that is no object, `frozenset` on an
+    unhashable id or label, the subset test on a source and the id map on
+    a target that is no state id.  A `TypeError` or `KeyError` from them
+    gives the file up like a failed pass.
 
     `json.loads` makes one object per occurrence; the model keeps one per
     state id and per label set.  A dict from each id to itself maps every
@@ -508,33 +549,33 @@ def _in_bulk(states: list, transitions: list) -> Optional[Wts]:
     unknown one; equal label frozensets collapse through one dict, and
     the identifier pass reads the union of the distinct sets only.
     """
-    if not (set(map(type, states)) | set(map(type, transitions)) <= {dict}
-            and _STATE_KEYS.issuperset(chain.from_iterable(states))
-            # three keys per entry in all, and each has the three read below
-            and sum(map(len, transitions)) == 3 * len(transitions)):
-        return None
-    ids = list(map(dict.get, states, repeat("id")))
-    props = list(map(dict.get, states, repeat("labels"), repeat([])))
-    if not (set(map(type, ids)) <= {str} and set(map(type, props)) <= {list}):
-        return None
-    state_set = frozenset(ids)
-    given = dict(zip(ids, props))
     try:
+        if not (_STATE_KEYS.issuperset(chain.from_iterable(states))
+                # three keys per entry in all: once the key columns below
+                # find the three in every entry, no entry has another
+                and sum(map(len, transitions)) == 3 * len(transitions)):
+            return None
+        ids = list(map(dict.get, states, repeat("id")))
+        props = list(map(dict.get, states, repeat("labels"), repeat([])))
+        if not set(map(type, props)) <= {list}:
+            return None
+        state_set = frozenset(ids)
+        given = dict(zip(ids, props))
         sets = list(map(frozenset, map(given.__getitem__, state_set)))
         srcs, texts, dsts = ([*map(key, transitions)] for key in (_FROM, _WEIGHT, _TO))
-    except (TypeError, KeyError):  # a label that is not hashable, a missing key
-        return None
-    shared = dict(zip(sets, sets))  # one object per distinct label set
-    if not (len(state_set) == len(ids) > 0
-            and _all_idents(ids) and _all_idents(list(frozenset().union(*shared)))
-            and set(map(type, srcs)) | set(map(type, texts)) | set(map(type, dsts)) <= {str}
-            and state_set.issuperset(srcs)):
-        return None
-    try:
+        shared = dict(zip(sets, sets))  # one object per distinct label set
+        if not (len(state_set) == len(ids) > 0
+                and _all_idents(ids) and _all_idents(list(frozenset().union(*shared)))
+                # every id is text by now: a source that is not fails
+                and state_set.issuperset(srcs)):
+            return None
         # each target becomes its id's object in `states`; KeyError: unknown
         dsts = list(map(dict(zip(state_set, state_set)).__getitem__, dsts))
-        value = {t: parse_rational(t) for t in set(texts)}
-    except (KeyError, ModelError):
+        distinct = set(texts)
+        if not set(map(type, distinct)) <= {str}:
+            return None
+        value = {t: parse_rational(t) for t in distinct}
+    except (TypeError, KeyError, ModelError):
         return None
     weights: dict[Fraction, int] = {}
     index = {t: weights.setdefault(w, len(weights)) for t, w in value.items()}

@@ -329,6 +329,22 @@ def test_bulk_checks_agree_with_the_reference_checker(monkeypatch):
             entry.update((k, v) for k, v in fault.items() if k != "drop")
             entry.pop(fault.get("drop"), None)
             blobs.append(json.dumps(doc).encode())
+    # entries that are no object, yet pass the whole-list key passes: text
+    # and lists of three, and state entries whose items are all state keys
+    first = len(blobs)
+    for kind, entry in [("transitions", "abc"), ("transitions", ["s1", "1", "s2"]),
+                        ("states", ""), ("states", "id"), ("states", ["id"])]:
+        doc = json.loads(json.dumps(vacuum))
+        doc[kind][rng.randrange(len(doc[kind]))] = entry
+        blobs.append(json.dumps(doc).encode())
+    # a 2-key transition beside a 4-key one, either first: three keys per
+    # transition in all
+    for short, long in ((1, 4), (4, 1)):
+        doc = json.loads(json.dumps(vacuum))
+        del doc["transitions"][short]["weight"]
+        doc["transitions"][long]["extra"] = 0
+        blobs.append(json.dumps(doc).encode())
+    shapes = range(first, len(blobs))
     # several faults of different kinds at once: the first one named wins
     faults = [("states", 0, "id", "9x"), ("states", 2, "labels", ["bad id"]),
               ("transitions", 1, "weight", "1/0"), ("transitions", 4, "to", "ghost"),
@@ -356,6 +372,7 @@ def test_bulk_checks_agree_with_the_reference_checker(monkeypatch):
             entry["weight"] = rng.choice(spelled.get(entry["weight"], [entry["weight"]]))
         blobs.append(json.dumps(doc).encode())
     wants = [_outcome(reference_parse_wts, blob) for blob in blobs]
+    assert all(wants[i][0] == "ModelError" for i in shapes)
     for bulk in (True, False):
         if not bulk:
             monkeypatch.setattr(wtl.wts, "_in_bulk", lambda states, transitions: None)
@@ -580,6 +597,41 @@ def test_a_read_model_keeps_about_half_the_memory_of_per_occurrence_copies():
     copied, kept_by_copies = _kept_bytes(lambda: _rebuilt_with_copies(read))
     assert copied == read and len(read.transitions) > 15_000
     assert kept < 0.7 * kept_by_copies, (kept, kept_by_copies)
+
+
+def test_parse_wts_pauses_the_collector_and_restores_its_state():
+    # every way out of a read leaves collection on or off as it found it:
+    # a model, a file the bulk reader gives up and the checker refuses,
+    # malformed JSON, and JSON nested past the recursion limit
+    doc = json.loads(VACUUM_TEXT)
+    doc["transitions"][3]["to"] = "ghost"
+    reads = [(VACUUM_TEXT, None),
+             (json.dumps(doc).encode(), "transition to unknown state 'ghost'"),
+             (b"{not json", "line 1, column 2"),
+             (b"[" * 100_000, "nested too deeply")]
+    data = _seeded_file(2801, 4000, 4)
+    was = gc.isenabled()
+    try:
+        for on in (True, False):
+            for blob, error in reads:
+                (gc.enable if on else gc.disable)()
+                if error is None:
+                    assert len(parse_wts(blob).states) == 3
+                else:
+                    with pytest.raises(ModelError, match=error):
+                        parse_wts(blob)
+                assert gc.isenabled() is on, (on, blob[:20])
+        # 4,000 states, 16,000 transitions: not one collection during the
+        # read.  `gc.collect` first, so the stats' own lists start none
+        gc.enable()
+        gc.collect()
+        before = gc.get_stats()
+        model = parse_wts(data)
+        after = gc.get_stats()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert len(model.states) == 4000 and len(model.transitions) > 15_000
+    assert [s["collections"] for s in after] == [s["collections"] for s in before]
 
 
 def test_constructor_reads_each_label_collection_once():
