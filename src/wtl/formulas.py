@@ -16,10 +16,15 @@ C and gives one flat list of token texts: after whitespace
 (`str.isspace`), each is an operator, a rational's text, an identifier
 or a stray character.  One pass over that list, before parsing starts,
 finds the first lexical error in input order and reads every rational
-(`read_rational`) through a process-wide memo of at most
+(`read_rational`), with its hash, through a process-wide memo of at most
 `BOUND_MEMO_SIZE` texts.  The recursive-descent parser then compares the
-token texts, read by index.  An error names the token's position and
-quotes it as the input has it.
+token texts, read by index.  It recurses on parentheses and on the
+right operand of `->` and `<->`, but reads a chain of prefixes (`!`,
+`L[r]`, `M[r]`, `<>`, `[]`) in one loop, so a chain of any length parses.
+It makes each modality node through `_modality`, from the memo's bound
+and hash, so a bound whose text the memo holds costs no `Fraction` work
+in Python.  An error names the token's position and quotes it as the
+input has it.
 
 The constructors are also the operations of an `Algebra` (tagless
 style), with the derived connectives desugared once in the base class.
@@ -33,7 +38,9 @@ Two evaluators share these semantics.  `sat_set` is global: it folds a
 formula into `StateSets(m)`, bottom-up, a whole set at a time.
 `model_check` is local: it walks forward from its one state over the
 out-edges and looks only at the states within the formula's modal depth
-of it.
+of it.  It keys its memo by node identity and compares each weight with
+a bound as two products of ints, so no node hash and no `Fraction`
+comparison runs in Python.
 """
 
 from __future__ import annotations
@@ -64,12 +71,12 @@ class Formula:
     structure (`_record.record`).
 
     A node's hash is `hash` of the tuple of its fields, computed by the
-    node's `__init__` and kept in the `_hash` slot.  Children are made
-    first, so that hash reads each child's slot and goes one level deep,
-    however deep the formula; and no dict or set probe of the model
-    checker's and the tableau's caches walks a subtree.  The slot is no
-    field, so equality, `repr` and pickled state leave it out; a node
-    read back from a pickle is made again by its `__init__`.
+    node's `__init__` (for the parser's modalities, by `_modality`) and
+    kept in the `_hash` slot.  Children are made first, so that hash
+    reads each child's slot and goes one level deep, however deep the
+    formula; and no dict or set probe keyed by a node walks a subtree.
+    The slot is no field, so equality, `repr` and pickled state leave it
+    out; a node read back from a pickle is made again by its `__init__`.
     """
 
     __slots__ = ("_hash",)
@@ -194,6 +201,27 @@ class AtMost(Formula):
     __eq__ = _modality_eq
 
 
+_new_node = object.__new__
+
+
+def _modality(cls, bound: Fraction, bound_hash: int, operand: Formula) -> Formula:
+    """`cls(bound, operand)`, for the parser, given `hash(bound)`.
+
+    The parser's bounds are weights already, since its grammar reads only
+    non-negative rationals, and `_read_bound` gives each with its hash;
+    so this runs neither `as_weight` nor `Fraction.__hash__`.  The node
+    hash is the one `__init__` stores: a non-negative `Fraction` hashes
+    into [0, 2**61 - 1), never to -1, and an int in that range hashes to
+    itself, so `hash((bound_hash, operand))` is `hash((bound, operand))`.
+    """
+    f = _new_node(cls)
+    set_bound, set_operand = cls._setters
+    set_bound(f, bound)
+    set_operand(f, operand)
+    _set_hash(f, hash((bound_hash, operand)))
+    return f
+
+
 class Algebra:
     """The core constructors as operations on some carrier, in the tagless
     style of Carette, Kiselyov & Shan (JFP 2009).
@@ -277,8 +305,14 @@ BOUND_MEMO_SIZE = 256
 
 
 @functools.lru_cache(maxsize=BOUND_MEMO_SIZE)
-def _read_bound(text: str) -> Fraction:
-    return read_rational(text)[0]
+def _read_bound(text: str) -> tuple[Fraction, int]:
+    """The value of a bound's text, and its hash.
+
+    The parser makes each modality node from both (`_modality`), so a
+    text read from the memo costs no `Fraction.__hash__`, which runs in
+    Python and takes a modular inverse."""
+    value = read_rational(text)[0]
+    return value, hash(value)
 
 
 def _tokenize(text: str):
@@ -320,11 +354,18 @@ def _error(text: str, k: int, message: str) -> FormulaError:
     return FormulaError(f"position {_token_at(text, k)[0]}: {message}")
 
 
+# The bound of `<>` and `[]`, which are `L[0]` and `!L[0]!`, as `diamond`
+# and `box` build them.
+_ZERO = Fraction(0)
+_ZERO_HASH = hash(_ZERO)
+
+
 class _Parser:
     """Recursive descent over `_tokenize`'s token texts, read by index:
     `i` is the next token.  A token is a name when its first character
     starts an identifier; "" is the end.  Errors quote the token as the
-    input has it."""
+    input has it.  `bounds` maps a rational's token index to its value
+    and hash, as `_read_bound` gives them."""
 
     __slots__ = ("text", "tokens", "bounds", "i")
 
@@ -365,41 +406,57 @@ class _Parser:
         return f
 
     def prefix(self) -> Formula:
-        tokens, i = self.tokens, self.i
-        token = tokens[i]
-        if token[:1] in _NAME_START:
-            if (token == "L" or token == "M") and tokens[i + 1] == "[":
-                bound = self.bounds.get(i + 2)
-                if bound is None:
+        """A chain of prefixes (`!`, `L[r]`, `M[r]`, `<>`, `[]`), then
+        their operand: a name or a parenthesized formula.
+
+        One loop reads the chain forward to its operand, and a second
+        applies it to the operand, innermost first, going back over the
+        same tokens: before the operand, a "]" can only close a bound.
+        There is no call per prefix, so a chain of any length parses."""
+        tokens, bounds = self.tokens, self.bounds
+        start = i = self.i
+        while True:
+            token = tokens[i]
+            if token == "!" or token == "<>" or token == "[]":
+                i += 1
+            elif (token == "L" or token == "M") and tokens[i + 1] == "[":
+                if i + 2 not in bounds:
                     raise self.fail(i + 2, "expected a number, got")
                 if tokens[i + 3] != "]":
                     raise self.fail(i + 3, "expected ']', got")
-                self.i = i + 4
-                operand = self.prefix()
-                return AtLeast(bound, operand) if token == "L" else AtMost(bound, operand)
+                i += 4
+            else:
+                break
+        if token[:1] in _NAME_START:
             self.i = i + 1
             if token == "true":
-                return Top()
-            if token == "false":
-                return Bottom()
-            return Atom(token)
-        if token == "!":
-            self.i = i + 1
-            return Not(self.prefix())
-        if token == "(":
+                f = Top()
+            elif token == "false":
+                f = Bottom()
+            else:
+                f = Atom(token)
+        elif token == "(":
             self.i = i + 1
             f = self.formula()
             if tokens[self.i] != ")":
                 raise self.fail(self.i, "expected ')', got")
             self.i += 1
-            return f
-        if token == "<>":
-            self.i = i + 1
-            return diamond(self.prefix())
-        if token == "[]":
-            self.i = i + 1
-            return box(self.prefix())
-        raise self.fail(i, "unexpected")
+        else:
+            raise self.fail(i, "unexpected")
+        while i > start:
+            i -= 1
+            token = tokens[i]
+            if token == "]":
+                i -= 3
+                bound, bound_hash = bounds[i + 2]
+                f = _modality(AtLeast if tokens[i] == "L" else AtMost, bound, bound_hash, f)
+            elif token == "!":
+                f = Not(f)
+            elif token == "<>":
+                f = _modality(AtLeast, _ZERO, _ZERO_HASH, f)
+            else:  # "[]"
+                f = Not(_modality(AtLeast, _ZERO, _ZERO_HASH, Not(f)))
+        return f
 
 
 def parse_formula(text: Union[bytes, str]) -> Formula:
@@ -560,48 +617,61 @@ def model_check(m: Wts, s: str, f: Formula) -> bool:
 
     Local and top-down: the walk starts at `s` and follows the ranked
     out-edges, so it looks only at the states within `f`'s modal depth of
-    `s`.  Each answer is kept per (subformula, state) for the call, so a
-    formula that shares subformulas costs at most one evaluation of each
-    node at each state: O(|subformulas| * |edges|) in the worst case, as
-    `sat_set`.
+    `s`.  Each answer is kept per (node, state) for the call, so a node
+    that the formula shares costs at most one evaluation at each state:
+    O(|nodes| * |edges|) in the worst case, as `sat_set`.  Equal nodes
+    that are distinct objects are evaluated apart, with equal answers.
     """
     m._require_state(s)
     return _holds(m, s, f, {})
 
 
 def _holds(m: Wts, s: str, f: Formula, memo: dict) -> bool:
-    """`model_check`'s walker; `memo` maps (subformula, state) to its answer.
+    """`model_check`'s walker; `memo` maps (id of a node, state) to its
+    answer.
+
+    The formula is alive for the whole call, so no two of its nodes share
+    an id, and the key hashes in C, with no call of the nodes' `__hash__`.
+    A node is told by its exact class, as the tableau tells it.
 
     `L[r] g` scans the out-edges of `s` in ascending rank and stops at the
     first whose target satisfies `g`: that edge carries the least weight
     into `g`, so the formula holds iff it is at least r.  `M[r] g` scans in
     descending rank, for the greatest.  With no edge into `g` both are
-    false, as on an empty image.
+    false, as on an empty image.  Weights and bounds are both `Fraction`s,
+    whose denominators are positive, so `w >= r` is the comparison of two
+    products of ints, `w.num * r.den >= r.num * w.den`.  Those ints are
+    read from the `_numerator` and `_denominator` slots, since the
+    `numerator` and `denominator` properties, like `Fraction.__ge__`, run
+    in Python.
     """
-    if isinstance(f, Atom):
+    kind = f.__class__
+    if kind is Atom:
         return f.name in m.labels[s]
-    if isinstance(f, Top):
+    if kind is Top:
         return True
-    if isinstance(f, Bottom):
+    if kind is Bottom:
         return False
-    key = (f, s)
+    key = (id(f), s)
     hit = memo.get(key)
     if hit is not None:
         return hit
     result = False
-    if isinstance(f, Not):
+    if kind is Not:
         result = not _holds(m, s, f.operand, memo)
-    elif isinstance(f, And):
+    elif kind is And:
         result = _holds(m, s, f.left, memo) and _holds(m, s, f.right, memo)
-    elif isinstance(f, AtLeast):
+    elif kind is AtLeast:
         for rank, t in m._out[s]:
             if _holds(m, t, f.operand, memo):
-                result = m.weights[rank] >= f.bound
+                w, r = m.weights[rank], f.bound
+                result = w._numerator * r._denominator >= r._numerator * w._denominator
                 break
-    elif isinstance(f, AtMost):
+    elif kind is AtMost:
         for rank, t in reversed(m._out[s]):
             if _holds(m, t, f.operand, memo):
-                result = m.weights[rank] <= f.bound
+                w, r = m.weights[rank], f.bound
+                result = w._numerator * r._denominator <= r._numerator * w._denominator
                 break
     else:
         raise TypeError(f"not a formula: {f!r}")

@@ -10,7 +10,7 @@ from pathlib import Path
 from wtl.axioms import SCHEMAS
 from wtl.cli import _parse, _quick, _UsageError, run
 from wtl import (
-    Wts, model_check, parse_formula, parse_wts, print_formula,
+    Atom, Not, Wts, model_check, parse_formula, parse_wts, print_formula,
     random_formula, serialize_wts,
 )
 
@@ -300,13 +300,24 @@ def test_usage_errors_are_json(tmp_path):
     assert code == 2 and "error" in json.loads(err)
     code, _, err = run(["mc", "--model", path, "--state", "ghost", "--formula", "p"])
     assert code == 2
-    # model_check still recurses down a left-nested conjunction
+    # the parser still recurses once per parenthesis, and model_check down
+    # a left-nested conjunction
+    nested = "(" * 1200 + "p" + ")" * 1200
     wide = " & ".join(f"p{i}" for i in range(1000))
     # `--formula=--` gives the option the value `--`, which does not parse
-    for argv in (["fmt", "--formula", "!" * 1200 + "p"], ["fmt", "--formula=--"],
+    for argv in (["fmt", "--formula", nested], ["fmt", "--formula=--"],
                  ["mc", "--model", path, "--state", "s1", "--formula", wide]):
         code, out, err = run(argv)
         assert code == 2 and out == "" and "error" in json.loads(err)
+    # a chain of prefixes is read in one loop: 1,200 negations print, and
+    # the text reads back to the same chain
+    code, out, err = run(["fmt", "--formula", "!" * 1200 + "p"])
+    assert (code, err) == (0, "")
+    f = parse_formula(out)
+    for _ in range(1200):
+        assert type(f) is Not
+        f = f.operand
+    assert f == Atom("p")
     # an attached `--` is the value `--` on every Python version, in the
     # error text too
     for argv in (["axioms", "--seed=--", "--trials", "1"], ["axioms", "--se=--", "--trials", "1"]):

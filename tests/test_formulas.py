@@ -2,6 +2,7 @@ import pickle
 import random
 import re
 import signal
+import sys
 import time
 from fractions import Fraction as F
 from math import inf
@@ -79,6 +80,30 @@ def test_bound_errors_are_never_memoized():
         assert after.currsize == before.currsize
 
 
+def test_parsed_modalities_equal_the_constructed_ones_with_the_same_hash():
+    p = Atom("p")
+    inner = AtLeast(F(1, 2), Not(p))
+    # A denominator of 2**61 - 1 has no inverse modulo it, so the bound's
+    # hash is the interpreter's infinity sentinel, which an int keeps too.
+    sentinel = F(1, 2**61 - 1)
+    assert hash(sentinel) == sys.hash_info.inf == 314159
+    nines = "9" * MAX_RATIONAL_DIGITS
+    for text, value in (("0", F(0)), ("0.50", F(1, 2)), (nines, F(int(nines))),
+                        ("1/2305843009213693951", sentinel)):
+        for operand_text, operand in (("p", p), ("L[1/2] !p", inner)):
+            for op, cls in (("L", AtLeast), ("M", AtMost)):
+                built = cls(value, operand)
+                # the second read comes from the bound memo
+                for _ in range(2):
+                    parsed = parse_formula(f"{op}[{text}] {operand_text}")
+                    assert type(parsed) is cls and parsed == built, text
+                    assert hash(parsed) == hash(built) == hash((value, operand)), text
+                    assert parsed.__getstate__() == built.__getstate__()
+    for text, built in (("<> p", diamond(p)), ("[] p", box(p))):
+        parsed = parse_formula(text)
+        assert parsed == built and hash(parsed) == hash(built)
+
+
 def test_rationals_over_the_digit_limit_are_refused_with_a_stated_message():
     limit = MAX_RATIONAL_DIGITS
     assert print_formula(parse_formula(f"L[{'1' * limit}] p")) == f"L[{'1' * limit}] p"
@@ -134,6 +159,19 @@ def test_printed_formulas_and_models_read_back_up_to_the_digit_limit():
         assert parse_formula(print_formula(f)) == f, seed
         m = random_wts(seed, 4, 2, rng.sample(values, 4), ["p", "q"])
         assert parse_wts(serialize_wts(m)) == m, seed
+
+
+def test_prefix_chains_of_any_length_parse():
+    p = Atom("p")
+    built = p
+    for _ in range(1000):
+        built = Not(AtLeast(F(1, 2), AtMost(3, diamond(box(built)))))
+    parsed = parse_formula("!L[1/2] M[3] <> [] " * 1000 + "p")
+    # both are 7,000 levels deep: compared by their text and hash, since
+    # `==` recurses
+    assert print_formula(parsed) == print_formula(built)
+    assert hash(parsed) == hash(built)
+    assert print_formula(parse_formula("(" + "!" * 5000 + "p)")) == "!" * 5000 + "p"
 
 
 def test_parse_errors_have_positions():
@@ -469,6 +507,54 @@ def test_local_model_check_picks_the_extreme_edge_into_the_operand():
     assert model_check(loop, "a", AtMost(2, AtLeast(2, p)))
     assert not model_check(loop, "a", AtMost(1, p))
     assert not model_check(loop, "a", AtLeast(3, AtMost(2, p)))
+
+
+def test_local_model_check_is_exact_at_equality():
+    p = Atom("p")
+    m = Wts(["s", "t"], {"t": ["p"]}, [("s", "2/4", "t")])
+    half, tiny = F(1, 2), F(1, 10**4000)
+    cases = [
+        (parse_formula("L[0.5] p"), True),
+        (parse_formula("M[1/2] p"), True),
+        (AtLeast(half + tiny, p), False),
+        (AtMost(half + tiny, p), True),
+        (AtLeast(half - tiny, p), True),
+        (AtMost(half - tiny, p), False),
+    ]
+    for f, holds in cases:
+        assert model_check(m, "s", f) is holds
+        assert ("s" in sat_set(m, f)) is holds
+        assert model_check(m, "s", Not(f)) is not holds
+    # the infinity sentinel's hash, as a bound and as a weight
+    sentinel = "1/2305843009213693951"
+    m = Wts(["s", "t"], {"t": ["p"]}, [("s", sentinel, "t")])
+    for text, holds in ((f"L[{sentinel}] p", True), (f"M[{sentinel}] p", True),
+                        ("L[2/2305843009213693951] p", False), ("M[0] p", False)):
+        f = parse_formula(text)
+        assert model_check(m, "s", f) is holds and ("s" in sat_set(m, f)) is holds
+
+
+def test_equal_operands_answer_alike_whether_shared_or_distinct():
+    for seed in range(60):
+        m = random_wts(seed + 7100, 6, 3, POOL, ["p", "q"])
+        a = random_formula(seed + 7200, ["p", "q"], 2, POOL + OFF_POOL)
+        b = random_formula(seed + 7300, ["p", "q"], 2, POOL + OFF_POOL)
+        # `iff` shares its operands' objects; the parse of its text makes
+        # every node afresh
+        shared = iff(AtLeast(F(1, 2), a), AtMost(F(2), b))
+        apart = parse_formula(print_formula(shared))
+        assert apart == shared
+        assert shared.left.operand.left is shared.right.operand.right.operand
+        assert apart.left.operand.left is not apart.right.operand.right.operand
+        expected = sat_set(m, shared)
+        for s in m.states:
+            assert model_check(m, s, shared) == model_check(m, s, apart) == (s in expected)
+    m = Wts(["a", "b"], {"b": ["p"]}, [("a", 1, "b"), ("a", 2, "a")])
+    one, other = AtLeast(1, Atom("p")), AtLeast(1, Atom("p"))
+    for g, h in ((one, one), (one, other)):
+        f = And(AtMost(2, g), Not(AtMost(1, h)))
+        assert model_check(m, "a", f) and sat_set(m, f) == {"a"}
+        assert not model_check(m, "a", And(g, Not(AtLeast(2, h))))
 
 
 def test_local_model_check_evaluates_each_shared_subformula_once_per_state():
