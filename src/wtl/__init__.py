@@ -27,7 +27,7 @@ from .axioms import (
     SuiteReport, holds_everywhere, instantiate, premise_of, run_suite,
 )
 from .tableau import (
-    ExtractionGapWarning, Interval, Sat, Tableau, TableauNode, Unsat, Verdict,
+    ExtractionGapWarning, Sat, Tableau, TableauNode, Unsat, Verdict,
     build_tableau, entails, extract_model, find_witness, is_satisfiable,
     is_valid, tableau_to_json,
 )

@@ -327,8 +327,7 @@ def run_suite(
         ri = rng.randrange(len(pool))
         qi = rng.randrange(len(pool))
         qi_pos = positive[rng.randrange(len(positive))]
-        cache: dict = {}
-        slots = (sat_set(model, phi, cache), sat_set(model, psi, cache))
+        slots = (sat_set(model, phi), sat_set(model, psi))
         sets = StateSets(model, _keys=tuple(key(w) for w in model.weights))
         for sch in selected:
             rep = report.schemas[sch.name]

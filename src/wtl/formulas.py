@@ -18,9 +18,9 @@ or a stray character.  One pass over that list, before parsing starts,
 finds the first lexical error in input order and reads every rational
 (`read_rational`), with its hash, through a process-wide memo of at most
 `BOUND_MEMO_SIZE` texts.  The recursive-descent parser then compares the
-token texts, read by index.  It recurses on parentheses and on the
-right operand of `->` and `<->`, but reads a chain of prefixes (`!`,
-`L[r]`, `M[r]`, `<>`, `[]`) in one loop, so a chain of any length parses.
+token texts, read by index.  It recurses on parentheses, but reads a
+chain of prefixes (`!`, `L[r]`, `M[r]`, `<>`, `[]`) in one loop, and a
+chain of `->` and `<->` in another, so a chain of any length parses.
 It makes each modality node through `_modality`, from the memo's bound
 and hash, so a bound whose text the memo holds costs no `Fraction` work
 in Python.  An error names the token's position and quotes it as the
@@ -381,15 +381,24 @@ class _Parser:
         return _error(self.text, k, f"{message} {shown}")
 
     def formula(self) -> Formula:
-        left = self.disj()
+        """A chain of disjunctions joined by `->` and `<->`, read in one
+        loop and folded from the right: `a <-> b -> c` is
+        `a <-> (b -> c)`.  There is no call per arrow, so a chain of any
+        length parses."""
+        f = self.disj()
         token = self.tokens[self.i]
-        if token == "->":
+        if token != "->" and token != "<->":
+            return f
+        operands, arrows = [f], []
+        while token == "->" or token == "<->":
             self.i += 1
-            return implies(left, self.formula())
-        if token == "<->":
-            self.i += 1
-            return iff(left, self.formula())
-        return left
+            arrows.append(implies if token == "->" else iff)
+            operands.append(self.disj())
+            token = self.tokens[self.i]
+        f = operands.pop()
+        while arrows:
+            f = arrows.pop()(operands.pop(), f)
+        return f
 
     def disj(self) -> Formula:
         f = self.conj()
@@ -571,7 +580,7 @@ class StateSets(Algebra):
         return frozenset(result)
 
 
-def sat_set(m: Wts, f: Formula, _cache: Optional[dict] = None) -> frozenset[str]:
+def sat_set(m: Wts, f: Formula) -> frozenset[str]:
     """States of `m` satisfying `f`, computed bottom-up, a set at a time.
 
     The fold of `f` into `StateSets(m)`, so the whole model is evaluated,
@@ -579,12 +588,9 @@ def sat_set(m: Wts, f: Formula, _cache: Optional[dict] = None) -> frozenset[str]
     index built on the model; to ask about one state, `model_check` is
     local.  That algebra's key table is the default one, `m.weights`, so
     each modality's bound is compared with the weights as it is.  Atoms
-    absent from the model's labels are false everywhere.  A shared cache
-    dict may be passed to reuse work across related formulas.
+    absent from the model's labels are false everywhere.
     """
-    if _cache is None:
-        _cache = {}
-    return _eval(StateSets(m), f, _cache)
+    return _eval(StateSets(m), f, {})
 
 
 def _eval(sets: StateSets, f: Formula, cache: dict) -> frozenset[str]:

@@ -48,9 +48,10 @@ sorted table, and a node's two intervals are four int ranks in it
 minimum is not above the greatest maximum is then three int compares,
 and the memo hashes ints.  The modal rule reads each modal formula's
 rank from the query's dict keyed by the formula node.  Rationals come
-back only at the edges: a node's `min_interval` and `max_interval`
-decode its ranks for dumps and `repr`, and `extract_model` reads its
-weights from the table.
+back only at the edges, through one reader of the encoding, `_at`: the
+decoder `_interval` turns two of a node's ranks into the dict a dump
+writes, which `min_interval`, `max_interval`, the dump and `repr` all
+read, and `extract_model` takes its weights from the table.
 """
 
 from __future__ import annotations
@@ -67,12 +68,10 @@ from .formulas import (
     And, AtLeast, AtMost, Atom, Bottom, Formula, Not, Top,
     model_check, print_formula,
 )
-from .wts import (
-    ExtendedBound, NEG_INF, POS_INF, Wts, _assemble, _check_idents, format_bound,
-)
+from .wts import Wts, _assemble, _check_idents, format_rational
 
 __all__ = [
-    "Interval", "TableauNode", "Tableau", "Sat", "Unsat",
+    "TableauNode", "Tableau", "Sat", "Unsat",
     "Verdict", "ExtractionGapWarning", "entails",
     "build_tableau", "find_witness",
     "extract_model", "is_satisfiable", "is_valid", "tableau_to_json",
@@ -82,39 +81,6 @@ RULE_AND = "and"
 RULE_NEG_AND = "neg-and"
 RULE_NEG_NEG = "neg-neg"
 RULE_MOD = "mod"
-
-
-@record
-class Interval:
-    """One interval endpoint pair with open/closed flags.
-
-    An endpoint at -inf is necessarily open on the left, +inf open on the
-    right.  The interval is consistent when it is non-empty: lower below
-    upper, or equal with both ends closed.
-    """
-
-    __slots__ = ("lower", "lower_closed", "upper", "upper_closed")
-
-    def __init__(self, lower: ExtendedBound, lower_closed: bool,
-                 upper: ExtendedBound, upper_closed: bool):
-        # The flag and the type first: comparing a Fraction with a float
-        # infinity takes Fraction.__eq__'s slow path.
-        if lower_closed and type(lower) is float and lower == NEG_INF:
-            raise ValueError("interval cannot be closed at -inf")
-        if upper_closed and type(upper) is float and upper == POS_INF:
-            raise ValueError("interval cannot be closed at +inf")
-        fill(self, lower, lower_closed, upper, upper_closed)
-
-    @property
-    def is_consistent(self) -> bool:
-        return self.lower < self.upper or (
-            self.lower == self.upper and self.lower_closed and self.upper_closed
-        )
-
-    def __str__(self):
-        left = "[" if self.lower_closed else "("
-        right = "]" if self.upper_closed else ")"
-        return f"{left}{format_bound(self.lower)},{format_bound(self.upper)}{right}"
 
 
 # The search's interval ends are ranks in its query's bound table: the
@@ -129,12 +95,28 @@ RANK_INF = sys.maxsize
 START_ENDS = (0, 0, 0, 0)
 
 
-def _decode(table: tuple, lower: int, upper: int) -> Interval:
-    """The interval whose ends have ranks `lower` and `upper` in `table`."""
+def _at(table: tuple, rank: int, upper: bool = False) -> Fraction:
+    """The bound in `table` that a finite end of rank `rank` sits at: a
+    lower end at bound i is 2i or 2i+1, an upper end 2i or 2i-1."""
+    return table[(rank + upper) >> 1]
+
+
+def _interval(table: tuple, lower: int, upper: int) -> dict:
+    """The interval whose ends have ranks `lower` and `upper` in `table`,
+    as a dump writes it: each end's bound as text, and whether it is
+    closed.  An end at +inf is open."""
     if upper == RANK_INF:
-        return Interval(table[lower >> 1], not lower & 1, POS_INF, False)
-    return Interval(table[lower >> 1], not lower & 1,
-                    table[(upper + 1) >> 1], not upper & 1)
+        high, high_closed = "inf", False
+    else:
+        high, high_closed = format_rational(_at(table, upper, True)), not upper & 1
+    return {"lower": format_rational(_at(table, lower)), "lower_closed": not lower & 1,
+            "upper": high, "upper_closed": high_closed}
+
+
+def _bracketed(itv: dict) -> str:
+    """An interval as `repr` writes it: `[4,5)`, `(6,inf)`."""
+    return (("[" if itv["lower_closed"] else "(") + itv["lower"] + "," + itv["upper"]
+            + ("]" if itv["upper_closed"] else ")"))
 
 
 class TableauNode:
@@ -143,7 +125,7 @@ class TableauNode:
     of its two weight intervals as ranks in its query's bound table, the
     rule applied at it (if any), the children the search tried and
     whether the node is closed (has no model).  `min_interval` and
-    `max_interval` read the intervals back as rationals."""
+    `max_interval` read the intervals back as a dump writes them."""
 
     __slots__ = ("gamma", "ends", "table", "rule", "children", "closed")
 
@@ -164,14 +146,16 @@ class TableauNode:
         self.closed = closed
 
     @property
-    def min_interval(self) -> Interval:
-        """The interval of the least weight into the node's state."""
-        return _decode(self.table, self.ends[0], self.ends[1])
+    def min_interval(self) -> dict:
+        """The interval of the least weight into the node's state, as a
+        dump writes it."""
+        return _interval(self.table, self.ends[0], self.ends[1])
 
     @property
-    def max_interval(self) -> Interval:
-        """The interval of the greatest weight into the node's state."""
-        return _decode(self.table, self.ends[2], self.ends[3])
+    def max_interval(self) -> dict:
+        """The interval of the greatest weight into the node's state, as a
+        dump writes it."""
+        return _interval(self.table, self.ends[2], self.ends[3])
 
     @property
     def kind(self) -> str:
@@ -187,7 +171,7 @@ class TableauNode:
 
     def __repr__(self):
         body = ", ".join(print_formula(f) for f in self.gamma)
-        return f"<{{{body}}}, {self.min_interval}, {self.max_interval}>"
+        return f"<{{{body}}}, {_bracketed(self.min_interval)}, {_bracketed(self.max_interval)}>"
 
 
 @record
@@ -500,11 +484,11 @@ def extract_model(witness: TableauNode) -> tuple[Wts, str, bool]:
                 table = child.table
                 a, _, c, d = child.ends
                 assert not a & 1  # the least weight's interval is closed below
-                x, c = table[a >> 1], table[c >> 1]
+                x, c = _at(table, a), _at(table, c)
                 if d == RANK_INF:
                     y = max(x, c + 1)
                 else:
-                    d = table[(d + 1) >> 1]
+                    d = _at(table, d, True)
                     y = max(x, (d - c) / 2 + c)
                 fresh = f"s{next(counter)}"
                 labels[fresh] = set()
@@ -563,20 +547,11 @@ def is_valid(phi: Formula) -> bool:
     return _start(Not(phi)).closed
 
 
-def _interval_json(itv: Interval) -> dict:
-    return {
-        "lower": format_bound(itv.lower),
-        "lower_closed": itv.lower_closed,
-        "upper": format_bound(itv.upper),
-        "upper_closed": itv.upper_closed,
-    }
-
-
 def _node_json(node: TableauNode) -> dict:
     return {
         "gamma": [print_formula(f) for f in node.gamma],
-        "min_interval": _interval_json(node.min_interval),
-        "max_interval": _interval_json(node.max_interval),
+        "min_interval": node.min_interval,
+        "max_interval": node.max_interval,
         "kind": node.kind,
         "rule": node.rule,
         "closed": node.closed,

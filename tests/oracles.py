@@ -31,8 +31,13 @@ operand equivalent to an earlier survivor, then each survivor that
 another survivor entails.  Entailment is the one relation it is given.
 
 `encode_interval` writes an interval's ends as ranks in a bound table,
-from the definition of the tableau search's ranks; the search's +inf
-sentinel, `RANK_INF`, is the one name it takes from the package.
+from the definition of the tableau search's ranks, and `decode_interval`
+reads them back, as its inverse; the search's +inf sentinel,
+`RANK_INF`, is the one name they take from the package.  An interval is
+a tuple `(lower, lower_closed, upper, upper_closed)` here:
+`interval_json` writes it as a tableau dump does, and `interval_text` as
+a node's `repr` does.  `interval("[4,5)")` is the dump's form of an
+interval written as text.
 
 `reference_parse_wts` and `reference_model` are the model front end as it
 was before it checked whole lists at once: one Python step per state
@@ -57,7 +62,7 @@ attributes, the error message, or which parser's help text it returned.
 `DATACLASS_REFERENCES` holds, by class name, the dataclasses that the
 formula nodes and the tableau's and the soundness suite's records were
 before they became plain slotted records: the seven node classes as
-frozen, slotted dataclasses of their fields, and the seven records as
+frozen, slotted dataclasses of their fields, and the six records as
 they were written, bar `slots=True`, with the `__qualname__` of the
 package's class.  `reference_record` rebuilds a node or a record from
 them.
@@ -80,7 +85,7 @@ from wtl.formulas import (
 )
 from wtl.tableau import RANK_INF, TableauNode
 from wtl.wts import (
-    IDENT_RE, NEG_INF, POS_INF, ExtendedBound, format_bound, ModelError, _read_json_int, as_weight, decode_utf8,
+    IDENT_RE, POS_INF, format_bound, ModelError, _read_json_int, as_weight, decode_utf8,
     format_rational, parse_rational, read_rational,
 )
 
@@ -435,27 +440,30 @@ def commute(f: Formula, rng) -> Formula:
 
 def node_consistent(node) -> bool:
     """A tableau node's literals do not clash (no `false`, no `!true`, no
-    atom beside its negation), both weight intervals hold a value, and
-    some minimum weight from the one is at most some maximum weight from
-    the other."""
+    atom beside its negation), both weight intervals, as `decode_interval`
+    reads them from the node's ranks, hold a value, and some minimum
+    weight from the one is at most some maximum weight from the other."""
     gamma = set(node.gamma)
     if Bottom() in gamma or Not(Top()) in gamma:
         return False
     if any(Not(f) in gamma for f in gamma if isinstance(f, Atom)):
         return False
 
-    def holds_a_value(itv):
-        if itv.lower == itv.upper:
-            return itv.lower_closed and itv.upper_closed
-        return itv.lower < itv.upper
+    def holds_a_value(lower, lower_closed, upper, upper_closed):
+        if lower == upper:
+            return lower_closed and upper_closed
+        return lower < upper
 
-    low, high = node.min_interval, node.max_interval
-    if not (holds_a_value(low) and holds_a_value(high)):
+    a, b, c, d = node.ends
+    low, high = decode_interval(node.table, a, b), decode_interval(node.table, c, d)
+    if not (holds_a_value(*low) and holds_a_value(*high)):
         return False
-    # the least minimum, low.lower, against the greatest maximum, high.upper
-    if low.lower == high.upper:
-        return low.lower_closed and high.upper_closed
-    return low.lower < high.upper
+    # the least minimum, low's lower end, against the greatest maximum,
+    # high's upper end
+    (least, least_closed, _, _), (_, _, greatest, greatest_closed) = low, high
+    if least == greatest:
+        return least_closed and greatest_closed
+    return least < greatest
 
 
 def reference_minimal_operands(operands, entails) -> list:
@@ -473,14 +481,58 @@ def reference_minimal_operands(operands, entails) -> list:
     ]
 
 
-def encode_interval(table, itv) -> tuple[int, int]:
-    """The ends of `itv` as ranks in the sorted bound table `table`, which
+def encode_interval(table, itv: tuple) -> tuple[int, int]:
+    """The ends of the interval `itv`, `(lower, lower_closed, upper,
+    upper_closed)`, as ranks in the sorted bound table `table`, which
     holds each finite end: bound i closed is 2i, an open lower end at it
     2i+1 and an open upper end 2i-1, and +inf is RANK_INF."""
-    lower = 2 * table.index(itv.lower) + (0 if itv.lower_closed else 1)
-    if itv.upper == POS_INF:
-        return lower, RANK_INF
-    return lower, 2 * table.index(itv.upper) - (0 if itv.upper_closed else 1)
+    lower, lower_closed, upper, upper_closed = itv
+    low = 2 * table.index(lower) + (0 if lower_closed else 1)
+    if upper == POS_INF:
+        return low, RANK_INF
+    return low, 2 * table.index(upper) - (0 if upper_closed else 1)
+
+
+def decode_interval(table, lower: int, upper: int) -> tuple:
+    """The interval `(lower, lower_closed, upper, upper_closed)` whose ends
+    have ranks `lower` and `upper` in `table`: the inverse of
+    `encode_interval`.  An even rank 2i is bound i closed; an odd lower
+    end 2i+1 is bound i open, and an odd upper end 2i-1 bound i open."""
+    i, lower_open = divmod(lower, 2)
+    if upper == RANK_INF:
+        return table[i], not lower_open, POS_INF, False
+    j, upper_open = divmod(upper, 2)
+    return table[i], not lower_open, table[j + upper_open], not upper_open
+
+
+def interval_ends(text: str) -> tuple:
+    """The interval written `[4,5)` or `(6,inf)`, as `(lower,
+    lower_closed, upper, upper_closed)`."""
+    lower, upper = text[1:-1].split(",")
+    return (Fraction(lower), text[0] == "[",
+            POS_INF if upper == "inf" else Fraction(upper), text[-1] == "]")
+
+
+def interval_json(itv: tuple) -> dict:
+    """The interval `(lower, lower_closed, upper, upper_closed)` in the
+    form a tableau dump writes it."""
+    lower, lower_closed, upper, upper_closed = itv
+    return {"lower": format_bound(lower), "lower_closed": lower_closed,
+            "upper": format_bound(upper), "upper_closed": upper_closed}
+
+
+def interval(text: str) -> dict:
+    """The interval written `[4,5)` or `(6,inf)`, in the form a tableau
+    dump writes it."""
+    return interval_json(interval_ends(text))
+
+
+def interval_text(itv: tuple) -> str:
+    """The interval `(lower, lower_closed, upper, upper_closed)` written
+    as a node's `repr` writes it: `[4,5)`, `(6,inf)`."""
+    lower, lower_closed, upper, upper_closed = itv
+    return (f"{'[' if lower_closed else '('}{format_bound(lower)},"
+            f"{format_bound(upper)}{']' if upper_closed else ')'}")
 
 
 def reference_saturate(gamma) -> tuple:
@@ -702,39 +754,6 @@ def _dataclass_references() -> dict:
     dataclass, field = dataclasses.dataclass, dataclasses.field
 
     @dataclass(frozen=True, slots=True)
-    class Interval:
-        """One interval endpoint pair with open/closed flags.
-
-        An endpoint at -inf is necessarily open on the left, +inf open on the
-        right.  The interval is consistent when it is non-empty: lower below
-        upper, or equal with both ends closed.
-        """
-
-        lower: ExtendedBound
-        lower_closed: bool
-        upper: ExtendedBound
-        upper_closed: bool
-
-        def __post_init__(self):
-            # The flag and the type first: comparing a Fraction with a float
-            # infinity takes Fraction.__eq__'s slow path.
-            if self.lower_closed and type(self.lower) is float and self.lower == NEG_INF:
-                raise ValueError("interval cannot be closed at -inf")
-            if self.upper_closed and type(self.upper) is float and self.upper == POS_INF:
-                raise ValueError("interval cannot be closed at +inf")
-
-        @property
-        def is_consistent(self) -> bool:
-            return self.lower < self.upper or (
-                self.lower == self.upper and self.lower_closed and self.upper_closed
-            )
-
-        def __str__(self):
-            left = "[" if self.lower_closed else "("
-            right = "]" if self.upper_closed else ")"
-            return f"{left}{format_bound(self.lower)},{format_bound(self.upper)}{right}"
-
-    @dataclass(frozen=True, slots=True)
     class Tableau:
         root: TableauNode
 
@@ -810,7 +829,7 @@ def _dataclass_references() -> dict:
                 "schemas": [self.schemas[n].as_dict() for n in sorted(self.schemas)],
             }
 
-    classes = [Interval, Tableau, Sat, Unsat, Schema, SchemaReport, SuiteReport]
+    classes = [Tableau, Sat, Unsat, Schema, SchemaReport, SuiteReport]
     for cls in classes:
         cls.__qualname__ = cls.__name__
     nodes = [("Atom", ["name"]), ("Top", []), ("Bottom", []), ("Not", ["operand"]),

@@ -11,7 +11,7 @@ from fractions import Fraction as F
 from itertools import combinations
 
 from wtl import (
-    And, AtLeast, AtMost, Atom, ExtractionGapWarning, Interval, Not, POS_INF,
+    And, AtLeast, AtMost, Atom, ExtractionGapWarning, Not,
     Sat, Unsat, build_tableau, conjoin, distinguishing_formula,
     generalized_bisimilarity, is_satisfiable, model_check, parse_formula,
     parse_wts, print_formula, random_formula, random_wts, run_suite, sat_set,
@@ -21,7 +21,7 @@ from wtl.cli import run as cli_run
 
 from conftest import make_coarse_pair_model, make_vacuum_model
 from oracles import (
-    bounded_model_search, commute, is_bound_bisimulation,
+    bounded_model_search, commute, interval, is_bound_bisimulation,
     is_exact_bisimulation, naive_coarsest,
 )
 
@@ -81,11 +81,11 @@ def test_criterion_04_modal_rule_children_exact():
     assert len(children) == 2
     first, second = children
     assert first.gamma == (And(p1, p2),)
-    assert first.min_interval == Interval(F(4), True, F(5), False)
-    assert first.max_interval == Interval(F(0), True, POS_INF, False)
+    assert first.min_interval == interval("[4,5)")
+    assert first.max_interval == interval("[0,inf)")
     assert second.gamma == (p3,)
-    assert second.min_interval == Interval(F(0), True, POS_INF, False)
-    assert second.max_interval == Interval(F(6), False, POS_INF, False)
+    assert second.min_interval == interval("[0,inf)")
+    assert second.max_interval == interval("(6,inf)")
     report(4, "modal rule yields {p1&p2, p3} with [4,5)/[0,inf) and [0,inf)/(6,inf)")
 
 
@@ -186,9 +186,8 @@ def test_criterion_10_logical_equivalence_matches_bisimilarity():
     for i in range(20):
         m = random_wts(31000 + i, 6, 3, pool, ["p1", "p2"])
         partition = generalized_bisimilarity(m)
-        cache: dict = {}
         satsets = [
-            sat_set(m, random_formula(91000 + 997 * i + j, ["p1", "p2"], 2, pool), cache)
+            sat_set(m, random_formula(91000 + 997 * i + j, ["p1", "p2"], 2, pool))
             for j in range(500)
         ]
         for a, b in combinations(sorted(m.states), 2):

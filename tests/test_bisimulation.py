@@ -320,9 +320,8 @@ def test_hennessy_milner_desk_check_small():
             assert blocks == sorted(sorted(b) for b in blocks), i
             assert block_of == {s: k for k, b in enumerate(blocks) for s in b}, i
         partition = history[-1][1]
-        cache: dict = {}
         satsets = [
-            sat_set(m, random_formula(91000 + 997 * i + j, ["p1", "p2"], 2, POOL), cache)
+            sat_set(m, random_formula(91000 + 997 * i + j, ["p1", "p2"], 2, POOL))
             for j in range(200)
         ]
         for a, b in combinations(sorted(m.states), 2):

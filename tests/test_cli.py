@@ -318,6 +318,9 @@ def test_usage_errors_are_json(tmp_path):
         assert type(f) is Not
         f = f.operand
     assert f == Atom("p")
+    # so is a chain of arrows: `fmt` prints 1,200 of them
+    code, out, err = run(["fmt", "--formula", " -> ".join(["p"] * 1201)])
+    assert (code, err) == (0, "") and out.startswith("!(p & !!(p & ")
     # an attached `--` is the value `--` on every Python version, in the
     # error text too
     for argv in (["axioms", "--seed=--", "--trials", "1"], ["axioms", "--se=--", "--trials", "1"]):

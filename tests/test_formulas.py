@@ -251,19 +251,36 @@ def _reference_message(text: str, message: str) -> str:
     return message
 
 
-def test_parser_agrees_with_the_reference_parser():
-    rng = random.Random(20261018)
-    parsed = failed = 0
+def _texts(rng):
+    """Parser inputs: printed formulas with a few pieces put in, so that
+    most of these parse, or fail deep inside; strings of pieces; then
+    chains of printed formulas joined by `->` and `<->`, in any mix, some
+    with a piece put in."""
     for case in range(24000):
         if case % 3 == 0:
-            # A printed formula with a few pieces put in, so that most of
-            # these parse, or fail deep inside.
             text = print_formula(random_formula(case, ["p", "q"], 3, POOL))
             for _ in range(rng.choice([0, 0, 1, 2])):
                 at = rng.randrange(len(text) + 1)
                 text = text[:at] + rng.choice(_PIECES) + text[at:]
         else:
             text = "".join(rng.choice(_PIECES) for _ in range(rng.randrange(13)))
+        yield text
+    for case in range(1500):
+        parts = [print_formula(random_formula(case + 24000, ["p", "q"], 1, POOL))
+                 for _ in range(rng.randint(1, 8))]
+        text = parts[0]
+        for part in parts[1:]:
+            text += rng.choice([" -> ", " <-> ", "->", "<->"]) + part
+        if case % 4 == 0:
+            at = rng.randrange(len(text) + 1)
+            text = text[:at] + rng.choice(_PIECES) + text[at:]
+        yield text
+
+
+def test_parser_agrees_with_the_reference_parser():
+    rng = random.Random(20261018)
+    parsed = failed = chains = 0
+    for text in _texts(rng):
         try:
             expected = reference_parse_formula(text)
         except FormulaError as e:
@@ -276,7 +293,25 @@ def test_parser_agrees_with_the_reference_parser():
             assert f == expected, text
             assert hash(f) == hash(expected) == _tuple_hash(f), text
             parsed += 1
-    assert parsed > 5000 and failed > 5000
+            chains += text.count("->") >= 3
+    assert parsed > 5000 and failed > 5000 and chains > 500
+
+
+def test_a_chain_of_arrows_parses_in_one_loop():
+    # arrows group to the right, `<->` and `->` alike
+    for text, grouped in [("a <-> b -> c", "a <-> (b -> c)"),
+                          ("a -> b <-> c", "a -> (b <-> c)"),
+                          ("a | b -> c & d <-> e", "(a | b) -> ((c & d) <-> e)")]:
+        assert parse_formula(text) == parse_formula(grouped)
+    # `p -> p -> ... -> p` is `!(p & !!(p & ...))`; its tree is walked in
+    # a loop, as `==` recurses
+    f = parse_formula(" -> ".join(["p"] * 100_001))
+    for _ in range(100_000):
+        assert type(f) is Not and type(f.operand) is And and f.operand.left == Atom("p")
+        f = f.operand.right
+        assert type(f) is Not
+        f = f.operand
+    assert f == Atom("p")
 
 
 def test_print_round_trip_fixed():

@@ -10,12 +10,11 @@ from fractions import Fraction as F
 import pytest
 
 from wtl import (
-    POS_INF, SCHEMAS, Interval, Schema, SchemaReport, SuiteReport, Unsat,
+    SCHEMAS, Sat, Schema, SchemaReport, SuiteReport, Unsat,
     build_tableau, parse_formula, print_formula, random_formula, run_suite,
 )
 from wtl.formulas import Formula
 from wtl.tableau import Tableau, _verdict_of
-from wtl.wts import NEG_INF
 from oracles import DATACLASS_REFERENCES, commute, reference_record
 
 POOL = [F(0), F(1, 2), F(1), F(2), F(3)]
@@ -97,26 +96,6 @@ def test_formula_nodes_behave_as_their_dataclasses():
     assert sum(x == y for x in corpus[:90] for y in corpus[:90] if x is not y) > 90
 
 
-def test_intervals_of_explored_tableaux_behave_as_their_dataclass():
-    intervals = []
-    for phi in _formulas(60, 26)[::3]:
-        for node in _walk(build_tableau(phi).root):
-            intervals += [node.min_interval, node.max_interval]
-    assert len(set(intervals)) > 5 and any(i.upper == POS_INF for i in intervals)
-    _check_like_reference(intervals)
-    for i in intervals:
-        assert i.is_consistent == reference_record(i).is_consistent
-    ref = DATACLASS_REFERENCES["Interval"]
-    assert Interval(upper=F(2), lower=F(1), upper_closed=True, lower_closed=False) \
-        == Interval(F(1), False, F(2), True)
-    for args in [(NEG_INF, True, F(0), False), (F(0), True, POS_INF, True)]:
-        with pytest.raises(ValueError) as want:
-            ref(*args)
-        with pytest.raises(ValueError) as got:
-            Interval(*args)
-        assert str(got.value) == str(want.value)
-
-
 def test_verdicts_and_tableaux_behave_as_their_dataclasses():
     corpus = _formulas(60, 27)[::3]
     tableaux = [build_tableau(phi) for phi in corpus]
@@ -177,12 +156,11 @@ def test_records_construct_with_their_defaults():
     lambda: parse_formula("!p"),
     lambda: parse_formula("true"),
     lambda: parse_formula("false"),
-    lambda: Interval(F(0), True, POS_INF, False),
     lambda: build_tableau(parse_formula("p")),
     lambda: _verdict_of(build_tableau(parse_formula("L[1] p")).root),
     lambda: Unsat(),
     lambda: SCHEMAS["A1"],
-], ids=["AtLeast", "AtMost", "And", "Not", "Top", "Bottom", "Interval", "Tableau",
+], ids=["AtLeast", "AtMost", "And", "Not", "Top", "Bottom", "Tableau",
         "Sat", "Unsat", "Schema"])
 def test_frozen_records_refuse_assignment_and_deletion(make):
     """Every node and frozen record refuses to assign or delete a field,
@@ -200,16 +178,16 @@ def test_frozen_records_refuse_assignment_and_deletion(make):
     assert repr(x) == before
 
 
-@pytest.mark.parametrize("state", [
-    {"lower": F(0), "lower_closed": True, "upper": POS_INF, "upper_closed": False},
-    [F(0), True, POS_INF],
-    None,
+@pytest.mark.parametrize("state_of", [
+    lambda v: {"model": v.model, "state": v.state, "verified": v.verified},
+    lambda v: [v.model, v.state],
+    lambda v: None,
 ], ids=["dataclass-dict", "short-list", "none"])
-def test_frozen_records_refuse_state_of_another_shape(state):
-    """A pickle of the old `Interval` dataclass holds its `__dict__`; it
-    is refused, not read back with the field names as the values."""
-    x = Interval.__new__(Interval)
-    with pytest.raises(TypeError, match="cannot restore Interval from state"):
-        x.__setstate__(state)
-    itv = Interval(F(0), True, POS_INF, False)
-    assert pickle.loads(pickle.dumps(itv)) == itv
+def test_frozen_records_refuse_state_of_another_shape(state_of):
+    """A pickle of the old `Sat` dataclass holds its `__dict__`; it is
+    refused, not read back with the field names as the values."""
+    verdict = _verdict_of(build_tableau(parse_formula("L[1] p")).root)
+    x = Sat.__new__(Sat)
+    with pytest.raises(TypeError, match="cannot restore Sat from state"):
+        x.__setstate__(state_of(verdict))
+    assert pickle.loads(pickle.dumps(verdict)) == verdict

@@ -6,18 +6,17 @@ import warnings
 from collections import Counter
 from fractions import Fraction as F
 
-import pytest
-
 import wtl.tableau
 from wtl import (
-    And, AtLeast, AtMost, Atom, Bottom, ExtractionGapWarning, Interval, Not,
+    And, AtLeast, AtMost, Atom, Bottom, ExtractionGapWarning, Not,
     POS_INF, Sat, Top, Unsat, build_tableau, conjoin, entails,
     extract_model, find_witness, is_satisfiable, is_valid, lor,
     model_check, parse_formula, print_formula, random_formula, random_wts,
     serialize_wts, tableau_to_json,
 )
 from oracles import (
-    bounded_model_search, commute, encode_interval, node_consistent,
+    bounded_model_search, commute, decode_interval, encode_interval, interval,
+    interval_ends, interval_json, interval_text, node_consistent,
     reference_minimal_operands, reference_saturate,
 )
 
@@ -57,22 +56,16 @@ def modal_node(gamma):
 
 # ---------------------------------------------------------------- intervals
 
-def test_interval_consistency():
-    assert Interval(F(0), True, F(0), True).is_consistent
-    assert Interval(F(4), True, F(5), False).is_consistent
-    assert not Interval(F(4), True, F(3), False).is_consistent
-    assert not Interval(F(4), True, F(4), False).is_consistent
-    assert Interval(F(6), False, POS_INF, False).is_consistent
-
-
-def test_interval_infinite_ends_must_be_open():
-    with pytest.raises(ValueError):
-        Interval(F(0), True, POS_INF, True)
-
-
 def test_interval_str():
-    assert str(Interval(F(4), True, F(5), False)) == "[4,5)"
-    assert str(Interval(F(6), False, POS_INF, False)) == "(6,inf)"
+    # a node's repr writes its intervals in brackets, as criterion 04's
+    # modal children have them
+    node = modal_node(
+        (P1, P2, AtLeast(2, P1), AtLeast(4, And(P1, P2)), AtLeast(0, P3),
+         Not(AtLeast(5, P2)), Not(AtMost(6, P3)))
+    )
+    first, second = node.children
+    assert repr(first) == "<{(p1 & p2)}, [4,5), [0,inf)>"
+    assert repr(second) == "<{p3}, [0,inf), (6,inf)>"
 
 
 # --------------------------------------------------------------- entailment
@@ -167,11 +160,11 @@ def test_mod_children_two_minimal_operands():
     )
     first, second = node.children
     assert first.gamma == (And(P1, P2),)
-    assert first.min_interval == Interval(F(4), True, F(5), False)
-    assert first.max_interval == Interval(F(0), True, POS_INF, False)
+    assert first.min_interval == interval("[4,5)")
+    assert first.max_interval == interval("[0,inf)")
     assert second.gamma == (P3,)
-    assert second.min_interval == Interval(F(0), True, POS_INF, False)
-    assert second.max_interval == Interval(F(6), False, POS_INF, False)
+    assert second.min_interval == interval("[0,inf)")
+    assert second.max_interval == interval("(6,inf)")
     assert not node.closed and not first.closed and not second.closed
 
 
@@ -197,15 +190,15 @@ def test_mod_children_merges_duplicate_operands():
     node = modal_node((AtLeast(2, P1), AtMost(5, P1)))
     (child,) = node.children
     assert child.gamma == (P1,)
-    assert child.min_interval == Interval(F(2), True, POS_INF, False)
-    assert child.max_interval == Interval(F(0), True, F(5), True)
+    assert child.min_interval == interval("[2,inf)")
+    assert child.max_interval == interval("[0,5]")
 
 
 def test_modal_children_stop_at_the_first_closed_one():
     node = modal_node((P1, AtLeast(4, P1), Not(AtLeast(3, P1)), AtLeast(2, P2)))
     (child,) = node.children
     assert child.gamma == (P1,)
-    assert child.min_interval == Interval(F(4), True, F(3), False)
+    assert child.min_interval == interval("[4,3)")
     assert child.closed and node.closed and child.children == ()
 
 
@@ -214,8 +207,8 @@ def test_modal_children_stop_at_the_first_closed_one():
 def test_root_shape():
     t = build_tableau(P1)
     assert t.root.gamma == (P1,)
-    assert t.root.min_interval == Interval(F(0), True, F(0), True)
-    assert t.root.max_interval == Interval(F(0), True, F(0), True)
+    assert t.root.min_interval == interval("[0,0]")
+    assert t.root.max_interval == interval("[0,0]")
     assert t.root.kind == "leaf"
 
 
@@ -252,37 +245,50 @@ def test_unsat_conflicting_thresholds_tree():
 
 # ------------------------------------------------------------- consistency
 
-ZERO = Interval(F(0), True, F(0), True)
+ZERO = interval_ends("[0,0]")
 
 
 def search_at(gamma, min_itv, max_itv, table=None):
-    """The search's node of the literal set `gamma` at two intervals, their
-    ends encoded as ranks in `table`: by default the sorted finite ends
-    and 0."""
+    """The search's node of the literal set `gamma` at two intervals, each
+    `(lower, lower_closed, upper, upper_closed)`, their ends encoded as
+    ranks in `table`: by default the sorted finite ends and 0."""
     if table is None:
-        ends = {end for itv in (min_itv, max_itv) for end in (itv.lower, itv.upper)}
+        ends = {end for itv in (min_itv, max_itv) for end in (itv[0], itv[2])}
         table = tuple(sorted((ends | {F(0)}) - {POS_INF}))
     query = wtl.tableau._Query(table, {})
     ends = encode_interval(table, min_itv) + encode_interval(table, max_itv)
     return wtl.tableau._search(gamma, ends, query)
 
 
+def printed(read):
+    """What `read()` gives, or the text of the `ValueError` it raises: a
+    bound past the digit limit has no text."""
+    try:
+        return read()
+    except ValueError as e:
+        return str(e)
+
+
 def closed(gamma, min_itv=ZERO, max_itv=ZERO, table=None):
     """Whether the search closes the node of a literal set, which has no
-    children: the node reads both intervals back, and the
-    clash-and-interval oracle must say the same."""
+    children: the oracle reads both intervals back from the node's ranks,
+    the node reads them as a dump writes them (or refuses a bound past
+    the digit limit alike), and the clash-and-interval oracle must say
+    what the search does."""
     node = search_at(gamma, min_itv, max_itv, table)
     assert node.children == ()
-    assert (node.min_interval, node.max_interval) == (min_itv, max_itv)
+    a, b, c, d = node.ends
+    assert (decode_interval(node.table, a, b), decode_interval(node.table, c, d)) \
+        == (min_itv, max_itv)
+    assert printed(lambda: (node.min_interval, node.max_interval)) \
+        == printed(lambda: (interval_json(min_itv), interval_json(max_itv)))
     assert node_consistent(node) is not node.closed
     return node.closed
 
 
 def test_node_consistent_cases():
-    assert not closed((P1, P2), Interval(F(4), True, F(5), False),
-                      Interval(F(0), True, POS_INF, False))
-    assert closed((P1,), Interval(F(4), True, F(3), False),
-                  Interval(F(0), True, POS_INF, False))
+    assert not closed((P1, P2), interval_ends("[4,5)"), interval_ends("[0,inf)"))
+    assert closed((P1,), interval_ends("[4,3)"), interval_ends("[0,inf)"))
     assert closed((P1, Not(P1)))
     assert closed((Bottom(),))
     assert closed((Not(Top()),))
@@ -291,11 +297,11 @@ def test_node_consistent_cases():
 
 def test_node_consistent_cross_condition():
     # least possible minimum must not exceed greatest possible maximum
-    crossing = Interval(F(3), True, POS_INF, False), Interval(F(0), True, F(2), True)
+    crossing = interval_ends("[3,inf)"), interval_ends("[0,2]")
     assert closed((P1,), *crossing)
-    touching = Interval(F(2), True, POS_INF, False), Interval(F(0), True, F(2), True)
+    touching = interval_ends("[2,inf)"), interval_ends("[0,2]")
     assert not closed((P1,), *touching)
-    open_touch = Interval(F(2), True, POS_INF, False), Interval(F(0), True, F(2), False)
+    open_touch = interval_ends("[2,inf)"), interval_ends("[0,2)")
     assert closed((P1,), *open_touch)
 
 
@@ -325,24 +331,58 @@ def test_rank_encoding_reads_back_and_decides_as_the_oracle():
         tables.append(query.table)
     touched = F(0), F(2), F(3), F(4)
     pairs = [
-        (touched, Interval(F(4), True, F(3), False), Interval(F(0), True, POS_INF, False)),
-        (touched, Interval(F(2), True, POS_INF, False), Interval(F(0), True, F(2), True)),
-        (touched, Interval(F(2), True, POS_INF, False), Interval(F(0), True, F(2), False)),
+        (touched, interval_ends("[4,3)"), interval_ends("[0,inf)")),
+        (touched, interval_ends("[2,inf)"), interval_ends("[0,2]")),
+        (touched, interval_ends("[2,inf)"), interval_ends("[0,2)")),
     ]
     for table in tables:
         for _ in range(40):
             itvs = []
             for _ in range(2):
                 upper = rng.choice(table + (POS_INF,))
-                itvs.append(Interval(rng.choice(table), rng.random() < 0.5,
-                                     upper, upper != POS_INF and rng.random() < 0.5))
+                itvs.append((rng.choice(table), rng.random() < 0.5,
+                             upper, upper != POS_INF and rng.random() < 0.5))
             pairs.append((table, *itvs))
     verdicts = Counter()
     for table, min_itv, max_itv in pairs:
-        # the node decodes both intervals exactly, and the int test closes
-        # it exactly when the oracle finds the intervals inconsistent
+        # the oracle decodes both intervals exactly from the node's ranks,
+        # and the int test closes it exactly when the oracle finds the
+        # intervals inconsistent
         verdicts[closed((P1,), min_itv, max_itv, table)] += 1
     assert verdicts[True] > 500 and verdicts[False] > 500
+
+
+def test_node_intervals_dump_and_repr_agree_with_the_oracle():
+    # one decoder reads a node's ranks for `min_interval`, `max_interval`,
+    # the dump and `repr`: each must give the oracle's decoding, which
+    # encodes back to the node's ends
+    pool = [F(0), F(1, 2), F(1), F(2), F(7, 3)]
+    nodes = open_uppers = 0
+    for seed in range(200):
+        # a random formula beside bounds of each kind on random operands,
+        # so that every end is met closed and open
+        rng = random.Random(seed)
+        f, g, h = (random_formula(3 * seed + k + 30000, ["p", "q", "r"], seed % 3, pool)
+                   for k in range(3))
+        parts = [h, AtLeast(rng.choice(pool), f), Not(AtLeast(rng.choice(pool), f)),
+                 AtMost(rng.choice(pool), g), Not(AtMost(rng.choice(pool), g))]
+        tableau = build_tableau(conjoin(rng.sample(parts, rng.randint(2, 5))))
+        stack = [(tableau.root, tableau_to_json(tableau))]
+        while stack:
+            node, dumped = stack.pop()
+            a, b, c, d = node.ends
+            low, high = decode_interval(node.table, a, b), decode_interval(node.table, c, d)
+            assert encode_interval(node.table, low) + encode_interval(node.table, high) \
+                == node.ends
+            want = interval_json(low), interval_json(high)
+            assert (node.min_interval, node.max_interval) == want
+            assert (dumped["min_interval"], dumped["max_interval"]) == want
+            body = ", ".join(print_formula(f) for f in node.gamma)
+            assert repr(node) == f"<{{{body}}}, {interval_text(low)}, {interval_text(high)}>"
+            nodes += 1
+            open_uppers += sum(not shut and end != POS_INF for _, _, end, shut in (low, high))
+            stack.extend(zip(node.children, dumped["children"]))
+    assert nodes > 800 and open_uppers > 100, (nodes, open_uppers)
 
 
 def test_no_fraction_code_runs_below_the_search_start():
@@ -561,10 +601,10 @@ def test_modal_children_start_with_the_non_branching_rules():
     first, second = modal.children
     assert (first.rule, first.gamma) == ("and", (And(p, q),))
     assert (second.rule, second.gamma) == ("neg-neg", (Not(Not(r)),))
-    unbounded = Interval(F(0), True, POS_INF, False)
+    unbounded = interval("[0,inf)")
     for wrapper, gamma, min_itv, max_itv in [
-        (first, (p, q), Interval(F(1), True, POS_INF, False), unbounded),
-        (second, (r,), unbounded, Interval(F(0), True, F(2), True)),
+        (first, (p, q), interval("[1,inf)"), unbounded),
+        (second, (r,), unbounded, interval("[0,2]")),
     ]:
         (child,) = wrapper.children
         assert child.rule is None and child.gamma == gamma and child.children == ()
@@ -759,8 +799,8 @@ def test_mod_child_min_intervals_are_closed_finite():
     def check(node):
         if node.kind == "modal":
             for child in node.children:
-                assert child.min_interval.lower_closed
-                assert isinstance(child.min_interval.lower, F)
+                assert child.min_interval["lower_closed"]
+                assert "inf" not in child.min_interval["lower"]
         for child in node.children:
             check(child)
 
