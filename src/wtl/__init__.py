@@ -20,7 +20,7 @@ from .formulas import (
 )
 from .bisimulation import (
     Partition, are_bisimilar, distinguishing_formula, generalized_bisimilarity,
-    quotient_model, weighted_bisimilarity,
+    minimize, quotient_model, weighted_bisimilarity,
 )
 from .axioms import (
     DEFAULT_INDEX_POOL, SCHEMAS, Schema, SchemaReport, SideConditionError,

@@ -16,11 +16,19 @@ all current blocks, and splits every block by signature, until a round
 splits nothing.  A round is plain data: its blocks as sorted lists in a
 canonical order (by least member, so runs are deterministic) and a dict
 from each state to its block's number.  The loop keeps only the current
-round, and the partition callers get one `Partition`, built from the
-last; `distinguishing_formula` alone keeps every round.  Signatures hold
-block numbers and weight ranks (`Wts.weights`), not rationals, so they
-hash and compare as ints; the quotient and the distinguishing formulas
-map ranks back to weights.
+round, and the partition callers read their answer off the last: a
+`Partition` that takes the round's lists and dict as they are, with no
+re-sort and no re-index.  `distinguishing_formula` alone keeps every
+round.  Signatures hold block numbers and weight ranks (`Wts.weights`),
+not rationals, so they hash and compare as ints; the quotient and the
+distinguishing formulas map ranks back to weights.
+
+The last round's split pass finds one signature per block, and a block's
+bound signature is its quotient state's out-edges: `minimize` builds the
+quotient from those signatures, with no second pass over the states.
+`quotient_model`, given a partition from a caller, checks it with that
+same split pass, by labels and bounds, once over its blocks: a bound
+bisimulation is exactly a partition that the pass splits nowhere.
 
 A distinguishing formula is built from the rounds of bound refinement:
 one memoized separator per state pair, which probes a block toward which
@@ -38,7 +46,7 @@ from .wts import NEG_INF, POS_INF, Wts, _assemble
 
 __all__ = [
     "Partition", "generalized_bisimilarity", "weighted_bisimilarity",
-    "are_bisimilar", "quotient_model", "distinguishing_formula",
+    "are_bisimilar", "minimize", "quotient_model", "distinguishing_formula",
 ]
 
 # Bounds toward a block a state does not reach: those of an empty image.
@@ -48,21 +56,31 @@ _UNREACHED = (NEG_INF, POS_INF)
 class Partition:
     """Disjoint non-empty blocks covering a model's states."""
 
-    __slots__ = ("blocks", "_index")
+    __slots__ = ("blocks", "_lists", "_index")
 
     def __init__(self, blocks):
-        blocks = [frozenset(b) for b in blocks]
-        self.blocks: tuple[frozenset[str], ...] = tuple(
-            sorted(blocks, key=lambda b: min(b))
-        )
+        lists = [sorted(set(b)) for b in blocks]
+        if not all(lists):
+            raise ValueError("empty block")
+        lists.sort(key=lambda block: block[0])
+        self._lists = lists
+        self.blocks: tuple[frozenset[str], ...] = tuple(map(frozenset, lists))
         self._index: dict[str, int] = {}
-        for i, block in enumerate(self.blocks):
-            if not block:
-                raise ValueError("empty block")
+        for i, block in enumerate(lists):
             for s in block:
                 if s in self._index:
                     raise ValueError(f"state {s!r} in two blocks")
                 self._index[s] = i
+
+    @classmethod
+    def _of_round(cls, blocks: list[list[str]], block_of: dict[str, int]) -> "Partition":
+        """The partition of a refinement round, whose blocks are already
+        sorted lists in canonical order and whose dict numbers them: both
+        are kept as they are."""
+        p = cls.__new__(cls)
+        p._lists, p._index = blocks, block_of
+        p.blocks = tuple(map(frozenset, blocks))
+        return p
 
     def block_of(self, s: str) -> frozenset[str]:
         return self.blocks[self._index[s]]
@@ -75,7 +93,7 @@ class Partition:
         return all(b <= other.block_of(min(b)) for b in self.blocks)
 
     def as_lists(self) -> list[list[str]]:
-        return [sorted(b) for b in self.blocks]
+        return list(map(list, self._lists))
 
     def __eq__(self, other):
         if not isinstance(other, Partition):
@@ -99,6 +117,26 @@ def _exact_signature(m: Wts, block_of: dict, s: str):
     return frozenset((r, block_of[dst]) for r, dst in m._out[s])
 
 
+def _labelled_signature(m: Wts, block_of: dict, s: str):
+    """The labels of `s` and its bound signature: what a bound
+    bisimulation's block shares."""
+    return m.labels[s], _bound_signature(m, block_of, s)
+
+
+def _split(m: Wts, signature, blocks: list, block_of: dict) -> tuple[list, list]:
+    """One split pass: each block's states grouped by `signature`, the
+    groups of a block in the order of their least members, and beside
+    them each group's signature."""
+    split, signatures = [], []
+    for block in blocks:
+        groups: dict = {}
+        for s in block:
+            groups.setdefault(signature(m, block_of, s), []).append(s)
+        split.extend(groups.values())
+        signatures.extend(groups)
+    return split, signatures
+
+
 def _rounds(m: Wts, signature):
     """The rounds of refinement by `signature`, coarsest first: the
     partition by labels, then each round's split of the one before, and
@@ -106,10 +144,12 @@ def _rounds(m: Wts, signature):
 
     A round is its blocks, each a sorted list, in canonical order, and a
     dict from each state to its block's number.  A round only splits
-    blocks, so an unchanged block count means nothing split.  Only the
-    current round is kept, so a caller that wants the fixpoint holds
-    O(states) however many rounds there are; one that wants every round
-    (the separators) keeps them itself.
+    blocks, so an unchanged block count means nothing split; then the
+    generator returns the signatures of that last split, one per block of
+    the fixpoint, in its order.  Only the current round is kept, so a
+    caller that wants the fixpoint holds O(states) however many rounds
+    there are; one that wants every round (the separators) keeps them
+    itself.
     """
     groups: dict = {}
     for s in sorted(m.states):
@@ -118,44 +158,71 @@ def _rounds(m: Wts, signature):
     while True:
         block_of = {s: i for i, block in enumerate(blocks) for s in block}
         yield blocks, block_of
-        split = []
-        for block in blocks:
-            groups = {}
-            for s in block:
-                groups.setdefault(signature(m, block_of, s), []).append(s)
-            split.extend(groups.values())
+        split, signatures = _split(m, signature, blocks, block_of)
         if len(split) == len(blocks):
-            return
+            return signatures
         blocks = sorted(split, key=lambda block: block[0])
 
 
-def _coarsest(m: Wts, signature) -> Partition:
-    """The last of `_rounds`: the coarsest partition stable under
-    `signature`."""
-    for blocks, _ in _rounds(m, signature):
-        pass
-    return Partition(blocks)
+def _fixpoint(m: Wts, signature) -> tuple[list, dict, list]:
+    """The last of `_rounds`, the coarsest partition stable under
+    `signature`: its blocks, its dict, and each block's signature."""
+    rounds = _rounds(m, signature)
+    while True:
+        try:
+            blocks, block_of = next(rounds)
+        except StopIteration as end:
+            return blocks, block_of, end.value
+
+
+def _quotient(m: Wts, blocks: list, signatures) -> Wts:
+    """The quotient of `m` by a bound bisimulation, given as its blocks
+    (sorted lists in canonical order) and each block's bound signature:
+    one state per block, named by its least member, with the block's least
+    and greatest weight toward every block it reaches."""
+    reps = [block[0] for block in blocks]
+    ids: dict[int, int] = {}  # rank in m.weights -> index in the quotient's
+    edges = []
+    for rep, bounds in zip(reps, signatures):
+        for target, (lo, hi) in bounds:
+            edges.append((rep, ids.setdefault(lo, len(ids)), reps[target]))
+            edges.append((rep, ids.setdefault(hi, len(ids)), reps[target]))
+    labels = {rep: m.labels[rep] for rep in reps}
+    return _assemble(frozenset(reps), labels, list(map(m.weights.__getitem__, ids)), edges)
 
 
 def generalized_bisimilarity(m: Wts) -> Partition:
     """Coarsest partition with equal labels and equal min/max weight
     toward every block."""
-    return _coarsest(m, _bound_signature)
+    blocks, block_of, _ = _fixpoint(m, _bound_signature)
+    return Partition._of_round(blocks, block_of)
 
 
 def weighted_bisimilarity(m: Wts) -> Partition:
     """Coarsest partition under exact zig-zag matching of weights."""
-    return _coarsest(m, _exact_signature)
+    blocks, block_of, _ = _fixpoint(m, _exact_signature)
+    return Partition._of_round(blocks, block_of)
 
 
 def are_bisimilar(m: Wts, s: str, t: str, flavor: str = "generalized") -> bool:
     m._require_state(s)
     m._require_state(t)
     if flavor == "generalized":
-        return generalized_bisimilarity(m).same_block(s, t)
-    if flavor == "weighted":
-        return weighted_bisimilarity(m).same_block(s, t)
-    raise ValueError(f"unknown flavor {flavor!r}")
+        signature = _bound_signature
+    elif flavor == "weighted":
+        signature = _exact_signature
+    else:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    block_of = _fixpoint(m, signature)[1]
+    return block_of[s] == block_of[t]
+
+
+def minimize(m: Wts) -> tuple[Partition, Wts]:
+    """The coarsest bound bisimulation of `m` and the quotient by it, both
+    read off the refinement's last round, whose split found each block's
+    signature: the quotient state's out-edges."""
+    blocks, block_of, signatures = _fixpoint(m, _bound_signature)
+    return Partition._of_round(blocks, block_of), _quotient(m, blocks, signatures)
 
 
 def quotient_model(m: Wts, p: Partition) -> Wts:
@@ -164,24 +231,18 @@ def quotient_model(m: Wts, p: Partition) -> Wts:
 
     The partition must be a bound bisimulation for `m` (e.g. the output of
     generalized_bisimilarity): every state must carry the labels and the
-    bounds of its block's least member, which names the block state.
+    bounds of its block's least member, which names the block state.  One
+    split pass of the refinement, by labels and bounds, checks that: it
+    must find a single signature per block of `p`, and those signatures
+    are the quotient's edges.  `minimize` gives the partition and the
+    quotient with no check, from the refinement's own last pass.
     """
-    if set(p._index) != set(m.states):
+    if p._index.keys() != m.states:
         raise ValueError("partition does not cover the model's states")
-    reps = [min(block) for block in p.blocks]
-    labels = {rep: m.labels[rep] for rep in reps}
-    ids: dict[int, int] = {}  # rank in m.weights -> index in the quotient's
-    edges = []
-    for block, rep in zip(p.blocks, reps):
-        bounds = m.bounds_by_block(rep, p._index)
-        for s in block:
-            if s != rep and (m.labels[s] != labels[rep]
-                             or m.bounds_by_block(s, p._index) != bounds):
-                raise ValueError("partition is not a bound bisimulation for this model")
-        for target, (lo, hi) in bounds.items():
-            edges.append((rep, ids.setdefault(lo, len(ids)), reps[target]))
-            edges.append((rep, ids.setdefault(hi, len(ids)), reps[target]))
-    return _assemble(frozenset(reps), labels, list(map(m.weights.__getitem__, ids)), edges)
+    split, signatures = _split(m, _labelled_signature, p._lists, p._index)
+    if len(split) != len(p._lists):
+        raise ValueError("partition is not a bound bisimulation for this model")
+    return _quotient(m, p._lists, [bounds for _, bounds in signatures])
 
 
 class _Separator:

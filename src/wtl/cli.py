@@ -17,8 +17,8 @@ from typing import NamedTuple, Optional
 from . import __version__
 from .axioms import run_suite
 from .bisimulation import (
-    are_bisimilar, distinguishing_formula, generalized_bisimilarity,
-    quotient_model, weighted_bisimilarity,
+    are_bisimilar, distinguishing_formula, generalized_bisimilarity, minimize,
+    weighted_bisimilarity,
 )
 from .formulas import FormulaError, model_check, parse_formula, print_formula
 from .tableau import (
@@ -332,8 +332,7 @@ def _dispatch(args, stdin: Optional[bytes], emit) -> tuple[int, str]:
 
     if args.command == "quotient":
         model = _load_model(args.model, stdin)
-        partition = generalized_bisimilarity(model)
-        quotient = quotient_model(model, partition)
+        partition, quotient = minimize(model)
         data = serialize_wts(quotient)
         body = {"blocks": partition.as_lists()}
         if args.output:

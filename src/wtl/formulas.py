@@ -623,9 +623,11 @@ def model_check(m: Wts, s: str, f: Formula) -> bool:
 
     Local and top-down: the walk starts at `s` and follows the ranked
     out-edges, so it looks only at the states within `f`'s modal depth of
-    `s`.  Each answer is kept per (node, state) for the call, so a node
-    that the formula shares costs at most one evaluation at each state:
-    O(|nodes| * |edges|) in the worst case, as `sat_set`.  Equal nodes
+    `s`.  Answers are kept per (node, state) for the call, so a node that
+    the formula shares costs at most one evaluation at each state:
+    O(|nodes| * |edges|) in the worst case, as `sat_set`.  A `Not` over
+    anything but a `Not` keeps no answer: it is met at most once per
+    evaluation of a parent, and its operand keeps its own.  Equal nodes
     that are distinct objects are evaluated apart, with equal answers.
     """
     m._require_state(s)
@@ -633,12 +635,17 @@ def model_check(m: Wts, s: str, f: Formula) -> bool:
 
 
 def _holds(m: Wts, s: str, f: Formula, memo: dict) -> bool:
-    """`model_check`'s walker; `memo` maps (id of a node, state) to its
-    answer.
+    """`model_check`'s walker; `memo` maps (id of a node, state) to the
+    answer of an `And`, `L` or `M` node, or of a `Not` over a `Not`.
 
     The formula is alive for the whole call, so no two of its nodes share
     an id, and the key hashes in C, with no call of the nodes' `__hash__`.
-    A node is told by its exact class, as the tableau tells it.
+    A node is told by its exact class, as the tableau tells it.  Any other
+    `Not` takes no memo entry: its parents are memoized, or are the root,
+    so it is visited at most once per parent's evaluation at a state, and
+    the walk stays O(|nodes| * |edges|).  A `Not` over a `Not` keeps its
+    entry, so a chain of negations that many nodes share is walked once
+    per state, not once per use.
 
     `L[r] g` scans the out-edges of `s` in ascending rank and stops at the
     first whose target satisfies `g`: that edge carries the least weight
@@ -658,6 +665,8 @@ def _holds(m: Wts, s: str, f: Formula, memo: dict) -> bool:
         return True
     if kind is Bottom:
         return False
+    if kind is Not and f.operand.__class__ is not Not:
+        return not _holds(m, s, f.operand, memo)
     key = (id(f), s)
     hit = memo.get(key)
     if hit is not None:

@@ -59,6 +59,9 @@ path, which reads fully spelt flags without argparse.
 `reference_read_argv` gives what it makes of an argv: the parsed
 attributes, the error message, or which parser's help text it returned.
 
+`reference_quotient` builds the quotient by a bound bisimulation from
+`theta_min` and `theta_max` over whole blocks, as the definition reads.
+
 `DATACLASS_REFERENCES` holds, by class name, the dataclasses that the
 formula nodes and the tableau's and the soundness suite's records were
 before they became plain slotted records: the seven node classes as
@@ -133,6 +136,22 @@ def is_exact_bisimulation(m: Wts, blocks) -> bool:
                     ):
                         return False
     return True
+
+
+def reference_quotient(m: Wts, blocks) -> Wts:
+    """The quotient by a bound bisimulation, from the definitions: one
+    state per block, named by its least member, with that member's labels
+    and, toward every block it reaches, one edge weighing `theta_min` and
+    one weighing `theta_max`."""
+    reps = {min(block): block for block in blocks}
+    edges = [
+        (rep, bound(rep, target), target_rep)
+        for rep in reps
+        for target_rep, target in reps.items()
+        if m.image_set(rep, target)
+        for bound in (m.theta_min, m.theta_max)
+    ]
+    return Wts(list(reps), {rep: m.labels[rep] for rep in reps}, edges)
 
 
 def naive_coarsest(m: Wts, predicate) -> Partition:

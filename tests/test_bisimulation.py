@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from fractions import Fraction as F
 
@@ -5,11 +6,12 @@ import pytest
 
 from wtl import (
     Partition, Wts, are_bisimilar, distinguishing_formula,
-    generalized_bisimilarity, model_check, print_formula,
+    generalized_bisimilarity, minimize, model_check, print_formula,
     quotient_model, random_formula, random_wts, sat_set, weighted_bisimilarity,
 )
 from oracles import (
-    is_bound_bisimulation, is_exact_bisimulation, modal_depth, naive_coarsest,
+    all_partitions, is_bound_bisimulation, is_exact_bisimulation, modal_depth,
+    naive_coarsest, reference_quotient,
 )
 
 POOL = [F(0), F(1, 2), F(1), F(2), F(3)]
@@ -172,6 +174,91 @@ def test_quotient_rejects_non_bisimulation(coarse_pair):
         quotient_model(coarse_pair, bad)
 
 
+NOT_COVERING = "partition does not cover the model's states"
+NOT_BISIMULATION = "partition is not a bound bisimulation for this model"
+
+
+def _planted(base, copies, seed):
+    """`base` with each state blown up into `copies` copies; each copy of
+    a state keeps each of its edges toward a random non-empty set of the
+    target's copies.  Mapping each copy to its original is a functional
+    bound bisimulation, so the blow-up's bound bisimilarity is the base's,
+    lifted to the copies."""
+    rng = random.Random(seed)
+    states = [f"{s}_{i}" for s in sorted(base.states) for i in range(copies)]
+    labels = {f"{s}_{i}": base.labels[s] for s in base.states for i in range(copies)}
+    edges = [
+        (f"{a}_{i}", w, f"{b}_{j}")
+        for a, w, b in sorted(base.transitions)
+        for i in range(copies)
+        for j in rng.sample(range(copies), rng.randint(1, copies))
+    ]
+    return Wts(states, labels, edges)
+
+
+def test_quotient_matches_the_reference_quotient():
+    models = [random_wts(seed + 82000, 6, 3, [F(1), F(2)], ["p"]) for seed in range(15)]
+    for seed in range(8):
+        base = random_wts(seed + 83000, 5, 2, POOL, ["p"])
+        planted = _planted(base, 3, seed)
+        lifted = [[f"{s}_{i}" for s in block for i in range(3)]
+                  for block in generalized_bisimilarity(base).as_lists()]
+        assert generalized_bisimilarity(planted) == Partition(lifted), seed
+        models.append(planted)
+    models += [_chain(n) for n in (1, 2, 12)] + [_ring(n) for n in (3, 8, 13)]
+    for i, m in enumerate(models):
+        p = generalized_bisimilarity(m)
+        q = quotient_model(m, p)
+        assert q == reference_quotient(m, p.as_lists()), i
+        assert minimize(m) == (p, q), i
+
+
+def test_quotient_refuses_exactly_the_non_bound_bisimulations():
+    # Only the labels differ in the first model's pair; in the second only
+    # b, not the block's least member a, differs in its bounds.
+    labels_only = Wts(["a", "b"], {"a": ["p"]}, [("a", 1, "a"), ("b", 1, "a")])
+    bounds_only = Wts(["a", "b", "z"], {}, [("a", 1, "z"), ("b", 2, "z")])
+    for m, blocks in ((labels_only, [["a", "b"]]), (bounds_only, [["a", "b"], ["z"]])):
+        assert not is_bound_bisimulation(m, blocks)
+        with pytest.raises(ValueError) as refused:
+            quotient_model(m, Partition(blocks))
+        assert str(refused.value) == NOT_BISIMULATION
+    models = [labels_only, bounds_only]
+    models += [random_wts(seed + 84000, 5, 2, [F(1), F(2)], ["p"]) for seed in range(6)]
+    accepted = 0
+    for i, m in enumerate(models):
+        for blocks in all_partitions(m.states):
+            if is_bound_bisimulation(m, blocks):
+                accepted += 1
+                assert quotient_model(m, Partition(blocks)) == reference_quotient(m, blocks), i
+                continue
+            with pytest.raises(ValueError) as refused:
+                quotient_model(m, Partition(blocks))
+            assert str(refused.value) == NOT_BISIMULATION, (i, blocks)
+    assert accepted > len(models)  # more than the partitions into singletons
+    for blocks in ([["a"]], [["a", "b", "x"]]):
+        with pytest.raises(ValueError) as refused:
+            quotient_model(labels_only, Partition(blocks))
+        assert str(refused.value) == NOT_COVERING
+
+
+def test_partitions_read_off_the_last_round_equal_built_ones():
+    models = [random_wts(seed + 85000, 6, 3, [F(1), F(2)], ["p", "q"]) for seed in range(20)]
+    models += [_chain(9), _ring(8), _planted(random_wts(86000, 4, 2, POOL, ["p"]), 2, 0)]
+    for i, m in enumerate(models):
+        for p in (generalized_bisimilarity(m), weighted_bisimilarity(m)):
+            built = Partition(p.blocks)
+            assert p == built and hash(p) == hash(built), i
+            assert repr(p) == repr(built) and p.blocks == built.blocks, i
+            assert p.as_lists() == built.as_lists(), i
+            assert all(p.block_of(s) == built.block_of(s) for s in m.states), i
+            # the lists handed out are the caller's own
+            lists = p.as_lists()
+            lists[0].append("x")
+            lists.append(["y"])
+            assert p.as_lists() == built.as_lists(), i
+
+
 def test_distinguishing_label_literal(vacuum):
     f = distinguishing_formula(vacuum, "s1", "s2")
     assert f is not None
@@ -280,9 +367,9 @@ def test_distinguishing_formulas_stay_small_on_chains_and_rings(n):
 def test_partition_callers_keep_one_round_at_a_time():
     # A chain splits one state off per round, so keeping every round's
     # partition would hold O(n^2): 13.5 MB at n = 300.  `are_bisimilar`
-    # and the CLI's quotient call these two.
+    # runs the same loop, and the CLI's `bisim` and `quotient` call these.
     m = _chain(300)
-    for call in (generalized_bisimilarity, weighted_bisimilarity):
+    for call in (generalized_bisimilarity, weighted_bisimilarity, minimize):
         tracemalloc.start()
         try:
             call(m)

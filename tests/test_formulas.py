@@ -513,6 +513,31 @@ def test_local_model_check_agrees_with_sat_set_on_every_state():
                 assert model_check(m, s, f) == (s in expected), (seed, s, f)
 
 
+def test_the_two_model_checkers_agree_on_shared_operands_and_negation_chains():
+    # `<->` shares both operands, and a chain of them shares each link; a
+    # run of `!` is a chain of `Not` nodes.
+    rng = random.Random(17)
+    weights = POOL + OFF_POOL
+    for seed in range(40):
+        m = random_wts(seed + 4900, 8, 3, POOL, ["p", "q"])
+        parts = [print_formula(random_formula(5900 + 10 * seed + k, ["p", "q"], 2, weights))
+                 for k in range(4)]
+        chain = " <-> ".join(f"({t})" for t in parts)
+        negated = " <-> ".join("!" * rng.randint(0, 5) + f"({t})" for t in parts)
+        texts = [
+            chain,
+            negated,
+            "!" * rng.randint(1, 9) + f"({parts[0]})",
+            f"L[1/2] ({chain}) & !!M[2] !({negated})",
+            f"[] !!!({chain}) <-> <> ({parts[1]} <-> {parts[2]})",
+        ]
+        for text in texts:
+            f = parse_formula(text)
+            expected = sat_set(m, f)
+            for s in m.states:
+                assert model_check(m, s, f) == (s in expected), (seed, s, text)
+
+
 def test_local_model_check_picks_the_extreme_edge_into_the_operand():
     p = Atom("p")
     # The least out-edge of a goes to b, which is no p-state.
@@ -592,13 +617,9 @@ def test_equal_operands_answer_alike_whether_shared_or_distinct():
         assert not model_check(m, "a", And(g, Not(AtLeast(2, h))))
 
 
-def test_local_model_check_evaluates_each_shared_subformula_once_per_state():
-    m = Wts(["a", "b"], {"a": ["p"], "b": ["p"]},
-            [("a", 0, "a"), ("a", 1, "b"), ("b", 2, "a"), ("b", 3, "b")])
-    f = Atom("p")
-    for _ in range(40):
-        f = And(AtLeast(0, f), AtMost(3, f))  # a 2^40-node tree, 81 distinct nodes
-
+def _check_a_and_b_in_time(m, f):
+    """`model_check` of `f` at states a and b, stopped after 10 s and
+    held to 1 s."""
     def hang(signum, frame):
         raise TimeoutError("model_check walked the tree, not the DAG")
 
@@ -606,11 +627,58 @@ def test_local_model_check_evaluates_each_shared_subformula_once_per_state():
     signal.setitimer(signal.ITIMER_REAL, 10)
     try:
         start = time.perf_counter()
-        assert model_check(m, "a", f) and model_check(m, "b", f)
+        answers = model_check(m, "a", f), model_check(m, "b", f)
         assert time.perf_counter() - start < 1
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+    return answers
+
+
+_TWO_STATES = (["a", "b"], {"a": ["p"], "b": ["p"]},
+               [("a", 0, "a"), ("a", 1, "b"), ("b", 2, "a"), ("b", 3, "b")])
+
+
+def test_local_model_check_evaluates_each_shared_subformula_once_per_state():
+    m = Wts(*_TWO_STATES)
+    f = Atom("p")
+    for _ in range(40):
+        f = And(AtLeast(0, f), AtMost(3, f))  # a 2^40-node tree, 121 distinct nodes
+    assert _check_a_and_b_in_time(m, f) == (True, True)
+
+
+def test_local_model_check_walks_shared_double_negations_as_a_dag():
+    # The inner `Not` of each `Not(Not(f))` takes no memo entry; the
+    # nodes above and below it do.
+    m = Wts(*_TWO_STATES)
+    f = Atom("p")
+    for _ in range(40):
+        g = Not(Not(f))
+        f = And(AtLeast(0, g), AtMost(3, g))  # a 2^40-node tree, 201 distinct nodes
+    assert _check_a_and_b_in_time(m, f) == (True, True)
+
+
+def test_local_model_check_walks_a_shared_chain_of_negations_once_per_state(monkeypatch):
+    # A chain of 150 negations shared by 150 conjunctions: were the chain
+    # walked at each of its uses, it would take 150 * 150 calls.
+    m = Wts(*_TWO_STATES)
+    chain = Atom("p")
+    for _ in range(150):
+        chain = Not(chain)
+    f = chain
+    for _ in range(150):
+        f = And(chain, f)
+    calls = 0
+    holds = formulas._holds
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return holds(*args)
+
+    monkeypatch.setattr(formulas, "_holds", counted)
+    assert model_check(m, "a", f)
+    assert calls <= 3 * 301, calls
 
 
 class _ReadLabels(dict):
