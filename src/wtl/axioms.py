@@ -146,27 +146,22 @@ _TABLE = [
 SCHEMAS: dict[str, Schema] = {sch.name: sch for sch in _TABLE}
 
 
-def _slot_args(schema: Schema, phi, psi, r, q):
+def _slot_args(schema: Schema, formulas: tuple, indices: tuple = ()) -> list:
+    """The values `schema` takes, read in order: its formula slots from
+    `formulas`, then its index slots from `indices` as weights, then the
+    check that q > 0 where the schema requires it.  A slot left as None
+    is a `SideConditionError` that names it."""
     args = []
-    if schema.formula_slots >= 1:
-        if phi is None:
-            raise SideConditionError(f"{schema.name} needs a formula for phi")
-        args.append(phi)
-    if schema.formula_slots >= 2:
-        if psi is None:
-            raise SideConditionError(f"{schema.name} needs a formula for psi")
-        args.append(psi)
-    if schema.index_slots >= 1:
-        if r is None:
-            raise SideConditionError(f"{schema.name} needs an index r")
-        args.append(as_weight(r))
-    if schema.index_slots >= 2:
-        if q is None:
-            raise SideConditionError(f"{schema.name} needs an index q")
-        q = as_weight(q)
-        if schema.positive_q and q <= 0:
-            raise SideConditionError(f"{schema.name} requires q > 0")
-        args.append(q)
+    for name, value in zip(("phi", "psi"), formulas[:schema.formula_slots]):
+        if value is None:
+            raise SideConditionError(f"{schema.name} needs a formula for {name}")
+        args.append(value)
+    for name, value in zip("rq", indices[:schema.index_slots]):
+        if value is None:
+            raise SideConditionError(f"{schema.name} needs an index {name}")
+        args.append(as_weight(value))
+    if schema.positive_q and len(args) == schema.formula_slots + 2 and args[-1] <= 0:
+        raise SideConditionError(f"{schema.name} requires q > 0")
     return args
 
 
@@ -185,7 +180,7 @@ def instantiate(
     """
     if isinstance(schema, str):
         schema = SCHEMAS[schema]
-    return schema.conclusion(FORMULAS, *_slot_args(schema, phi, psi, r, q))
+    return schema.conclusion(FORMULAS, *_slot_args(schema, (phi, psi), (r, q)))
 
 
 def premise_of(
@@ -198,12 +193,7 @@ def premise_of(
         schema = SCHEMAS[schema]
     if schema.premise is None:
         return None
-    args = []
-    if schema.formula_slots >= 1:
-        args.append(phi)
-    if schema.formula_slots >= 2:
-        args.append(psi)
-    return schema.premise(FORMULAS, *args)
+    return schema.premise(FORMULAS, *_slot_args(schema, (phi, psi)))
 
 
 def holds_everywhere(m: Wts, f: Formula) -> bool:

@@ -15,12 +15,13 @@ out-edge of every state once, which gives each state its signature toward
 all current blocks, and splits every block by signature, until a round
 splits nothing.  A round is plain data: its blocks as sorted lists in a
 canonical order (by least member, so runs are deterministic) and a dict
-from each state to its block's number.  The loop keeps only the current
-round, and the partition callers read their answer off the last: a
-`Partition` that takes the round's lists and dict as they are, with no
-re-sort and no re-index.  `distinguishing_formula` alone keeps every
-round.  Signatures hold block numbers and weight ranks (`Wts.weights`),
-not rationals, so they hash and compare as ints; the quotient and the
+from each state to its block's number.  A `Partition` is exactly that
+pair and nothing else, and the loop keeps only the current round: the
+last one is the callers' answer as it is.  Frozensets are built only
+when `blocks` or `block_of` is read.  `distinguishing_formula` alone
+keeps every round.
+Signatures hold block numbers and weight ranks (`Wts.weights`), not
+rationals, so they hash and compare as ints; the quotient and the
 distinguishing formulas map ranks back to weights.
 
 The last round's split pass finds one signature per block, and a block's
@@ -30,11 +31,11 @@ quotient from those signatures, with no second pass over the states.
 same split pass, by labels and bounds, once over its blocks: a bound
 bisimulation is exactly a partition that the pass splits nowhere.
 
-A distinguishing formula is built from the rounds of bound refinement:
-one memoized separator per state pair, which probes a block toward which
-the two states' bounds differ and excludes only the blocks that would
-spoil the probe (after Cleaveland, CAV 1990).  Its modal depth is the
-round that splits the pair.
+A distinguishing formula is built from the rounds of bound refinement,
+in one call of `_separate`: one memoized separator per state pair, which
+probes a block toward which the two states' bounds differ and excludes
+only the blocks that would spoil the probe (after Cleaveland, CAV 1990).
+Its modal depth is the round that splits the pair.
 """
 
 from __future__ import annotations
@@ -42,29 +43,34 @@ from __future__ import annotations
 from typing import Optional
 
 from .formulas import AtLeast, AtMost, Atom, Formula, Not, conjoin
-from .wts import NEG_INF, POS_INF, Wts, _assemble
+from .wts import Wts, _assemble
 
 __all__ = [
     "Partition", "generalized_bisimilarity", "weighted_bisimilarity",
     "are_bisimilar", "minimize", "quotient_model", "distinguishing_formula",
 ]
 
-# Bounds toward a block a state does not reach: those of an empty image.
-_UNREACHED = (NEG_INF, POS_INF)
-
 
 class Partition:
-    """Disjoint non-empty blocks covering a model's states."""
+    """Disjoint non-empty blocks covering a model's states.
 
-    __slots__ = ("blocks", "_lists", "_index")
+    Kept as a refinement round is: the blocks as sorted lists in canonical
+    order (by least member), and a dict from each state to its block's
+    number.  Frozensets are built only when `blocks` or `block_of` is read.
+    """
+
+    __slots__ = ("_lists", "_index")
 
     def __init__(self, blocks):
-        lists = [sorted(set(b)) for b in blocks]
+        lists = []
+        for block in blocks:
+            if isinstance(block, str):  # a str iterates over its characters
+                raise ValueError(f"a block must be a collection of states, got {block!r}")
+            lists.append(sorted(set(block)))
         if not all(lists):
             raise ValueError("empty block")
         lists.sort(key=lambda block: block[0])
         self._lists = lists
-        self.blocks: tuple[frozenset[str], ...] = tuple(map(frozenset, lists))
         self._index: dict[str, int] = {}
         for i, block in enumerate(lists):
             for s in block:
@@ -72,25 +78,23 @@ class Partition:
                     raise ValueError(f"state {s!r} in two blocks")
                 self._index[s] = i
 
-    @classmethod
-    def _of_round(cls, blocks: list[list[str]], block_of: dict[str, int]) -> "Partition":
-        """The partition of a refinement round, whose blocks are already
-        sorted lists in canonical order and whose dict numbers them: both
-        are kept as they are."""
-        p = cls.__new__(cls)
-        p._lists, p._index = blocks, block_of
-        p.blocks = tuple(map(frozenset, blocks))
-        return p
+    @property
+    def blocks(self) -> tuple[frozenset[str], ...]:
+        return tuple(map(frozenset, self._lists))
 
     def block_of(self, s: str) -> frozenset[str]:
-        return self.blocks[self._index[s]]
+        return frozenset(self._lists[self._index[s]])
 
     def same_block(self, s: str, t: str) -> bool:
         return self._index[s] == self._index[t]
 
     def refines(self, other: "Partition") -> bool:
         """Every block of self is contained in a block of other."""
-        return all(b <= other.block_of(min(b)) for b in self.blocks)
+        index = other._index
+        return all(
+            block[0] in index and {index.get(s) for s in block} == {index[block[0]]}
+            for block in self._lists
+        )
 
     def as_lists(self) -> list[list[str]]:
         return list(map(list, self._lists))
@@ -98,10 +102,10 @@ class Partition:
     def __eq__(self, other):
         if not isinstance(other, Partition):
             return NotImplemented
-        return set(self.blocks) == set(other.blocks)
+        return self._lists == other._lists
 
     def __hash__(self):
-        return hash(frozenset(self.blocks))
+        return hash(tuple(map(tuple, self._lists)))
 
     def __repr__(self):
         return f"Partition({self.as_lists()!r})"
@@ -164,15 +168,17 @@ def _rounds(m: Wts, signature):
         blocks = sorted(split, key=lambda block: block[0])
 
 
-def _fixpoint(m: Wts, signature) -> tuple[list, dict, list]:
+def _fixpoint(m: Wts, signature) -> tuple[Partition, list]:
     """The last of `_rounds`, the coarsest partition stable under
-    `signature`: its blocks, its dict, and each block's signature."""
+    `signature`, as a `Partition` of that round's lists and dict, and
+    each block's signature."""
     rounds = _rounds(m, signature)
+    p = Partition.__new__(Partition)
     while True:
         try:
-            blocks, block_of = next(rounds)
+            p._lists, p._index = next(rounds)
         except StopIteration as end:
-            return blocks, block_of, end.value
+            return p, end.value
 
 
 def _quotient(m: Wts, blocks: list, signatures) -> Wts:
@@ -194,14 +200,12 @@ def _quotient(m: Wts, blocks: list, signatures) -> Wts:
 def generalized_bisimilarity(m: Wts) -> Partition:
     """Coarsest partition with equal labels and equal min/max weight
     toward every block."""
-    blocks, block_of, _ = _fixpoint(m, _bound_signature)
-    return Partition._of_round(blocks, block_of)
+    return _fixpoint(m, _bound_signature)[0]
 
 
 def weighted_bisimilarity(m: Wts) -> Partition:
     """Coarsest partition under exact zig-zag matching of weights."""
-    blocks, block_of, _ = _fixpoint(m, _exact_signature)
-    return Partition._of_round(blocks, block_of)
+    return _fixpoint(m, _exact_signature)[0]
 
 
 def are_bisimilar(m: Wts, s: str, t: str, flavor: str = "generalized") -> bool:
@@ -213,16 +217,15 @@ def are_bisimilar(m: Wts, s: str, t: str, flavor: str = "generalized") -> bool:
         signature = _exact_signature
     else:
         raise ValueError(f"unknown flavor {flavor!r}")
-    block_of = _fixpoint(m, signature)[1]
-    return block_of[s] == block_of[t]
+    return _fixpoint(m, signature)[0].same_block(s, t)
 
 
 def minimize(m: Wts) -> tuple[Partition, Wts]:
     """The coarsest bound bisimulation of `m` and the quotient by it, both
     read off the refinement's last round, whose split found each block's
     signature: the quotient state's out-edges."""
-    blocks, block_of, signatures = _fixpoint(m, _bound_signature)
-    return Partition._of_round(blocks, block_of), _quotient(m, blocks, signatures)
+    p, signatures = _fixpoint(m, _bound_signature)
+    return p, _quotient(m, p._lists, signatures)
 
 
 def quotient_model(m: Wts, p: Partition) -> Wts:
@@ -245,15 +248,16 @@ def quotient_model(m: Wts, p: Partition) -> Wts:
     return _quotient(m, p._lists, [bounds for _, bounds in signatures])
 
 
-class _Separator:
-    """Formulas separating non-bisimilar states, one per state pair.
+def _separate(m: Wts, history: list[tuple[list, dict]], u: str, v: str) -> Formula:
+    """A formula separating the non-bisimilar states u and v, given every
+    round of bound refinement.
 
-    `separate(u, v)` has modal depth k, the first refinement round that
-    splits u and v; it is true on u's round-k block and false on v's.  At
-    k = 0 it is a label literal.  At k >= 1 it probes the first block B of
-    round k-1 toward which the bounds of u and v differ, with an operand
-    that conjoins `separate(min B, min C)` over the blocks C that would
-    spoil the probe:
+    It has modal depth k, the first round that splits u and v, and is true
+    on u's round-k block and false on v's.  At k = 0 it is a label
+    literal.  At k >= 1 it probes the first block B of round k-1 toward
+    which the bounds of u and v differ, with an operand that conjoins the
+    separator of (min B, min C) over the blocks C that would spoil the
+    probe:
 
     * one state reaches B, the other not: `L[0]`, and C ranges over every
       block the other state reaches;
@@ -270,80 +274,71 @@ class _Separator:
     constant on every round k-1 block.  Its truth on the blocks left out
     therefore does not matter: the probe reads only bounds toward round
     k-1 blocks, which are equal across a round-k block, so the separator
-    holds on whole round-k blocks.  The memo lives for one call.
+    holds on whole round-k blocks.
+
+    Each pair's separator is built once, bottom-up from an explicit work
+    stack: a pair is built once the separators its probe conjoins are, so
+    a chain of n refinement rounds costs no Python recursion.  The memo
+    lives for this one call.
     """
+    memo, plans = {}, {}
+    stack = [(u, v)]
+    while stack:
+        pair = stack[-1]
+        if pair in memo:
+            stack.pop()
+            continue
+        plan = plans.get(pair)
+        if plan is None:
+            plan = plans[pair] = _plan(m, history, *pair)
+        if isinstance(plan, Formula):
+            memo[pair] = plan
+            continue
+        modality, q, negate, operands = plan
+        missing = [c for c in operands if c not in memo]
+        if missing:
+            stack.extend(missing)
+            continue
+        f = modality(q, conjoin(memo[c] for c in operands))
+        memo[pair] = Not(f) if negate else f
+    return memo[u, v]
 
-    def __init__(self, m: Wts, history: list[tuple[list, dict]]):
-        self.m = m
-        self.history = history
-        self._memo: dict = {}
 
-    def separate(self, u: str, v: str) -> Formula:
-        """The separator of (u, v), built bottom-up from an explicit work
-        stack: a pair is built once the separators its probe conjoins are,
-        so a chain of n refinement rounds costs no Python recursion."""
-        memo, plans = self._memo, {}
-        stack = [(u, v)]
-        while stack:
-            pair = stack[-1]
-            if pair in memo:
-                stack.pop()
-                continue
-            plan = plans.get(pair)
-            if plan is None:
-                plan = plans[pair] = self._plan(*pair)
-            if isinstance(plan, Formula):
-                memo[pair] = plan
-                continue
-            modality, q, negate, operands = plan
-            missing = [c for c in operands if c not in memo]
-            if missing:
-                stack.extend(missing)
-                continue
-            f = modality(q, conjoin(memo[c] for c in operands))
-            memo[pair] = Not(f) if negate else f
-        return memo[u, v]
-
-    def _plan(self, u: str, v: str):
-        """The label literal separating u and v, or their probe: the
-        modality, its bound, whether the probe holds at v rather than u, and
-        the state pairs whose separators its operand conjoins."""
-        m = self.m
-        weights = m.weights
-        k = next(k for k, (_, p) in enumerate(self.history) if p[u] != p[v])
-        if k == 0:
-            only_u = m.labels[u] - m.labels[v]
-            if only_u:
-                return Atom(min(only_u))
-            return Not(Atom(min(m.labels[v] - m.labels[u])))
-        blocks, previous = self.history[k - 1]
-        bounds = {u: m.bounds_by_block(u, previous),
-                  v: m.bounds_by_block(v, previous)}
-        # Canonical block order; blocks neither state reaches never differ.
-        for i in sorted(bounds[u].keys() | bounds[v].keys()):
-            lo_u, hi_u = bounds[u].get(i, _UNREACHED)
-            lo_v, hi_v = bounds[v].get(i, _UNREACHED)
-            if (lo_u, hi_u) == (lo_v, hi_v):
-                continue
-            if (lo_u == NEG_INF) != (lo_v == NEG_INF):
-                # The operand must be false everywhere the other state goes.
-                holder = u if lo_u != NEG_INF else v
-                spoilers = bounds[v if holder == u else u].keys()
-                modality, q = AtLeast, 0
-            elif lo_u != lo_v:
-                modality, q = AtLeast, (weights[lo_u] + weights[lo_v]) / 2
-                holder = u if lo_u > lo_v else v
-                spoilers = [j for j, (lo, _) in bounds[holder].items()
-                            if weights[lo] < q]
-            else:
-                modality, q = AtMost, (weights[hi_u] + weights[hi_v]) / 2
-                holder = u if hi_u < hi_v else v
-                spoilers = [j for j, (_, hi) in bounds[holder].items()
-                            if weights[hi] > q]
-            b = blocks[i][0]
-            operands = [(b, blocks[j][0]) for j in sorted(spoilers)]
-            return modality, q, holder != u, operands
-        raise AssertionError("separated states must differ toward some block")
+def _plan(m: Wts, history: list[tuple[list, dict]], u: str, v: str):
+    """The label literal separating u and v, or their probe: the modality,
+    its bound, whether the probe holds at v rather than u, and the state
+    pairs whose separators its operand conjoins."""
+    weights = m.weights
+    k = next(k for k, (_, p) in enumerate(history) if p[u] != p[v])
+    if k == 0:
+        only_u = m.labels[u] - m.labels[v]
+        if only_u:
+            return Atom(min(only_u))
+        return Not(Atom(min(m.labels[v] - m.labels[u])))
+    blocks, previous = history[k - 1]
+    bounds = {u: m.bounds_by_block(u, previous), v: m.bounds_by_block(v, previous)}
+    # Canonical block order; a block neither state reaches is no key of either.
+    for i in sorted(bounds[u].keys() | bounds[v].keys()):
+        at_u, at_v = bounds[u].get(i), bounds[v].get(i)
+        if at_u == at_v:
+            continue
+        if at_u is None or at_v is None:
+            # The operand must be false everywhere the other state goes.
+            holder, other = (u, v) if at_v is None else (v, u)
+            spoilers = bounds[other].keys()
+            modality, q = AtLeast, 0
+        elif at_u[0] != at_v[0]:
+            modality, q = AtLeast, (weights[at_u[0]] + weights[at_v[0]]) / 2
+            holder = u if at_u[0] > at_v[0] else v
+            spoilers = [j for j, (lo, _) in bounds[holder].items() if weights[lo] < q]
+        else:
+            modality, q = AtMost, (weights[at_u[1]] + weights[at_v[1]]) / 2
+            holder = u if at_u[1] < at_v[1] else v
+            spoilers = [j for j, (_, hi) in bounds[holder].items() if weights[hi] > q]
+        b = blocks[i][0]
+        operands = [(b, blocks[j][0]) for j in sorted(spoilers)]
+        return modality, q, holder != u, operands
+    raise AssertionError("separated states must differ toward some block")
 
 
 def distinguishing_formula(m: Wts, s: str, t: str) -> Optional[Formula]:
@@ -357,4 +352,4 @@ def distinguishing_formula(m: Wts, s: str, t: str) -> Optional[Formula]:
     p = history[-1][1]
     if p[s] == p[t]:
         return None
-    return _Separator(m, history).separate(s, t)
+    return _separate(m, history, s, t)

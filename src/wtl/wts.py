@@ -40,11 +40,11 @@ nothing.
 Both parts keep one object per state id and per label set
 (hash-consing): every transition target, and every key of `labels` and
 of the out-edge table, is the id object in `states`, and states with
-equal labels share one frozenset.  `json.loads` makes a fresh string per
-occurrence of an id, so a model file of 4,000 states (ids `s0` to
-`s3999`) kept 118 bytes per edge and 395 per state beyond its edges, and
-keeps 64 and 179 (tracemalloc, 64-bit CPython 3.11); mc-large's four
-seed-1 models keep 456 bytes per state where they kept 885.
+equal labels share one frozenset, though `json.loads` makes a fresh
+string per occurrence of an id.  A model file of 4,000 states (ids `s0`
+to `s3999`) keeps 64 bytes per edge and 179 per state beyond its edges
+(tracemalloc, 64-bit CPython 3.11); mc-large's four seed-1 models keep
+456 bytes per state.
 `parse_wts` reads with the cyclic garbage collector paused: a JSON
 document and the model made from it hold no reference cycles, so the
 collections the read's many new objects would start free nothing (they
@@ -296,6 +296,8 @@ class Wts:
     def image_set(self, s: str, targets: Iterable[str]) -> frozenset[Fraction]:
         """Weights of all transitions from `s` into the target set."""
         self._require_state(s)
+        if isinstance(targets, str):  # a str iterates over its characters
+            raise ModelError(f"targets must be a collection of state ids, got {targets!r}")
         targets = frozenset(targets)
         unknown = targets - self.states
         if unknown:

@@ -43,6 +43,28 @@ def test_premise_of():
     assert premise_of("T4", P) == implies(P, Bottom())
 
 
+def test_premise_of_and_instantiate_refuse_the_same_missing_slots():
+    # Both read their slots in one order: formulas, then indices, then
+    # q > 0; a premise reads the formula slots alone.
+    def refusal(call, *args, **kwargs):
+        with pytest.raises(SideConditionError) as refused:
+            call(*args, **kwargs)
+        return str(refused.value)
+
+    assert refusal(premise_of, "T4") == "T4 needs a formula for phi"
+    assert refusal(premise_of, "T2", P) == "T2 needs a formula for psi"
+    assert refusal(premise_of, "R2", None, Q) == "R2 needs a formula for phi"
+    assert refusal(instantiate, "T4") == "T4 needs a formula for phi"
+    assert refusal(instantiate, "T2", P, r=1) == "T2 needs a formula for psi"
+    assert refusal(instantiate, "A2", None, q=0) == "A2 needs a formula for phi"
+    assert refusal(instantiate, "A2", P, q=0) == "A2 needs an index r"
+    assert refusal(instantiate, "A2", P, r=1) == "A2 needs an index q"
+    assert refusal(instantiate, "A2", P, r=1, q=0) == "A2 requires q > 0"
+    assert premise_of("A2") is None
+    assert premise_of("T2", P, Q) == premise_of(SCHEMAS["T2"], P, Q)
+    assert instantiate("A7", P, r=1, q=0) == instantiate("A7", P, r=F(1))
+
+
 def test_holds_everywhere(vacuum):
     assert holds_everywhere(vacuum, instantiate("A1"))
     assert holds_everywhere(vacuum, Atom("waiting")) is False

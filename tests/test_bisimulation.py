@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction as F
@@ -257,6 +259,42 @@ def test_partitions_read_off_the_last_round_equal_built_ones():
             lists[0].append("x")
             lists.append(["y"])
             assert p.as_lists() == built.as_lists(), i
+
+
+def test_partitions_agree_with_a_frozenset_reference():
+    # Seeded partitions of random subsets of six states, with one block of
+    # each merged into another so that some refine others; each is checked
+    # against a set of frozensets.
+    rng = random.Random(20)
+    drawn = []
+    for _ in range(150):
+        states = rng.sample("abcdef", rng.randint(1, 6))
+        groups: dict = {}
+        for s in states:
+            groups.setdefault(rng.randrange(len(states)), []).append(s)
+        blocks = list(groups.values())
+        drawn.append(blocks)
+        if len(blocks) > 1:
+            drawn.append([blocks[0] + blocks[1], *blocks[2:]])
+    refs = [frozenset(map(frozenset, blocks)) for blocks in drawn]
+    parts = [Partition(blocks) for blocks in drawn]
+    parts[-1] = generalized_bisimilarity(_ring(6))  # one read off a round
+    refs[-1] = frozenset(map(frozenset, [["r0"], ["r1", "r5"], ["r2", "r4"], ["r3"]]))
+    refining = 0
+    for p, ref in zip(parts, refs):
+        assert set(p.blocks) == ref and len(p.blocks) == len(ref)
+        assert all(p.block_of(s) == b for b in ref for s in b)
+        assert Partition(reversed([sorted(b, reverse=True) for b in ref])) == p
+        for copied in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+            assert copied == p and hash(copied) == hash(p)
+            assert copied.as_lists() == p.as_lists()
+        for other, other_ref in zip(parts, refs):
+            assert (p == other) == (ref == other_ref)
+            assert ref != other_ref or hash(p) == hash(other)
+            refines = all(any(b <= c for c in other_ref) for b in ref)
+            assert p.refines(other) == refines, (p, other)
+            refining += refines and ref != other_ref
+    assert refining > 100
 
 
 def test_distinguishing_label_literal(vacuum):

@@ -13,7 +13,8 @@ import pytest
 
 import wtl.wts
 from wtl import (
-    SCHEMAS, And, Atom, FormulaError, ModelError, NEG_INF, POS_INF, UnknownStateError, Wts,
+    SCHEMAS, And, Atom, FormulaError, ModelError, NEG_INF, POS_INF, Partition,
+    UnknownStateError, Wts,
     build_tableau, distinguishing_formula, extract_model, format_rational,
     generalized_bisimilarity, is_satisfiable, model_check, parse_formula,
     parse_rational, parse_wts, quotient_model, random_wts, sat_set,
@@ -85,6 +86,14 @@ def test_bare_strings_are_not_collections():
         Wts(["s"], {"s": ""}, [])
     m = Wts(("a", "b"), {"a": ("p", "q"), "b": frozenset()}, [("a", "1", "b")])
     assert m.labels["a"] == {"p", "q"} and m.labels["b"] == frozenset()
+    # nor are a partition's blocks and a query's target states
+    with pytest.raises(ValueError, match="block must be a collection of states, got 's0'"):
+        Partition(["s0", "t1"])
+    assert Partition([["s0"], ("t1",)]).as_lists() == [["s0"], ["t1"]]
+    for query in (m.image_set, m.theta_min, m.theta_max):
+        with pytest.raises(ModelError, match="targets must be a collection of state ids, got 'b'"):
+            query("a", "b")
+    assert m.image_set("a", ["b"]) == {F(1)} and m.theta_max("a", {"b"}) == F(1)
 
 
 def test_parse_rational_formats():
