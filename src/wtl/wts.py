@@ -243,6 +243,11 @@ def _all_idents(names: list) -> bool:
         return False
 
 
+def _is_collection(value) -> bool:
+    """Iterable, and no str, which iterates over its characters."""
+    return not isinstance(value, str) and hasattr(type(value), "__iter__")
+
+
 class Wts:
     """A finite weighted transition system.
 
@@ -296,7 +301,7 @@ class Wts:
     def image_set(self, s: str, targets: Iterable[str]) -> frozenset[Fraction]:
         """Weights of all transitions from `s` into the target set."""
         self._require_state(s)
-        if isinstance(targets, str):  # a str iterates over its characters
+        if not _is_collection(targets):
             raise ModelError(f"targets must be a collection of state ids, got {targets!r}")
         targets = frozenset(targets)
         unknown = targets - self.states
@@ -377,7 +382,7 @@ def _checked(
     per state id and per distinct label set: each transition target is
     looked up as the id object in the state set, and equal label sets
     collapse through one dict, so a caller's fresh copies are not kept."""
-    if isinstance(states, str) or not hasattr(type(states), "__iter__"):
+    if not _is_collection(states):
         raise ModelError(f"states must be a collection of ids, got {states!r}")
     order = list(states)
     for s in order:  # before the set, which an unhashable id would break
@@ -393,7 +398,7 @@ def _checked(
     given = {}
     for s in dict.fromkeys(order):
         props = labels.get(s, ())
-        if isinstance(props, str) or not hasattr(type(props), "__iter__"):
+        if not _is_collection(props):
             raise ModelError(f"labels of {s!r} must be a collection, got {props!r}")
         given[s] = props = tuple(props)  # an iterator is read once
         for p in props:

@@ -61,6 +61,9 @@ attributes, the error message, or which parser's help text it returned.
 
 `reference_quotient` builds the quotient by a bound bisimulation from
 `theta_min` and `theta_max` over whole blocks, as the definition reads.
+`naive_rounds` gives every round of bound refinement from the labels on,
+splitting each block afresh by `theta_min` and `theta_max` toward every
+block of the round before.
 
 `DATACLASS_REFERENCES` holds, by class name, the dataclasses that the
 formula nodes and the tableau's and the soundness suite's records were
@@ -136,6 +139,28 @@ def is_exact_bisimulation(m: Wts, blocks) -> bool:
                     ):
                         return False
     return True
+
+
+def naive_rounds(m: Wts) -> list:
+    """The rounds of bound refinement from the definitions, each a set of
+    frozensets: the partition by labels, then each round's split of the
+    one before by `theta_min` and `theta_max` toward each of its blocks,
+    every state compared afresh, until a round splits nothing."""
+    groups: dict = {}
+    for s in m.states:
+        groups.setdefault(m.labels[s], set()).add(s)
+    rounds = [set(map(frozenset, groups.values()))]
+    while True:
+        targets = list(rounds[-1])
+        groups = {}
+        for block in targets:
+            for s in block:
+                key = (block, tuple((m.theta_min(s, t), m.theta_max(s, t)) for t in targets))
+                groups.setdefault(key, set()).add(s)
+        split = set(map(frozenset, groups.values()))
+        if split == rounds[-1]:
+            return rounds
+        rounds.append(split)
 
 
 def reference_quotient(m: Wts, blocks) -> Wts:

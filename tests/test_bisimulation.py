@@ -13,7 +13,7 @@ from wtl import (
 )
 from oracles import (
     all_partitions, is_bound_bisimulation, is_exact_bisimulation, modal_depth,
-    naive_coarsest, reference_quotient,
+    naive_coarsest, naive_rounds, reference_quotient,
 )
 
 POOL = [F(0), F(1, 2), F(1), F(2), F(3)]
@@ -420,8 +420,8 @@ def test_partition_callers_keep_one_round_at_a_time():
 
 def test_distinguishing_formula_keeps_rounds_as_plain_data():
     # The separators keep every round, and a chain splits one state off
-    # per round, so the rounds hold O(n^2) block numbers: about 6.5 MB at
-    # n = 300 as lists and dicts.
+    # per round, so the rounds hold O(n^2) block names: about 2 MB at
+    # n = 300, one dict per round.
     m = _chain(300)
     tracemalloc.start()
     try:
@@ -435,26 +435,136 @@ def test_distinguishing_formula_keeps_rounds_as_plain_data():
 
 def test_hennessy_milner_desk_check_small():
     from itertools import combinations
-    from wtl.bisimulation import _bound_signature, _rounds
+    from wtl.bisimulation import _history
 
     for i in range(6):
         m = random_wts(31000 + i, 6, 3, POOL, ["p1", "p2"])
-        history = list(_rounds(m, _bound_signature))
-        for blocks, block_of in history:
-            # sorted blocks in canonical order, and each state's block number
-            assert blocks == sorted(sorted(b) for b in blocks), i
-            assert block_of == {s: k for k, b in enumerate(blocks) for s in b}, i
-        partition = history[-1][1]
+        partition = generalized_bisimilarity(m)
         satsets = [
             sat_set(m, random_formula(91000 + 997 * i + j, ["p1", "p2"], 2, POOL))
             for j in range(200)
         ]
         for a, b in combinations(sorted(m.states), 2):
-            if partition[a] == partition[b]:
+            history = _history(m, a, b)
+            for least in history:
+                # each state named by its block's least member
+                assert least.keys() == m.states, i
+                assert all(least[least[s]] == least[s] <= s for s in m.states), i
+            # a fresh dict per round, each round finer than the one before
+            assert len(set(map(id, history))) == len(history), i
+            sizes = [len(set(least.values())) for least in history]
+            assert sizes == sorted(set(sizes)), i
+            split = [least[a] != least[b] for least in history]
+            if partition.same_block(a, b):
+                assert not any(split), (i, a, b)
                 assert all((a in ss) == (b in ss) for ss in satsets), (i, a, b)
             else:
+                # the history stops at the first round that splits the pair
+                assert split == [False] * (len(history) - 1) + [True], (i, a, b)
                 d = distinguishing_formula(m, a, b)
                 assert d is not None
                 assert model_check(m, a, d) != model_check(m, b, d), (i, a, b)
-                first = next(k for k, (_, p) in enumerate(history) if p[a] != p[b])
-                assert modal_depth(d) == first, (i, a, b)
+                assert modal_depth(d) == len(history) - 1, (i, a, b)
+
+
+def _sets(rounds):
+    """Each round, a dict from every state to its block's name or id, as a
+    set of frozensets."""
+    sets = []
+    for block_of in rounds:
+        groups: dict = {}
+        for s, b in block_of.items():
+            groups.setdefault(b, set()).add(s)
+        sets.append(set(map(frozenset, groups.values())))
+    return sets
+
+
+def test_refinement_matches_the_naive_oracle_round_by_round():
+    # Every fixpoint, of either flavour, is the brute-force coarsest one,
+    # and every round the separators read is the label-start round of
+    # refinement from the definitions, up to the one that splits the pair.
+    from itertools import combinations
+    from wtl.bisimulation import _history
+
+    models = [random_wts(seed + 87000, 6, 3, POOL, ["p", "q"]) for seed in range(30)]
+    models += [random_wts(seed + 88000, 7, 2, [F(1), F(2)], ["p"]) for seed in range(10)]
+    models += [_chain(n) for n in (1, 2, 5, 7)] + [_ring(n) for n in (3, 4, 6, 7)]
+    for i, m in enumerate(models):
+        bound = naive_coarsest(m, is_bound_bisimulation)
+        exact = naive_coarsest(m, is_exact_bisimulation)
+        assert generalized_bisimilarity(m) == bound, i
+        assert weighted_bisimilarity(m) == exact, i
+        assert minimize(m)[0] == bound, i
+        rounds = naive_rounds(m)
+        assert rounds[-1] == set(bound.blocks), i
+        for a, b in combinations(sorted(m.states), 2):
+            assert are_bisimilar(m, a, b) == bound.same_block(a, b), (i, a, b)
+            assert are_bisimilar(m, a, b, "weighted") == exact.same_block(a, b), (i, a, b)
+            history = _sets(_history(m, a, b))
+            assert history == rounds[:len(history)], (i, a, b)
+            if not bound.same_block(a, b):
+                # stopped at the first naive round that splits the pair
+                assert not any(b in block for block in history[-1] if a in block), (i, a, b)
+                assert len(history) == 1 or any(
+                    {a, b} <= block for block in history[-2]), (i, a, b)
+
+
+def _signature_spy(monkeypatch):
+    """Wrap `_bound_signature`, and return the block count it saw at each
+    call: one distinct count per split pass, since every pass that is
+    followed by another splits some block."""
+    from wtl import bisimulation
+
+    seen = []
+    sign = bisimulation._bound_signature
+
+    def spy(m, block_of, s):
+        seen.append(len(set(block_of.values())))
+        return sign(m, block_of, s)
+
+    monkeypatch.setattr(bisimulation, "_bound_signature", spy)
+    return seen
+
+
+def _chain_and_pair(n):
+    """A chain of n states beside a and b, which lead into states labelled
+    q and r: the first split pass splits a and b, and the chain takes
+    about n passes to reach the fixpoint."""
+    chain = _chain(n)
+    states = sorted(chain.states) + ["a", "b", "u", "v"]
+    labels = {**chain.labels, "u": ["q"], "v": ["r"]}
+    return Wts(states, labels, [*chain.transitions, ("a", 1, "u"), ("b", 1, "v")])
+
+
+def test_distinguishing_stops_at_the_round_that_splits_the_pair(monkeypatch):
+    seen = _signature_spy(monkeypatch)
+    # different labels: no state is signed at all
+    m = _chain_and_pair(30)
+    f = distinguishing_formula(m, "u", "v")
+    assert print_formula(f) == "q"
+    assert seen == []
+    f = distinguishing_formula(m, "a", "b")
+    assert print_formula(f) == "L[0] q"
+    assert len(set(seen)) == 1
+
+
+def test_are_bisimilar_stops_at_the_round_that_splits_the_pair(monkeypatch):
+    seen = _signature_spy(monkeypatch)
+    m = _chain_and_pair(30)
+    assert are_bisimilar(m, "a", "b") is False
+    assert len(set(seen)) == 1
+    seen.clear()
+    assert are_bisimilar(m, "c0", "c0") is True
+    assert len(set(seen)) > 25  # the fixpoint of a 30-state chain
+
+
+def test_a_long_chain_refines_in_well_under_a_second():
+    import time
+
+    m = _chain(2000)
+    began = time.perf_counter()
+    p = generalized_bisimilarity(m)
+    q = minimize(m)[1]
+    elapsed = time.perf_counter() - began
+    assert len(p.blocks) == 2000 and len(q.states) == 2000
+    assert elapsed < 1.0, elapsed

@@ -93,6 +93,15 @@ def test_bare_strings_are_not_collections():
     for query in (m.image_set, m.theta_min, m.theta_max):
         with pytest.raises(ModelError, match="targets must be a collection of state ids, got 'b'"):
             query("a", "b")
+    # and values that do not iterate at all are named, not a TypeError
+    with pytest.raises(ValueError, match="blocks must be a collection of blocks, got 5"):
+        Partition(5)
+    with pytest.raises(ValueError, match="block must be a collection of states, got 5"):
+        Partition([5])
+    for query in (m.image_set, m.theta_min, m.theta_max):
+        for value in (5, None):
+            with pytest.raises(ModelError, match=f"state ids, got {value}$"):
+                query("a", value)
     assert m.image_set("a", ["b"]) == {F(1)} and m.theta_max("a", {"b"}) == F(1)
 
 
