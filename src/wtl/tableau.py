@@ -18,18 +18,20 @@ conjunction, else `neg-neg`) whose one child is the saturated set.
 Below a start, `_explore` works on saturated sets only, and builds nodes
 only as it reaches them.  It reads a set in one pass, `_scan`, which
 yields all that the rules ask: the leftmost negated conjunction, the
-positive and the negated modal formulas, and whether the literals
-clash.  An interior node branches on its leftmost negated conjunction,
-the negation of the left operand first, each branch saturated when it
-is made, and stops at the first open branch; a terminal node gets its
-modal children, each a new query start, only once it is consistent,
+positive and the negated modal formulas, and whether the literals clash.
+A node whose literals clash or whose intervals are empty is closed at
+once, before any rule fires: it has no model, and branching only adds
+formulas and keeps its ends.  Otherwise an interior node branches on its
+leftmost negated conjunction, the negation of the left operand first,
+each branch saturated when it is made, and stops at the first open
+branch; a terminal node gets its modal children, each a new query start,
 and they stop at the first closed one.  Every node reached records the
-children tried and a `closed` flag, and `_explore` memoizes these
-nodes for the query.  So the recorded tree is the one explored: an open
-node's path runs through the last child of each interior node, and the
-finite model extracted from it is re-checked against the root's
-saturated set.  `build_tableau` returns that tree for dumps, and
-`find_witness` is its root when the root is open.
+children tried and a `closed` flag, and `_explore` memoizes these nodes
+for the query.  So the recorded tree is the one explored: an open node's
+path runs through the last child of each interior node, and the finite
+model extracted from it is re-checked against the root's saturated set.
+`build_tableau` returns that tree for dumps, and `find_witness` is its
+root when the root is open.
 
 Semantic entailment between operands is decided by the same search on
 the conjunction of one operand with the negation of the other, run in
@@ -391,31 +393,34 @@ def _search(gamma, ends: tuple, query: _Query) -> TableauNode:
 
 def _explore(gamma, ends: tuple, query: _Query) -> TableauNode:
     """The node of a saturated set as the search explored it.  An
-    interior node branches on its leftmost negated conjunction and is
-    open at the first open branch; a terminal node is open when it is
-    consistent and every modal child is open, and the children stop at
-    the first closed one.  The query's memo maps each saturated node
-    reached, as (gamma, ends), to its explored node."""
+    inconsistent node is closed with no children.  Otherwise an interior
+    node branches on its leftmost negated conjunction and is open at the
+    first open branch; a terminal node is open when every modal child is
+    open, and the children stop at the first closed one.  The query's
+    memo maps each saturated node reached, as (gamma, ends), to its
+    explored node."""
     memo = query.memo
     key = (gamma, ends)
     node = memo.get(key)
     if node is not None:
         return node
     negated_and, positives, negatives, clash = _scan(gamma)
+    # Both intervals hold a value, and the least minimum weight is not
+    # above the greatest maximum.  Branching only adds formulas and keeps
+    # the ends, so a node that fails this is closed before any rule fires.
+    a, b, c, d = ends
+    closed = clash or not (a <= b and c <= d and a <= d)
     children = []
     if negated_and is not None:
         rule = RULE_NEG_AND
-        for child_gamma in _branches(gamma, negated_and):
-            children.append(_explore(child_gamma, ends, query))
-            if not children[-1].closed:
-                break
-        closed = children[-1].closed
+        if not closed:
+            for child_gamma in _branches(gamma, negated_and):
+                children.append(_explore(child_gamma, ends, query))
+                if not children[-1].closed:
+                    break
+            closed = children[-1].closed
     else:
         rule = RULE_MOD if positives or negatives else None
-        # Both intervals hold a value, and the least minimum weight is not
-        # above the greatest maximum.
-        a, b, c, d = ends
-        closed = clash or not (a <= b and c <= d and a <= d)
         if not closed:
             for psi, child_ends in _mod_child_specs(positives, negatives, query):
                 children.append(_search((psi,), child_ends, query))

@@ -295,7 +295,9 @@ class Wts:
         )
 
     def _require_state(self, s: str) -> None:
-        if s not in self.states:
+        """Refuse `s` unless it is a state id of the model: a value of any
+        other type, hashable or not, is an unknown state."""
+        if not (isinstance(s, str) and s in self.states):
             raise UnknownStateError(f"unknown state {s!r}")
 
     def image_set(self, s: str, targets: Iterable[str]) -> frozenset[Fraction]:

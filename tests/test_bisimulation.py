@@ -1,4 +1,5 @@
 import copy
+import json
 import pickle
 import random
 import tracemalloc
@@ -9,8 +10,10 @@ import pytest
 from wtl import (
     Partition, Wts, are_bisimilar, distinguishing_formula,
     generalized_bisimilarity, minimize, model_check, print_formula,
-    quotient_model, random_formula, random_wts, sat_set, weighted_bisimilarity,
+    quotient_model, random_formula, random_wts, sat_set, serialize_wts,
+    weighted_bisimilarity,
 )
+from wtl.cli import run as cli_run
 from oracles import (
     all_partitions, is_bound_bisimulation, is_exact_bisimulation, modal_depth,
     naive_coarsest, naive_rounds, reference_quotient,
@@ -568,3 +571,6 @@ def test_a_long_chain_refines_in_well_under_a_second():
     elapsed = time.perf_counter() - began
     assert len(p.blocks) == 2000 and len(q.states) == 2000
     assert elapsed < 1.0, elapsed
+    # `wtl quotient` gives a 10,000-state chain's 10,000 blocks
+    code, out, err = cli_run(["quotient", "--model", "-"], serialize_wts(_chain(10_000)))
+    assert (code, err) == (0, "") and len(json.loads(out)["blocks"]) == 10_000

@@ -30,6 +30,11 @@ def invoke(argv, stdin=b""):
     return code, body, err
 
 
+def make_chain_pair_model():
+    """a -1-> b -2-> c and d -1-> b, no labels."""
+    return Wts(["a", "b", "c", "d"], {}, [("a", 1, "b"), ("b", 2, "c"), ("d", 1, "b")])
+
+
 def test_mc_negative_answer(tmp_path):
     path = write_model(tmp_path, make_vacuum_model())
     code, body, _ = invoke(["mc", "--model", path, "--state", "s1",
@@ -115,6 +120,9 @@ def test_sat_emit_model_and_dump_tableau(tmp_path):
     dump = json.loads(dump_out.read_text())
     assert dump["gamma"] == ["(L[2] p1 & M[5] L[1] p1)"]
     assert dump["min_interval"]["lower"] == "0"
+    # a unique prefix of a long flag is that flag
+    assert run(["sat", "--emit", str(model_out), "--formula", "p"])[0] == 0
+    assert run(["fmt", "--model", str(model_out)])[0] == 0
 
 
 def test_sat_builds_one_tableau_and_dumps_it_only_when_asked(tmp_path, monkeypatch):
@@ -147,6 +155,9 @@ def test_sat_with_a_dump_searches_once(tmp_path, monkeypatch):
         ("L[2] p1 & M[5] L[1] p1", 0),
         ("L[2] !p1 & M[1] !p2", 3),
         ("p1 & L[4] p1 & !L[3] p1 & L[2] p2", 1),
+        ("L[1] (p & q) & M[2] !!r", 0),
+        ("p1 & p2 & L[2] p1 & L[4] (p1 & p2) & L[0] p3 & !L[5] p2 & !M[6] p3", 0),
+        ("L[1] p1 & L[2] (p1 & p2) & L[3] (p2 & p1) & L[0] p3", 0),
     ]):
         phi = parse_formula(formula)
         roots = []
@@ -158,8 +169,8 @@ def test_sat_with_a_dump_searches_once(tmp_path, monkeypatch):
 
         monkeypatch.setattr(wtl.tableau, "_search", counting)
         dump_out, dumped_model = tmp_path / f"t{i}.json", tmp_path / f"dumped{i}.wts.json"
-        dumped = run(["sat", "--formula", formula, "--emit-model", str(dumped_model),
-                      "--dump-tableau", str(dump_out)])
+        dumped = run(["sat", "--formula-file=-", "--emit-model", str(dumped_model),
+                      "--dump-tableau", str(dump_out)], formula.encode())
         assert len(roots) == 1, formula
         monkeypatch.setattr(wtl.tableau, "_search", search)
         plain_model = tmp_path / f"plain{i}.wts.json"
@@ -218,6 +229,13 @@ def test_bisim_pair_and_partition(tmp_path):
     assert code == 1 and body == {"bisimilar": False}
     code, body, _ = invoke(["bisim", "--model", path])
     assert code == 0 and body == {"blocks": [["s", "t"], ["sp", "tp"]]}
+    # a -1-> b -2-> c and d -1-> b: a and d are bound-bisimilar, and a
+    # and b are not exactly bisimilar
+    path = write_model(tmp_path, make_chain_pair_model(), "abcd.wts.json")
+    assert invoke(["bisim", "--model", path, "--state", "a", "--state", "d"]) \
+        == (0, {"bisimilar": True}, "")
+    assert invoke(["bisim", "--model", path, "--weighted", "--state", "a", "--state", "b"]) \
+        == (1, {"bisimilar": False}, "")
 
 
 def test_distinguish_command(tmp_path):
@@ -229,6 +247,16 @@ def test_distinguish_command(tmp_path):
     code, body, _ = invoke(["distinguish", "--model", pair,
                             "--state", "s", "--state", "t"])
     assert code == 1 and body["distinguishable"] is False
+    # a and b are told apart by a formula that mc finds true at a and
+    # false at b; a and d are not told apart
+    path = write_model(tmp_path, make_chain_pair_model(), "abcd.wts.json")
+    code, body, _ = invoke(["distinguish", "--model", path, "--state", "a", "--state", "b"])
+    assert code == 0 and body["distinguishable"] is True
+    for state, want in (("a", (0, {"holds": True}, "")), ("b", (1, {"holds": False}, ""))):
+        assert invoke(["mc", "--model", path, "--state", state,
+                       "--formula-file", "-"], body["formula"].encode()) == want
+    assert invoke(["distinguish", "--model", path, "--state", "a", "--state", "d"]) \
+        == (1, {"distinguishable": False, "bisimilar": True}, "")
 
 
 def test_quotient_writes_only_with_output_flag(tmp_path):
@@ -241,6 +269,13 @@ def test_quotient_writes_only_with_output_flag(tmp_path):
     assert len(quotient.states) == 2
     code, body, _ = invoke(["quotient", "--model", path])
     assert code == 0 and "model" in body
+    # the quotient on stdout is the one written with -o, and its blocks
+    # are the partition that `bisim` reports
+    assert body["model"] == json.loads(out_path.read_bytes())
+    assert body["blocks"] == invoke(["bisim", "--model", path])[1]["blocks"]
+    attached = tmp_path / "attached.wts.json"
+    assert run(["quotient", "--model", path, f"-o{attached}"])[0] == 0
+    assert attached.read_bytes() == out_path.read_bytes()
 
 
 def test_axioms_command():
@@ -249,6 +284,11 @@ def test_axioms_command():
     assert code == 0
     assert {entry["schema"] for entry in body["schemas"]} == {"A6", "A7"}
     assert body["unexpected_violations"] == 0
+    # every sound schema holds on every trial, and the negative control
+    # is caught
+    code, body, _ = invoke(["axioms", "--seed", "1", "--trials", "200"])
+    assert code == 0 and body["unexpected_violations"] == 0
+    assert body["control_violations"] > 0
     code, out, err = run(["axioms", "--seed", "5", "--trials", "40",
                           "--schema", "nope", "--schema", "A6"])
     assert (code, out) == (2, "")
@@ -282,6 +322,26 @@ def test_fmt_model_idempotent(tmp_path):
     code2, out2, _ = run(["fmt", "--model", str(again)])
     assert out2 == out
     assert '"weight": "5/2"' in out
+    # a seeded model of 4,000 states and 16,000 transitions, read in
+    # whole-list passes: with its entries shuffled, its triples repeated
+    # and its weights respelled, fmt gives the bytes of fmt of the
+    # canonical file, and fmt of those bytes gives them again
+    rng = random.Random(27)
+    ids = [f"s{i}" for i in range(4000)]
+    states = [{"id": s, "labels": rng.sample(["p", "q", "r"], rng.randint(0, 2))} for s in ids]
+    edges = [{"from": s, "weight": rng.choice(["1/2", "1", "2", "3"]), "to": rng.choice(ids)}
+             for s in ids for _ in range(4)]
+    code, canonical, _ = run(["fmt", "--model", "-"],
+                             json.dumps({"states": states, "transitions": edges}).encode())
+    assert code == 0
+    spelled = {"1/2": ["0.5", "2/4"], "1": ["1.0", "2/2"], "2": ["2.0", "4/2"], "3": ["3", "6/2"]}
+    messy = [dict(e, weight=rng.choice(spelled[e["weight"]]))
+             for e in edges + rng.sample(edges, 4000)]
+    rng.shuffle(states)
+    rng.shuffle(messy)
+    for blob in (json.dumps({"transitions": messy, "states": states}).encode(),
+                 canonical.encode()):
+        assert run(["fmt", "--model", "-"], blob) == (0, canonical, "")
 
 
 def test_usage_errors_are_json(tmp_path):
@@ -304,9 +364,11 @@ def test_usage_errors_are_json(tmp_path):
     # a left-nested conjunction
     nested = "(" * 1200 + "p" + ")" * 1200
     wide = " & ".join(f"p{i}" for i in range(1000))
-    # `--formula=--` gives the option the value `--`, which does not parse
+    # `--formula=--` gives the option the value `--`, which does not parse;
+    # `--f` is an ambiguous prefix, and `x` is no int
     for argv in (["fmt", "--formula", nested], ["fmt", "--formula=--"],
-                 ["mc", "--model", path, "--state", "s1", "--formula", wide]):
+                 ["mc", "--model", path, "--state", "s1", "--formula", wide],
+                 ["sat", "--f", "p"], ["axioms", "--seed", "x", "--trials", "1"]):
         code, out, err = run(argv)
         assert code == 2 and out == "" and "error" in json.loads(err)
     # a chain of prefixes is read in one loop: 1,200 negations print, and
@@ -318,6 +380,7 @@ def test_usage_errors_are_json(tmp_path):
         assert type(f) is Not
         f = f.operand
     assert f == Atom("p")
+    assert run(["fmt", "--formula-file", "-"], out.encode()) == (0, out, "")
     # so is a chain of arrows: `fmt` prints 1,200 of them
     code, out, err = run(["fmt", "--formula", " -> ".join(["p"] * 1201)])
     assert (code, err) == (0, "") and out.startswith("!(p & !!(p & ")
@@ -338,6 +401,17 @@ def test_usage_errors_are_json(tmp_path):
         assert (code, out) == (2, "")
         assert json.loads(err) == {
             "error": "model nested too deeply for this interpreter's recursion limit"}
+    # a model the bulk reader gives up: of its 600 transitions, the 300th
+    # goes to an unknown state and the 500th weighs 1/0; the
+    # element-by-element checker names the first of the two
+    edges = [{"from": f"s{i % 200}", "weight": ["1/2", "2", "3"][i % 3], "to": f"s{i * 7 % 200}"}
+             for i in range(600)]
+    edges[299]["to"] = "ghost"
+    edges[499]["weight"] = "1/0"
+    faulty = {"states": [{"id": f"s{i}", "labels": ["p"] if i % 3 else []} for i in range(200)],
+              "transitions": edges}
+    assert run(["fmt", "--model", "-"], json.dumps(faulty).encode()) == (
+        2, "", json.dumps({"error": "transition to unknown state 'ghost'"}) + "\n")
     missing = tmp_path / "missing"
     unlabelled = tmp_path / "bad_label.json"
     unlabelled.write_bytes(b'{"states":[{"id":"a","labels":[1]}],"transitions":[]}')
@@ -389,6 +463,8 @@ def test_rationals_over_the_digit_limit_give_one_json_error(tmp_path):
                             {"from": "b", "weight": nines[:-1] + "8", "to": "t"}]}
     emitted = tmp_path / "m.json"
     for argv, stdin in ((["fmt", "--formula", f"L[{ones}] p"], b""),
+                        (["fmt", "--formula", f"L[{'1' * 4301}] p"], b""),
+                        (["fmt", "--formula", f"L[1.{'3' * 2150}] p"], b""),
                         (["sat", "--formula", f"M[1/{ones}] p"], b""),
                         (["fmt", "--model", "-"], (weight % f'"{ones}"').encode()),
                         (["fmt", "--model", "-"], (weight % ones).encode()),

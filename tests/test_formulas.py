@@ -1,3 +1,4 @@
+import json
 import pickle
 import random
 import re
@@ -16,6 +17,7 @@ from wtl import (
     sat_set, serialize_wts,
 )
 from wtl import formulas
+from wtl.cli import run as cli_run
 from wtl.formulas import Formula
 from wtl.wts import MAX_RATIONAL_DIGITS
 
@@ -592,6 +594,18 @@ def test_local_model_check_is_exact_at_equality():
                         ("L[2/2305843009213693951] p", False), ("M[0] p", False)):
         f = parse_formula(text)
         assert model_check(m, "s", f) is holds and ("s" in sat_set(m, f)) is holds
+    # `mc` on a model file compares alike: exit 0 when the formula holds,
+    # 1 when it does not
+    for weight, text, code in (
+            ("2/4", "L[0.5] p", 0), ("2/4", "M[1/2] p", 0),
+            ("2/4", "L[5000000000000000001/10000000000000000000] p", 1),
+            ("2/4", "M[4999999999999999999/10000000000000000000] p", 1),
+            (sentinel, f"L[{sentinel}] p", 0), (sentinel, f"M[{sentinel}] p", 0),
+            (sentinel, "L[2/2305843009213693951] p", 1)):
+        model = {"states": [{"id": "s", "labels": []}, {"id": "t", "labels": ["p"]}],
+                 "transitions": [{"from": "s", "weight": weight, "to": "t"}]}
+        argv = ["mc", "--model", "-", "--state", "s", "--formula", text]
+        assert cli_run(argv, json.dumps(model).encode())[0] == code, (weight, text)
 
 
 def test_equal_operands_answer_alike_whether_shared_or_distinct():

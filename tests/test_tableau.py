@@ -166,6 +166,13 @@ def test_mod_children_two_minimal_operands():
     assert second.min_interval == interval("[0,inf)")
     assert second.max_interval == interval("(6,inf)")
     assert not node.closed and not first.closed and not second.closed
+    # of the equivalent (p1 & p2) and (p2 & p1) the first, and not p1,
+    # which (p1 & p2) strictly entails; a child's least weight is at least
+    # every bound whose operand it entails
+    node = modal_node((AtLeast(1, P1), AtLeast(2, And(P1, P2)), AtLeast(3, And(P2, P1)),
+                       AtLeast(0, P3)))
+    assert [(c.gamma, c.min_interval) for c in node.children] == [
+        ((And(P1, P2),), interval("[3,inf)")), ((P3,), interval("[0,inf)"))]
 
 
 def test_mod_children_literals_only():
@@ -388,7 +395,7 @@ def test_node_intervals_dump_and_repr_agree_with_the_oracle():
 def test_no_fraction_code_runs_below_the_search_start():
     pool = [F(0), F(1, 2), F(1), F(2), F(5, 2), F(3)]
     corpus = [random_formula(seed + 18100, ["p1", "p2", "p3"], 1 + seed % 3, pool)
-              for seed in range(120)]
+              for seed in range(240)]
     rng = random.Random(18200)
     for seed in range(24):
         # planted: each conjunct made true at a state of a random model
@@ -455,19 +462,21 @@ def _check_explored_tree(root):
         if node.rule != "mod":
             # non-branching steps occur only where a query starts
             assert all(child.rule not in ("and", "neg-neg") for child in node.children)
-        if not node.is_terminal:
+        if node.rule not in ("and", "neg-neg") and not node_consistent(node):
+            # an inconsistent saturated set is closed before any rule fires
+            assert node.closed and node.children == ()
+        elif not node.is_terminal:
             assert all(child.closed for child in node.children[:-1])
             if node.closed:
                 assert len(node.children) == _alternatives(node) and last.closed
             else:
                 assert not last.closed
         elif node.closed:
-            assert not node_consistent(node) or last.closed
+            assert last.closed
         elif node.kind == "modal":
-            assert node_consistent(node)
             assert not any(child.closed for child in node.children)
         else:
-            assert node_consistent(node) and node.children == ()
+            assert node.children == ()
 
 
 def test_search_agrees_with_the_built_tableau():
@@ -506,6 +515,22 @@ def test_search_never_builds_the_full_tableau():
     assert isinstance(verdict, Sat) and verdict.verified is True
     assert entails(And(P1, P2), P1) and not entails(P1, AtLeast(1, P1))
     assert is_valid(parse_formula("L[3] p -> !M[2] p"))
+
+
+def test_a_node_closes_at_its_first_inconsistency_before_it_branches():
+    # 16 disjunctions beside a clash, and under an empty interval [4,3):
+    # the node is closed before the neg-and rule fires, not after 2^16
+    # closed leaves
+    parts = " & ".join(f"(p{j} | q{j})" for j in range(16))
+    for text, rules in ((f"{parts} & x & !x", ["and", "neg-and"]),
+                        (f"L[4] ({parts}) & !L[3] ({parts})", ["and", "mod", "and", "neg-and"])):
+        phi = parse_formula(text)
+        root = build_tableau(phi).root
+        _check_explored_tree(root)
+        nodes = list(explored_nodes(root))
+        assert [n.rule for n in nodes] == rules and all(n.closed for n in nodes)
+        assert nodes[-1].children == ()
+        assert isinstance(is_satisfiable(phi), Unsat)
 
 
 def _shared_formula_sets(seed, count):

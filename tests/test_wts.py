@@ -3,6 +3,7 @@ import gc
 import json
 import pickle
 import random
+import re
 import sys
 import tracemalloc
 from collections import Counter
@@ -14,7 +15,7 @@ import pytest
 import wtl.wts
 from wtl import (
     SCHEMAS, And, Atom, FormulaError, ModelError, NEG_INF, POS_INF, Partition,
-    UnknownStateError, Wts,
+    UnknownStateError, Wts, are_bisimilar,
     build_tableau, distinguishing_formula, extract_model, format_rational,
     generalized_bisimilarity, is_satisfiable, model_check, parse_formula,
     parse_rational, parse_wts, quotient_model, random_wts, sat_set,
@@ -53,6 +54,16 @@ def test_unknown_state_rejected(vacuum):
         vacuum.image_set("nope", {"s1"})
     with pytest.raises(UnknownStateError):
         vacuum.image_set("s1", {"nope"})
+    # a value that is no state id, hashable or not, is named alike
+    f = parse_formula("p")
+    for state in (["s1"], {}, {"s1"}, 1, None):
+        for call in (lambda: model_check(vacuum, state, f),
+                     lambda: are_bisimilar(vacuum, state, "s2"),
+                     lambda: distinguishing_formula(vacuum, "s2", state),
+                     lambda: vacuum.image_set(state, ["s2"]),
+                     lambda: vacuum.theta_min(state, ["s2"])):
+            with pytest.raises(UnknownStateError, match=re.escape(f"unknown state {state!r}")):
+                call()
 
 
 def test_construction_invariants():
