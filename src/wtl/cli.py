@@ -273,7 +273,7 @@ def run(argv: list[str], stdin: Optional[bytes] = b"") -> tuple[int, str, str]:
     except (_UsageError, ModelError, FormulaError, ValueError, KeyError) as e:
         return EXIT_ERROR, "", json.dumps({"error": str(e)}) + "\n"
     except RecursionError:
-        # The parser and the engines recurse on the formula's nesting.
+        # The engines recurse on the formula's nesting; the parser does not.
         error = "formula nested too deeply for this interpreter's recursion limit"
         return EXIT_ERROR, "", json.dumps({"error": error}) + "\n"
 

@@ -17,14 +17,15 @@ C and gives one flat list of token texts: after whitespace
 or a stray character.  One pass over that list, before parsing starts,
 finds the first lexical error in input order and reads every rational
 (`read_rational`), with its hash, through a process-wide memo of at most
-`BOUND_MEMO_SIZE` texts.  The recursive-descent parser then compares the
-token texts, read by index.  It recurses on parentheses, but reads a
-chain of prefixes (`!`, `L[r]`, `M[r]`, `<>`, `[]`) in one loop, and a
-chain of `->` and `<->` in another, so a chain of any length parses.
-It makes each modality node through `_modality`, from the memo's bound
-and hash, so a bound whose text the memo holds costs no `Fraction` work
-in Python.  An error names the token's position and quotes it as the
-input has it.
+`BOUND_MEMO_SIZE` texts.  The parser then compares the token texts,
+read by index, in one loop with no recursion: a parenthesis pushes the
+enclosing level onto a list, and its close pops it.  So nesting, chains
+of prefixes and chains of infix operators parse at any depth and
+length, and `parse_formula` reads back everything `print_formula`
+prints.  It makes each modality node through `_modality`, from the
+memo's bound and hash, so a bound whose text the memo holds costs no
+`Fraction` work in Python.  An error names the token's position and
+quotes it as the input has it.
 
 The constructors are also the operations of an `Algebra` (tagless
 style), with the derived connectives desugared once in the base class.
@@ -361,18 +362,17 @@ _ZERO_HASH = hash(_ZERO)
 
 
 class _Parser:
-    """Recursive descent over `_tokenize`'s token texts, read by index:
-    `i` is the next token.  A token is a name when its first character
-    starts an identifier; "" is the end.  Errors quote the token as the
-    input has it.  `bounds` maps a rational's token index to its value
-    and hash, as `_read_bound` gives them."""
+    """One loop over `_tokenize`'s token texts, read by index, with no
+    recursion.  A token is a name when its first character starts an
+    identifier; "" is the end.  Errors quote the token as the input has
+    it.  `bounds` maps a rational's token index to its value and hash, as
+    `_read_bound` gives them."""
 
-    __slots__ = ("text", "tokens", "bounds", "i")
+    __slots__ = ("text", "tokens", "bounds")
 
     def __init__(self, text: str):
         self.text = text
         self.tokens, self.bounds = _tokenize(text)
-        self.i = 0
 
     def fail(self, k: int, message: str) -> FormulaError:
         """`message`, then token `k`."""
@@ -381,91 +381,93 @@ class _Parser:
         return _error(self.text, k, f"{message} {shown}")
 
     def formula(self) -> Formula:
-        """A chain of disjunctions joined by `->` and `<->`, read in one
-        loop and folded from the right: `a <-> b -> c` is
-        `a <-> (b -> c)`.  There is no call per arrow, so a chain of any
-        length parses."""
-        f = self.disj()
-        token = self.tokens[self.i]
-        if token != "->" and token != "<->":
-            return f
-        operands, arrows = [f], []
-        while token == "->" or token == "<->":
-            self.i += 1
-            arrows.append(implies if token == "->" else iff)
-            operands.append(self.disj())
-            token = self.tokens[self.i]
-        f = operands.pop()
-        while arrows:
-            f = arrows.pop()(operands.pop(), f)
-        return f
+        """The whole text as one formula.
 
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.tokens[self.i] == "|":
-            self.i += 1
-            f = lor(f, self.conj())
-        return f
-
-    def conj(self) -> Formula:
-        f = self.prefix()
-        while self.tokens[self.i] == "&":
-            self.i += 1
-            f = And(f, self.prefix())
-        return f
-
-    def prefix(self) -> Formula:
-        """A chain of prefixes (`!`, `L[r]`, `M[r]`, `<>`, `[]`), then
-        their operand: a name or a parenthesized formula.
-
-        One loop reads the chain forward to its operand, and a second
-        applies it to the operand, innermost first, going back over the
-        same tokens: before the operand, a "]" can only close a bound.
-        There is no call per prefix, so a chain of any length parses."""
+        An operand is a chain of prefixes (`!`, `L[r]`, `M[r]`, `<>`,
+        `[]`), read forward to a name or a `(`.  A level folds its
+        operands as it reads them: `&` into `conj`, `|` into `disj`, and
+        a chain of `->` and `<->` into `chain`, each disjunction followed
+        by its arrow, to be folded from the right at the level's end
+        (`a <-> b -> c` is `a <-> (b -> c)`).  A `(` pushes the enclosing
+        level and the span of its prefixes onto `stack`; its `)` pops
+        them, and the finished formula becomes an operand there.  Prefixes
+        are applied to their operand innermost first, going back over
+        their tokens: before the operand, a "]" can only close a bound.
+        Nothing recurses and the index `i` is a local, so nesting and
+        chains of any length parse."""
         tokens, bounds = self.tokens, self.bounds
-        start = i = self.i
+        stack = []
+        conj = disj = None
+        chain = []
+        i = 0
         while True:
-            token = tokens[i]
-            if token == "!" or token == "<>" or token == "[]":
+            start = i
+            while True:
+                token = tokens[i]
+                if token == "!" or token == "<>" or token == "[]":
+                    i += 1
+                elif (token == "L" or token == "M") and tokens[i + 1] == "[":
+                    if i + 2 not in bounds:
+                        raise self.fail(i + 2, "expected a number, got")
+                    if tokens[i + 3] != "]":
+                        raise self.fail(i + 3, "expected ']', got")
+                    i += 4
+                else:
+                    break
+            if token == "(":
+                stack.append((start, i, conj, disj, chain))
+                conj = disj = None
+                chain = []
                 i += 1
-            elif (token == "L" or token == "M") and tokens[i + 1] == "[":
-                if i + 2 not in bounds:
-                    raise self.fail(i + 2, "expected a number, got")
-                if tokens[i + 3] != "]":
-                    raise self.fail(i + 3, "expected ']', got")
-                i += 4
-            else:
-                break
-        if token[:1] in _NAME_START:
-            self.i = i + 1
+                continue
+            if token[:1] not in _NAME_START:
+                raise self.fail(i, "unexpected")
             if token == "true":
                 f = Top()
             elif token == "false":
                 f = Bottom()
             else:
                 f = Atom(token)
-        elif token == "(":
-            self.i = i + 1
-            f = self.formula()
-            if tokens[self.i] != ")":
-                raise self.fail(self.i, "expected ')', got")
-            self.i += 1
-        else:
-            raise self.fail(i, "unexpected")
-        while i > start:
-            i -= 1
-            token = tokens[i]
-            if token == "]":
-                i -= 3
-                bound, bound_hash = bounds[i + 2]
-                f = _modality(AtLeast if tokens[i] == "L" else AtMost, bound, bound_hash, f)
-            elif token == "!":
-                f = Not(f)
-            elif token == "<>":
-                f = _modality(AtLeast, _ZERO, _ZERO_HASH, f)
-            else:  # "[]"
-                f = Not(_modality(AtLeast, _ZERO, _ZERO_HASH, Not(f)))
-        return f
+            end = i
+            i += 1
+            while True:  # `f` is an operand: fold it in, or close the level
+                while end > start:
+                    end -= 1
+                    token = tokens[end]
+                    if token == "]":
+                        end -= 3
+                        bound, bound_hash = bounds[end + 2]
+                        f = _modality(AtLeast if tokens[end] == "L" else AtMost, bound, bound_hash, f)
+                    elif token == "!":
+                        f = Not(f)
+                    elif token == "<>":
+                        f = _modality(AtLeast, _ZERO, _ZERO_HASH, f)
+                    else:  # "[]"
+                        f = Not(_modality(AtLeast, _ZERO, _ZERO_HASH, Not(f)))
+                conj = f if conj is None else And(conj, f)
+                token = tokens[i]
+                if token == "&":
+                    break
+                disj = conj if disj is None else lor(disj, conj)
+                conj = None
+                if token == "|":
+                    break
+                if token == "->" or token == "<->":
+                    chain += (disj, implies if token == "->" else iff)
+                    disj = None
+                    break
+                f = disj
+                while chain:  # the arrow is popped first, then its left operand
+                    f = chain.pop()(chain.pop(), f)
+                if not stack:
+                    if token:
+                        raise self.fail(i, "trailing input")
+                    return f
+                if token != ")":
+                    raise self.fail(i, "expected ')', got")
+                i += 1
+                start, end, conj, disj, chain = stack.pop()
+            i += 1
 
 
 def parse_formula(text: Union[bytes, str]) -> Formula:
@@ -475,11 +477,7 @@ def parse_formula(text: Union[bytes, str]) -> Formula:
     the offset of the first bad byte."""
     if isinstance(text, bytes):
         text = decode_utf8(text, FormulaError)
-    parser = _Parser(text)
-    f = parser.formula()
-    if parser.tokens[parser.i]:
-        raise parser.fail(parser.i, "trailing input")
-    return f
+    return _Parser(text).formula()
 
 
 def print_formula(f: Formula) -> str:

@@ -301,14 +301,22 @@ class Wts:
             raise UnknownStateError(f"unknown state {s!r}")
 
     def image_set(self, s: str, targets: Iterable[str]) -> frozenset[Fraction]:
-        """Weights of all transitions from `s` into the target set."""
+        """Weights of all transitions from `s` into the target set.
+
+        Each target is checked as `_require_state` checks a state.  The
+        error names each unknown target once, by its `repr`, in the order
+        of its `str` and then its `repr`: every value has both, and a
+        string id sorts as itself."""
         self._require_state(s)
         if not _is_collection(targets):
             raise ModelError(f"targets must be a collection of state ids, got {targets!r}")
-        targets = frozenset(targets)
-        unknown = targets - self.states
+        targets = list(targets)
+        unknown = {(str(t), repr(t)) for t in targets
+                   if not (isinstance(t, str) and t in self.states)}
         if unknown:
-            raise UnknownStateError(f"unknown target state(s) {sorted(unknown)!r}")
+            shown = ", ".join(text for _, text in sorted(unknown))
+            raise UnknownStateError(f"unknown target state(s) [{shown}]")
+        targets = frozenset(targets)
         ranks = {r for r, dst in self._out[s] if dst in targets}
         return frozenset(self.weights[r] for r in ranks)
 

@@ -360,17 +360,18 @@ def test_usage_errors_are_json(tmp_path):
     assert code == 2 and "error" in json.loads(err)
     code, _, err = run(["mc", "--model", path, "--state", "ghost", "--formula", "p"])
     assert code == 2
-    # the parser still recurses once per parenthesis, and model_check down
-    # a left-nested conjunction
-    nested = "(" * 1200 + "p" + ")" * 1200
+    # model_check recurses down a left-nested conjunction
     wide = " & ".join(f"p{i}" for i in range(1000))
     # `--formula=--` gives the option the value `--`, which does not parse;
     # `--f` is an ambiguous prefix, and `x` is no int
-    for argv in (["fmt", "--formula", nested], ["fmt", "--formula=--"],
+    for argv in (["fmt", "--formula=--"],
                  ["mc", "--model", path, "--state", "s1", "--formula", wide],
                  ["sat", "--f", "p"], ["axioms", "--seed", "x", "--trials", "1"]):
         code, out, err = run(argv)
         assert code == 2 and out == "" and "error" in json.loads(err)
+    # the parser reads parentheses in one loop: 1,200 of them answer
+    nested = "(" * 1200 + "p" + ")" * 1200
+    assert run(["fmt", "--formula", nested]) == (0, "p\n", "")
     # a chain of prefixes is read in one loop: 1,200 negations print, and
     # the text reads back to the same chain
     code, out, err = run(["fmt", "--formula", "!" * 1200 + "p"])
@@ -389,9 +390,12 @@ def test_usage_errors_are_json(tmp_path):
     for argv in (["axioms", "--seed=--", "--trials", "1"], ["axioms", "--se=--", "--trials", "1"]):
         assert run(argv) == (
             2, "", json.dumps({"error": "argument --seed: invalid int value: '--'"}) + "\n")
-    # a formula or a model nested past the recursion limit: each says which
-    deep_formula = "(" * 100_000 + "p" + ")" * 100_000
-    code, out, err = run(["fmt", "--formula-file", "-"], deep_formula.encode())
+    # a formula or a model nested past the recursion limit: each says
+    # which; the formula's is met by model_check, as the parser reads any
+    # nesting
+    deep_formula = "!" * 100_000 + "p"
+    code, out, err = run(["mc", "--model", path, "--state", "s1", "--formula-file", "-"],
+                         deep_formula.encode())
     assert (code, out) == (2, "")
     assert json.loads(err) == {
         "error": "formula nested too deeply for this interpreter's recursion limit"}
@@ -425,6 +429,20 @@ def test_usage_errors_are_json(tmp_path):
                  ["fmt", "--model", str(unreachable)]):
         code, out, err = run(argv)
         assert code == 2 and out == "" and "error" in json.loads(err), argv
+
+
+def test_fmt_reads_back_what_it_prints():
+    # the parser reads nesting in one loop, so the printed form of a long
+    # chain, which nests a parenthesis per operator, reads back
+    for op in ("&", "|", "->"):
+        code, out, err = run(["fmt", "--formula", f" {op} ".join(f"p{i}" for i in range(3000))])
+        assert (code, err) == (0, "") and out.count("(") >= 2999
+        assert run(["fmt", "--formula-file", "-"], out.encode()) == (0, out, "")
+    deep = "(" * 100_000 + "p" + ")" * 100_000
+    assert run(["fmt", "--formula-file", "-"], deep.encode()) == (0, "p\n", "")
+    # a parenthesis left open deep down is named where the input ends
+    assert run(["fmt", "--formula", "(" * 1000 + "p" + ")" * 999]) == (
+        2, "", json.dumps({"error": "position 2000: expected ')', got end of input"}) + "\n")
 
 
 def test_sat_answers_on_a_wide_flat_conjunction():

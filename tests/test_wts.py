@@ -64,6 +64,17 @@ def test_unknown_state_rejected(vacuum):
                      lambda: vacuum.theta_min(state, ["s2"])):
             with pytest.raises(UnknownStateError, match=re.escape(f"unknown state {state!r}")):
                 call()
+    # so is each target: named once, sorted by its text whatever its type
+    for targets, named in (([["b"]], "[['b']]"), ([{}], "[{}]"),
+                           ([1, None], "[1, None]"), (["zz", 3], "[3, 'zz']"),
+                           ([None, "s1", {"s1"}, "nope", None], "[None, 'nope', {'s1'}]"),
+                           ({"zz", "nope"}, "['nope', 'zz']")):
+        for call in (lambda: vacuum.image_set("s1", targets),
+                     lambda: vacuum.theta_min("s1", targets),
+                     lambda: vacuum.theta_max("s1", targets)):
+            with pytest.raises(UnknownStateError,
+                               match=re.escape(f"unknown target state(s) {named}")):
+                call()
 
 
 def test_construction_invariants():
