@@ -2,8 +2,8 @@
 
 Structured output is JSON on stdout; human diagnostics go to stderr.
 Exit codes: 0 for a positive answer, 1 for a negative one, 2 for usage or
-parse errors, 3 for a satisfiable verdict whose extracted model failed
-verification.
+parse errors, 3 for a satisfiable verdict, or a "not valid" one, whose
+extracted model failed verification.
 """
 
 from __future__ import annotations
@@ -20,10 +20,8 @@ from .bisimulation import (
     are_bisimilar, distinguishing_formula, generalized_bisimilarity, minimize,
     weighted_bisimilarity,
 )
-from .formulas import FormulaError, model_check, parse_formula, print_formula
-from .tableau import (
-    Sat, _verdict_of, build_tableau, is_valid, tableau_to_json,
-)
+from .formulas import FormulaError, Not, model_check, parse_formula, print_formula
+from .tableau import Sat, _verdict_of, build_tableau, tableau_to_json
 from .wts import ModelError, parse_wts, serialize_wts
 
 EXIT_YES = 0
@@ -273,7 +271,8 @@ def run(argv: list[str], stdin: Optional[bytes] = b"") -> tuple[int, str, str]:
     except (_UsageError, ModelError, FormulaError, ValueError, KeyError) as e:
         return EXIT_ERROR, "", json.dumps({"error": str(e)}) + "\n"
     except RecursionError:
-        # The engines recurse on the formula's nesting; the parser does not.
+        # The tableau recurses on a formula's nesting; the parser and the
+        # evaluators do not.
         error = "formula nested too deeply for this interpreter's recursion limit"
         return EXIT_ERROR, "", json.dumps({"error": error}) + "\n"
 
@@ -302,8 +301,14 @@ def _dispatch(args, stdin: Optional[bytes], emit) -> tuple[int, str]:
         return (EXIT_YES if verdict.verified else EXIT_GAP), emit(body)
 
     if args.command == "valid":
-        answer = is_valid(_load_formula(args, stdin))
-        return (EXIT_YES if answer else EXIT_NO), emit({"valid": answer})
+        # "No" only with a countermodel that the negation's search gave
+        # and that was checked; one that failed its check is a gap.
+        verdict = _verdict_of(build_tableau(Not(_load_formula(args, stdin))).root)
+        if not isinstance(verdict, Sat):
+            return EXIT_YES, emit({"valid": True})
+        if verdict.verified:
+            return EXIT_NO, emit({"valid": False})
+        return EXIT_GAP, emit({"valid": False, "verified": False})
 
     if args.command == "bisim":
         model = _load_model(args.model, stdin)

@@ -36,12 +36,14 @@ operands, a modality evaluated by one forward scan of every state's
 out-edges.
 
 Two evaluators share these semantics.  `sat_set` is global: it folds a
-formula into `StateSets(m)`, bottom-up, a whole set at a time.
+formula into `StateSets(m)`, bottom-up, a whole set at a time, in one
+loop over the distinct nodes, so it answers at any nesting depth.
 `model_check` is local: it walks forward from its one state over the
 out-edges and looks only at the states within the formula's modal depth
 of it.  It keys its memo by node identity and compares each weight with
 a bound as two products of ints, so no node hash and no `Fraction`
-comparison runs in Python.
+comparison runs in Python.  The walk recurses, so a formula nested past
+the interpreter's recursion limit is answered by `sat_set` instead.
 """
 
 from __future__ import annotations
@@ -586,34 +588,58 @@ def sat_set(m: Wts, f: Formula) -> frozenset[str]:
     index built on the model; to ask about one state, `model_check` is
     local.  That algebra's key table is the default one, `m.weights`, so
     each modality's bound is compared with the weights as it is.  Atoms
-    absent from the model's labels are false everywhere.
+    absent from the model's labels are false everywhere.  The fold is one
+    loop, with no recursion, so it answers at any nesting depth.
     """
-    return _eval(StateSets(m), f, {})
+    return _eval(StateSets(m), f)
 
 
-def _eval(sets: StateSets, f: Formula, cache: dict) -> frozenset[str]:
-    """The fold of `f` into `sets`, memoized per subformula in `cache`."""
-    hit = cache.get(f)
-    if hit is not None:
-        return hit
-    if isinstance(f, Atom):
-        result = sets.Atom(f.name)
-    elif isinstance(f, Top):
-        result = sets.Top()
-    elif isinstance(f, Bottom):
-        result = sets.Bottom()
-    elif isinstance(f, Not):
-        result = sets.Not(_eval(sets, f.operand, cache))
-    elif isinstance(f, And):
-        result = sets.And(_eval(sets, f.left, cache), _eval(sets, f.right, cache))
-    elif isinstance(f, AtLeast):
-        result = sets.AtLeast(f.bound, _eval(sets, f.operand, cache))
-    elif isinstance(f, AtMost):
-        result = sets.AtMost(f.bound, _eval(sets, f.operand, cache))
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    cache[f] = result
-    return result
+def _eval(sets: StateSets, f: Formula) -> frozenset[str]:
+    """The fold of `f` into `sets`: one loop over the distinct nodes of
+    `f`, keyed by `id()`, each folded after its operands.  A node at the
+    top of the stack whose operands are not all folded pushes them and
+    stays; it is folded when it comes back to the top.  A node that two
+    parents pushed is folded once, and skipped when it comes back."""
+    done: dict[int, frozenset[str]] = {}
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if id(g) in done:
+            stack.pop()
+            continue
+        kind = g.__class__
+        if kind is Atom:
+            result = sets.Atom(g.name)
+        elif kind is And:
+            a = done.get(id(g.left))
+            b = done.get(id(g.right))
+            if a is None or b is None:
+                if b is None:
+                    stack.append(g.right)
+                if a is None:
+                    stack.append(g.left)
+                continue
+            result = sets.And(a, b)
+        elif kind is Not or kind is AtLeast or kind is AtMost:
+            a = done.get(id(g.operand))
+            if a is None:
+                stack.append(g.operand)
+                continue
+            if kind is Not:
+                result = sets.Not(a)
+            elif kind is AtLeast:
+                result = sets.AtLeast(g.bound, a)
+            else:
+                result = sets.AtMost(g.bound, a)
+        elif kind is Top:
+            result = sets.Top()
+        elif kind is Bottom:
+            result = sets.Bottom()
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        done[id(g)] = result
+        stack.pop()
+    return done[id(f)]
 
 
 def model_check(m: Wts, s: str, f: Formula) -> bool:
@@ -627,9 +653,18 @@ def model_check(m: Wts, s: str, f: Formula) -> bool:
     anything but a `Not` keeps no answer: it is met at most once per
     evaluation of a parent, and its operand keeps its own.  Equal nodes
     that are distinct objects are evaluated apart, with equal answers.
+
+    The walk recurses once per level of nesting.  A formula nested past
+    the interpreter's recursion limit is answered by `sat_set` instead,
+    which loops: that pays for the failed walk, and then evaluates every
+    node of `f` over the whole model, O(|nodes| * (|states| + |edges|)),
+    not only the states near `s`.
     """
     m._require_state(s)
-    return _holds(m, s, f, {})
+    try:
+        return _holds(m, s, f, {})
+    except RecursionError:
+        return s in sat_set(m, f)
 
 
 def _holds(m: Wts, s: str, f: Formula, memo: dict) -> bool:

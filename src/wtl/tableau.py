@@ -10,10 +10,10 @@ formulas whose operand is entailed.
 
 The two rules that do not branch (splitting a conjunction, dropping a
 double negation) saturate a formula set in one pass, `_saturate`.  They
-are applied once, where a search starts (the root, a modal child, an
-entailment search): `_search` saturates the start set, and when that
-changes it, returns a node for the rule (`and` if the set holds a
-conjunction, else `neg-neg`) whose one child is the saturated set.
+are applied once, where a search starts.  At the root and a modal child,
+`_search` saturates the start set, and when that changes it, returns a
+node for the rule (`and` if the set holds a conjunction, else `neg-neg`)
+whose one child is the saturated set; an entailment search needs no node.
 
 Below a start, `_explore` works on saturated sets only, and builds nodes
 only as it reaches them.  It reads a set in one pass, `_scan`, which
@@ -34,9 +34,10 @@ model extracted from it is re-checked against the root's saturated set.
 root when the root is open.
 
 Semantic entailment between operands is decided by the same search on
-the conjunction of one operand with the negation of the other, run in
-the query it serves.  The modal rule strictly lowers modal depth, so the
-recursion terminates and never meets a node still being explored.
+one operand and the negation of the other, run and memoized in the query
+it serves, so a decision shares nothing with another.  The modal rule
+strictly lowers modal depth, so the recursion terminates and never meets
+a node still being explored.
 Verdicts do not depend on the order in which rules are applied, so the
 order is fixed; swapping the operands of the input's conjunctions gives
 the search another order.
@@ -186,16 +187,18 @@ class Tableau:
 
 class _Query:
     """What one query's search shares: the bound table, the rank in it of
-    each modal subformula's bound, keyed by the formula node, and the memo
-    of the saturated nodes explored, keyed by (gamma, ends).
-    Entailment searches share it: a decision makes one, in `start`."""
+    each modal subformula's bound, keyed by the formula node, the memo of
+    the saturated nodes explored, keyed by (gamma, ends), and the
+    entailment verdicts, keyed by the pair (phi, psi).  Entailment
+    searches share it: a decision makes one, in `start`, for itself."""
 
-    __slots__ = ("table", "ranks", "memo")
+    __slots__ = ("table", "ranks", "memo", "entailments")
 
     def __init__(self, table: tuple, ranks: dict):
         self.table = table
         self.ranks = ranks
         self.memo: dict = {}
+        self.entailments: dict = {}
 
     @classmethod
     def start(cls, gamma) -> _Query:
@@ -238,33 +241,24 @@ class _Query:
                    {f: rank[scaled[id(f.bound)]] for f in modal})
 
 
-# Entailment is a property of the formula pair alone, so the memo is
-# shared process-wide; concurrent duplicate computation is harmless.  It
-# is emptied when it reaches ENTAILMENT_CACHE_LIMIT entries, which bounds
-# its memory at the cost of recomputing later queries.
-ENTAILMENT_CACHE_LIMIT = 65536
-_entailment_cache: dict[tuple[Formula, Formula], bool] = {}
-
-
 def entails(phi: Formula, psi: Formula, _within: Optional[_Query] = None) -> bool:
-    """Semantic entailment: the conjunction of `phi` with the negation of
-    `psi` has no model.  Decided by the witness search and memoized on
-    the structural pair.  The modal rule passes its query as `_within`,
-    and the search runs in it: a node is keyed by its set and ends in one
-    table, so whichever search reaches it first explores it alike."""
+    """Semantic entailment: `phi` and the negation of `psi` have no model
+    together.  Decided by the witness search and memoized in the query.
+    The modal rule passes its query as `_within`, and the search runs in
+    it: a node is keyed by its set and ends in one table, so whichever
+    search reaches it first explores it alike.  A call from outside makes
+    a query of its own, so no call keeps anything for the next."""
     # The hashes stored in the nodes first: two modalities over one
     # operand with different bounds would compare their bounds.
     if phi is psi or (phi._hash == psi._hash and phi == psi):
         return True
+    # `start` looks through negations, so (phi, psi) has the set's table.
+    query = _Query.start((phi, psi)) if _within is None else _within
     key = (phi, psi)
-    hit = _entailment_cache.get(key)
+    hit = query.entailments.get(key)
     if hit is None:
-        gamma = (And(phi, Not(psi)),)
-        query = _Query.start(gamma) if _within is None else _within
-        hit = _search(gamma, START_ENDS, query).closed
-        if len(_entailment_cache) >= ENTAILMENT_CACHE_LIMIT:
-            _entailment_cache.clear()
-        _entailment_cache[key] = hit
+        gamma = _saturate((phi, Not(psi)))
+        hit = query.entailments[key] = _explore(gamma, START_ENDS, query).closed
     return hit
 
 
@@ -379,7 +373,7 @@ def _branches(gamma, index) -> Iterator[tuple]:
 
 
 def _search(gamma, ends: tuple, query: _Query) -> TableauNode:
-    """A query start: the node <gamma, ends> (`gamma` deduplicated) as
+    """The root or a modal child <gamma, ends> (`gamma` deduplicated) as
     the search explored it.  When the non-branching rules change `gamma`,
     the node applies them (`and` if it holds a conjunction, else
     `neg-neg`) and its one child is the saturated set's explored node."""

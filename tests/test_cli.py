@@ -7,7 +7,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from wtl.axioms import SCHEMAS
+from wtl.axioms import DEFAULT_INDEX_POOL, SCHEMAS, instantiate
 from wtl.cli import _parse, _quick, _UsageError, run
 from wtl import (
     Atom, Not, Wts, model_check, parse_formula, parse_wts, print_formula,
@@ -207,8 +207,9 @@ def test_valid_writes_no_python_warning(monkeypatch, capsys):
     from wtl.cli import main
 
     # The negated A4 instance is satisfiable, but the model extracted from
-    # it fails verification.  `valid` extracts no model, so no warning
-    # reaches the hook below, which would print it on stderr.
+    # it fails verification.  `valid` reports that gap in its answer and
+    # exit code, and no warning reaches the hook below, which would print
+    # it on stderr.
     def show(message, category, filename, lineno, file=None, line=None):
         sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
 
@@ -216,8 +217,43 @@ def test_valid_writes_no_python_warning(monkeypatch, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("always")
         monkeypatch.setattr(warnings, "showwarning", show)
-        assert main(["valid", "--formula", formula]) == 1
-    assert capsys.readouterr() == ('{"valid":false}\n', "")
+        assert main(["valid", "--formula", formula]) == 3
+    assert capsys.readouterr() == ('{"valid":false,"verified":false}\n', "")
+
+
+def test_valid_says_no_only_with_a_checked_countermodel(tmp_path):
+    """Over instances drawn as `run_suite` draws them, of every schema
+    with no premise: `valid` exits 1 only when `sat` on the negation
+    emits a model on which `model_check` refutes the formula, and exits 3
+    when that model does not refute it.  Exit 0 is a closed negation."""
+    pool = sorted(DEFAULT_INDEX_POOL)
+    atoms = ("p1", "p2", "p3")
+    rng = random.Random(3601)
+    codes = Counter()
+    for trial in range(30):
+        trial_seed = rng.getrandbits(32)
+        phi = random_formula(trial_seed + 1, atoms, 2, pool)
+        psi = random_formula(trial_seed + 2, atoms, 2, pool)
+        r, q = rng.choice(pool), rng.choice([w for w in pool if w > 0])
+        for schema in SCHEMAS.values():
+            if schema.premise is not None:
+                continue
+            text = print_formula(instantiate(schema, phi, psi, r, q))
+            code, out, err = run(["valid", "--formula", text])
+            codes[code] += 1
+            emitted = tmp_path / "countermodel.json"
+            negated = run(["sat", "--formula", f"!({text})", "--emit-model", str(emitted)])
+            if code == 0:
+                assert (out, negated) == ('{"valid":true}\n', (1, '{"satisfiable":false}\n', ""))
+                continue
+            assert negated[0] == {1: 0, 3: 3}[code], text
+            state = json.loads(negated[1])["state"]
+            refuted = not model_check(parse_wts(emitted.read_bytes()), state, parse_formula(text))
+            assert refuted is (code == 1), text
+            assert out == ('{"valid":false}\n' if code == 1
+                           else '{"valid":false,"verified":false}\n')
+            assert err == ""
+    assert set(codes) == {0, 1, 3}, codes
 
 
 def test_bisim_pair_and_partition(tmp_path):
@@ -360,12 +396,9 @@ def test_usage_errors_are_json(tmp_path):
     assert code == 2 and "error" in json.loads(err)
     code, _, err = run(["mc", "--model", path, "--state", "ghost", "--formula", "p"])
     assert code == 2
-    # model_check recurses down a left-nested conjunction
-    wide = " & ".join(f"p{i}" for i in range(1000))
     # `--formula=--` gives the option the value `--`, which does not parse;
     # `--f` is an ambiguous prefix, and `x` is no int
     for argv in (["fmt", "--formula=--"],
-                 ["mc", "--model", path, "--state", "s1", "--formula", wide],
                  ["sat", "--f", "p"], ["axioms", "--seed", "x", "--trials", "1"]):
         code, out, err = run(argv)
         assert code == 2 and out == "" and "error" in json.loads(err)
@@ -390,12 +423,20 @@ def test_usage_errors_are_json(tmp_path):
     for argv in (["axioms", "--seed=--", "--trials", "1"], ["axioms", "--se=--", "--trials", "1"]):
         assert run(argv) == (
             2, "", json.dumps({"error": "argument --seed: invalid int value: '--'"}) + "\n")
+    # model checking answers at any depth: a 1,000-atom conjunction, which
+    # nests to the left, and 100,000 negations
+    wide = " & ".join(["waiting"] * 999 + ["cleaning"])
+    assert run(["mc", "--model", path, "--state", "s1", "--formula", wide]) == (
+        1, '{"holds":false}\n', "")
+    for atom, answer in (("waiting", (0, '{"holds":true}\n', "")),
+                         ("p", (1, '{"holds":false}\n', ""))):
+        deep_formula = "!" * 100_000 + atom
+        assert run(["mc", "--model", path, "--state", "s1", "--formula-file", "-"],
+                   deep_formula.encode()) == answer
     # a formula or a model nested past the recursion limit: each says
-    # which; the formula's is met by model_check, as the parser reads any
-    # nesting
-    deep_formula = "!" * 100_000 + "p"
-    code, out, err = run(["mc", "--model", path, "--state", "s1", "--formula-file", "-"],
-                         deep_formula.encode())
+    # which; the formula's is met by the tableau, as the parser and the
+    # evaluators read any nesting
+    code, out, err = run(["sat", "--formula", "L[1] " * 600 + "p"])
     assert (code, out) == (2, "")
     assert json.loads(err) == {
         "error": "formula nested too deeply for this interpreter's recursion limit"}

@@ -640,51 +640,55 @@ def test_modal_children_start_with_the_non_branching_rules():
     assert isinstance(sat_verdict(phi), Sat)
 
 
-def test_entailment_cache_is_bounded(monkeypatch):
-    formulas = [
-        random_formula(seed + 11000, ["p1", "p2"], 2, [F(0), F(1), F(2)])
-        for seed in range(60)
-    ]
-    pairs = list(zip(formulas, formulas[1:]))
-    sizes = []
-
-    def answers():
-        out = []
-        for phi, psi in pairs:
-            verdict = sat_verdict(phi)
-            out.append((entails(phi, psi), isinstance(verdict, Sat)
-                        and serialize_wts(verdict.model)))
-            sizes.append(len(wtl.tableau._entailment_cache))
-        return out
-
-    monkeypatch.setattr(wtl.tableau, "_entailment_cache", {})
-    unbounded = answers()
-    limit = 8
-    assert max(sizes) > limit  # the sample outgrows the small limit
-    sizes.clear()
-    monkeypatch.setattr(wtl.tableau, "_entailment_cache", {})
-    monkeypatch.setattr(wtl.tableau, "ENTAILMENT_CACHE_LIMIT", limit)
-    assert answers() == unbounded
-    assert max(sizes) <= limit
-
-
 def test_entailments_search_in_the_query_they_serve(monkeypatch):
     """The entailment searches the modal rule asks run in the decision's
-    own query: `is_satisfiable` makes one query, however many of them
-    miss the entailment cache."""
-    made = []
-    init = wtl.tableau._Query.__init__
-
-    def spy(self, *args):
-        made.append(args)
-        init(self, *args)
-
-    monkeypatch.setattr(wtl.tableau._Query, "__init__", spy)
-    monkeypatch.setattr(wtl.tableau, "_entailment_cache", {})
+    own query, and are memoized there: `is_satisfiable` makes one query,
+    whose entailment memo fills.  They build no conjunction, and every
+    node built is the tree's or the query memo's."""
     phi = parse_formula("L[1] p1 & L[2] (p1 & p2) & L[3] (p2 & p1) & L[0] p3")
-    assert isinstance(sat_verdict(phi), Sat)
-    assert len(wtl.tableau._entailment_cache) > 1  # searched, not cached
-    assert len(made) == 1
+    queries, built, conjunctions = [], [], []
+    for cls, made in ((wtl.tableau._Query, queries), (wtl.tableau.TableauNode, built),
+                      (And, conjunctions)):
+        def spy(self, *args, made=made, init=cls.__init__):
+            made.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", spy)
+    root = build_tableau(phi).root
+    (query,) = queries
+    assert len(query.entailments) > 1
+    assert conjunctions == []
+    kept = {id(n) for n in explored_nodes(root)} | {id(n) for n in query.memo.values()}
+    assert {id(n) for n in built} <= kept
+    assert isinstance(sat_verdict(phi), Sat) and len(queries) == 2
+
+
+def test_a_decision_keeps_nothing_for_the_next(monkeypatch):
+    """A decision's verdict, model and search are the same before and
+    after other decisions: no entailment is kept between them."""
+    explored = []
+    inner = wtl.tableau._explore
+
+    def counting(*args):
+        explored.append(args[0])
+        return inner(*args)
+
+    monkeypatch.setattr(wtl.tableau, "_explore", counting)
+
+    def decide(f):
+        explored.clear()
+        verdict = sat_verdict(f)
+        model = isinstance(verdict, Sat) and serialize_wts(verdict.model)
+        return type(verdict), model, len(explored)
+
+    # atoms that no other test decides, so that nothing could be kept for
+    # it before its first decision
+    phi = parse_formula("L[1] q1 & L[2] (q1 & q2) & L[3] (q2 & q1) & L[0] q3")
+    first = decide(phi)
+    for seed in range(60):
+        decide(random_formula(seed + 11000, ["q1", "q2"], 2, [F(0), F(1), F(2)]))
+    assert decide(phi) == first
+    assert first[0] is Sat
 
 
 # -------------------------------------------------------------- extraction
