@@ -12,9 +12,12 @@ constructors.  Applied to `FORMULAS` it builds the instance formula
 (`instantiate`, `premise_of`); applied to `StateSets(m)`, with the sat
 sets of its formula slots, it computes the instance's sat set directly.
 The two agree because `sat_set` is the fold of a formula into that same
-set algebra.  So `run_suite` takes the sat sets of its two random
-formulas once per trial and builds an instance formula only to report a
-violation.
+set algebra.  So each trial of `run_suite` runs in one `StateSets`: its
+two random formulas are drawn straight into it, as sat sets, with no
+node made; every schema is applied to it; and a modality that the
+draws or the schemas ask again of an equal set and bound is answered
+from that algebra's memo.  The formulas are drawn again as formulas,
+from the same seeds, only to report a violation.
 
 The suite compares ints, not `Fraction`s.  It scales its sorted index
 pool once by the lcm of the pool's denominators.  The bounds a schema
@@ -267,21 +270,24 @@ def run_suite(
     """Check every schema against `trials` random (model, instance) draws.
 
     Deterministic in `seed`.  Each trial draws one model and one pair of
-    formulas of modal depth at most two, takes their sat sets once, and
-    applies every schema to the model's set algebra with them.  Where an
-    instance fails, the first failure of each schema is recorded with the
-    instance formula and full reproduction data.  A schema named twice is
-    checked once.  Unknown schema names, or an index pool with no positive
-    weight (the q > 0 schemas draw from it), are a `ValueError` before any
-    draw.
+    formulas of modal depth at most two.  The formulas are drawn into the
+    model's set algebra, so each draw is its sat set, and every schema is
+    applied to that algebra with them.  Where an instance fails, the
+    first failure of each schema is recorded with the instance formula,
+    which the trial's seeds draw again as a formula, and full
+    reproduction data.  A schema named twice is checked once.  Unknown
+    schema names, or an index pool with no positive weight (the q > 0
+    schemas draw from it), are a `ValueError` before any draw.
 
     The schemas run on ints.  The sorted pool is scaled once by the lcm of
     its denominators, so each index is an int key and `r + q`, `min`,
     `max` and `0` are exact int arithmetic; each model's weights, all
     drawn from the pool, become keys in the same scale, which is the key
-    table of its `StateSets`.  Scaling by a positive number keeps every
-    comparison of a bound with a weight, so the sets are those of the
-    instance formulas.  The `Fraction` indices build the violation report.
+    table of its `StateSets`.  The formulas draw their bounds from the
+    keys, by position, as `random_formula` draws from the pool.  Scaling
+    by a positive number keeps every comparison of a bound with a weight,
+    so the sets are those of the instance formulas.  The `Fraction`
+    indices build the violation report.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -311,14 +317,15 @@ def run_suite(
     for trial in range(trials):
         trial_seed = rng.getrandbits(32)
         model = _draw_wts(trial_seed, 4, 3, draw_weights, draw_slots, atoms)
-        phi = _draw_formula(trial_seed + 1, atoms, 2, pool)
-        psi = _draw_formula(trial_seed + 2, atoms, 2, pool)
+        sets = StateSets(model, _keys=tuple(key(w) for w in model.weights))
+        # The sat sets of phi and psi, drawn into `sets` from `keys`, which
+        # `rng.choice` reads by position as it reads `pool`.
+        slots = (_draw_formula(trial_seed + 1, atoms, 2, keys, sets),
+                 _draw_formula(trial_seed + 2, atoms, 2, keys, sets))
         # Positions in the pool: `keys[i]` for the sets, `pool[i]` to report.
         ri = rng.randrange(len(pool))
         qi = rng.randrange(len(pool))
         qi_pos = positive[rng.randrange(len(positive))]
-        slots = (sat_set(model, phi), sat_set(model, psi))
-        sets = StateSets(model, _keys=tuple(key(w) for w in model.weights))
         for sch in selected:
             rep = report.schemas[sch.name]
             qi_used = qi_pos if sch.positive_q else qi
@@ -333,6 +340,8 @@ def run_suite(
             if holding != model.states:
                 rep.violations += 1
                 if rep.first_violation is None:
+                    phi = _draw_formula(trial_seed + 1, atoms, 2, pool)
+                    psi = _draw_formula(trial_seed + 2, atoms, 2, pool)
                     instance = instantiate(sch, phi, psi, pool[ri], pool[qi_used])
                     rep.first_violation = {
                         "trial": trial,

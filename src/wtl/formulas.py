@@ -32,8 +32,11 @@ style), with the derived connectives desugared once in the base class.
 Its two carriers are the formulas themselves (`FORMULAS`) and the sets of
 a model's states (`StateSets(m)`), which is the one definition of the set
 semantics: the sat set of each constructor from the sat sets of its
-operands, a modality evaluated by one forward scan of every state's
-out-edges.
+operands, a derived connective as one set operation, and a modality
+evaluated by one forward scan of every state's out-edges, once per
+algebra instance for each bound and operand set.  `random_formula`'s
+drawer builds in any algebra, so a draw into `StateSets(m)` is the
+drawn formula's sat set.
 
 Two evaluators share these semantics.  `sat_set` is global: it folds a
 formula into `StateSets(m)`, bottom-up, a whole set at a time, in one
@@ -234,7 +237,9 @@ class Algebra:
     connectives are desugared here, once, into `Not` and `And`, so a term
     written against an algebra, such as an axiom schema, means the same in
     every carrier: in `FORMULAS` it builds the core formula, and in
-    `StateSets(m)` it computes that formula's sat set in `m`.
+    `StateSets(m)` it computes that formula's sat set in `m`.  A carrier
+    may override a derived connective with an operation that gives the
+    value of its desugaring, as `StateSets` does.
     """
 
     __slots__ = ()
@@ -486,7 +491,12 @@ def print_formula(f: Formula) -> str:
     """Deterministic, fully parenthesized text; parse_formula inverse.
 
     Iterative: a stack holds the pending text and subformulas, so any
-    depth of nesting prints."""
+    depth of nesting prints.  A subformula is printed at each of its
+    uses, save one shape: the conjunction that `iff(x, y)` builds, whose
+    two `x` and two `y` are the same objects, prints as `(x <-> y)`, so
+    each operand is printed once and a chain of `<->` prints in linear
+    size.  Only `<->` text and `Algebra.iff` build that shape; the text
+    reads back to an equal formula."""
     parts = []
     stack = [f]
     while stack:
@@ -499,8 +509,12 @@ def print_formula(f: Formula) -> str:
             parts.append("!")
             stack.append(g.operand)
         elif isinstance(g, And):
+            pair = _iff_operands(g)
             parts.append("(")
-            stack += (")", g.right, " & ", g.left)
+            if pair is None:
+                stack += (")", g.right, " & ", g.left)
+            else:
+                stack += (")", pair[1], " <-> ", pair[0])
         elif isinstance(g, AtLeast):
             parts.append(f"L[{format_rational(g.bound)}] ")
             stack.append(g.operand)
@@ -516,31 +530,59 @@ def print_formula(f: Formula) -> str:
     return "".join(parts)
 
 
+def _iff_operands(g: And):
+    """`(x, y)` when `g` is `And(Not(And(x, Not(y))), Not(And(y, Not(x))))`
+    with its two `x` and its two `y` the same objects, as `iff(x, y)`
+    builds it; otherwise None."""
+    left, right = g.left, g.right
+    if left.__class__ is not Not or right.__class__ is not Not:
+        return None
+    a, b = left.operand, right.operand
+    if a.__class__ is not And or b.__class__ is not And:
+        return None
+    not_y, not_x = a.right, b.right
+    if (not_y.__class__ is Not and not_x.__class__ is Not
+            and not_x.operand is a.left and not_y.operand is b.left):
+        return a.left, b.left
+    return None
+
+
 class StateSets(Algebra):
     """The set algebra of the model `m`: each core constructor as an
     operation on sets of `m`'s states, the sets where its formulas hold.
 
     This is the one definition of the bound logic's set semantics.
-    `sat_set` folds a formula into it, and the soundness suite applies its
-    schemas to it directly.  A modality scans every state's out-edges
-    forward, as `model_check` does one state's: in ascending rank the
-    first edge into the operand's states carries the least weight, and in
-    descending rank the greatest.  One `bisect` turns its bound `r` into a
-    rank, over a table of keys for `m.weights`.  By default that table is
-    `m.weights` itself, so `r` is a weight, as a formula's bound is.
-    `_keys` may give any other ascending table that orders as `m.weights`
-    does, one key per weight; `r` is then a key in that table's scale.
-    The soundness suite passes the weights times the lcm of its index
-    pool's denominators, so its bounds are ints.  Nothing is built or kept
-    on the model: each operation costs one pass over the labels or the
-    edges.
+    `sat_set` folds a formula into it, and the soundness suite draws its
+    formulas into it and applies its schemas to it directly.  The derived
+    connectives are one set operation each: `lor` is `a | b`, `implies`
+    is `(states - a) | b` and `iff` is `states - (a ^ b)`, the sets of
+    their desugarings in `Algebra`.
+
+    A modality scans every state's out-edges forward, as `model_check`
+    does one state's: in ascending rank the first edge into the operand's
+    states carries the least weight, and in descending rank the greatest.
+    One `bisect` turns its bound `r` into a rank, over a table of keys for
+    `m.weights`.  By default that table is `m.weights` itself, so `r` is a
+    weight, as a formula's bound is.  `_keys` may give any other ascending
+    table that orders as `m.weights` does, one key per weight; `r` is then
+    a key in that table's scale.  The soundness suite passes the weights
+    times the lcm of its index pool's denominators, so its bounds are
+    ints.
+
+    Each instance keeps the modalities it has computed, keyed by
+    (modality, bound, operand set), so a modality asked again of an equal
+    set and bound costs one dict probe.  That memo lives as long as the
+    instance: `sat_set` makes one per call and the soundness suite one
+    per trial.  Nothing is built or kept on the model: each operation
+    costs one pass over the labels or the edges.
     """
 
-    __slots__ = ("m", "_keys")
+    __slots__ = ("m", "_keys", "_modal")
 
     def __init__(self, m: Wts, _keys: Optional[tuple] = None):
         self.m = m
         self._keys = m.weights if _keys is None else _keys
+        self._modal: dict[tuple, frozenset[str]] = {}
 
     def Atom(self, name: str) -> frozenset[str]:
         return frozenset(s for s, props in self.m.labels.items() if name in props)
@@ -557,39 +599,57 @@ class StateSets(Algebra):
     def And(self, a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
         return a & b
 
+    def lor(self, a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
+        return a | b
+
+    def implies(self, a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
+        return (self.m.states - a) | b
+
+    def iff(self, a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
+        return self.m.states - (a ^ b)
+
     def AtLeast(self, r, a: frozenset[str]) -> frozenset[str]:
-        lo = bisect_left(self._keys, r)
-        result = []
-        for s, es in self.m._out.items():
-            for rank, t in es:
-                if t in a:
-                    if rank >= lo:
-                        result.append(s)
-                    break
-        return frozenset(result)
+        key = (AtLeast, r, a)
+        result = self._modal.get(key)
+        if result is None:
+            lo = bisect_left(self._keys, r)
+            found = []
+            for s, es in self.m._out.items():
+                for rank, t in es:
+                    if t in a:
+                        if rank >= lo:
+                            found.append(s)
+                        break
+            result = self._modal[key] = frozenset(found)
+        return result
 
     def AtMost(self, r, a: frozenset[str]) -> frozenset[str]:
-        hi = bisect_right(self._keys, r)
-        result = []
-        for s, es in self.m._out.items():
-            for rank, t in reversed(es):
-                if t in a:
-                    if rank < hi:
-                        result.append(s)
-                    break
-        return frozenset(result)
+        key = (AtMost, r, a)
+        result = self._modal.get(key)
+        if result is None:
+            hi = bisect_right(self._keys, r)
+            found = []
+            for s, es in self.m._out.items():
+                for rank, t in reversed(es):
+                    if t in a:
+                        if rank < hi:
+                            found.append(s)
+                        break
+            result = self._modal[key] = frozenset(found)
+        return result
 
 
 def sat_set(m: Wts, f: Formula) -> frozenset[str]:
     """States of `m` satisfying `f`, computed bottom-up, a set at a time.
 
-    The fold of `f` into `StateSets(m)`, so the whole model is evaluated,
-    each modality by a forward scan of every state's out-edges, with no
-    index built on the model; to ask about one state, `model_check` is
-    local.  That algebra's key table is the default one, `m.weights`, so
-    each modality's bound is compared with the weights as it is.  Atoms
-    absent from the model's labels are false everywhere.  The fold is one
-    loop, with no recursion, so it answers at any nesting depth.
+    The fold of `f` into a fresh `StateSets(m)`, so the whole model is
+    evaluated, each modality by a forward scan of every state's
+    out-edges, with no index built on the model and no memo kept past
+    the call; to ask about one state, `model_check` is local.  That
+    algebra's key table is the default one, `m.weights`, so each
+    modality's bound is compared with the weights as it is.  Atoms absent
+    from the model's labels are false everywhere.  The fold is one loop,
+    with no recursion, so it answers at any nesting depth.
     """
     return _eval(StateSets(m), f)
 
@@ -738,38 +798,47 @@ def random_formula(
         seed, sorted(atoms), max_md, sorted(as_weight(w) for w in index_pool))
 
 
-def _draw_formula(seed: int, names: list[str], max_md: int, pool: list) -> Formula:
+def _draw_formula(seed: int, names: list[str], max_md: int, pool: list,
+                  algebra: Algebra = FORMULAS):
     """`random_formula`'s draw, from atom names and bounds already sorted
     (and the bounds coerced), so a caller that draws many formulas from
-    one pool normalizes it once."""
+    one pool normalizes it once.
+
+    The draw is built in `algebra`: in `FORMULAS` it is the formula, and
+    in `StateSets(m)` it is that formula's sat set in `m`, with no node
+    made.  A bound is picked from `pool` by its index, so a pool of keys
+    in another scale, one per bound in the same order, takes the same
+    draws; the soundness suite draws into its int-keyed sets that way."""
     rng = random.Random(seed)
-    return _grow(rng, names, max_md, pool, budget=rng.randint(3, 10))
+    return _grow(rng, names, max_md, pool, rng.randint(3, 10), algebra)
 
 
-def _grow(rng, names, md_left, pool, budget) -> Formula:
-    leaves = ["atom"] * 6 + ["top", "bottom"]
+_LEAVES = ("atom",) * 6 + ("top", "bottom")
+_CONSTANTS = ("top", "bottom")
+_INNER = ("atom", "atom", "not", "not", "and", "and")
+_INNER_MODAL = _INNER + ("atleast", "atleast", "atmost", "atmost")
+
+
+def _grow(rng, names, md_left, pool, budget, A):
     if budget <= 1 or (not names and rng.random() < 0.5):
-        kind = rng.choice(leaves) if names else rng.choice(["top", "bottom"])
+        kind = rng.choice(_LEAVES if names else _CONSTANTS)
     else:
-        choices = ["atom", "atom", "not", "not", "and", "and"]
-        if md_left > 0 and pool:
-            choices += ["atleast", "atleast", "atmost", "atmost"]
-        kind = rng.choice(choices)
+        kind = rng.choice(_INNER_MODAL if md_left > 0 and pool else _INNER)
     if kind == "atom":
-        return Atom(rng.choice(names)) if names else Top()
+        return A.Atom(rng.choice(names)) if names else A.Top()
     if kind == "top":
-        return Top()
+        return A.Top()
     if kind == "bottom":
-        return Bottom()
+        return A.Bottom()
     if kind == "not":
-        return Not(_grow(rng, names, md_left, pool, budget - 1))
+        return A.Not(_grow(rng, names, md_left, pool, budget - 1, A))
     if kind == "and":
         split = rng.randint(1, max(1, budget - 2))
-        return And(
-            _grow(rng, names, md_left, pool, split),
-            _grow(rng, names, md_left, pool, budget - 1 - split),
+        return A.And(
+            _grow(rng, names, md_left, pool, split, A),
+            _grow(rng, names, md_left, pool, budget - 1 - split, A),
         )
-    operand = _grow(rng, names, md_left - 1, pool, budget - 1)
+    operand = _grow(rng, names, md_left - 1, pool, budget - 1, A)
     if kind == "atleast":
-        return AtLeast(rng.choice(pool), operand)
-    return AtMost(rng.choice(pool), operand)
+        return A.AtLeast(rng.choice(pool), operand)
+    return A.AtMost(rng.choice(pool), operand)

@@ -9,7 +9,8 @@ from wtl import (
     implies, instantiate, lor, premise_of, print_formula, random_formula,
     random_wts, run_suite, sat_set, serialize_wts,
 )
-from wtl.formulas import StateSets
+from wtl import formulas
+from wtl.formulas import Algebra, StateSets
 
 P, Q = Atom("p"), Atom("q")
 
@@ -189,7 +190,42 @@ def test_integer_keys_give_the_sets_of_the_fraction_bounds():
                 assert at_least == by_weight.AtLeast(b, targets), (i, bits, b)
                 assert at_most == by_weight.AtMost(b, targets), (i, bits, b)
                 seen.add((bool(at_least), bool(at_most)))
+        # The derived connectives, one set operation each, give the sets
+        # of their desugarings into `Not` and `And`.
+        subsets = [frozenset(s for k, s in enumerate(states) if bits >> k & 1)
+                   for bits in range(2 ** len(states))]
+        for a in subsets:
+            for b in subsets:
+                for connective in (Algebra.lor, Algebra.implies, Algebra.iff):
+                    expected = connective(by_key, a, b)
+                    assert getattr(by_key, connective.__name__)(a, b) == expected, (i, a, b)
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_a_trial_scans_each_modality_once_per_bound_and_operand_set(monkeypatch):
+    # Every modality a trial asks for, its formula draws and its schemas
+    # alike, is asked of one set algebra; a (modality, key, operand set)
+    # asked again costs no scan.  A scan starts with one `bisect`.
+    asked, scans = [], []
+    for name in ("AtLeast", "AtMost"):
+        def spy(self, r, a, method=getattr(StateSets, name), name=name):
+            asked.append((self, name, r, a))
+            return method(self, r, a)
+        monkeypatch.setattr(StateSets, name, spy)
+    for name in ("bisect_left", "bisect_right"):
+        def counted(table, r, bisect=getattr(formulas, name)):
+            scans.append(r)
+            return bisect(table, r)
+        monkeypatch.setattr(formulas, name, counted)
+    repeats = 0
+    for seed in range(30):
+        asked.clear()
+        scans.clear()
+        run_suite(seed, 1)
+        assert len({entry[0] for entry in asked}) == 1, seed
+        assert len(scans) == len(set(asked)), seed
+        repeats += len(asked) - len(scans)
+    assert repeats > 0
 
 
 def _reference_suite(seed, trials, schemas=None, index_pool=DEFAULT_INDEX_POOL):

@@ -486,6 +486,31 @@ def test_fmt_reads_back_what_it_prints():
         2, "", json.dumps({"error": "position 2000: expected ')', got end of input"}) + "\n")
 
 
+def test_fmt_prints_a_chain_of_iff_once_per_operand():
+    # `<->` shares both its operands, and the printer writes the shape it
+    # builds as `<->`, so the chain prints in linear size, not doubling
+    # with each operand
+    chain = " <-> ".join(f"p{i}" for i in range(200))
+    code, out, err = run(["fmt", "--formula", chain])
+    assert (code, err) == (0, "")
+    assert out == "".join(f"(p{i} <-> " for i in range(199)) + "p199" + ")" * 199 + "\n"
+    assert run(["fmt", "--formula-file", "-"], out.encode()) == (0, out, "")
+    # the read-back is `iff(p0, iff(p1, ...))`, as the chain parses;
+    # compared by hash and walked in a loop, as `==` recurses
+    f = parse_formula(out)
+    assert hash(f) == hash(parse_formula(chain))
+    for i in range(199):
+        x, y = f.left.operand.left, f.right.operand.left
+        assert x == Atom(f"p{i}")
+        assert f.left.operand.right.operand is y and f.right.operand.right.operand is x
+        f = y
+    assert f == Atom("p199")
+    # the desugared text shares nothing, and prints as it reads
+    desugared = "(!(p & !q) & !(q & !p))"
+    assert run(["fmt", "--formula", desugared]) == (0, desugared + "\n", "")
+    assert run(["fmt", "--formula", "p <-> q"]) == (0, "(p <-> q)\n", "")
+
+
 def test_sat_answers_on_a_wide_flat_conjunction():
     # the extracted model is re-checked conjunct by conjunct, not down the
     # left-nested conjunction the parser builds

@@ -18,7 +18,7 @@ from wtl import (
 )
 from wtl import formulas
 from wtl.cli import run as cli_run
-from wtl.formulas import Formula
+from wtl.formulas import Formula, StateSets
 from wtl.wts import MAX_RATIONAL_DIGITS
 
 from oracles import modal_depth, reference_parse_formula, reference_print_formula
@@ -613,10 +613,10 @@ def test_equal_operands_answer_alike_whether_shared_or_distinct():
         m = random_wts(seed + 7100, 6, 3, POOL, ["p", "q"])
         a = random_formula(seed + 7200, ["p", "q"], 2, POOL + OFF_POOL)
         b = random_formula(seed + 7300, ["p", "q"], 2, POOL + OFF_POOL)
-        # `iff` shares its operands' objects; the parse of its text makes
-        # every node afresh
+        # `iff` shares its operands' objects; the parse of its desugared
+        # text, each operand written at each use, makes every node afresh
         shared = iff(AtLeast(F(1, 2), a), AtMost(F(2), b))
-        apart = parse_formula(print_formula(shared))
+        apart = parse_formula(reference_print_formula(shared))
         assert apart == shared
         assert shared.left.operand.left is shared.right.operand.right.operand
         assert apart.left.operand.left is not apart.right.operand.right.operand
@@ -769,6 +769,37 @@ def test_random_formula_deterministic_and_bounded():
     for seed in range(100):
         assert modal_depth(random_formula(seed, ["a", "b"], 0, POOL)) == 0
         assert modal_depth(random_formula(seed, ["a", "b"], 2, POOL)) <= 2
+
+
+def test_random_formula_draws_are_pinned():
+    # Any change in the order of the draw's rng calls changes these.
+    for seed, names, max_md, text in (
+            (11, ["p1", "p2", "p3"], 2, "M[1/2] L[3] !(p1 & false)"),
+            (26, ["p1", "p2", "p3"], 2, "!L[3] M[3] (p2 & p3)"),
+            (50, ["p1", "p2", "p3"], 2, "(!L[0] (p1 & M[1] p1) & (p1 & p2))"),
+            (65, ["p3", "p1", "p2"], 2, "(M[2] !false & M[2] L[3] (true & p1))"),
+            (9, [], 1, "(true & false)")):
+        assert print_formula(random_formula(seed, names, max_md, POOL)) == text, seed
+
+
+def test_a_draw_into_the_int_keyed_sets_is_the_sat_set_of_the_drawn_formula():
+    # The soundness suite draws its formulas into a `StateSets` whose keys
+    # are the weights times the lcm of the pool's denominators, from the
+    # pool scaled alike; `p3` labels no state.
+    pool = sorted(POOL + OFF_POOL)
+    scale = 6
+    keys = [int(w * scale) for w in pool]
+    assert [F(k, scale) for k in keys] == pool
+    names = ["p1", "p2", "p3"]
+    sizes = set()
+    for seed in range(240):
+        m = random_wts(seed + 5100, 5, 3, POOL, ["p1", "p2"])
+        sets = StateSets(m, _keys=tuple(int(w * scale) for w in m.weights))
+        max_md = seed % 4
+        drawn = formulas._draw_formula(seed, names, max_md, keys, sets)
+        assert drawn == sat_set(m, random_formula(seed, names, max_md, pool)), seed
+        sizes.add(len(drawn))
+    assert sizes == set(range(6))
 
 
 def test_box_dual(vacuum):
