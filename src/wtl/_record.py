@@ -8,35 +8,30 @@ as the list of field values, and refuses assignment and deletion with an
 `AttributeError`, the base class of `dataclasses.FrozenInstanceError`,
 with the same text.  A mutable one is unhashable, and pickles as any
 slotted object does.  The class writes its own `__init__`; a frozen one
-stores its fields through `fill`.
+stores its fields through `fill`, and is restored from its state by that
+same `__init__`, so a record is made one way however it is made.
 
 Importing `dataclasses` pulls in `inspect`, `ast`, `dis` and `tokenize`,
 and building a dataclass compiles each of its methods from source:
 together more than half of what importing `wtl.cli` cost from cached
-bytecode (README, "Install and test").  Here only `__eq__` is made from
-source, as a dataclass's is, so that each field is one attribute load:
-the tableau compares formula nodes on every memo hit that is not the
-same node.
-"""
-
-_EQ_SOURCE = """\
-def __eq__(self, other):
-    if other.__class__ is self.__class__:
-        return ({}) == ({})
-    return NotImplemented
+bytecode (README, "Install and test").  Here nothing is compiled.
 """
 
 
 def record(cls=None, *, frozen=True):
-    """Make `cls`, whose fields are its `__slots__`, a record class; an
-    `__eq__` its body defines is kept.  Used as `@record` or
-    `@record(frozen=False)`."""
+    """Make `cls`, whose fields are its `__slots__`, a record class.  Used
+    as `@record` or `@record(frozen=False)`."""
     if cls is None:
         return lambda cls: record(cls, frozen=frozen)
     names = cls.__slots__
 
     def values(self) -> tuple:
         return tuple(getattr(self, name) for name in names)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
 
     def __hash__(self):
         return hash(values(self))
@@ -48,12 +43,7 @@ def record(cls=None, *, frozen=True):
     def __getstate__(self):
         return list(values(self))
 
-    if "__eq__" not in cls.__dict__:
-        namespace = {}
-        mine, theirs = ("".join(f"{side}.{name}, " for name in names)
-                        for side in ("self", "other"))
-        exec(_EQ_SOURCE.format(mine, theirs), namespace)
-        cls.__eq__ = namespace["__eq__"]
+    cls.__eq__ = __eq__
     cls.__repr__ = __repr__
     cls.__match_args__ = names
     cls.__hash__ = __hash__ if frozen else None
@@ -77,7 +67,7 @@ def _fill_from_state(self, state) -> None:
     # keys would otherwise be stored as the field values.
     if not isinstance(state, (list, tuple)) or len(state) != len(self._setters):
         raise TypeError(f"cannot restore {self.__class__.__qualname__} from state {state!r}")
-    fill(self, *state)
+    self.__init__(*state)
 
 
 def _refuse_assignment(self, name, value):

@@ -73,16 +73,20 @@ __all__ = [
 
 
 class Formula:
-    """Base of the core constructors: frozen, slotted records compared by
-    structure (`_record.record`).
+    """Base of the core constructors: frozen, slotted records
+    (`_record.record`) compared by structure.
 
     A node's hash is `hash` of the tuple of its fields, computed by the
     node's `__init__` (for the parser's modalities, by `_modality`) and
     kept in the `_hash` slot.  Children are made first, so that hash
     reads each child's slot and goes one level deep, however deep the
     formula; and no dict or set probe keyed by a node walks a subtree.
-    The slot is no field, so equality, `repr` and pickled state leave it
-    out; a node read back from a pickle is made again by its `__init__`.
+    The slot is no field, so `repr` and pickled state leave it out; a
+    node read back from a pickle is made again by its `__init__`.
+
+    `==` walks both formulas in one loop, so any depth compares, and each
+    pair of conjunctions once: operands shared within a formula, as `<->`
+    shares them, cost time linear in its distinct nodes, not its unfolding.
     """
 
     __slots__ = ("_hash",)
@@ -92,19 +96,19 @@ _set_hash = Formula._hash.__set__
 
 
 def _node(cls):
-    """Make `cls` a frozen record that keeps the `__init__` written in its
-    body, hashed by its `_hash` slot.
+    """Make `cls` a frozen record hashed by its `_hash` slot and compared
+    by `_formula_eq`: all that a node does otherwise than a record.
 
-    That `__init__` is the one call that makes a node: it stores the
-    fields through `cls._setters`, the setters of their slots in field
-    order, and then the hash.  A frozen record refuses `setattr`, and
-    `object.__setattr__` would check the class's `__setattr__` on every
-    field; the parser, the tableau, the separators and the soundness suite
-    make nodes by the thousand.
+    The `__init__` written in its body is the one call that makes a node,
+    a pickled one too: it stores the fields through `cls._setters`, the
+    setters of their slots in field order, and then the hash.  A frozen
+    record refuses `setattr`, and `object.__setattr__` would check the
+    class's `__setattr__` on every field; the parser, the tableau, the
+    separators and the soundness suite make nodes by the thousand.
     """
     cls = record(cls)
     cls.__hash__ = _stored_hash
-    cls.__setstate__ = _init_from_state
+    cls.__eq__ = _formula_eq
     return cls
 
 
@@ -112,8 +116,43 @@ def _stored_hash(self) -> int:
     return self._hash
 
 
-def _init_from_state(self, state) -> None:
-    self.__init__(*state)
+def _formula_eq(self, other):
+    """The `__eq__` of every node.  Stored hashes come before names and
+    bounds, so that bounds that differ seldom reach `Fraction.__eq__`,
+    which runs in Python; the right operands of conjunctions wait on a
+    list made only at the first conjunction, so most calls allocate none."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    a, b = self, other
+    pending = seen = None
+    while True:
+        if a is not b:
+            cls = a.__class__
+            if b.__class__ is not cls or a._hash != b._hash:
+                return False
+            if cls is Atom:
+                if a.name != b.name:
+                    return False
+            elif cls is Not:
+                a, b = a.operand, b.operand
+                continue
+            elif cls is And:
+                if pending is None:
+                    pending, seen = [], set()
+                pair = (id(a), id(b))
+                if pair not in seen:
+                    seen.add(pair)
+                    pending.append((a.right, b.right))
+                    a, b = a.left, b.left
+                    continue
+            elif cls is not Top and cls is not Bottom:
+                if a.bound is not b.bound and a.bound != b.bound:
+                    return False
+                a, b = a.operand, b.operand
+                continue
+        if not pending:
+            return True
+        a, b = pending.pop()
 
 
 @_node
@@ -175,16 +214,6 @@ def _init_modality(self, bound, operand: Formula) -> None:
     _set_hash(self, hash((bound, operand)))
 
 
-def _modality_eq(self, other):
-    """The `__eq__` of both modalities: the stored hashes first, so that
-    two nodes whose bounds differ seldom reach `Fraction.__eq__`, which
-    runs in Python; then the fields as one tuple, as every record compares
-    them, where a bound that both nodes share is equal by identity."""
-    if other.__class__ is not self.__class__:
-        return NotImplemented
-    return self._hash == other._hash and (self.bound, self.operand) == (other.bound, other.operand)
-
-
 @_node
 class AtLeast(Formula):
     """Every transition into the operand's states costs at least `bound`,
@@ -193,7 +222,6 @@ class AtLeast(Formula):
     __slots__ = ("bound", "operand")
 
     __init__ = _init_modality
-    __eq__ = _modality_eq
 
 
 @_node
@@ -204,7 +232,6 @@ class AtMost(Formula):
     __slots__ = ("bound", "operand")
 
     __init__ = _init_modality
-    __eq__ = _modality_eq
 
 
 _new_node = object.__new__

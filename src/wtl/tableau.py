@@ -243,14 +243,13 @@ class _Query:
 
 def entails(phi: Formula, psi: Formula, _within: Optional[_Query] = None) -> bool:
     """Semantic entailment: `phi` and the negation of `psi` have no model
-    together.  Decided by the witness search and memoized in the query.
+    together.  True at once when `phi == psi`, which compares the stored
+    hashes first; else decided by the witness search, memoized in the query.
     The modal rule passes its query as `_within`, and the search runs in
     it: a node is keyed by its set and ends in one table, so whichever
     search reaches it first explores it alike.  A call from outside makes
     a query of its own, so no call keeps anything for the next."""
-    # The hashes stored in the nodes first: two modalities over one
-    # operand with different bounds would compare their bounds.
-    if phi is psi or (phi._hash == psi._hash and phi == psi):
+    if phi == psi:
         return True
     # `start` looks through negations, so (phi, psi) has the set's table.
     query = _Query.start((phi, psi)) if _within is None else _within

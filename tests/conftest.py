@@ -1,8 +1,29 @@
 import json
+import signal
+import time
 
 import pytest
 
 from wtl import Wts
+
+
+def in_time(call, seconds=1):
+    """`call()`, stopped after 10 s and held to `seconds`: a walk down
+    every path of a shared structure doubles with its depth, and would
+    otherwise run for ever."""
+    def hang(signum, frame):
+        raise TimeoutError("walked the tree, not the DAG")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        start = time.perf_counter()
+        value = call()
+        assert time.perf_counter() - start < seconds
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    return value
 
 
 def make_vacuum_model() -> Wts:

@@ -10,11 +10,11 @@ from pathlib import Path
 from wtl.axioms import DEFAULT_INDEX_POOL, SCHEMAS, instantiate
 from wtl.cli import _parse, _quick, _UsageError, run
 from wtl import (
-    Atom, Not, Wts, model_check, parse_formula, parse_wts, print_formula,
+    Atom, Not, Wts, iff, model_check, parse_formula, parse_wts, print_formula,
     random_formula, serialize_wts,
 )
 
-from conftest import make_coarse_pair_model, make_vacuum_model, mutated_model
+from conftest import in_time, make_coarse_pair_model, make_vacuum_model, mutated_model
 from oracles import help_prog, modal_depth, reference_read_argv
 
 
@@ -495,9 +495,12 @@ def test_fmt_prints_a_chain_of_iff_once_per_operand():
     assert (code, err) == (0, "")
     assert out == "".join(f"(p{i} <-> " for i in range(199)) + "p199" + ")" * 199 + "\n"
     assert run(["fmt", "--formula-file", "-"], out.encode()) == (0, out, "")
-    # the read-back is `iff(p0, iff(p1, ...))`, as the chain parses;
-    # compared by hash and walked in a loop, as `==` recurses
+    # the read-back is `iff(p0, iff(p1, ...))`, as the chain parses
     f = parse_formula(out)
+    built = Atom("p199")
+    for i in reversed(range(199)):
+        built = iff(Atom(f"p{i}"), built)
+    assert in_time(lambda: f == built == parse_formula(chain))
     assert hash(f) == hash(parse_formula(chain))
     for i in range(199):
         x, y = f.left.operand.left, f.right.operand.left
@@ -509,6 +512,16 @@ def test_fmt_prints_a_chain_of_iff_once_per_operand():
     desugared = "(!(p & !q) & !(q & !p))"
     assert run(["fmt", "--formula", desugared]) == (0, desugared + "\n", "")
     assert run(["fmt", "--formula", "p <-> q"]) == (0, "(p <-> q)\n", "")
+
+
+def test_sat_answers_on_a_doubled_chain_of_iff():
+    # `(A) & (A)` parses `A` twice, and the two copies are equal but not
+    # the same object: the tableau compares them, down their shared
+    # operands, in its memo and its entailments
+    chain = " <-> ".join(f"p{i}" for i in range(24))
+    for formula in (f"({chain}) & ({chain})", f"L[1]({chain}) & M[2]({chain})"):
+        code, body, err = in_time(lambda: invoke(["sat", "--formula", formula]))
+        assert (code, body["verified"], err) == (0, True, "")
 
 
 def test_sat_answers_on_a_wide_flat_conjunction():

@@ -2,9 +2,7 @@ import json
 import pickle
 import random
 import re
-import signal
 import sys
-import time
 from fractions import Fraction as F
 from math import inf
 
@@ -21,6 +19,7 @@ from wtl.cli import run as cli_run
 from wtl.formulas import Formula, StateSets
 from wtl.wts import MAX_RATIONAL_DIGITS
 
+from conftest import in_time
 from oracles import modal_depth, reference_parse_formula, reference_print_formula
 
 POOL = [F(0), F(1, 2), F(1), F(2), F(3)]
@@ -169,8 +168,8 @@ def test_prefix_chains_of_any_length_parse():
     for _ in range(1000):
         built = Not(AtLeast(F(1, 2), AtMost(3, diamond(box(built)))))
     parsed = parse_formula("!L[1/2] M[3] <> [] " * 1000 + "p")
-    # both are 7,000 levels deep: compared by their text and hash, since
-    # `==` recurses
+    # both are 7,000 levels deep
+    assert parsed == built
     assert print_formula(parsed) == print_formula(built)
     assert hash(parsed) == hash(built)
     assert print_formula(parse_formula("(" + "!" * 5000 + "p)")) == "!" * 5000 + "p"
@@ -305,15 +304,50 @@ def test_a_chain_of_arrows_parses_in_one_loop():
                           ("a -> b <-> c", "a -> (b <-> c)"),
                           ("a | b -> c & d <-> e", "(a | b) -> ((c & d) <-> e)")]:
         assert parse_formula(text) == parse_formula(grouped)
-    # `p -> p -> ... -> p` is `!(p & !!(p & ...))`; its tree is walked in
-    # a loop, as `==` recurses
+    # `p -> p -> ... -> p` is `!(p & !!(p & ...))`
     f = parse_formula(" -> ".join(["p"] * 100_001))
+    built = Atom("p")
+    for _ in range(100_000):
+        built = implies(Atom("p"), built)
+    assert f == built
     for _ in range(100_000):
         assert type(f) is Not and type(f.operand) is And and f.operand.left == Atom("p")
         f = f.operand.right
         assert type(f) is Not
         f = f.operand
     assert f == Atom("p")
+
+
+def test_equality_takes_each_shared_pair_once():
+    # `<->` shares both its operands, so a chain's tree doubles with each
+    # operand; `==` compares each pair of conjunctions once
+    names = [f"p{i}" for i in range(200)]
+    chain = " <-> ".join(names)
+    a, b = parse_formula(chain), parse_formula(chain)
+    renamed = parse_formula(" <-> ".join(names[:-1] + ["q"]))
+    assert in_time(lambda: (a == b, a != renamed, renamed == a), 0.5) == (True, True, False)
+
+
+def test_equality_compares_prefix_chains_of_any_depth():
+    text = "!L[1/2] M[3] " * 33_334
+    parsed = parse_formula(text + "p")
+    built, other = Atom("p"), Atom("q")
+    for _ in range(33_334):
+        built = Not(AtLeast(F(1, 2), AtMost(3, built)))
+        other = Not(AtLeast(F(1, 2), AtMost(3, other)))
+    assert parsed == built and built == parsed
+    assert parsed != other and other != parsed
+    assert parsed != parse_formula(text + "!p")
+
+
+def test_equality_reads_class_and_bound_not_only_the_stored_hash():
+    p = Atom("p")
+    assert hash(Top()) == hash(Bottom()) and Top() != Bottom()
+    assert hash(AtLeast(1, p)) == hash(AtMost(1, p)) and AtLeast(1, p) != AtMost(1, p)
+    assert AtLeast("1/2", p) == AtLeast(F(2, 4), p) != AtLeast(F(1, 3), p)
+    assert And(p, Top()) != And(p, Bottom()) and Not(Top()) != Not(Bottom())
+    # another class at the top is not compared, as a dataclass does not
+    assert Top().__eq__(Bottom()) is NotImplemented and Not(Top()).__eq__(Not(Bottom())) is False
 
 
 def test_print_round_trip_fixed():
@@ -632,21 +666,8 @@ def test_equal_operands_answer_alike_whether_shared_or_distinct():
 
 
 def _check_a_and_b_in_time(m, f):
-    """`model_check` of `f` at states a and b, stopped after 10 s and
-    held to 1 s."""
-    def hang(signum, frame):
-        raise TimeoutError("model_check walked the tree, not the DAG")
-
-    previous = signal.signal(signal.SIGALRM, hang)
-    signal.setitimer(signal.ITIMER_REAL, 10)
-    try:
-        start = time.perf_counter()
-        answers = model_check(m, "a", f), model_check(m, "b", f)
-        assert time.perf_counter() - start < 1
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-    return answers
+    """`model_check` of `f` at states a and b, held to 1 s."""
+    return in_time(lambda: (model_check(m, "a", f), model_check(m, "b", f)))
 
 
 _TWO_STATES = (["a", "b"], {"a": ["p"], "b": ["p"]},

@@ -15,7 +15,9 @@ from wtl import (
 )
 from wtl.formulas import Formula
 from wtl.tableau import Tableau, _verdict_of
-from oracles import DATACLASS_REFERENCES, commute, reference_record
+from oracles import (
+    DATACLASS_REFERENCES, commute, reference_print_formula, reference_record,
+)
 
 POOL = [F(0), F(1, 2), F(1), F(2), F(3)]
 
@@ -28,6 +30,19 @@ def _formulas(count: int, seed: int) -> list:
     for k in range(count):
         f = random_formula(seed * 1000 + k, ["p", "q"], 2, POOL)
         out += [f, parse_formula(print_formula(f)), commute(f, rng)]
+    return out
+
+
+def _shared_formulas(count: int, seed: int) -> list:
+    """Formulas built by `<->`, which shares both its operands, each with
+    a copy that shares them likewise and one that shares nothing: three
+    equal formulas, and three objects."""
+    out = []
+    for k in range(count):
+        x, y = (print_formula(random_formula(seed * 1000 + k + j, ["p", "q"], 1, POOL))
+                for j in (0, 500))
+        f = parse_formula(f"({x}) <-> ({y}) <-> ({x})")
+        out += [f, parse_formula(print_formula(f)), parse_formula(reference_print_formula(f))]
     return out
 
 
@@ -86,14 +101,17 @@ def _check_like_reference(objects: list, copies=(_pickled, copy.deepcopy)) -> No
 
 
 def test_formula_nodes_behave_as_their_dataclasses():
-    corpus = [g for f in _formulas(100, 25) for g in _subformulas(f)]
+    shared = _shared_formulas(10, 26)
+    corpus = shared + [g for f in _formulas(100, 25) for g in _subformulas(f)]
     assert len({type(f) for f in corpus}) == 7
     _check_like_reference(corpus)
-    refs = [reference_record(f) for f in corpus[:90]]
-    for x, rx in zip(corpus[:90], refs):
-        for y, ry in zip(corpus[:90], refs):
+    head = corpus[:len(shared) + 90]
+    refs = [reference_record(f) for f in head]
+    for x, rx in zip(head, refs):
+        for y, ry in zip(head, refs):
             assert (x == y) == (rx == ry)
-    assert sum(x == y for x in corpus[:90] for y in corpus[:90] if x is not y) > 90
+    assert sum(x == y for x in head for y in head if x is not y) > 90
+    assert all(shared[i] == shared[i + 1] == shared[i + 2] for i in range(0, len(shared), 3))
 
 
 def test_verdicts_and_tableaux_behave_as_their_dataclasses():
