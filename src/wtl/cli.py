@@ -271,8 +271,8 @@ def run(argv: list[str], stdin: Optional[bytes] = b"") -> tuple[int, str, str]:
     except (_UsageError, ModelError, FormulaError, ValueError, KeyError) as e:
         return EXIT_ERROR, "", json.dumps({"error": str(e)}) + "\n"
     except RecursionError:
-        # The tableau recurses on a formula's nesting; the parser and the
-        # evaluators do not.
+        # The tableau recurses on a formula's modal nesting, and its dump on
+        # the explored tree's depth; the parser and the evaluators do not.
         error = "formula nested too deeply for this interpreter's recursion limit"
         return EXIT_ERROR, "", json.dumps({"error": error}) + "\n"
 

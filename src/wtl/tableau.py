@@ -9,24 +9,24 @@ positive modal formulas, with intervals accumulated from all modal
 formulas whose operand is entailed.
 
 The two rules that do not branch (splitting a conjunction, dropping a
-double negation) saturate a formula set in one pass, `_saturate`.  They
-are applied once, where a search starts.  At the root and a modal child,
-`_search` saturates the start set, and when that changes it, returns a
-node for the rule (`and` if the set holds a conjunction, else `neg-neg`)
-whose one child is the saturated set; an entailment search needs no node.
+double negation) saturate a formula set in one pass, `_saturate`, which
+also yields all that the other rules read: the leftmost negated
+conjunction, the positive and the negated modal formulas, and whether
+the literals clash.  At the root and a modal child, `_search` saturates
+the start set, and when that changes it, returns a node for the rule
+(`and` if the set holds a conjunction, else `neg-neg`) whose one child
+is the saturated set; an entailment search needs no node.
 
 Below a start, `_explore` works on saturated sets only, and builds nodes
-only as it reaches them.  It reads a set in one pass, `_scan`, which
-yields all that the rules ask: the leftmost negated conjunction, the
-positive and the negated modal formulas, and whether the literals clash.
-A node whose literals clash or whose intervals are empty is closed at
-once, before any rule fires: it has no model, and branching only adds
-formulas and keeps its ends.  Otherwise an interior node branches on its
-leftmost negated conjunction, the negation of the left operand first,
-each branch saturated when it is made, and stops at the first open
-branch; a terminal node gets its modal children, each a new query start,
-and they stop at the first closed one.  Every node reached records the
-children tried and a `closed` flag, and `_explore` memoizes these nodes
+only as it reaches them.  A node whose literals clash or whose intervals
+are empty is closed at once, before any rule fires: it has no model, and
+branching only adds formulas and keeps its ends.  Otherwise an interior
+node branches on its leftmost negated conjunction, the negation of the
+left operand first, each branch saturated when it is made, and stops at
+the first open branch; a terminal node gets its modal children, each a
+new query start, and they stop at the first closed one.  Branches are
+walked in a loop, so the search recurses on modal nesting only.  Every
+node reached records the children tried and a `closed` flag, memoized
 for the query.  So the recorded tree is the one explored: an open node's
 path runs through the last child of each interior node, and the finite
 model extracted from it is re-checked against the root's saturated set.
@@ -189,8 +189,8 @@ class _Query:
     """What one query's search shares: the bound table, the rank in it of
     each modal subformula's bound, keyed by the formula node, the memo of
     the saturated nodes explored, keyed by (gamma, ends), and the
-    entailment verdicts, keyed by the pair (phi, psi).  Entailment
-    searches share it: a decision makes one, in `start`, for itself."""
+    entailment verdicts, keyed by (class of phi, class of psi, phi, psi).
+    Entailment searches share it: a decision makes one, in `start`."""
 
     __slots__ = ("table", "ranks", "memo", "entailments")
 
@@ -243,21 +243,22 @@ class _Query:
 
 def entails(phi: Formula, psi: Formula, _within: Optional[_Query] = None) -> bool:
     """Semantic entailment: `phi` and the negation of `psi` have no model
-    together.  True at once when `phi == psi`, which compares the stored
-    hashes first; else decided by the witness search, memoized in the query.
+    together.  True at once when `phi == psi`, asked of one class only (the
+    memo's key leads with the classes, as `L[r] g` and `M[r] g` hash
+    alike); else decided by the witness search, memoized in the query.
     The modal rule passes its query as `_within`, and the search runs in
     it: a node is keyed by its set and ends in one table, so whichever
     search reaches it first explores it alike.  A call from outside makes
     a query of its own, so no call keeps anything for the next."""
-    if phi == psi:
+    if phi.__class__ is psi.__class__ and phi == psi:
         return True
     # `start` looks through negations, so (phi, psi) has the set's table.
     query = _Query.start((phi, psi)) if _within is None else _within
-    key = (phi, psi)
+    key = (phi.__class__, psi.__class__, phi, psi)
     hit = query.entailments.get(key)
     if hit is None:
-        gamma = _saturate((phi, Not(psi)))
-        hit = query.entailments[key] = _explore(gamma, START_ENDS, query).closed
+        gamma, facts = _saturate((phi, Not(psi)))
+        hit = query.entailments[key] = _explore(gamma, facts, START_ENDS, query).closed
     return hit
 
 
@@ -281,90 +282,82 @@ def _mod_child_specs(positives, negatives, query: _Query) -> Iterator[tuple]:
         a, d = 0, RANK_INF
         for f in positives:
             if entails(psi, f.operand, query):
-                if isinstance(f, AtLeast):
+                if f.__class__ is AtLeast:
                     a = max(a, 2 * rank[f])
                 else:
                     d = min(d, 2 * rank[f])
         b, c = RANK_INF, 0
         for g in negatives:
             if entails(psi, g.operand, query):
-                if isinstance(g, AtLeast):
+                if g.__class__ is AtLeast:
                     b = min(b, 2 * rank[g] - 1)
                 else:
                     c = max(c, 2 * rank[g] + 1)
         yield psi, (a, b, c, d)
 
 
-def _saturate(gamma) -> tuple:
-    """`gamma` with the non-branching rules applied to the bottom: every
-    conjunction split into its operands in place and every double
-    negation dropped, then deduplicated keeping first occurrences.  This
-    is the set, in the same order, that applying the leftmost `and`, else
-    the leftmost `neg-neg`, one step at a time reaches.
-
-    A conjunction node met again, by identity, is skipped: the depth-first
-    walk has already kept every leaf under it, so a formula that shares
-    one conjunction at every level is walked once per distinct node."""
-    out = {}
-    pending = []
-    split = set()
+def _saturate(gamma) -> tuple[tuple, tuple]:
+    """`gamma` with the non-branching rules applied to the bottom, and the
+    facts the other rules read from it, in one pass.  Every conjunction is
+    split into its operands in place and every double negation dropped,
+    then the set deduplicated keeping first occurrences: the set, in the
+    same order, that applying the leftmost `and`, else the leftmost
+    `neg-neg`, one step at a time reaches.  The facts are the index of its
+    leftmost negated conjunction (None if it has none), its positive modal
+    formulas, the modal formulas it negates, and whether its literals
+    clash (`false`, `!true`, or an atom beside its negation); a leaf is
+    told by its exact class once, when the set first takes it.  A
+    conjunction node met again, by identity, is skipped: the walk has kept
+    every leaf under it, so a formula that shares one conjunction at every
+    level is walked once per distinct node."""
+    out, pending, split = {}, [], set()
+    negated_and, clash = None, False
+    positives, negatives = [], []
+    atoms, negated_atoms = set(), set()
     for f in gamma:
         while True:
-            if isinstance(f, And):
+            kind = f.__class__
+            if kind is And:
                 if id(f) not in split:
                     split.add(id(f))
                     pending.append(f.right)
                     f = f.left
                     continue
-            elif isinstance(f, Not) and isinstance(f.operand, Not):
+            elif kind is Not and f.operand.__class__ is Not:
                 f = f.operand.operand
                 continue
             else:
-                out[f] = None
+                n = len(out)
+                if out.setdefault(f, n) != n:
+                    pass  # taken before
+                elif kind is Not:
+                    g = f.operand
+                    kind = g.__class__
+                    if kind is And and negated_and is None:
+                        negated_and = n
+                    elif kind is AtLeast or kind is AtMost:
+                        negatives.append(g)
+                    elif kind is Atom:
+                        negated_atoms.add(g.name)
+                    elif kind is Top:
+                        clash = True
+                elif kind is AtLeast or kind is AtMost:
+                    positives.append(f)
+                elif kind is Atom:
+                    atoms.add(f.name)
+                elif kind is Bottom:
+                    clash = True
             if not pending:
                 break
             f = pending.pop()
-    return tuple(out)
-
-
-def _scan(gamma) -> tuple[Optional[int], list, list, bool]:
-    """Everything the rules read from a saturated formula set, in one
-    pass: the index of its leftmost negated conjunction (None if it has
-    none), its positive modal formulas, the modal formulas it negates,
-    and whether its literals clash (`false`, `!true`, or an atom together
-    with its negation)."""
-    negated_and = None
-    positives = []
-    negatives = []
-    atoms = set()
-    negated_atoms = set()
-    clash = False
-    for i, f in enumerate(gamma):
-        if isinstance(f, Not):
-            g = f.operand
-            if isinstance(g, And):
-                if negated_and is None:
-                    negated_and = i
-            elif isinstance(g, (AtLeast, AtMost)):
-                negatives.append(g)
-            elif isinstance(g, Atom):
-                negated_atoms.add(g.name)
-            elif isinstance(g, Top):
-                clash = True
-        elif isinstance(f, (AtLeast, AtMost)):
-            positives.append(f)
-        elif isinstance(f, Atom):
-            atoms.add(f.name)
-        elif isinstance(f, Bottom):
-            clash = True
-    clash = clash or not atoms.isdisjoint(negated_atoms)
-    return negated_and, positives, negatives, clash
+    return tuple(out), (negated_and, positives, negatives,
+                        clash or not atoms.isdisjoint(negated_atoms))
 
 
 def _branches(gamma, index) -> Iterator[tuple]:
     """The `neg-and` rule's children at the negated conjunction
     `gamma[index]`: the negation of its left operand, then of its right,
-    each branch saturated when it is made."""
+    each branch saturated when it is made, as a (set, facts) pair."""
     f = gamma[index].operand
     before, after = gamma[:index], gamma[index + 1:]
     for part in (f.left, f.right):
@@ -376,52 +369,65 @@ def _search(gamma, ends: tuple, query: _Query) -> TableauNode:
     the search explored it.  When the non-branching rules change `gamma`,
     the node applies them (`and` if it holds a conjunction, else
     `neg-neg`) and its one child is the saturated set's explored node."""
-    saturated = _saturate(gamma)
-    node = _explore(saturated, ends, query)
-    if saturated == gamma:
+    node = _explore(*_saturate(gamma), ends, query)
+    if node.gamma == gamma:
         return node
-    rule = RULE_AND if any(isinstance(f, And) for f in gamma) else RULE_NEG_NEG
+    rule = RULE_AND if any(f.__class__ is And for f in gamma) else RULE_NEG_NEG
     return TableauNode(gamma, ends, query.table, rule, (node,), node.closed)
 
 
-def _explore(gamma, ends: tuple, query: _Query) -> TableauNode:
-    """The node of a saturated set as the search explored it.  An
-    inconsistent node is closed with no children.  Otherwise an interior
-    node branches on its leftmost negated conjunction and is open at the
-    first open branch; a terminal node is open when every modal child is
-    open, and the children stop at the first closed one.  The query's
-    memo maps each saturated node reached, as (gamma, ends), to its
-    explored node."""
+def _explore(gamma, facts: tuple, ends: tuple, query: _Query) -> TableauNode:
+    """The node of a saturated set, with its facts, as the search explored
+    it.  An inconsistent node is closed with no children.  Otherwise an
+    interior node branches on its leftmost negated conjunction and is open
+    at the first open branch; a terminal node is open when every modal
+    child is open, and the children stop at the first closed one.  The
+    query's memo maps each saturated node reached, as (gamma, ends), to
+    its explored node.  Branches keep their node's ends, and the nodes
+    waiting on one are a list of (key, children, branches), so only a
+    modal child, through `_search`, recurses."""
     memo = query.memo
-    key = (gamma, ends)
-    node = memo.get(key)
-    if node is not None:
-        return node
-    negated_and, positives, negatives, clash = _scan(gamma)
     # Both intervals hold a value, and the least minimum weight is not
     # above the greatest maximum.  Branching only adds formulas and keeps
     # the ends, so a node that fails this is closed before any rule fires.
     a, b, c, d = ends
-    closed = clash or not (a <= b and c <= d and a <= d)
-    children = []
-    if negated_and is not None:
-        rule = RULE_NEG_AND
-        if not closed:
-            for child_gamma in _branches(gamma, negated_and):
-                children.append(_explore(child_gamma, ends, query))
-                if not children[-1].closed:
+    empty = not (a <= b and c <= d and a <= d)
+    waiting = []
+    while True:
+        key = (gamma, ends)
+        node = memo.get(key)
+        if node is None:
+            negated_and, positives, negatives, clash = facts
+            closed = clash or empty
+            if negated_and is not None and not closed:
+                branches = _branches(gamma, negated_and)
+                waiting.append((key, [], branches))
+                gamma, facts = next(branches)
+                continue
+            children = []
+            if negated_and is None and not closed:
+                for psi, child_ends in _mod_child_specs(positives, negatives, query):
+                    children.append(_search((psi,), child_ends, query))
+                    if children[-1].closed:
+                        closed = True
+                        break
+            rule = (RULE_NEG_AND if negated_and is not None
+                    else RULE_MOD if positives or negatives else None)
+            node = memo[key] = TableauNode(gamma, ends, query.table, rule, children, closed)
+        # The node waiting on this branch is done when it is open or last.
+        while waiting:
+            key, children, branches = waiting[-1]
+            children.append(node)
+            if node.closed:
+                branch = next(branches, None)
+                if branch is not None:
+                    gamma, facts = branch
                     break
-            closed = children[-1].closed
-    else:
-        rule = RULE_MOD if positives or negatives else None
-        if not closed:
-            for psi, child_ends in _mod_child_specs(positives, negatives, query):
-                children.append(_search((psi,), child_ends, query))
-                if children[-1].closed:
-                    closed = True
-                    break
-    node = memo[key] = TableauNode(gamma, ends, query.table, rule, children, closed)
-    return node
+            waiting.pop()
+            node = memo[key] = TableauNode(key[0], ends, query.table, RULE_NEG_AND,
+                                           children, node.closed)
+        else:
+            return node
 
 
 def _start(phi: Formula) -> TableauNode:
@@ -475,7 +481,7 @@ def extract_model(witness: TableauNode) -> tuple[Wts, str, bool]:
             stack.append((state, node.children[-1]))
             continue
         labels[state].update(
-            f.name for f in node.gamma if isinstance(f, Atom)
+            f.name for f in node.gamma if f.__class__ is Atom
         )
         if node.kind == "modal":
             for child in node.children:
@@ -500,7 +506,7 @@ def extract_model(witness: TableauNode) -> tuple[Wts, str, bool]:
     model = _assemble(frozenset(labels), label_sets, list(ids), edges)
     # The saturated set means what the root's does, and its conjuncts are
     # flat: a wide conjunction is not re-checked as a deep one.
-    verified = all(model_check(model, root_state, f) for f in _saturate(witness.gamma))
+    verified = all(model_check(model, root_state, f) for f in _saturate(witness.gamma)[0])
     return model, root_state, verified
 
 

@@ -20,6 +20,9 @@ kept verbatim (bar its name) as the reference for the iterative one.
 one formula at a time, as the search did before it saturated a set in
 one pass: the leftmost conjunction is split, else the leftmost double
 negation dropped, and the set is deduplicated after each step.
+`reference_facts` reads off such a set, by the definitions, what the
+tableau's other rules read: its leftmost negated conjunction, its
+positive and negated modal formulas, and whether its literals clash.
 
 `node_consistent` checks a tableau node's literals and weight intervals
 from the definitions, and `commute` swaps conjunctions' operands at
@@ -598,6 +601,23 @@ def reference_saturate(gamma) -> tuple:
             return gamma
         i, part = step
         gamma = tuple(dict.fromkeys(gamma[:i] + part + gamma[i + 1:]))
+
+
+def reference_facts(gamma) -> tuple:
+    """What the `neg-and` and modal rules and the closure test read from
+    the saturated set `gamma`: the index of its leftmost negated
+    conjunction (None if it has none), its positive modal formulas and
+    the modal formulas it negates, each in order, and whether its
+    literals clash (`false`, `!true`, or an atom beside its negation)."""
+    negated = [f.operand for f in gamma if isinstance(f, Not)]
+    negated_and = next((i for i, f in enumerate(gamma)
+                        if isinstance(f, Not) and isinstance(f.operand, And)), None)
+    positives = [f for f in gamma if isinstance(f, (AtLeast, AtMost))]
+    negatives = [g for g in negated if isinstance(g, (AtLeast, AtMost))]
+    clash = (any(isinstance(f, Bottom) for f in gamma)
+             or any(isinstance(g, Top) for g in negated)
+             or any(isinstance(f, Atom) and f in negated for f in gamma))
+    return negated_and, positives, negatives, clash
 
 
 def _reference_check_ident(name: str, what: str) -> str:

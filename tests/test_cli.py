@@ -524,6 +524,21 @@ def test_sat_answers_on_a_doubled_chain_of_iff():
         assert (code, body["verified"], err) == (0, True, "")
 
 
+def test_the_tableau_answers_on_wide_flat_connectives():
+    # the tableau walks the branches of a negated conjunction in a loop:
+    # a flat disjunction, which nests a negated conjunction per operand,
+    # answers at 3,000 operands, as do the negation of a 3,000-atom
+    # conjunction and the validity of one
+    disjunction = " | ".join(f"p{i}" for i in range(3000))
+    conjunction = " & ".join(f"p{i}" for i in range(3000))
+    satisfied = {"satisfiable": True, "verified": True, "state": "s0"}
+    for argv, answer in ((["sat", "--formula", disjunction], (0, satisfied)),
+                         (["sat", "--formula", f"!({conjunction})"], (0, satisfied)),
+                         (["valid", "--formula", conjunction], (1, {"valid": False}))):
+        code, out, err = in_time(lambda: run(argv))
+        assert (code, json.loads(out), err) == (*answer, ""), argv[0]
+
+
 def test_sat_answers_on_a_wide_flat_conjunction():
     # the extracted model is re-checked conjunct by conjunct, not down the
     # left-nested conjunction the parser builds

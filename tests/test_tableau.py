@@ -17,7 +17,7 @@ from wtl import (
 from oracles import (
     bounded_model_search, commute, decode_interval, encode_interval, interval,
     interval_ends, interval_json, interval_text, node_consistent,
-    reference_minimal_operands, reference_saturate,
+    reference_facts, reference_minimal_operands, reference_saturate,
 )
 
 P1, P2, P3 = Atom("p1"), Atom("p2"), Atom("p3")
@@ -554,16 +554,32 @@ def test_saturation_agrees_with_the_one_step_rules():
               for k in range(1 + seed % 4))
         for seed in range(12000, 12600)
     ]
+    shared = And(Not(And(P1, P2)), AtLeast(1, P3))
+    sets += [
+        (Not(Top()),), (Bottom(),), (P1, Not(Not(Not(P1)))), (Not(Not(Bottom())), Top()),
+        (P1, P1, Not(P2), P2, Not(P2)), (Not(Not(Not(Top()))), P2),
+        (shared, And(shared, Not(AtMost(2, P1))), Not(And(P2, P1)), shared),
+    ]
     def double_negation(f):
         return isinstance(f, Not) and isinstance(f.operand, Not)
 
+    facts = []
     for gamma in sets:
-        saturated = wtl.tableau._saturate(gamma)
+        saturated, found = wtl.tableau._saturate(gamma)
         assert saturated == reference_saturate(gamma), [print_formula(f) for f in gamma]
         assert not any(isinstance(f, And) or double_negation(f) for f in saturated)
-    # the sample exercises both rules at the top of a set
+        # the pass reads what the rules read off the saturated set
+        assert found == reference_facts(saturated), [print_formula(f) for f in gamma]
+        facts.append(found)
+    # the sample exercises both rules at the top of a set, and has sets
+    # with and without a clash, a negated conjunction and modal formulas
+    # of both signs
     assert sum(any(isinstance(f, And) for f in gamma) for gamma in sets) > 500
     assert sum(any(map(double_negation, gamma)) for gamma in sets) > 500
+    assert 100 < sum(clash for *_, clash in facts) < len(sets) - 100
+    assert sum(negated_and is not None for negated_and, *_ in facts) > 100
+    assert sum(bool(pos) and bool(neg) for _, pos, neg, _ in facts) > 100
+    assert facts[-1] == (0, [AtLeast(1, P3)], [AtMost(2, P1)], False)
 
 
 def test_saturation_splits_a_shared_conjunction_once():
@@ -579,7 +595,7 @@ def test_saturation_splits_a_shared_conjunction_once():
     signal.setitimer(signal.ITIMER_REAL, 10)
     try:
         start = time.perf_counter()
-        assert wtl.tableau._saturate((f, Not(Not(f)))) == (p, q)
+        assert wtl.tableau._saturate((f, Not(Not(f))))[0] == (p, q)
         verdict = is_satisfiable(f)
         assert time.perf_counter() - start < 1
     finally:
@@ -589,28 +605,37 @@ def test_saturation_splits_a_shared_conjunction_once():
 
 
 def test_non_branching_steps_take_one_node_and_no_recursion(monkeypatch):
-    calls = {"_search": [], "_explore": []}
-    for name, frames in calls.items():
-        def counting(*args, frames=frames, inner=getattr(wtl.tableau, name)):
-            frames.append(args[0])
-            return inner(*args)
+    """Each saturated set and ends the search explores builds one node,
+    and the non-branching rules build one node per query start."""
+    searched, built = [], []
+    inner = wtl.tableau._search
 
-        monkeypatch.setattr(wtl.tableau, name, counting)
+    def counting(*args):
+        searched.append(args[0])
+        return inner(*args)
+
+    def spy(self, gamma, ends, *args, init=wtl.tableau.TableauNode.__init__):
+        built.append((tuple(gamma), ends))
+        init(self, gamma, ends, *args)
+
+    monkeypatch.setattr(wtl.tableau, "_search", counting)
+    monkeypatch.setattr(wtl.tableau.TableauNode, "__init__", spy)
     atoms = [Atom(f"a{j}") for j in range(800)]
     tableau = build_tableau(conjoin(atoms))
     nodes = list(explored_nodes(tableau.root))
     assert [n.rule for n in nodes] == ["and", None]
     assert nodes[1].gamma == tuple(atoms) and not tableau.root.closed
-    assert len(calls["_search"]) == len(calls["_explore"]) == 1
-    for frames in calls.values():
-        frames.clear()
+    assert len(searched) == 1 and len(built) == 2
+    searched.clear()
+    built.clear()
     nodes = list(explored_nodes(build_tableau(disjunction_family(14)).root))
     assert len(nodes) <= 17  # 44 when each step was its own node
-    # an _explore frame per negated-conjunction branch and per saturated
-    # set a query starts from, a _search frame per query start only
-    assert len(calls["_explore"]) == sum(n.rule not in ("and", "neg-neg") for n in nodes)
+    # a node per negated-conjunction branch and per saturated set a query
+    # starts from, each built once, and a `_search` call per query start
+    assert sorted(built, key=repr) == sorted(((n.gamma, n.ends) for n in nodes), key=repr)
+    assert len(set(built)) == len(built)
     starts = 1 + sum(len(n.children) for n in nodes if n.rule == "mod")
-    assert len(calls["_search"]) == starts == 2
+    assert len(searched) == starts == 2
     assert [n.rule for n in nodes].count("and") == 1
     assert "neg-neg" not in [n.rule for n in nodes]
 
@@ -689,6 +714,36 @@ def test_a_decision_keeps_nothing_for_the_next(monkeypatch):
         decide(random_formula(seed + 11000, ["q1", "q2"], 2, [F(0), F(1), F(2)]))
     assert decide(phi) == first
     assert first[0] is Sat
+
+
+def test_entails_compares_nodes_of_one_class_only(monkeypatch):
+    """`entails` asks `==` only of two nodes of the same class: a node of
+    another class is never equal, and the call would be two `__eq__`
+    calls that each answer `NotImplemented`."""
+    inner = wtl.tableau.entails
+    pairs, compared = [], []
+
+    def spy(phi, psi, *args):
+        pairs.append(type(phi) is type(psi))
+        return inner(phi, psi, *args)
+
+    for cls in (Atom, Top, Bottom, Not, And, AtLeast, AtMost):
+        def eq(self, other, eq=cls.__eq__):
+            if sys._getframe(1).f_code is inner.__code__:
+                compared.append(type(self) is type(other))
+            return eq(self, other)
+
+        monkeypatch.setattr(cls, "__eq__", eq)
+    monkeypatch.setattr(wtl.tableau, "entails", spy)
+    for seed in range(80):
+        sat_verdict(random_formula(seed + 13000, ["p1", "p2"], 3, [F(0), F(1), F(2)]))
+    sat_verdict(parse_formula("L[1] p1 & L[2] (p1 & p2) & L[3] (p2 & p1) & L[0] !p3"))
+    # `L[1] p` and `M[1] p` hash alike, so the pairs they make in either
+    # order meet in the entailment memo
+    sat_verdict(parse_formula("L[1] L[1] p & L[2] M[1] p & !M[3] L[1] p"))
+    # both kinds of pair reach `entails`, and it compares the equal-class ones
+    assert pairs.count(False) > 20 and pairs.count(True) > 20
+    assert compared and all(compared)
 
 
 # -------------------------------------------------------------- extraction
