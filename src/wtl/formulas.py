@@ -10,21 +10,24 @@ nodes are frozen, slotted records (`_record.record`) rather than
 dataclasses, so importing the package loads neither `dataclasses` nor
 `inspect`.
 
-The parser reads a formula in two passes.  The scanner is one compiled
+The parser reads a formula in one pass.  The scanner is one compiled
 pattern with one group, run by `findall`, so the character loop runs in
 C and gives one flat list of token texts: after whitespace
 (`str.isspace`), each is an operator, a rational's text, an identifier
-or a stray character.  One pass over that list, before parsing starts,
-finds the first lexical error in input order and reads every rational
-(`read_rational`), with its hash, through a process-wide memo of at most
-`BOUND_MEMO_SIZE` texts.  The parser then compares the token texts,
-read by index, in one loop with no recursion: a parenthesis pushes the
+or a stray character.  The parser compares the token texts, read by
+index, in one loop with no recursion: a parenthesis pushes the
 enclosing level onto a list, and its close pops it.  So nesting, chains
 of prefixes and chains of infix operators parse at any depth and
 length, and `parse_formula` reads back everything `print_formula`
-prints.  It makes each modality node through `_modality`, from the
+prints.  It reads each bound where it meets it (`read_rational`), with
+its hash, through a process-wide memo of at most `BOUND_MEMO_SIZE`
+texts, and makes each modality node through `_modality`, from the
 memo's bound and hash, so a bound whose text the memo holds costs no
-`Fraction` work in Python.  An error names the token's position and
+`Fraction` work in Python.  The first lexical error in input order (a
+stray character, or a rational `read_rational` refuses) wins over a
+syntax error; every token before the one a parse stops at was accepted,
+so the tokens are scanned for a lexical error only from there on, and
+only when the parse fails.  An error names the token's position and
 quotes it as the input has it.
 
 The constructors are also the operations of an `Algebra` (tagless
@@ -350,32 +353,6 @@ def _read_bound(text: str) -> tuple[Fraction, int]:
     return value, hash(value)
 
 
-def _tokenize(text: str):
-    """The token texts of `text`, then "", and the values of its
-    rationals by token index.
-
-    One pass reads the whole text before the parser starts, so the first
-    lexical error in input order wins: a stray character, or a rational
-    `read_rational` refuses.  Positions are found again only for an
-    error (`_token_at`)."""
-    tokens = _TOKEN_RE.findall(text)
-    bounds = {}
-    for k, token in enumerate(tokens):
-        if token in _OPERATORS:
-            continue
-        first = token[0]
-        if first in _NAME_START:
-            continue
-        if first not in _DIGITS:
-            raise _error(text, k, f"unexpected character {token!r}")
-        try:
-            bounds[k] = _read_bound(token)
-        except ValueError as e:
-            raise _error(text, k, str(e)) from None
-    tokens.append("")
-    return tokens, bounds
-
-
 def _token_at(text: str, k: int):
     """The position and the text of token `k`; past the last token, the
     end of the input and None."""
@@ -389,119 +366,135 @@ def _error(text: str, k: int, message: str) -> FormulaError:
     return FormulaError(f"position {_token_at(text, k)[0]}: {message}")
 
 
+def _stopped(text: str, tokens: list, k: int, message: str) -> FormulaError:
+    """The error of a parse that stopped at token `k`: the first lexical
+    error from token `k` on (a stray character, or a rational
+    `read_rational` refuses), else `message`, then token `k`."""
+    for j in range(k, len(tokens) - 1):
+        token = tokens[j]
+        if token[0] in _DIGITS:
+            try:
+                read_rational(token)
+            except ValueError as e:
+                return _error(text, j, str(e))
+        elif token not in _OPERATORS and token[0] not in _NAME_START:
+            return _error(text, j, f"unexpected character {token!r}")
+    token = _token_at(text, k)[1]
+    shown = "end of input" if token is None else repr(token)
+    return _error(text, k, f"{message} {shown}")
+
+
 # The bound of `<>` and `[]`, which are `L[0]` and `!L[0]!`, as `diamond`
 # and `box` build them.
 _ZERO = Fraction(0)
 _ZERO_HASH = hash(_ZERO)
 
 
-class _Parser:
-    """One loop over `_tokenize`'s token texts, read by index, with no
-    recursion.  A token is a name when its first character starts an
-    identifier; "" is the end.  Errors quote the token as the input has
-    it.  `bounds` maps a rational's token index to its value and hash, as
-    `_read_bound` gives them."""
+def _parse(text: str) -> Formula:
+    """The whole text as one formula, read in one loop over its token
+    texts, by index, with no recursion.
 
-    __slots__ = ("text", "tokens", "bounds")
+    A token is a name when its first character starts an identifier; ""
+    is the end.  An operand is a chain of prefixes (`!`, `L[r]`, `M[r]`,
+    `<>`, `[]`), read forward to a name or a `(`; a bound is read where
+    it is met (`_read_bound`), and a bound that does not read is the
+    error at once.  A level folds its operands as it reads them: `&`
+    into `conj`, `|` into `disj`, and a chain of `->` and `<->` into
+    `chain`, each disjunction followed by its arrow, to be folded from
+    the right at the level's end (`a <-> b -> c` is `a <-> (b -> c)`).
+    A `(` pushes the enclosing level and the span of its prefixes onto
+    `stack`; its `)` pops them, and the finished formula becomes an
+    operand there.  Prefixes are applied to their operand innermost
+    first, going back over their tokens: before the operand, a "]" can
+    only close a bound.  Nothing recurses, so nesting and chains of any
+    length parse.
 
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens, self.bounds = _tokenize(text)
-
-    def fail(self, k: int, message: str) -> FormulaError:
-        """`message`, then token `k`."""
-        token = _token_at(self.text, k)[1]
-        shown = "end of input" if token is None else repr(token)
-        return _error(self.text, k, f"{message} {shown}")
-
-    def formula(self) -> Formula:
-        """The whole text as one formula.
-
-        An operand is a chain of prefixes (`!`, `L[r]`, `M[r]`, `<>`,
-        `[]`), read forward to a name or a `(`.  A level folds its
-        operands as it reads them: `&` into `conj`, `|` into `disj`, and
-        a chain of `->` and `<->` into `chain`, each disjunction followed
-        by its arrow, to be folded from the right at the level's end
-        (`a <-> b -> c` is `a <-> (b -> c)`).  A `(` pushes the enclosing
-        level and the span of its prefixes onto `stack`; its `)` pops
-        them, and the finished formula becomes an operand there.  Prefixes
-        are applied to their operand innermost first, going back over
-        their tokens: before the operand, a "]" can only close a bound.
-        Nothing recurses and the index `i` is a local, so nesting and
-        chains of any length parse."""
-        tokens, bounds = self.tokens, self.bounds
-        stack = []
-        conj = disj = None
-        chain = []
-        i = 0
+    The first lexical error in input order wins over a syntax error, yet
+    a text that parses is read once.  Every token before the one the
+    parse stops at was compared with an operator, taken as a name, or
+    read as a bound, so none of them is a lexical error; `_stopped`
+    looks for one only from the stop on."""
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append("")
+    bounds = {}
+    stack = []
+    conj = disj = None
+    chain = []
+    i = 0
+    while True:
+        start = i
         while True:
-            start = i
-            while True:
-                token = tokens[i]
-                if token == "!" or token == "<>" or token == "[]":
-                    i += 1
-                elif (token == "L" or token == "M") and tokens[i + 1] == "[":
-                    if i + 2 not in bounds:
-                        raise self.fail(i + 2, "expected a number, got")
-                    if tokens[i + 3] != "]":
-                        raise self.fail(i + 3, "expected ']', got")
-                    i += 4
-                else:
-                    break
-            if token == "(":
-                stack.append((start, i, conj, disj, chain))
-                conj = disj = None
-                chain = []
+            token = tokens[i]
+            if token == "!" or token == "<>" or token == "[]":
                 i += 1
-                continue
-            if token[:1] not in _NAME_START:
-                raise self.fail(i, "unexpected")
-            if token == "true":
-                f = Top()
-            elif token == "false":
-                f = Bottom()
+            elif (token == "L" or token == "M") and tokens[i + 1] == "[":
+                i += 2
+                if tokens[i][:1] not in _DIGITS:
+                    raise _stopped(text, tokens, i, "expected a number, got")
+                try:
+                    bounds[i] = _read_bound(tokens[i])
+                except ValueError as e:
+                    raise _error(text, i, str(e)) from None
+                i += 1
+                if tokens[i] != "]":
+                    raise _stopped(text, tokens, i, "expected ']', got")
+                i += 1
             else:
-                f = Atom(token)
-            end = i
+                break
+        if token == "(":
+            stack.append((start, i, conj, disj, chain))
+            conj = disj = None
+            chain = []
             i += 1
-            while True:  # `f` is an operand: fold it in, or close the level
-                while end > start:
-                    end -= 1
-                    token = tokens[end]
-                    if token == "]":
-                        end -= 3
-                        bound, bound_hash = bounds[end + 2]
-                        f = _modality(AtLeast if tokens[end] == "L" else AtMost, bound, bound_hash, f)
-                    elif token == "!":
-                        f = Not(f)
-                    elif token == "<>":
-                        f = _modality(AtLeast, _ZERO, _ZERO_HASH, f)
-                    else:  # "[]"
-                        f = Not(_modality(AtLeast, _ZERO, _ZERO_HASH, Not(f)))
-                conj = f if conj is None else And(conj, f)
-                token = tokens[i]
-                if token == "&":
-                    break
-                disj = conj if disj is None else lor(disj, conj)
-                conj = None
-                if token == "|":
-                    break
-                if token == "->" or token == "<->":
-                    chain += (disj, implies if token == "->" else iff)
-                    disj = None
-                    break
-                f = disj
-                while chain:  # the arrow is popped first, then its left operand
-                    f = chain.pop()(chain.pop(), f)
-                if not stack:
-                    if token:
-                        raise self.fail(i, "trailing input")
-                    return f
-                if token != ")":
-                    raise self.fail(i, "expected ')', got")
-                i += 1
-                start, end, conj, disj, chain = stack.pop()
+            continue
+        if token[:1] not in _NAME_START:
+            raise _stopped(text, tokens, i, "unexpected")
+        if token == "true":
+            f = Top()
+        elif token == "false":
+            f = Bottom()
+        else:
+            f = Atom(token)
+        end = i
+        i += 1
+        while True:  # `f` is an operand: fold it in, or close the level
+            while end > start:
+                end -= 1
+                token = tokens[end]
+                if token == "]":
+                    end -= 3
+                    bound, bound_hash = bounds[end + 2]
+                    f = _modality(AtLeast if tokens[end] == "L" else AtMost, bound, bound_hash, f)
+                elif token == "!":
+                    f = Not(f)
+                elif token == "<>":
+                    f = _modality(AtLeast, _ZERO, _ZERO_HASH, f)
+                else:  # "[]"
+                    f = Not(_modality(AtLeast, _ZERO, _ZERO_HASH, Not(f)))
+            conj = f if conj is None else And(conj, f)
+            token = tokens[i]
+            if token == "&":
+                break
+            disj = conj if disj is None else lor(disj, conj)
+            conj = None
+            if token == "|":
+                break
+            if token == "->" or token == "<->":
+                chain += (disj, implies if token == "->" else iff)
+                disj = None
+                break
+            f = disj
+            while chain:  # the arrow is popped first, then its left operand
+                f = chain.pop()(chain.pop(), f)
+            if not stack:
+                if token:
+                    raise _stopped(text, tokens, i, "trailing input")
+                return f
+            if token != ")":
+                raise _stopped(text, tokens, i, "expected ')', got")
             i += 1
+            start, end, conj, disj, chain = stack.pop()
+        i += 1
 
 
 def parse_formula(text: Union[bytes, str]) -> Formula:
@@ -511,7 +504,7 @@ def parse_formula(text: Union[bytes, str]) -> Formula:
     the offset of the first bad byte."""
     if isinstance(text, bytes):
         text = decode_utf8(text, FormulaError)
-    return _Parser(text).formula()
+    return _parse(text)
 
 
 def print_formula(f: Formula) -> str:

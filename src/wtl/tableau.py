@@ -367,12 +367,17 @@ def _branches(gamma, index) -> Iterator[tuple]:
 def _search(gamma, ends: tuple, query: _Query) -> TableauNode:
     """The root or a modal child <gamma, ends> (`gamma` deduplicated) as
     the search explored it.  When the non-branching rules change `gamma`,
-    the node applies them (`and` if it holds a conjunction, else
-    `neg-neg`) and its one child is the saturated set's explored node."""
+    that is when it holds a conjunction or a double negation, the node
+    applies them (`and` if it holds a conjunction, else `neg-neg`) and
+    its one child is the saturated set's explored node.  The classes
+    tell, so no formula node is compared."""
     node = _explore(*_saturate(gamma), ends, query)
-    if node.gamma == gamma:
+    if any(f.__class__ is And for f in gamma):
+        rule = RULE_AND
+    elif any(f.__class__ is Not and f.operand.__class__ is Not for f in gamma):
+        rule = RULE_NEG_NEG
+    else:
         return node
-    rule = RULE_AND if any(f.__class__ is And for f in gamma) else RULE_NEG_NEG
     return TableauNode(gamma, ends, query.table, rule, (node,), node.closed)
 
 

@@ -193,6 +193,10 @@ def test_parse_errors_have_positions():
         ("q é 1/0", "position 2: unexpected character 'é'"),
         ("L[1/0] é", "position 2: zero denominator"),
         ("L[٣] p", "position 2: unexpected character '٣'"),
+        # a lexical error after the token the parse stops at still wins
+        ("p & & $", "position 6: unexpected character '$'"),
+        ("(p 1/0", "position 3: zero denominator"),
+        ("p ) é", "position 4: unexpected character 'é'"),
     ]:
         with pytest.raises(FormulaError) as caught:
             parse_formula(text)
@@ -296,6 +300,25 @@ def test_parser_agrees_with_the_reference_parser():
             parsed += 1
             chains += text.count("->") >= 3
     assert parsed > 5000 and failed > 5000 and chains > 500
+
+
+def test_a_text_that_parses_is_scanned_once(monkeypatch):
+    """Only a parse that stops looks for a lexical error past the stop."""
+    def scan(*args):
+        raise AssertionError("a parse that succeeds scanned its tokens again")
+
+    texts = []
+    for text in _texts(random.Random(20261018)):
+        try:
+            texts.append((text, reference_parse_formula(text)))
+        except FormulaError:
+            pass
+    monkeypatch.setattr(formulas, "_stopped", scan)
+    for text, expected in texts:
+        assert parse_formula(text) == expected, text
+    assert len(texts) > 5000
+    with pytest.raises(AssertionError):
+        parse_formula("p &")
 
 
 def test_a_chain_of_arrows_parses_in_one_loop():

@@ -746,6 +746,38 @@ def test_entails_compares_nodes_of_one_class_only(monkeypatch):
     assert compared and all(compared)
 
 
+def test_search_compares_no_formula_nodes(monkeypatch):
+    """`_search` tells a start set that saturation leaves unchanged by its
+    formulas' classes: comparing it with the saturated set would call
+    `__eq__` on every pair of members that are not one object, of
+    another class when a double negation was dropped."""
+    inner = wtl.tableau._search
+    starts, compared = [], []
+
+    def spy(gamma, *args):
+        starts.append(gamma)
+        return inner(gamma, *args)
+
+    for cls in (Atom, Top, Bottom, Not, And, AtLeast, AtMost):
+        def eq(self, other, eq=cls.__eq__):
+            if sys._getframe(1).f_code is inner.__code__:
+                compared.append((self, other))
+            return eq(self, other)
+
+        monkeypatch.setattr(cls, "__eq__", eq)
+    monkeypatch.setattr(wtl.tableau, "_search", spy)
+    for seed in range(80):
+        sat_verdict(random_formula(seed + 13000, ["p1", "p2"], 3, [F(0), F(1), F(2)]))
+    # a double negation at the root and under a modality, and a set that
+    # saturation keeps as it is
+    for text in ("!!L[1] p1", "L[1] !!p1 & M[2] !!(p1 & p2)", "!M[1] p1"):
+        sat_verdict(parse_formula(text))
+    double = [g for g in starts if any(type(f) is Not and type(f.operand) is Not for f in g)]
+    plain = [g for g in starts if all(type(f) not in (And, Not) for f in g)]
+    assert len(double) >= 10 and len(plain) > 50
+    assert not compared
+
+
 # -------------------------------------------------------------- extraction
 
 def test_satisfiable_nested_bounds_with_verified_witness():
